@@ -132,7 +132,7 @@ def _first_witness(sys, prev_bits: int, z: int):
                 continue
             w0 = meet[u, v]
             for x in srange:
-                if not (prev_bits >> star[v, x]) & 1:
+                if not (prev_bits >> int(star[v, x])) & 1:
                     continue
                 w1 = star[w0, x]
                 for y in srange:
@@ -239,7 +239,7 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
                     continue
                 w0 = meet[u, v]
                 for x in srange:
-                    if not (h_bits >> star[v, x]) & 1:
+                    if not (h_bits >> int(star[v, x])) & 1:
                         continue
                     w1 = star[w0, x]
                     for y in srange:
@@ -266,12 +266,12 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
             if (h_bits >> x) & 1:
                 continue
             for y in range(m):
-                if (h_bits >> mul[x, y]) & 1:
+                if (h_bits >> int(mul[x, y])) & 1:
                     return False
         for g1 in inside:
             # adjacency: g1 |- g2 forces g1.g2 in H
             for g2 in range(m):
-                if delta[g1, g2] and not (h_bits >> mul[g1, g2]) & 1:
+                if delta[g1, g2] and not (h_bits >> int(mul[g1, g2])) & 1:
                     return False
                 # order: g1 <= g2 forces g2 in H
                 if zeta[g1, g2] and not (h_bits >> g2) & 1:
@@ -283,7 +283,7 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
                     continue
                 w = meet[g1, g2]
                 for x in _star_range(m):
-                    if (h_bits >> star[g2, x]) & 1 and not (h_bits >> star[w, x]) & 1:
+                    if (h_bits >> int(star[g2, x])) & 1 and not (h_bits >> int(star[w, x])) & 1:
                         return False
         return True
     raise ValueError(f"unknown method {method!r}")

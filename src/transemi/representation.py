@@ -14,13 +14,13 @@ re-checks concretely.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .abstract_system import AbstractSystem, validate
+from .bitsets import bits_to_bool
 from .closure import check_representability
 from .errors import HypothesesViolatedError, InternalConsistencyError
 from .partial_maps import PartialMap, compose, intersect, semiadjacent, semicompatible
@@ -143,13 +143,8 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
     m = sys.size
     closed = sys.closures.of_pair(g1, g2)
 
-    inside = np.zeros(m, dtype=bool)
-    for i in range(m):
-        inside[i] = bool((closed >> i) & 1)
-    meet_in = np.zeros((m, m), dtype=bool)
-    for x in range(m):
-        for y in range(m):
-            meet_in[x, y] = bool((closed >> sys.meet[x, y]) & 1)
+    inside = bits_to_bool(closed, m)
+    meet_in = inside[sys.meet]
     eps = meet_in | (~inside[:, None] & ~inside[None, :])
 
     composed = (eps.astype(np.float64) @ eps.astype(np.float64)) > 0.5
@@ -173,7 +168,7 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
         classes.append(cls)
     classes.append([m])  # e stays alone
 
-    outside = frozenset(i for i in range(m) if not (closed >> i) & 1)
+    outside = frozenset(int(i) for i in np.nonzero(~inside)[0])
     if outside:
         if not any(frozenset(c) == outside for c in classes):
             raise HypothesesViolatedError(
@@ -352,24 +347,25 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     return report
 
 
-def _pair_fragment(sys: AbstractSystem, pair: tuple[int, int]) -> Representation:
-    return simplest_representation(sys, determining_pair_for(sys, *pair))
-
-
-def sum_representation(sys: AbstractSystem, parallel: bool = False) -> Representation:
+def sum_representation(sys: AbstractSystem) -> Representation:
     """Sum of the canonical simplest representations over all ordered pairs.
 
-    Carriers are relabeled with their pair tag to force disjointness; the
-    per-pair constructions are independent and may run on a thread pool,
-    with the merge kept in pair order either way.
+    Carriers are relabeled with their pair tag to force disjointness. A
+    pair's fragment depends only on the closure of the pair, so fragments
+    are built once per distinct pair closure, in pair order, and shared by
+    every pair with that closure.
     """
     m = sys.size
     pairs = [(g1, g2) for g1 in range(m) for g2 in range(m)]
-    if parallel and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(pairs))) as pool:
-            fragments = list(pool.map(lambda p: _pair_fragment(sys, p), pairs))
-    else:
-        fragments = [_pair_fragment(sys, p) for p in pairs]
+    by_closure: dict[int, Representation] = {}
+    fragments = []
+    for g1, g2 in pairs:
+        closed = sys.closures.of_pair(g1, g2)
+        frag = by_closure.get(closed)
+        if frag is None:
+            frag = simplest_representation(sys, determining_pair_for(sys, g1, g2))
+            by_closure[closed] = frag
+        fragments.append(frag)
 
     carrier: list = []
     offsets = []
@@ -389,7 +385,7 @@ def sum_representation(sys: AbstractSystem, parallel: bool = False) -> Represent
     return Representation(tuple(carrier), tuple(maps))
 
 
-def verify_representability(sys: AbstractSystem, parallel: bool = False) -> Report:
+def verify_representability(sys: AbstractSystem) -> Report:
     """End-to-end verdict: hypotheses, closure axioms, then the sum
     representation checked for injectivity, both homomorphism laws, and
     exact transfer of all three relations. Stops before building anything
@@ -407,7 +403,7 @@ def verify_representability(sys: AbstractSystem, parallel: bool = False) -> Repo
         return report
 
     m = sys.size
-    rep = sum_representation(sys, parallel=parallel)
+    rep = sum_representation(sys)
 
     t0 = time.perf_counter()
     dup = []

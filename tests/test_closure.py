@@ -8,12 +8,15 @@ from transemi import (
     AbstractSystem,
     OracleBudgetError,
     check_representability,
+    cli,
     closure_fixpoint,
     closure_step,
     derivation_chain,
+    determining_pair_for,
     is_closed,
     least_closed_oracle,
     member_at_round,
+    simplest_representation,
     verify_witness_tree,
 )
 from transemi.bitsets import full_mask
@@ -291,6 +294,51 @@ class TestCache:
         a = sys.closures.of_pair(0, 1)
         b = sys.closures.of_pair(1, 0)
         assert a == b
+
+
+@pytest.fixture(scope="module")
+def system_m70(tmp_path_factory):
+    """`transemi generate --seed 3 --points 5 --maps 4`: 70 elements, so
+    closures of some pairs hold elements past bit 63."""
+    path = tmp_path_factory.mktemp("m70") / "inst.yaml"
+    assert cli.main(["generate", "--seed", "3", "--points", "5", "--maps", "4",
+                     "--out", str(path)]) == 0
+    sys = parse_instance(path).build(cap=256).abstract()
+    assert sys.size == 70
+    return sys
+
+
+class TestLargeCarrier:
+    @pytest.mark.parametrize("g1, g2", [(69, 3), (5, 40)])
+    def test_pair_paths_past_bit_63(self, system_m70, g1, g2):
+        sys = system_m70
+        res = closure_fixpoint(sys, (1 << g1) | (1 << g2), witnesses=True)
+        assert res.closed_bits == sys.closures.of_pair(g1, g2)
+        assert res.closed_bits >> 63
+        assert res.witness
+        for z in res.witness:
+            chain = derivation_chain(sys, res, z)
+            rounds = {s["element"]: s["round"] for s in chain}
+            assert z in rounds
+            for step in chain:
+                assert step["element"] in res
+                for src in step["from"]:
+                    assert (res.seed_bits >> src) & 1 or rounds[src] < step["round"]
+        assert is_closed(sys, res.closed_bits, "four-conditions")
+        dp = determining_pair_for(sys, g1, g2)
+        outside = frozenset(i for i in range(sys.size) if i not in res)
+        assert frozenset(dp.class_members(dp.w_class)) == outside
+        rep = simplest_representation(sys, dp)
+        assert len(rep.maps) == sys.size
+
+    def test_implication_rejects_open_seed_past_bit_63(self, system_m70):
+        # the implication method is only fast here on a set that is not
+        # closed: it stops at the first admitted element outside
+        sys = system_m70
+        seed = (1 << 69) | (1 << 3)
+        assert sys.closures.closed_bits(seed) != seed
+        assert not is_closed(sys, seed, "implication")
+        assert not is_closed(sys, seed, "four-conditions")
 
 
 class TestRepresentabilityAxioms:

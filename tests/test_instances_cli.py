@@ -14,6 +14,7 @@ from transemi.instances import (
     render_instance,
     write_instance,
 )
+from transemi.representation import rep_relations, sum_representation
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,11 +181,17 @@ class TestCli:
         assert res.returncode == 0
         assert "closure-oracle-agreement" in res.stdout
 
-    def test_pairs_parallel_same_output(self, trans_file):
-        a = run_cli("represent", "--input", str(trans_file), "--pairs-parallel", "off")
-        b = run_cli("represent", "--input", str(trans_file), "--pairs-parallel", "on")
-        assert a.returncode == b.returncode == 0
-        assert a.stdout == b.stdout
+    def test_represent_built_line_matches_fresh_sum(self, trans_file):
+        res = run_cli("represent", "--input", str(trans_file), "--format", "machine")
+        assert res.returncode == 0
+        built = next(c for c in json.loads(res.stdout)["checks"]
+                     if c["id"] == "representation-built")
+        ab = parse_instance(trans_file).build().abstract()
+        rep = sum_representation(ab)
+        _, xi_p, delta_p = rep_relations(rep)
+        assert built["detail"] == (
+            f"carrier of {rep.num_points} points, {len(rep.maps)} maps, "
+            f"xi pairs={int(xi_p.sum())}, delta pairs={int(delta_p.sum())}")
 
     def test_timings_flag_adds_durations(self, trans_file):
         import re

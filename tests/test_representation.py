@@ -254,13 +254,31 @@ class TestSumAndVerify:
         for sys in small:
             assert verify_representability(sys.abstract()).passed
 
-    def test_parallel_matches_serial(self, trans_corpus):
-        warm = next(s for s in trans_corpus if 3 <= s.size <= 8).abstract()
-        serial = sum_representation(warm, parallel=False)
-        # fresh system object: the thread pool fills a cold closure memo
-        cold = AbstractSystem(warm.mul, warm.meet, warm.xi, warm.delta)
-        parallel = sum_representation(cold, parallel=True)
-        assert serial == parallel
+    def test_sum_matches_direct_pair_builds(self, abstract_m2, trans_corpus):
+        # reference for sharing fragments between pairs with one closure:
+        # every pair's slice of the sum is that pair's own simplest
+        # representation, built directly, in pair order
+        systems = axiom_passing(abstract_m2) + [
+            s.abstract() for s in trans_corpus if 3 <= s.size <= 8][:10]
+        shared = False
+        for sys in systems:
+            m = sys.size
+            rep = sum_representation(sys)
+            carrier = []
+            for g1 in range(m):
+                for g2 in range(m):
+                    frag = simplest_representation(sys, determining_pair_for(sys, g1, g2))
+                    off = len(carrier)
+                    carrier.extend(((g1, g2), cid) for cid in frag.carrier)
+                    for g in range(m):
+                        got = rep.maps[g].entries[off:len(carrier)]
+                        want = tuple(None if b is None else off + b
+                                     for b in frag.maps[g].entries)
+                        assert got == want
+            assert rep.carrier == tuple(carrier)
+            distinct = {sys.closures.of_pair(g1, g2) for g1 in range(m) for g2 in range(m)}
+            shared |= len(distinct) < m * m
+        assert shared
 
     def test_failed_axiom_stops_before_building(self):
         sys = parse_instance(DATA / "axiom_fail_semicompat.yaml").build()
