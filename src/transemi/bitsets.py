@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,3 +41,11 @@ def bool_to_bits(arr: np.ndarray) -> int:
     for i in np.nonzero(arr)[0]:
         out |= 1 << int(i)
     return out
+
+
+def bits_matrix(rows: Sequence[int], m: int) -> np.ndarray:
+    """(len(rows), m) bool array whose row i marks the members of rows[i]."""
+    width = (m + 7) // 8
+    buf = b"".join(bits.to_bytes(width, "little") for bits in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(bool)

@@ -1,9 +1,12 @@
 """Command line front end.
 
 Commands: analyze, check, represent, roundtrip, generate. Exit code 0 when
-every check passes, 1 on any failure, 2 on input errors. Reports are
-deterministic for fixed inputs and flags; timings are attached only with
---timings so default output is byte-stable.
+every check passes, 1 on any failure, 2 on input errors, 3 on an internal
+error: any other exception, reported as one `internal error: <Type>:
+<message>` line on stderr instead of a traceback, so that it is never
+mistaken for a failed check. Reports are deterministic for fixed inputs and
+flags; timings are attached only with --timings so default output is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -203,6 +206,9 @@ def main(argv=None) -> int:
     except TransemiError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from transemi import generators
+from transemi import cli, generators
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -37,3 +37,13 @@ def abstract_corpus(abstract_m1, abstract_m2, abstract_m3, trans_corpus):
     """Validated abstract systems: enumerated small ones, a sampled batch on
     three points, and the abstract images of every generated system."""
     return abstract_m1 + abstract_m2 + abstract_m3 + [s.abstract() for s in trans_corpus]
+
+
+@pytest.fixture(scope="session")
+def m70_file(tmp_path_factory):
+    """`transemi generate --seed 3 --points 5 --maps 4`: a 70-element system,
+    so closures of some pairs hold elements past bit 63."""
+    path = tmp_path_factory.mktemp("m70") / "inst.yaml"
+    assert cli.main(["generate", "--seed", "3", "--points", "5", "--maps", "4",
+                     "--out", str(path)]) == 0
+    return path

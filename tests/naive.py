@@ -60,3 +60,37 @@ def naive_step(sys, h_bits):
         if admitted:
             out |= 1 << z
     return out
+
+
+def naive_closure(sys, h_bits):
+    """Union of the iterates of `naive_step` from the seed, until they repeat."""
+    acc, cur, seen = h_bits, h_bits, {h_bits}
+    while True:
+        cur = naive_step(sys, cur)
+        acc |= cur
+        if cur in seen:
+            return acc
+        seen.add(cur)
+
+
+def naive_axiom_failures(sys, close):
+    """Failing (x, y, closure member) triples of each closure axiom, x-major,
+    with `close(seed)` called on the direct seed {x} or {x, y} every time."""
+    m = sys.size
+    fails = {
+        "closure-forces-order": [],
+        "closure-forces-semicompat": [],
+        "closure-forces-adjacency": [],
+    }
+    for x in range(m):
+        cx = close(1 << x)
+        for y in range(m):
+            w = int(sys.meet[x, y])
+            p = int(sys.mul[x, y])
+            if (cx >> w) & 1 and not sys.zeta[x, y]:
+                fails["closure-forces-order"].append((x, y, w))
+            if (close((1 << x) | (1 << y)) >> w) & 1 and not sys.xi[x, y]:
+                fails["closure-forces-semicompat"].append((x, y, w))
+            if (cx >> p) & 1 and not sys.delta[x, y]:
+                fails["closure-forces-adjacency"].append((x, y, p))
+    return fails

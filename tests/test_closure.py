@@ -1,4 +1,5 @@
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -8,7 +9,6 @@ from transemi import (
     AbstractSystem,
     OracleBudgetError,
     check_representability,
-    cli,
     closure_fixpoint,
     closure_step,
     derivation_chain,
@@ -20,10 +20,10 @@ from transemi import (
     verify_witness_tree,
 )
 from transemi.bitsets import full_mask
-from transemi.closure import _kernel
+from transemi.closure import ClosureCache, _axiom_failures, _kernel
 from transemi.instances import parse_instance
 
-from naive import naive_step
+from naive import naive_axiom_failures, naive_closure, naive_step
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,6 +34,29 @@ def s1(with_delta=True):
 
 def all_nonempty(m):
     return range(1, 1 << m)
+
+
+def non_extensive():
+    """xi is not reflexive, so the step can drop seed members: the closure of
+    {2, 3} from its own seed is {1, 2, 3}, while the closure of the union of
+    the singleton closures of 2 and 3 is the whole carrier."""
+    return AbstractSystem(
+        [[3, 3, 3, 3], [0, 1, 0, 0], [0, 1, 0, 2], [0, 0, 3, 3]],
+        [[0, 1, 3, 2], [2, 1, 0, 3], [0, 3, 2, 0], [3, 0, 2, 3]],
+        [[False, True, True, True], [True, False, False, True],
+         [False, False, True, False], [False, False, True, False]],
+        [[True, False, False, False], [False, False, False, False],
+         [False, True, False, True], [True, True, True, False]],
+    )
+
+
+def golden_failures():
+    return [parse_instance(DATA / name).build()
+            for name in ("axiom_fail_adjacency.yaml", "axiom_fail_semicompat.yaml")]
+
+
+def direct(sys, h_bits):
+    return closure_fixpoint(sys, h_bits, witnesses=False).closed_bits
 
 
 class TestStep:
@@ -296,14 +319,56 @@ class TestCache:
         assert a == b
 
 
+class TestUnionSeededPairs:
+    """Pair closures seeded from the union of singleton closures against
+    fixpoints from the pair itself."""
+
+    def test_every_corpus_pair(self, abstract_corpus):
+        for sys in abstract_corpus:
+            assert sys.size < 64
+            cache = ClosureCache(sys)
+            assert cache.extensive
+            for x in range(sys.size):
+                for y in range(x, sys.size):
+                    pair = (1 << x) | (1 << y)
+                    assert cache.of_pair(x, y) == direct(sys, pair)
+                    assert cache.result(pair)[1] <= sys.size
+
+    def test_sampled_pairs_past_bit_63(self, system_m70):
+        sys = system_m70
+        rng = random.Random(70)
+        pairs = [(69, 3), (5, 40), (69, 69)] + [
+            (rng.randrange(sys.size), rng.randrange(sys.size)) for _ in range(40)
+        ]
+        cache = ClosureCache(sys)
+        assert cache.extensive
+        for x, y in pairs:
+            assert cache.of_pair(x, y) == direct(sys, (1 << x) | (1 << y))
+
+    def test_memoised_under_pair_and_union(self, abstract_corpus):
+        sys = max(abstract_corpus, key=lambda a: a.size)
+        cache = ClosureCache(sys)
+        x, y = 0, sys.size - 1
+        closed = cache.of_pair(x, y)
+        union = cache.of_singleton(x) | cache.of_singleton(y)
+        assert cache._memo[(1 << x) | (1 << y)][0] == closed
+        assert cache._memo[union][0] == closed
+
+    def test_non_extensive_step_seeds_pairs_directly(self):
+        sys = non_extensive()
+        cache = ClosureCache(sys)
+        assert not cache.extensive
+        for x in range(sys.size):
+            for y in range(sys.size):
+                assert cache.of_pair(x, y) == direct(sys, (1 << x) | (1 << y))
+        assert cache.of_pair(2, 3) == 0b1110
+        union = cache.of_singleton(2) | cache.of_singleton(3)
+        assert direct(sys, union) == 0b1111
+
+
 @pytest.fixture(scope="module")
-def system_m70(tmp_path_factory):
-    """`transemi generate --seed 3 --points 5 --maps 4`: 70 elements, so
-    closures of some pairs hold elements past bit 63."""
-    path = tmp_path_factory.mktemp("m70") / "inst.yaml"
-    assert cli.main(["generate", "--seed", "3", "--points", "5", "--maps", "4",
-                     "--out", str(path)]) == 0
-    sys = parse_instance(path).build(cap=256).abstract()
+def system_m70(m70_file):
+    sys = parse_instance(m70_file).build(cap=256).abstract()
     assert sys.size == 70
     return sys
 
@@ -406,3 +471,41 @@ class TestRepresentabilityAxioms:
         golden = parse_instance(DATA / "axiom_fail_adjacency.yaml").build()
         assert found.size == golden.size == 1
         assert not found.delta.any() and not golden.delta.any()
+
+    def _expected_witnesses(self, sys, check_id, bad):
+        out = []
+        for x, y, target in bad[:5]:
+            seed = (1 << x) if check_id != "closure-forces-semicompat" else (1 << x) | (1 << y)
+            res = closure_fixpoint(sys, seed, witnesses=True)
+            out.append({"x": x, "y": y, "closure-member": target,
+                        "chain": derivation_chain(sys, res, target)})
+        return out
+
+    def _assert_matches_direct_loop(self, sys, close):
+        want = naive_axiom_failures(sys, close)
+        got = {cid: bad for cid, bad, _ in _axiom_failures(sys)}
+        assert got == want
+        rep = check_representability(sys)
+        assert [r.check_id for r in rep.results] == list(want)
+        for cid, bad in want.items():
+            assert rep[cid].passed == (not bad)
+            assert rep[cid].witnesses == self._expected_witnesses(sys, cid, bad)
+
+    def test_matches_direct_seed_loop(self, abstract_corpus):
+        for sys in abstract_corpus + golden_failures() + [non_extensive()]:
+            self._assert_matches_direct_loop(sys, lambda h, sys=sys: direct(sys, h))
+
+    def test_matches_naive_closures(self, abstract_corpus):
+        small = [a for a in abstract_corpus if a.size <= 3]
+        for sys in small + golden_failures() + [non_extensive()]:
+            self._assert_matches_direct_loop(sys, lambda h, sys=sys: naive_closure(sys, h))
+
+    def test_seconds_time_each_check_alone(self, system_m70):
+        sys = AbstractSystem(system_m70.mul, system_m70.meet, system_m70.xi,
+                             system_m70.delta)
+        t0 = time.perf_counter()
+        rep = check_representability(sys)
+        wall = time.perf_counter() - t0
+        seconds = [r.seconds for r in rep.results]
+        assert len(seconds) == 3 and all(s >= 0 for s in seconds)
+        assert sum(seconds) <= wall

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from transemi import cli
 from transemi.errors import InstanceFormatError
 from transemi.instances import (
     AbstractInstance,
@@ -163,6 +164,21 @@ class TestCli:
         res = run_cli("check", "--input", str(bad))
         assert res.returncode == 2
         assert "input error" in res.stderr
+
+    def test_unexpected_exception_exits_three(self, trans_file, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", boom)
+        assert cli.main(["check", "--input", str(trans_file)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "internal error: RuntimeError: boom\n"
+
+    def test_check_passes_past_bit_63(self, m70_file):
+        res = run_cli("check", "--input", str(m70_file), "--format", "machine")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["passed"] is True
 
     def test_cap_exceeded_exits_two(self, tmp_path):
         inst = tmp_path / "grows.yaml"
