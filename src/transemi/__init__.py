@@ -7,7 +7,7 @@ that characterize such systems, and constructs the sum-of-simplest faithful
 representation with a full verifier on top.
 """
 
-from .abstract_system import AbstractSystem, StarView, derived_props, natural_order, validate
+from .abstract_system import AbstractSystem, StarView, derived_props, validate
 from .closure import (
     ClosureCache,
     ClosureResult,
@@ -58,11 +58,9 @@ from .representation import (
 from .trans_semigroup import (
     TransSystem,
     check_adjacency_laws,
+    check_domain_bounds,
     check_domain_meet,
-    delta_rel,
     generate,
-    to_abstract,
-    xi_rel,
 )
 
 __version__ = "0.1.0"

@@ -139,11 +139,6 @@ class StarView:
         return bool(self.sys.delta[a, b])
 
 
-def natural_order(sys: AbstractSystem) -> np.ndarray:
-    """The order matrix of the meet semilattice: (x,y) iff x meet y = x."""
-    return sys.zeta.copy()
-
-
 def _scan_blocks(m: int, violations_of: Callable[[int, int], np.ndarray]):
     """Count violations of a blocked triple law and keep a few witnesses.
 
@@ -247,18 +242,8 @@ def validate(sys: AbstractSystem) -> Report:
     viol_xu = premise & ~xi.T
     witnesses = []
     for x, u in np.argwhere(viol_xu)[:_WITNESS_CAP]:
-        x, u = int(x), int(u)
-        found = None
-        for y in range(m):
-            if not zeta[x, y]:
-                continue
-            for v in range(m):
-                if zeta[u, v] and xi[y, v]:
-                    found = {"x": x, "y": y, "u": u, "v": v}
-                    break
-            if found:
-                break
-        witnesses.append(found)
+        y, v = np.argwhere(zeta[x][:, None] & zeta[u][None, :] & xi)[0]  # first (y, v)
+        witnesses.append({"x": int(x), "y": int(y), "u": int(u), "v": int(v)})
     n_viol = int(viol_xu.sum())
     report.add("xi-downward-compatible", n_viol == 0, witnesses,
                "" if not n_viol else f"{n_viol} violating pairs",

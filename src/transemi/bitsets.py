@@ -30,17 +30,14 @@ def full_mask(m: int) -> int:
 
 
 def bits_to_bool(bits: int, m: int) -> np.ndarray:
-    out = np.zeros(m, dtype=bool)
-    for i in iter_bits(bits):
-        out[i] = True
-    return out
+    """Length-m bool array marking the members of `bits`."""
+    packed = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=m, bitorder="little").view(bool)
 
 
 def bool_to_bits(arr: np.ndarray) -> int:
-    out = 0
-    for i in np.nonzero(arr)[0]:
-        out |= 1 << int(i)
-    return out
+    """The bitset whose members are the true positions of a 1-d bool array."""
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
 def bits_matrix(rows: Sequence[int], m: int) -> np.ndarray:

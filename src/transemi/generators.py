@@ -19,7 +19,7 @@ import numpy as np
 from .abstract_system import AbstractSystem, validate
 from .errors import CapExceededError
 from .partial_maps import PartialMap
-from .representation import DeterminingPair, partition_to_pair
+from .representation import DeterminingPair, partition_to_pair, validate_determining_pair
 from .trans_semigroup import TransSystem, generate
 
 
@@ -220,37 +220,15 @@ def enumerate_determining_pairs(sys: AbstractSystem) -> list[DeterminingPair]:
     partitions of the extended carrier, each with every admissible
     excluded class (including none)."""
     m = sys.size
-    star = sys.mul_star
     out = []
     for part in set_partitions(list(range(m + 1))):
-        regular = True
-        for cls in part:
-            for ai, a in enumerate(cls):
-                for b in cls[ai + 1:]:
-                    if any(
-                        _same_class(part, star[a, z]) != _same_class(part, star[b, z])
-                        for z in range(m + 1)
-                    ):
-                        regular = False
-                        break
-                if not regular:
-                    break
-            if not regular:
-                break
-        if not regular:
+        dp = partition_to_pair(sys, part)
+        if not validate_determining_pair(sys, dp)["classes-right-regular"].passed:
             continue
-        out.append(partition_to_pair(sys, [list(c) for c in part]))
+        out.append(dp)
         for cls in part:
-            members = frozenset(cls)
-            if m in members:
-                continue
-            if all(int(sys.mul[w, u]) in members for w in members for u in range(m)):
-                out.append(partition_to_pair(sys, [list(c) for c in part], members))
+            if m not in cls:
+                with_w = partition_to_pair(sys, part, frozenset(cls))
+                if validate_determining_pair(sys, with_w).passed:
+                    out.append(with_w)
     return out
-
-
-def _same_class(part: list[list[int]], element: int) -> int:
-    for i, cls in enumerate(part):
-        if element in cls:
-            return i
-    raise ValueError(element)

@@ -3,12 +3,18 @@
 A partial map is stored as a tuple of length n whose entry at a is either
 None (undefined) or the image of a. Treated as a subset of A x A it is
 automatically functional. All values are immutable and safe to share.
+
+A list of k maps is also held as a (k, n) int64 array of rows, -1 where
+undefined; the array kernel at the end of this module composes, intersects
+and relates all pairs of rows, agreeing with the one-pair functions here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import CarrierMismatchError
 
@@ -205,3 +211,113 @@ def semiadjacent(f: PartialMap, g: PartialMap) -> bool:
     """True when the image of f is contained in the domain of g."""
     _check_carrier(f, g)
     return all(b is None or g.entries[b] is not None for b in f.entries)
+
+
+# ---------------------------------------------------------------- array kernel
+
+# Int64 cells of one row block's temporaries: a block of b rows against all
+# k rows on n points holds b * k * n cells, so b shrinks as k * n grows and
+# never drops below one row (k * n cells).
+_BLOCK_CELLS = 1 << 12
+
+
+def as_rows(maps: Sequence[PartialMap]) -> np.ndarray:
+    """The maps as a (k, n) int64 array, -1 where a map is undefined."""
+    k, n = len(maps), maps[0].base_size
+    for f in maps:
+        _check_carrier(maps[0], f)
+    entries = (-1 if b is None else b for f in maps for b in f.entries)
+    return np.fromiter(entries, dtype=np.int64, count=k * n).reshape(k, n)
+
+
+def from_rows(rows: np.ndarray) -> tuple[PartialMap, ...]:
+    """The rows of a (k, n) array as partial maps; inverse of `as_rows`."""
+    return tuple(PartialMap(tuple(None if b < 0 else b for b in row.tolist())) for row in rows)
+
+
+def row_keys(rows: np.ndarray) -> list[bytes]:
+    """One hashable key per row of an int64 array; equal rows, equal keys."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def first_equal(rows: np.ndarray) -> np.ndarray:
+    """[a]: the least index of a row equal to rows[a]."""
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(key, a) for a, key in enumerate(row_keys(rows))])
+
+
+def _row_blocks(rows: np.ndarray) -> Iterator[tuple[int, int]]:
+    k, n = rows.shape
+    step = max(1, _BLOCK_CELLS // (k * n))
+    for lo in range(0, k, step):
+        yield lo, min(k, lo + step)
+
+
+def _by_blocks(rows: np.ndarray, block) -> np.ndarray:
+    """The (k, k) bool matrix whose rows lo..hi-1 are block(lo, hi)."""
+    out = np.empty((len(rows), len(rows)), dtype=bool)
+    for lo, hi in _row_blocks(rows):
+        out[lo:hi] = block(lo, hi)
+    return out
+
+
+def _compose_block(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, k, n): entry [b, j] is compose(rows[lo + b], rows[j])."""
+    ext = np.concatenate([rows[lo:hi], np.full((hi - lo, 1), -1, np.int64)], axis=1)
+    return np.take(ext, rows, axis=1)  # -1 picks the appended undefined column
+
+
+def _intersect_block(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, k, n): entry [b, j] is intersect(rows[lo + b], rows[j])."""
+    block = rows[lo:hi, None, :]
+    return np.where(block == rows, block, -1)
+
+
+def products(rows: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Both products of every ordered pair, one row block at a time.
+
+    Yields (lo, hi, out) with out[b, j, 0] = compose(rows[lo + b], rows[j])
+    and out[b, j, 1] = intersect(rows[lo + b], rows[j]), so that reshaping
+    out to rows lists them in (i, j, compose-then-intersect) order.
+    """
+    for lo, hi in _row_blocks(rows):
+        yield lo, hi, np.stack(
+            [_compose_block(rows, lo, hi), _intersect_block(rows, lo, hi)], axis=2)
+
+
+def compose_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """(k, k) bool: compose(rows[i], rows[j]) differs from rows[want[i, j]]."""
+    return _by_blocks(rows, lambda lo, hi: (
+        _compose_block(rows, lo, hi) != rows[want[lo:hi]]).any(axis=2))
+
+
+def intersect_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """(k, k) bool: intersect(rows[i], rows[j]) differs from rows[want[i, j]]."""
+    return _by_blocks(rows, lambda lo, hi: (
+        _intersect_block(rows, lo, hi) != rows[want[lo:hi]]).any(axis=2))
+
+
+def submap_matrix(rows: np.ndarray) -> np.ndarray:
+    """zeta: [i, j] when rows[i] is contained in rows[j] (`issubmap`)."""
+    return _by_blocks(rows, lambda lo, hi: (
+        (rows[lo:hi, None] < 0) | (rows[lo:hi, None] == rows)).all(axis=2))
+
+
+def semicompatible_matrix(rows: np.ndarray) -> np.ndarray:
+    """xi: [i, j] when the rows agree wherever both are defined."""
+    return _by_blocks(rows, lambda lo, hi: (
+        (rows[lo:hi, None] < 0) | (rows < 0) | (rows[lo:hi, None] == rows)).all(axis=2))
+
+
+def semiadjacent_matrix(rows: np.ndarray) -> np.ndarray:
+    """delta: [i, j] when the image of rows[i] lies inside the domain of rows[j]."""
+    # defined[j, b] says rows[j] is defined at b; -1 picks the spare True column
+    defined = np.concatenate([rows >= 0, np.ones((len(rows), 1), dtype=bool)], axis=1)
+    return _by_blocks(rows, lambda lo, hi: (
+        np.take(defined, rows[lo:hi], axis=1).all(axis=2).T))
+
+
+def relations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The zeta, xi and delta matrices of the rows."""
+    return submap_matrix(rows), semicompatible_matrix(rows), semiadjacent_matrix(rows)

@@ -23,7 +23,18 @@ from .abstract_system import AbstractSystem, validate
 from .bitsets import bits_to_bool
 from .closure import check_representability
 from .errors import HypothesesViolatedError, InternalConsistencyError
-from .partial_maps import PartialMap, compose, intersect, semiadjacent, semicompatible
+from .partial_maps import (
+    PartialMap,
+    as_rows,
+    compose_mismatch,
+    first_equal,
+    from_rows,
+    intersect_mismatch,
+    relations,
+    semiadjacent_matrix,
+    semicompatible_matrix,
+    submap_matrix,
+)
 from .reports import Report
 
 
@@ -92,17 +103,18 @@ def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Repor
     report = Report("determining pair")
 
     t0 = time.perf_counter()
+    cls = np.asarray(dp.class_of)
+    image = cls[star]  # [x, z]: class of x.z
+    uniq, lead = np.unique(cls, return_index=True)
+    # classes holding an x whose row differs from its class's first member
+    split = set(cls[(image != image[lead[np.searchsorted(uniq, cls)]]).any(axis=1)].tolist())
     bad_reg = []
-    by_class: dict[int, list[int]] = {}
-    for i, c in enumerate(dp.class_of):
-        by_class.setdefault(c, []).append(i)
-    for cls in by_class.values():
-        for ai, a in enumerate(cls):
-            for b in cls[ai + 1:]:
-                for z in range(m + 1):
-                    if dp.class_of[star[a, z]] != dp.class_of[star[b, z]]:
-                        bad_reg.append({"x": a, "y": b, "z": int(z)})
-                        break
+    for c in dict.fromkeys(dp.class_of):  # classes in order of first member
+        members = np.flatnonzero(cls == c) if c in split else []
+        for i, x in enumerate(members[:-1]):
+            diff = image[members[i + 1:]] != image[x]
+            bad_reg += [{"x": int(x), "y": int(members[i + 1 + j]), "z": int(diff[j].argmax())}
+                        for j in np.flatnonzero(diff.any(axis=1))]
     report.add(
         "classes-right-regular",
         not bad_reg,
@@ -115,13 +127,12 @@ def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Repor
     bad_ideal = []
     if dp.w_class is not None:
         w_members = dp.class_members(dp.w_class)
-        if any(i == m for i in w_members):
+        if m in w_members:
             bad_ideal.append({"member": m, "reason": "identity inside excluded class"})
         else:
-            for w in w_members:
-                for u in range(m):
-                    if dp.class_of[sys.mul[w, u]] != dp.w_class:
-                        bad_ideal.append({"w": w, "u": u, "lands": int(sys.mul[w, u])})
+            lands = sys.mul[list(w_members)]
+            bad_ideal = [{"w": w_members[i], "u": int(u), "lands": int(lands[i, u])}
+                         for i, u in np.argwhere(cls[lands] != dp.w_class)]
     report.add(
         "excluded-class-right-ideal",
         not bad_ideal,
@@ -189,40 +200,43 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
 def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Representation:
     """Action of G on the non-excluded classes of a determining pair."""
     m = sys.size
-    star = sys.mul_star
+    cls = np.asarray(dp.class_of)
     kept = [c for c in range(dp.num_classes) if c != dp.w_class]
-    pos = {c: i for i, c in enumerate(kept)}
-    members = {c: dp.class_members(c) for c in range(dp.num_classes)}
-
-    maps = []
-    for g in range(m):
-        entries: list[Optional[int]] = [None] * len(kept)
-        for c in kept:
-            targets = {dp.class_of[star[h, g]] for h in members[c]}
-            if len(targets) != 1:
-                raise InternalConsistencyError(
-                    f"class {c} splits under element {g}; determining pair invalid"
-                )
-            target = targets.pop()
-            if target != dp.w_class:
-                entries[pos[c]] = pos[target]
-        maps.append(PartialMap(tuple(entries)))
-    return Representation(tuple(kept), tuple(maps))
+    pos = np.full(dp.num_classes, -1)
+    pos[kept] = np.arange(len(kept))
+    lands = cls[sys.mul_star[:, :m]]  # [h, g]: class of h.g, for h in G*
+    rows = np.empty((len(kept), m), dtype=np.int64)  # [kept class, g]: image
+    split = np.ones((len(kept), m), dtype=bool)  # an empty class splits everywhere
+    for i, c in enumerate(kept):
+        members = lands[cls == c]
+        if len(members):
+            split[i] = (members != members[0]).any(axis=0)
+            rows[i] = pos[members[0]]
+    if split.any():
+        g, i = np.argwhere(split.T)[0]
+        raise InternalConsistencyError(
+            f"class {kept[i]} splits under element {g}; determining pair invalid"
+        )
+    return Representation(tuple(kept), from_rows(rows.T))
 
 
 def rep_relations(rep: Representation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Containment, common-domain agreement, and image-inside-domain
     matrices of the represented maps."""
-    k = len(rep.maps)
-    zeta_p = np.empty((k, k), dtype=bool)
-    xi_p = np.empty((k, k), dtype=bool)
-    delta_p = np.empty((k, k), dtype=bool)
-    for i, f in enumerate(rep.maps):
-        for j, g in enumerate(rep.maps):
-            zeta_p[i, j] = f.issubmap(g)
-            xi_p[i, j] = semicompatible(f, g)
-            delta_p[i, j] = semiadjacent(f, g)
-    return zeta_p, xi_p, delta_p
+    return relations(as_rows(rep.maps))
+
+
+def _relation_check(report: Report, check_id: str, t0: float, got: np.ndarray,
+                    want: np.ndarray, want_key: str) -> None:
+    """Add one check comparing a represented relation with its expected
+    matrix; witnesses are the first differing (g1, g2) in row-major order."""
+    diff = np.argwhere(got != want)
+    witnesses = [
+        {"g1": int(a), "g2": int(b), "maps": bool(got[a, b]), want_key: bool(want[a, b])}
+        for a, b in diff[:10]
+    ]
+    report.add(check_id, not len(diff), witnesses,
+               "" if not len(diff) else f"{len(diff)} pairs", time.perf_counter() - t0)
 
 
 def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
@@ -230,49 +244,30 @@ def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
     first-order descriptions over the classes."""
     m = sys.size
     star = sys.mul_star
-    w = dp.w_class
-    rep = simplest_representation(sys, dp)
-    zeta_p, xi_p, delta_p = rep_relations(rep)
+    rows = as_rows(simplest_representation(sys, dp).maps)
+    cls = np.asarray(dp.class_of)
+    cx = cls[star[:, :m]]  # [x, a]: class of x.a, for x in G* and a in G
+    # [x, a]: x.a lies outside the excluded class
+    kept = np.ones_like(cx, dtype=bool) if dp.w_class is None else cx != dp.w_class
 
-    def outside_w(el: int) -> bool:
-        return w is None or dp.class_of[el] != w
+    def same(x):
+        return cx[x][:, None] == cx[x][None, :]
 
+    formulas = (
+        ("subset-rel-matches-classes", submap_matrix,
+         lambda x: ~kept[x][:, None] | same(x)),
+        ("semicompat-matches-classes", semicompatible_matrix,
+         lambda x: ~(kept[x][:, None] & kept[x][None, :]) | same(x)),
+        ("adjacency-matches-classes", semiadjacent_matrix,
+         lambda x: ~kept[x][:, None] | kept[star[x, :m]]),  # [a, b]: x.a.b kept
+    )
     report = Report("class formulas")
-    t0 = time.perf_counter()
-    mism = {"subset-rel-matches-classes": [], "semicompat-matches-classes": [],
-            "adjacency-matches-classes": []}
-    for a in range(m):
-        for b in range(m):
-            rz = all(
-                not outside_w(star[x, a])
-                or dp.class_of[star[x, a]] == dp.class_of[star[x, b]]
-                for x in range(m + 1)
-            )
-            rx = all(
-                not (outside_w(star[x, a]) and outside_w(star[x, b]))
-                or dp.class_of[star[x, a]] == dp.class_of[star[x, b]]
-                for x in range(m + 1)
-            )
-            rd = all(
-                not outside_w(star[x, a]) or outside_w(star[star[x, a], b])
-                for x in range(m + 1)
-            )
-            if bool(zeta_p[a, b]) != rz:
-                mism["subset-rel-matches-classes"].append(
-                    {"g1": a, "g2": b, "maps": bool(zeta_p[a, b]), "classes": rz}
-                )
-            if bool(xi_p[a, b]) != rx:
-                mism["semicompat-matches-classes"].append(
-                    {"g1": a, "g2": b, "maps": bool(xi_p[a, b]), "classes": rx}
-                )
-            if bool(delta_p[a, b]) != rd:
-                mism["adjacency-matches-classes"].append(
-                    {"g1": a, "g2": b, "maps": bool(delta_p[a, b]), "classes": rd}
-                )
-    elapsed = time.perf_counter() - t0
-    for cid, bad in mism.items():
-        report.add(cid, not bad, bad[:10],
-                   "" if not bad else f"{len(bad)} pairs", elapsed)
+    for check_id, matrix, holds_at in formulas:
+        t0 = time.perf_counter()
+        want = np.ones((m, m), dtype=bool)
+        for x in range(m + 1):
+            want &= holds_at(x)
+        _relation_check(report, check_id, t0, matrix(rows), want, "classes")
     return report
 
 
@@ -289,47 +284,28 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     if (lhs_distr != rhs_distr).any():
         raise ValueError("system product does not distribute over meet")
 
-    w = dp.w_class
     rep = simplest_representation(sys, dp)
 
-    def in_w(el: int) -> bool:
-        return w is not None and dp.class_of[el] == w
-
     t0 = time.perf_counter()
-    maps_ok = True
-    maps_witness = []
-    for a in range(m):
-        for b in range(m):
-            want = rep.maps[sys.meet[a, b]]
-            got = intersect(rep.maps[a], rep.maps[b])
-            if want != got:
-                maps_ok = False
-                if len(maps_witness) < 10:
-                    maps_witness.append({"g1": a, "g2": b})
+    bad = np.argwhere(intersect_mismatch(as_rows(rep.maps), sys.meet))
+    maps_ok = not len(bad)
+    maps_witness = [{"g1": int(a), "g2": int(b)} for a, b in bad[:10]]
     t_maps = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cond_ok = True
-    cond_witness = []
-    for a in range(m):
-        for b in range(m):
-            mt = int(sys.meet[a, b])
-            drop = in_w(a) and not in_w(mt)
-            collapse = (not in_w(mt)) and dp.class_of[a] != dp.class_of[b]
-            align = (
-                not in_w(a)
-                and dp.class_of[a] == dp.class_of[b]
-                and dp.class_of[mt] != dp.class_of[a]
-            )
-            if drop or collapse or align:
-                cond_ok = False
-                if len(cond_witness) < 10:
-                    cond_witness.append(
-                        {"g1": a, "g2": b,
-                         "failed": [n for n, v in
-                                    [("drop", drop), ("collapse", collapse),
-                                     ("align", align)] if v]}
-                    )
+    cls = np.asarray(dp.class_of[:m])
+    in_w = np.zeros(m, dtype=bool) if dp.w_class is None else cls == dp.w_class
+    same = cls[:, None] == cls[None, :]
+    failed = {  # [a, b] for each condition, with mt = a meet b
+        "drop": in_w[:, None] & ~in_w[sys.meet],
+        "collapse": ~in_w[sys.meet] & ~same,
+        "align": ~in_w[:, None] & same & (cls[sys.meet] != cls[:, None]),
+    }
+    bad = np.argwhere(failed["drop"] | failed["collapse"] | failed["align"])
+    cond_ok = not len(bad)
+    cond_witness = [{"g1": int(a), "g2": int(b),
+                     "failed": [name for name, mat in failed.items() if mat[a, b]]}
+                    for a, b in bad[:10]]
     t_cond = time.perf_counter() - t0
 
     report = Report("meet homomorphism equivalence")
@@ -357,32 +333,22 @@ def sum_representation(sys: AbstractSystem) -> Representation:
     """
     m = sys.size
     pairs = [(g1, g2) for g1 in range(m) for g2 in range(m)]
-    by_closure: dict[int, Representation] = {}
+    by_closure: dict[int, tuple[Representation, np.ndarray]] = {}
     fragments = []
     for g1, g2 in pairs:
         closed = sys.closures.of_pair(g1, g2)
-        frag = by_closure.get(closed)
-        if frag is None:
+        if closed not in by_closure:
             frag = simplest_representation(sys, determining_pair_for(sys, g1, g2))
-            by_closure[closed] = frag
-        fragments.append(frag)
+            by_closure[closed] = (frag, as_rows(frag.maps))
+        fragments.append(by_closure[closed])
 
     carrier: list = []
-    offsets = []
-    for pair, frag in zip(pairs, fragments):
-        offsets.append(len(carrier))
+    rows = np.empty((m, sum(len(frag.carrier) for frag, _ in fragments)), dtype=np.int64)
+    for pair, (frag, frag_rows) in zip(pairs, fragments):
+        off = len(carrier)
         carrier.extend((pair, cid) for cid in frag.carrier)
-
-    total = len(carrier)
-    maps = []
-    for g in range(m):
-        entries: list[Optional[int]] = [None] * total
-        for off, frag in zip(offsets, fragments):
-            for a, b in enumerate(frag.maps[g].entries):
-                if b is not None:
-                    entries[off + a] = off + b
-        maps.append(PartialMap(tuple(entries)))
-    return Representation(tuple(carrier), tuple(maps))
+        rows[:, off:len(carrier)] = np.where(frag_rows >= 0, frag_rows + off, -1)
+    return Representation(tuple(carrier), from_rows(rows))
 
 
 def verify_representability(sys: AbstractSystem) -> Report:
@@ -402,50 +368,36 @@ def verify_representability(sys: AbstractSystem) -> Report:
     if not axioms.passed:
         return report
 
-    m = sys.size
     rep = sum_representation(sys)
-
     t0 = time.perf_counter()
-    dup = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            if rep.maps[a] == rep.maps[b]:
-                dup.append({"g1": a, "g2": b})
+    rows = as_rows(rep.maps)
+    points = rep.num_points
+    del rep  # every check below reads the rows alone
+
+    same = first_equal(rows)  # [a]: the least element with a's map
+    dup = [{"g1": int(a), "g2": int(b)}
+           for a, b in np.argwhere(np.triu(same[:, None] == same[None, :], 1))]
     report.add("injective", not dup, dup[:10],
-               f"carrier of {rep.num_points} points", time.perf_counter() - t0)
+               f"carrier of {points} points", time.perf_counter() - t0)
 
+    # compose_mismatch(...)[b, a] compares compose(maps[b], maps[a]) with maps[a.b]
     t0 = time.perf_counter()
-    bad_prod = []
-    for a in range(m):
-        for b in range(m):
-            if rep.maps[sys.mul[a, b]] != compose(rep.maps[b], rep.maps[a]):
-                bad_prod.append({"g1": a, "g2": b})
+    bad_prod = [{"g1": int(a), "g2": int(b)}
+                for a, b in np.argwhere(compose_mismatch(rows, sys.mul.T).T)]
     report.add("product-homomorphism", not bad_prod, bad_prod[:10], "",
                time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    bad_meet = []
-    for a in range(m):
-        for b in range(m):
-            if rep.maps[sys.meet[a, b]] != intersect(rep.maps[a], rep.maps[b]):
-                bad_meet.append({"g1": a, "g2": b})
+    bad_meet = [{"g1": int(a), "g2": int(b)}
+                for a, b in np.argwhere(intersect_mismatch(rows, sys.meet))]
     report.add("meet-homomorphism", not bad_meet, bad_meet[:10], "",
                time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    zeta_p, xi_p, delta_p = rep_relations(rep)
-    elapsed = time.perf_counter() - t0
-    for name, got, want in (
-        ("order-relation-matches", zeta_p, sys.zeta),
-        ("semicompat-relation-matches", xi_p, sys.xi),
-        ("adjacency-relation-matches", delta_p, sys.delta),
+    for check_id, matrix, want in (
+        ("order-relation-matches", submap_matrix, sys.zeta),
+        ("semicompat-relation-matches", semicompatible_matrix, sys.xi),
+        ("adjacency-relation-matches", semiadjacent_matrix, sys.delta),
     ):
-        diff = np.argwhere(got != want)
-        witnesses = [
-            {"g1": int(a), "g2": int(b), "maps": bool(got[a, b]),
-             "system": bool(want[a, b])}
-            for a, b in diff[:10]
-        ]
-        report.add(name, not len(diff), witnesses,
-                   "" if not len(diff) else f"{len(diff)} pairs", elapsed)
+        t0 = time.perf_counter()
+        _relation_check(report, check_id, t0, matrix(rows), want, "system")
     return report

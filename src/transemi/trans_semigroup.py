@@ -3,7 +3,8 @@
 `generate` saturates a seed set under composition and intersection and
 computes, eagerly, the index tables for both operations plus three boolean
 relations: containment (zeta), agreement on common domains (xi), and
-image-inside-domain (delta). `to_abstract` re-encodes the result as an
+image-inside-domain (delta), all through the array kernel of
+`partial_maps`. `TransSystem.abstract` re-encodes the result as an
 AbstractSystem; the abstract product x.y is the transformation y o x
 (apply x first), so the abstract table is the transpose of the concrete
 composition table.
@@ -13,53 +14,38 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import islice
+from operator import and_
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .abstract_system import AbstractSystem
-from .bitsets import bits_of, iter_bits
-from .errors import CapExceededError, CarrierMismatchError
-from .partial_maps import PartialMap, compose, domain, image, intersect, semiadjacent, semicompatible
+from .abstract_system import AbstractSystem, _scan_blocks
+from .bitsets import bits_of, bool_to_bits, full_mask, iter_bits
+from .errors import CapExceededError
+from .partial_maps import PartialMap, as_rows, from_rows, products, relations, row_keys
 from .reports import Report
 
 
 class TransSystem:
-    """A closed set of partial maps with its tables and relation matrices."""
+    """A closed set of partial maps with its tables and relation matrices.
 
-    def __init__(self, base_size: int, elements: Sequence[PartialMap]):
-        self.base_size = base_size
-        self.elements = tuple(elements)
+    Built by `generate`, which hands over the saturated maps as (k, n) rows
+    (see `partial_maps.as_rows`) together with their product tables:
+    mul_table[i, j] and meet_table[i, j] index compose(f_i, f_j) and
+    intersect(f_i, f_j).
+    """
+
+    def __init__(self, rows: np.ndarray, mul_table: np.ndarray, meet_table: np.ndarray):
+        self.rows, self.mul_table, self.meet_table = rows, mul_table, meet_table
+        self.zeta, self.xi, self.delta = relations(rows)
+        for arr in (rows, mul_table, meet_table, self.zeta, self.xi, self.delta):
+            arr.flags.writeable = False
+        self.base_size = rows.shape[1]
+        self.elements = from_rows(rows)
         self.index = {f: i for i, f in enumerate(self.elements)}
-        k = len(self.elements)
-
-        mul = np.empty((k, k), dtype=np.int64)
-        meet = np.empty((k, k), dtype=np.int64)
-        for i, f in enumerate(self.elements):
-            for j, g in enumerate(self.elements):
-                mul[i, j] = self.index[compose(f, g)]
-                meet[i, j] = self.index[intersect(f, g)]
-        mul.flags.writeable = False
-        meet.flags.writeable = False
-        self.mul_table = mul
-        self.meet_table = meet
-
-        self.dom_bits = tuple(domain(f).bits for f in self.elements)
-        self.img_bits = tuple(image(f).bits for f in self.elements)
-
-        zeta = np.empty((k, k), dtype=bool)
-        xi = np.empty((k, k), dtype=bool)
-        delta = np.empty((k, k), dtype=bool)
-        for i, f in enumerate(self.elements):
-            for j, g in enumerate(self.elements):
-                zeta[i, j] = f.issubmap(g)
-                xi[i, j] = semicompatible(f, g)
-                delta[i, j] = semiadjacent(f, g)
-        for a in (zeta, xi, delta):
-            a.flags.writeable = False
-        self.zeta = zeta
-        self.xi = xi
-        self.delta = delta
+        self.dom_bits = tuple(bool_to_bits(row >= 0) for row in rows)
 
         self._lock = threading.Lock()
         self._abstract: AbstractSystem | None = None
@@ -83,59 +69,37 @@ class TransSystem:
 def generate(seeds: Iterable[PartialMap], cap: int) -> TransSystem:
     """Least set containing the seeds closed under compose and intersect.
 
-    Saturation is a deterministic worklist: seeds in given order, then
-    discovery order. Raises when the closure grows past `cap`.
+    Saturation runs in rounds: seeds first, in given order; each round
+    forms both products of every ordered pair of the maps known when it
+    starts and appends the new ones in (i, j, compose-then-intersect)
+    order, until a round finds none. That last round's product ids are the
+    system's tables. Raises when the closure grows past `cap`.
     """
     seed_list = list(seeds)
     if not seed_list:
         raise ValueError("at least one seed map is required")
-    n = seed_list[0].base_size
-    for f in seed_list:
-        if f.base_size != n:
-            raise CarrierMismatchError(f"carrier mismatch: {n} vs {f.base_size}")
-    if cap < len(set(seed_list)):
+    rows = as_rows(list(dict.fromkeys(seed_list)))  # raises on a carrier mismatch
+    if cap < len(rows):
         raise ValueError("cap smaller than the seed set")
-
-    elements: list[PartialMap] = []
-    seen: set[PartialMap] = set()
-    for f in seed_list:
-        if f not in seen:
-            seen.add(f)
-            elements.append(f)
-
-    def admit(f: PartialMap) -> None:
-        if f not in seen:
-            seen.add(f)
-            elements.append(f)
-            if len(elements) > cap:
+    n = rows.shape[1]
+    index = {key: i for i, key in enumerate(row_keys(rows))}
+    while True:
+        k = len(rows)
+        ids = np.empty((2, k, k), dtype=np.int64)  # compose, intersect
+        grown = []
+        for lo, hi, block in products(rows):
+            flat = block.reshape(-1, n)
+            before = len(index)
+            found = np.array([index.setdefault(key, len(index)) for key in row_keys(flat)])
+            if len(index) > cap:
                 raise CapExceededError(f"cap exceeded: closure grew past {cap}")
-
-    grown = True
-    while grown:
-        grown = False
-        k = len(elements)
-        for i in range(k):
-            for j in range(k):
-                before = len(elements)
-                admit(compose(elements[i], elements[j]))
-                admit(intersect(elements[i], elements[j]))
-                if len(elements) != before:
-                    grown = True
-    return TransSystem(n, elements)
-
-
-def xi_rel(sys: TransSystem) -> np.ndarray:
-    """Matrix of pairs agreeing on the intersection of their domains."""
-    return sys.xi.copy()
-
-
-def delta_rel(sys: TransSystem) -> np.ndarray:
-    """Matrix of pairs whose first image lies inside the second domain."""
-    return sys.delta.copy()
-
-
-def to_abstract(sys: TransSystem) -> AbstractSystem:
-    return sys.abstract()
+            ids[:, lo:hi] = found.reshape(hi - lo, k, 2).transpose(2, 0, 1)
+            # ids were handed out in order of first occurrence
+            new, at = np.unique(found, return_index=True)
+            grown.append(flat[at[new >= before]])
+        if len(index) == k:
+            return TransSystem(rows, ids[0], ids[1])
+        rows = np.concatenate([rows] + grown)
 
 
 def check_adjacency_laws(sys: TransSystem) -> Report:
@@ -145,18 +109,12 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
     f. Second: adjacency survives precomposition. Expected to hold on every
     generated system; violations are reported with the offending tuples.
     """
-    k = sys.size
     report = Report("adjacency laws")
 
     t0 = time.perf_counter()
-    bad_iff = []
-    for i in range(k):
-        di = sys.dom_bits[i]
-        for j in range(k):
-            composed = int(sys.mul_table[j, i])  # g o f
-            grows = not (di & ~sys.dom_bits[composed])
-            if bool(sys.delta[i, j]) != grows:
-                bad_iff.append({"f": i, "g": j})
+    dom = sys.rows >= 0
+    kept = ~(dom[:, None, :] & ~dom[sys.mul_table.T]).any(axis=2)  # [f, g]: g o f keeps dom f
+    bad_iff = [{"f": int(i), "g": int(j)} for i, j in np.argwhere(sys.delta != kept)]
     report.add(
         "adjacency-iff-domain-kept",
         not bad_iff,
@@ -166,25 +124,39 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
     )
 
     t0 = time.perf_counter()
-    # delta[f,g] must imply delta[f o h, g] for every h; blocked over f.
-    n_viol = 0
-    witnesses = []
-    for lo in range(0, k, 32):
-        hi = min(k, lo + 32)
-        viol = sys.delta[lo:hi, None, :] & ~sys.delta[sys.mul_table[lo:hi]]
-        if viol.any():
-            idx = np.argwhere(viol)
-            n_viol += len(idx)
-            for f, h, g in idx[: max(0, 10 - len(witnesses))]:
-                witnesses.append({"f": lo + int(f), "h": int(h), "g": int(g)})
+    # delta[f,g] must imply delta[f o h, g] for every h
+    n_viol, found = _scan_blocks(
+        sys.size, lambda lo, hi: sys.delta[lo:hi, None, :] & ~sys.delta[sys.mul_table[lo:hi]])
     report.add(
         "adjacency-precompose-stable",
         n_viol == 0,
-        witnesses,
+        [{"f": f, "h": h, "g": g} for f, h, g in found],
         "" if not n_viol else f"{n_viol} triples",
         time.perf_counter() - t0,
     )
     return report
+
+
+def _common_domain(sys: TransSystem, members: Iterable[int]) -> int:
+    return reduce(and_, (sys.dom_bits[i] for i in members), full_mask(sys.base_size))
+
+
+def _domain_bound_failures(sys: TransSystem, subsets: Iterable[list[int]]) -> Iterator[dict]:
+    """For each subset in turn, the members of its closure whose domain
+    misses part of the subset's common domain, as (subset, member)
+    witnesses. The common domain of a closure's members is computed once
+    per distinct closure; members are walked only when the subset's common
+    domain is not inside it."""
+    closures = sys.abstract().closures
+    bounds: dict[int, int] = {}
+    for idx in subsets:
+        closed = closures.closed_bits(bits_of(idx))
+        if closed not in bounds:
+            bounds[closed] = _common_domain(sys, iter_bits(closed))
+        common = _common_domain(sys, idx)
+        if common & ~bounds[closed]:
+            yield from ({"subset": idx, "member": phi}
+                        for phi in iter_bits(closed) if common & ~sys.dom_bits[phi])
 
 
 def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
@@ -200,16 +172,7 @@ def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
     for i in idx:
         if not 0 <= i < sys.size:
             raise ValueError(f"element index {i} out of range")
-    common = (1 << sys.base_size) - 1
-    for i in idx:
-        common &= sys.dom_bits[i]
-
-    ab = sys.abstract()
-    closed = ab.closures.closed_bits(bits_of(idx))
-    bad = []
-    for phi in iter_bits(closed):
-        if common & ~sys.dom_bits[phi]:
-            bad.append({"subset": idx, "member": phi})
+    bad = list(_domain_bound_failures(sys, [idx]))
     report = Report("domain meet bound")
     report.add(
         "closure-domain-bound",
@@ -217,4 +180,20 @@ def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
         bad[:10],
         "" if not bad else f"{len(bad)} members",
     )
+    return report
+
+
+def check_domain_bounds(sys: TransSystem) -> Report:
+    """`check_domain_meet` on every singleton and pair subset, in one pass.
+
+    Subsets run in order {0}, {0, 1}, ..., {1}, {1, 2}, ...; the witnesses
+    are the first ten failing (subset, member) pairs in that order.
+    """
+    t0 = time.perf_counter()
+    k = sys.size
+    subsets = ([i] if i == j else [i, j] for i in range(k) for j in range(i, k))
+    bad = list(islice(_domain_bound_failures(sys, subsets), 10))
+    report = Report("domain meet bounds")
+    report.add("closure-domain-bound", not bad, bad,
+               f"{k * (k + 1) // 2} subsets checked", time.perf_counter() - t0)
     return report

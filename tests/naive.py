@@ -1,7 +1,8 @@
 """Reference implementations kept deliberately naive for differential tests.
 
-Nothing here shares code with the vectorized kernel; everything is written
-straight from the defining formulas as plain quintuple loops.
+Nothing here shares code with the vectorized kernels; everything is written
+straight from the defining formulas as plain loops, over `PartialMap`
+values wherever maps are involved.
 """
 
 
@@ -94,3 +95,167 @@ def naive_axiom_failures(sys, close):
             if (cx >> p) & 1 and not sys.delta[x, y]:
                 fails["closure-forces-adjacency"].append((x, y, p))
     return fails
+
+
+def naive_generate(seeds, cap):
+    """The saturated element list of `generate`, as a deterministic
+    worklist over `PartialMap` values: seeds in given order, then each
+    round composes and intersects every ordered pair of the maps known at
+    its start, admitting new maps as they appear."""
+    from transemi import CapExceededError, compose, intersect
+
+    elements, seen = [], set()
+
+    def admit(f):
+        if f not in seen:
+            seen.add(f)
+            elements.append(f)
+            if len(elements) > cap:
+                raise CapExceededError(f"cap exceeded: closure grew past {cap}")
+
+    for f in seeds:
+        if f not in seen:
+            seen.add(f)
+            elements.append(f)
+    grown = True
+    while grown:
+        grown = False
+        k = len(elements)
+        for i in range(k):
+            for j in range(k):
+                before = len(elements)
+                admit(compose(elements[i], elements[j]))
+                admit(intersect(elements[i], elements[j]))
+                grown |= len(elements) != before
+    return elements
+
+
+def naive_verifier_failures(sys, maps):
+    """Failing (g1, g2) pairs, row-major, of the verifier's map checks on a
+    list of m `PartialMap`s standing for the elements of `sys`."""
+    from transemi import compose, intersect, semiadjacent, semicompatible
+
+    m = sys.size
+    pairs = [(a, b) for a in range(m) for b in range(m)]
+    return {
+        "injective": [(a, b) for a, b in pairs if a < b and maps[a] == maps[b]],
+        "product-homomorphism": [
+            (a, b) for a, b in pairs
+            if maps[sys.mul[a, b]] != compose(maps[b], maps[a])],
+        "meet-homomorphism": [
+            (a, b) for a, b in pairs
+            if maps[sys.meet[a, b]] != intersect(maps[a], maps[b])],
+        "order-relation-matches": [
+            (a, b) for a, b in pairs if maps[a].issubmap(maps[b]) != sys.zeta[a, b]],
+        "semicompat-relation-matches": [
+            (a, b) for a, b in pairs
+            if semicompatible(maps[a], maps[b]) != sys.xi[a, b]],
+        "adjacency-relation-matches": [
+            (a, b) for a, b in pairs
+            if semiadjacent(maps[a], maps[b]) != sys.delta[a, b]],
+    }
+
+
+def naive_class_formula_failures(sys, dp, zeta_p, xi_p, delta_p):
+    """Failing (g1, g2) pairs, row-major, of `check_class_formulas`' three
+    checks for given relation matrices of the simplest representation."""
+    m = sys.size
+    w = dp.w_class
+
+    def kept(el):
+        return w is None or dp.class_of[el] != w
+
+    def cls(x, a):
+        return dp.class_of[star_mul(sys, x, a)]
+
+    fails = {"subset-rel-matches-classes": [], "semicompat-matches-classes": [],
+             "adjacency-matches-classes": []}
+    for a in range(m):
+        for b in range(m):
+            gs = range(m + 1)
+            rz = all(not kept(star_mul(sys, x, a)) or cls(x, a) == cls(x, b) for x in gs)
+            rx = all(not (kept(star_mul(sys, x, a)) and kept(star_mul(sys, x, b)))
+                     or cls(x, a) == cls(x, b) for x in gs)
+            rd = all(not kept(star_mul(sys, x, a))
+                     or kept(star_mul(sys, star_mul(sys, x, a), b)) for x in gs)
+            for cid, got, want in (("subset-rel-matches-classes", zeta_p, rz),
+                                   ("semicompat-matches-classes", xi_p, rx),
+                                   ("adjacency-matches-classes", delta_p, rd)):
+                if bool(got[a, b]) != want:
+                    fails[cid].append((a, b))
+    return fails
+
+
+def naive_determining_pair_failures(sys, dp):
+    """All witnesses of `validate_determining_pair`'s two checks: pairs of
+    one class, class by class in order of first member, with the first z
+    splitting them; then products w.u escaping the excluded class."""
+    m = sys.size
+    by_class = {}
+    for i, c in enumerate(dp.class_of):
+        by_class.setdefault(c, []).append(i)
+    regular = []
+    for members in by_class.values():
+        for ai, a in enumerate(members):
+            for b in members[ai + 1:]:
+                for z in range(m + 1):
+                    if dp.class_of[star_mul(sys, a, z)] != dp.class_of[star_mul(sys, b, z)]:
+                        regular.append({"x": a, "y": b, "z": z})
+                        break
+    ideal = []
+    if dp.w_class is not None:
+        w_members = by_class[dp.w_class]
+        if m in w_members:
+            ideal.append({"member": m, "reason": "identity inside excluded class"})
+        else:
+            for w in w_members:
+                for u in range(m):
+                    if dp.class_of[sys.mul[w, u]] != dp.w_class:
+                        ideal.append({"w": w, "u": u, "lands": int(sys.mul[w, u])})
+    return regular, ideal
+
+
+def naive_class_side_failures(sys, dp):
+    """All witnesses of `check_meet_hom_equivalence`'s class-side check."""
+    m = sys.size
+    w = dp.w_class
+
+    def in_w(el):
+        return w is not None and dp.class_of[el] == w
+
+    out = []
+    for a in range(m):
+        for b in range(m):
+            mt = int(sys.meet[a, b])
+            conds = [("drop", in_w(a) and not in_w(mt)),
+                     ("collapse", not in_w(mt) and dp.class_of[a] != dp.class_of[b]),
+                     ("align", not in_w(a) and dp.class_of[a] == dp.class_of[b]
+                      and dp.class_of[mt] != dp.class_of[a])]
+            failed = [name for name, hit in conds if hit]
+            if failed:
+                out.append({"g1": a, "g2": b, "failed": failed})
+    return out
+
+
+def naive_simplest_maps(sys, dp):
+    """`simplest_representation`'s maps, element by element and class by
+    class; raises on the first (element, class) that splits."""
+    from transemi import InternalConsistencyError, PartialMap
+
+    m = sys.size
+    kept = [c for c in range(max(dp.class_of) + 1) if c != dp.w_class]
+    pos = {c: i for i, c in enumerate(kept)}
+    maps = []
+    for g in range(m):
+        entries = [None] * len(kept)
+        for c in kept:
+            targets = {dp.class_of[star_mul(sys, h, g)]
+                       for h in range(m + 1) if dp.class_of[h] == c}
+            if len(targets) != 1:
+                raise InternalConsistencyError(
+                    f"class {c} splits under element {g}; determining pair invalid")
+            target = targets.pop()
+            if target != dp.w_class:
+                entries[pos[c]] = pos[target]
+        maps.append(PartialMap(tuple(entries)))
+    return tuple(maps)

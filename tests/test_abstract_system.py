@@ -5,7 +5,6 @@ from transemi import (
     AbstractSystem,
     MalformedSystemError,
     derived_props,
-    natural_order,
     validate,
 )
 
@@ -37,17 +36,17 @@ class TestConstruction:
 
 class TestNaturalOrder:
     def test_chain(self):
-        z = natural_order(chain2())
+        z = chain2().zeta
         assert z.tolist() == [[True, True], [False, True]]
 
     def test_reflexive_antisymmetric(self, abstract_m2):
         for sys in abstract_m2:
-            z = natural_order(sys)
+            z = sys.zeta
             assert z.diagonal().all()
             assert not (z & z.T & ~np.eye(sys.size, dtype=bool)).any()
 
     def test_singleton(self):
-        assert natural_order(s1()).tolist() == [[True]]
+        assert s1().zeta.tolist() == [[True]]
 
 
 class TestValidate:
@@ -82,6 +81,22 @@ class TestValidate:
         assert not rep["xi-downward-compatible"].passed
         w = rep["xi-downward-compatible"].witnesses[0]
         assert set(w) == {"x", "y", "u", "v"}
+
+    def test_downward_compat_witness_is_first_pair(self, abstract_m3):
+        # random xi on valid tables: each witness names the first (y, v),
+        # y-major, with x <= y, u <= v and (y, v) in xi
+        rng = np.random.default_rng(3)
+        seen = 0
+        for sys in abstract_m3:
+            broken = AbstractSystem(sys.mul, sys.meet, rng.random((3, 3)) < 0.5, sys.delta)
+            z = broken.zeta
+            for w in validate(broken)["xi-downward-compatible"].witnesses:
+                x, u = w["x"], w["u"]
+                first = next((y, v) for y in range(3) for v in range(3)
+                             if z[x, y] and z[u, v] and broken.xi[y, v])
+                assert (w["y"], w["v"]) == first
+                seen += 1
+        assert seen > 5
 
     def test_nonassociative_product_reported(self):
         mul = [[1, 0], [0, 0]]  # (0.0).0 = 0 but 0.(0.0) = 1? -> check

@@ -1,0 +1,17 @@
+import random
+
+import numpy as np
+import pytest
+
+from transemi.bitsets import bits_matrix, bits_to_bool, bool_to_bits, iter_bits
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_bool_round_trip(m):
+    rng = random.Random(m)
+    for bits in [0, 1, 1 << (m - 1), (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)]:
+        arr = bits_to_bool(bits, m)
+        assert arr.dtype == bool and arr.shape == (m,)
+        assert np.flatnonzero(arr).tolist() == list(iter_bits(bits))
+        assert bool_to_bits(arr) == bits
+        assert np.array_equal(bits_matrix([bits], m)[0], arr)

@@ -180,6 +180,11 @@ class TestCli:
         assert res.returncode == 0
         assert json.loads(res.stdout)["passed"] is True
 
+    def test_represent_passes_past_bit_63(self, m70_file):
+        res = run_cli("represent", "--input", str(m70_file), "--format", "machine")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["passed"] is True
+
     def test_cap_exceeded_exits_two(self, tmp_path):
         inst = tmp_path / "grows.yaml"
         inst.write_text(

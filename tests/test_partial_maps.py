@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,18 @@ from transemi import (
     identity_on,
     image,
     intersect,
+    semiadjacent,
+    semicompatible,
+)
+from transemi.partial_maps import (
+    _row_blocks,
+    as_rows,
+    compose_mismatch,
+    from_rows,
+    intersect_mismatch,
+    products,
+    relations,
+    row_keys,
 )
 
 
@@ -24,6 +37,8 @@ def maps_on(n, count):
 
 
 shared_maps = st.integers(1, 5).flatmap(lambda n: maps_on(n, 3))
+map_lists = st.integers(1, 6).flatmap(
+    lambda n: st.integers(1, 9).flatmap(lambda k: maps_on(n, k)))
 
 
 class TestCompose:
@@ -154,3 +169,71 @@ class TestConstruction:
         PartialMap.empty(1)
         with pytest.raises(ValueError):
             PartialMap(())
+
+
+class TestArrayKernel:
+    """The kernel over (k, n) rows against the one-pair definitions."""
+
+    @given(map_lists)
+    def test_rows_round_trip(self, maps):
+        rows = as_rows(maps)
+        assert rows.shape == (len(maps), maps[0].base_size)
+        assert from_rows(rows) == maps
+        keys = row_keys(rows)
+        for i, f in enumerate(maps):
+            for j, g in enumerate(maps):
+                assert (keys[i] == keys[j]) == (f == g)
+
+    @given(map_lists)
+    def test_relations_match_definitions(self, maps):
+        zeta, xi, delta = relations(as_rows(maps))
+        for i, f in enumerate(maps):
+            for j, g in enumerate(maps):
+                assert zeta[i, j] == f.issubmap(g)
+                assert xi[i, j] == semicompatible(f, g)
+                assert delta[i, j] == semiadjacent(f, g)
+
+    @given(map_lists)
+    def test_products_in_pair_order(self, maps):
+        rows = as_rows(maps)
+        listed = np.concatenate(
+            [out.reshape(-1, rows.shape[1]) for _, _, out in products(rows)])
+        want = [h for f in maps for g in maps for h in (compose(f, g), intersect(f, g))]
+        assert from_rows(listed) == tuple(want)
+
+    @given(map_lists, st.data())
+    def test_mismatches_match_definitions(self, maps, data):
+        rows, k = as_rows(maps), len(maps)
+        want = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k * k,
+                                           max_size=k * k))).reshape(k, k)
+        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+        for i, f in enumerate(maps):
+            for j, g in enumerate(maps):
+                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
+                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+
+    def test_wide_rows_one_per_block(self):
+        # 40 maps on 2000 points: past the block budget, so one row per block
+        rng = np.random.default_rng(0)
+        rows = rng.integers(-1, 2000, size=(40, 2000))
+        rows[7] = rows[5]
+        rows[9] = np.where(np.arange(2000) % 2, rows[5], -1)
+        assert len(list(_row_blocks(rows))) == 40
+        want = rng.integers(0, 40, size=(40, 40))
+        want[5, 7] = want[9, 5] = 9
+        maps = from_rows(rows)
+        zeta, xi, delta = relations(rows)
+        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+        for i in (0, 5, 7, 9, 39):
+            for j in (0, 5, 7, 9, 39):
+                f, g = maps[i], maps[j]
+                assert zeta[i, j] == f.issubmap(g)
+                assert xi[i, j] == semicompatible(f, g)
+                assert delta[i, j] == semiadjacent(f, g)
+                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
+                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        assert zeta[9, 5] and xi[5, 7] and not meet[9, 5]
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(CarrierMismatchError):
+            as_rows([PartialMap.identity(2), PartialMap.identity(3)])

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +20,44 @@ from transemi import (
     validate_determining_pair,
     verify_representability,
 )
+from transemi import representation
 from transemi.instances import parse_instance
-from transemi.representation import partition_to_pair
+from transemi.representation import Representation, partition_to_pair
+
+from naive import (
+    naive_class_formula_failures,
+    naive_class_side_failures,
+    naive_determining_pair_failures,
+    naive_simplest_maps,
+    naive_verifier_failures,
+)
 
 DATA = Path(__file__).parent / "data"
 
 
 def s1():
     return AbstractSystem([[0]], [[0]], [[True]], [[True]])
+
+
+def corrupted(rep):
+    """The representation with its maps damaged in three ways: element 1
+    takes element 2's map, and element 0's map loses its first defined
+    point and sends its last one to point 0."""
+    maps = list(rep.maps)
+    maps[1] = maps[2]
+    entries = list(maps[0].entries)
+    defined = [a for a, b in enumerate(entries) if b is not None]
+    entries[defined[0]] = None
+    entries[defined[-1]] = 0
+    maps[0] = PartialMap(tuple(entries))
+    return Representation(rep.carrier, tuple(maps))
+
+
+def flipped(mat, cells):
+    out = mat.copy()
+    for a, b in cells:
+        out[a, b] = not out[a, b]
+    return out
 
 
 def axiom_passing(abstract_corpus, limit=None, max_size=8):
@@ -194,6 +225,139 @@ class TestClassFormulas:
         assert dp.w_class is None
         _, _, delta_p = rep_relations(simplest_representation(sys, dp))
         assert delta_p.all()
+
+
+class TestKernelAgainstNaiveLoops:
+    """Witness lists of the array-backed checks against `PartialMap` loops,
+    on damaged representations so that every check has failures."""
+
+    @staticmethod
+    def systems(trans_corpus):
+        return [s.abstract() for s in trans_corpus if 6 <= s.size <= 12][:6]
+
+    def test_verifier_witnesses(self, trans_corpus, monkeypatch):
+        build = representation.sum_representation
+        for sys in self.systems(trans_corpus):
+            rep = corrupted(build(sys))
+            monkeypatch.setattr(representation, "sum_representation", lambda s: rep)
+            report = verify_representability(sys)
+            for check_id, bad in naive_verifier_failures(sys, rep.maps).items():
+                got = report[check_id]
+                assert got.passed == (not bad)
+                assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
+            assert not report["injective"].passed
+
+    def test_meet_hom_maps_side_witnesses(self, trans_corpus, monkeypatch):
+        build = representation.simplest_representation
+        for sys in self.systems(trans_corpus):
+            dp = determining_pair_for(sys, 0, sys.size - 1)
+            rep = corrupted(build(sys, dp))
+            monkeypatch.setattr(representation, "simplest_representation", lambda s, d: rep)
+            got = check_meet_hom_equivalence(sys, dp)["meet-homomorphism-pointwise"]
+            bad = naive_verifier_failures(sys, rep.maps)["meet-homomorphism"]
+            assert got.passed == (not bad)
+            assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
+
+    def test_class_formula_witnesses(self, trans_corpus, monkeypatch):
+        # damage the represented relation matrices instead of the maps
+        cells = [(0, 0), (0, 1), (1, 0), (2, 3), (3, 2), (4, 4)]
+        for sys in self.systems(trans_corpus):
+            for g1, g2 in [(0, 0), (1, sys.size - 1), (sys.size - 1, 2)]:
+                dp = determining_pair_for(sys, g1, g2)
+                mats = rep_relations(simplest_representation(sys, dp))
+                for name, real in (("submap_matrix", representation.submap_matrix),
+                                   ("semicompatible_matrix",
+                                    representation.semicompatible_matrix),
+                                   ("semiadjacent_matrix", representation.semiadjacent_matrix)):
+                    monkeypatch.setattr(representation, name,
+                                        lambda rows, real=real: flipped(real(rows), cells))
+                report = check_class_formulas(sys, dp)
+                monkeypatch.undo()
+                want = naive_class_formula_failures(
+                    sys, dp, *(flipped(mat, cells) for mat in mats))
+                for check_id, bad in want.items():
+                    got = report[check_id]
+                    assert bad and not got.passed
+                    assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
+                    assert got.detail == f"{len(bad)} pairs"
+
+    @staticmethod
+    def random_pairs(sys, rng, count):
+        """Random partitions of G* with a random excluded class, or none,
+        given with arbitrary class ids."""
+        for _ in range(count):
+            ids = rng.sample(range(10, 10 + sys.size + 1), sys.size + 1)
+            class_of = tuple(ids[rng.randrange(rng.randint(1, sys.size + 1))]
+                             for _ in range(sys.size + 1))
+            yield DeterminingPair(class_of, rng.choice([None, *set(class_of)]))
+
+    def test_determining_pair_witnesses(self, abstract_m2, abstract_m3, trans_corpus):
+        import random
+
+        rng = random.Random(5)
+        seen = [0, 0]
+        for sys in abstract_m2 + abstract_m3 + self.systems(trans_corpus):
+            for dp in self.random_pairs(sys, rng, 6):
+                report = validate_determining_pair(sys, dp)
+                for check_id, bad in zip(
+                        ("classes-right-regular", "excluded-class-right-ideal"),
+                        naive_determining_pair_failures(sys, dp)):
+                    assert report[check_id].passed == (not bad)
+                    assert report[check_id].witnesses == bad[:10]
+                    if bad:
+                        assert report[check_id].detail.startswith(f"{len(bad)} ")
+                seen[0] += not report["classes-right-regular"].passed
+                seen[1] += not report["excluded-class-right-ideal"].passed
+        assert min(seen) > 10
+
+    def test_simplest_maps(self, abstract_m2, abstract_m3, trans_corpus):
+        import random
+
+        rng = random.Random(6)
+        canonical = [(sys, determining_pair_for(sys, g1, g2))
+                     for sys in self.systems(trans_corpus)
+                     for g1, g2 in [(0, 0), (1, sys.size - 1)]]
+        split = 0
+        for sys, dp in canonical + [
+                (sys, DeterminingPair(tuple(c - 10 for c in dp.class_of),
+                                      None if dp.w_class is None else dp.w_class - 10))
+                for sys in abstract_m2 + abstract_m3 for dp in self.random_pairs(sys, rng, 6)
+                if min(dp.class_of) == 10]:
+            try:
+                want = naive_simplest_maps(sys, dp)
+            except (InternalConsistencyError, ValueError) as exc:
+                # ValueError: every class excluded, so maps on no points
+                split += isinstance(exc, InternalConsistencyError)
+                with pytest.raises(type(exc), match=f"^{exc}$"):
+                    simplest_representation(sys, dp)
+                continue
+            assert simplest_representation(sys, dp).maps == want
+        assert split > 5
+
+    def test_class_side_witnesses(self, abstract_m2):
+        from transemi.generators import enumerate_determining_pairs
+
+        failing = 0
+        for sys in abstract_m2:
+            for dp in enumerate_determining_pairs(sys):
+                got = check_meet_hom_equivalence(sys, dp)["class-side-conditions"]
+                bad = naive_class_side_failures(sys, dp)
+                assert got.passed == (not bad)
+                assert got.witnesses == bad[:10]
+                failing += not got.passed
+        assert failing > 0
+
+    def test_seconds_time_each_check_alone(self, trans_corpus):
+        sys = max((s.abstract() for s in trans_corpus), key=lambda s: s.size)
+        dp = determining_pair_for(sys, 0, sys.size - 1)
+        for run in (lambda: verify_representability(sys),
+                    lambda: check_class_formulas(sys, dp)):
+            t0 = time.perf_counter()
+            report = run()
+            wall = time.perf_counter() - t0
+            seconds = [r.seconds for r in report.results]
+            assert all(s is not None and s >= 0 for s in seconds)
+            assert sum(seconds) <= wall
 
 
 class TestMeetHomEquivalence:

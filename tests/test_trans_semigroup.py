@@ -1,19 +1,24 @@
+import random
+
 import numpy as np
 import pytest
 
 from transemi import (
     CapExceededError,
+    CarrierMismatchError,
     PartialMap,
     check_adjacency_laws,
+    check_domain_bounds,
     check_domain_meet,
     compose,
-    delta_rel,
     generate,
     intersect,
-    to_abstract,
     validate,
-    xi_rel,
 )
+from transemi.generators import random_partial_map
+from transemi.instances import parse_instance
+
+from naive import naive_generate
 
 
 def pm(n, pairs):
@@ -50,6 +55,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match="cap"):
             generate([pm(2, [(0, 0)]), PartialMap.identity(2)], cap=1)
 
+    def test_carrier_mismatch_checked_before_cap(self):
+        with pytest.raises(CarrierMismatchError, match="^carrier mismatch: 2 vs 3$"):
+            generate([PartialMap.identity(2), PartialMap.identity(2), PartialMap.identity(3)],
+                     cap=1)
+
     def test_no_seeds_rejected(self):
         with pytest.raises(ValueError):
             generate([], cap=4)
@@ -77,6 +87,36 @@ class TestGenerate:
             assert np.array_equal(meet.diagonal(), np.arange(sys.size))
             assert np.array_equal(meet[meet, :], meet[:, meet])
 
+    def test_matches_worklist_reference(self, m70_file):
+        # the corpus draws (cap-exceeding ones included) and the m = 70
+        # fixture: same elements in the same order, or the same cap error
+        params = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
+        draws = []
+        for i in range(100):
+            rng = random.Random(f"corpus-{i}")
+            n, k = params[i % len(params)]
+            draws += [([random_partial_map(rng, n) for _ in range(k)], 64) for _ in range(3)]
+        inst = parse_instance(m70_file)
+        m70_seeds = [PartialMap.from_pairs(inst.base_size, pairs) for pairs in inst.maps]
+        draws += [(m70_seeds, cap) for cap in (69, 70, 256)]
+        errors = 0
+        for seeds, cap in draws:
+            try:
+                want = naive_generate(seeds, cap)
+            except CapExceededError as exc:
+                errors += 1
+                with pytest.raises(CapExceededError, match=f"^{exc}$"):
+                    generate(seeds, cap)
+                continue
+            assert generate(seeds, cap).elements == tuple(want)
+        assert 0 < errors < len(draws)
+
+    def test_duplicate_seeds_keep_first_occurrence(self):
+        f, g = pm(3, [(0, 1)]), pm(3, [(1, 2), (2, 2)])
+        seeds = [g, f, g, f]
+        assert generate(seeds, cap=64).elements == tuple(naive_generate(seeds, 64))
+        assert generate(seeds, cap=64).elements[:2] == (g, f)
+
     def test_deterministic_element_order(self):
         seeds = [pm(3, [(0, 1), (1, 0)]), pm(3, [(2, 2), (0, 0)])]
         a = generate(seeds, cap=64)
@@ -97,7 +137,7 @@ class TestRelations:
 
     def test_xi_reflexive_symmetric(self, trans_corpus):
         for sys in trans_corpus[:20]:
-            xi = xi_rel(sys)
+            xi = sys.xi
             assert xi.diagonal().all()
             assert np.array_equal(xi, xi.T)
 
@@ -112,7 +152,7 @@ class TestRelations:
         assert sys.delta[i, j]
         e = sys.index[PartialMap.empty(2)] if PartialMap.empty(2) in sys.index else None
         if e is not None:
-            assert delta_rel(sys)[e, :].all()
+            assert sys.delta[e, :].all()
 
     def test_empty_map_adjacent_to_all(self, delta_id_system):
         sys = generate([PartialMap.empty(2), PartialMap.identity(2)], cap=16)
@@ -164,6 +204,22 @@ class TestAdjacencyLaws:
         for sys in trans_corpus[:25]:
             assert check_adjacency_laws(sys).passed
 
+    def test_iff_witnesses_on_damaged_delta(self, trans_corpus):
+        # generated systems always pass: flip some delta entries and compare
+        # with the law evaluated pair by pair on domain bitsets
+        for sys in [s for s in trans_corpus if s.size >= 4][:10]:
+            broken = generate(sys.elements, cap=64)
+            delta = sys.delta.copy()
+            delta[0, :3] = ~delta[0, :3]
+            delta[3, 1] = ~delta[3, 1]
+            broken.delta = delta
+            want = [{"f": i, "g": j} for i in range(sys.size) for j in range(sys.size)
+                    if bool(delta[i, j]) != (not sys.dom_bits[i]
+                                             & ~sys.dom_bits[sys.mul_table[j, i]])]
+            got = check_adjacency_laws(broken)["adjacency-iff-domain-kept"]
+            assert want and got.witnesses == want[:10]
+            assert got.detail == f"{len(want)} pairs"
+
 
 class TestDomainMeet:
     def test_singleton_subset(self, delta_id_system):
@@ -186,14 +242,53 @@ class TestDomainMeet:
                     assert check_domain_meet(sys, [i, j]).passed
 
 
+class TestDomainBounds:
+    @staticmethod
+    def per_subset(sys):
+        """The sweep's verdict and witnesses from `check_domain_meet` on
+        each singleton and pair subset in turn."""
+        bad = []
+        for i in range(sys.size):
+            for j in range(i, sys.size):
+                sub = check_domain_meet(sys, [i] if i == j else [i, j])
+                if not sub.passed:
+                    bad.extend(sub.failures()[0].witnesses)
+        return not bad, bad[:10], f"{sys.size * (sys.size + 1) // 2} subsets checked"
+
+    @staticmethod
+    def swept(sys):
+        r = check_domain_bounds(sys)["closure-domain-bound"]
+        return r.passed, r.witnesses, r.detail
+
+    def test_matches_per_subset_checks(self, trans_corpus):
+        for sys in trans_corpus:
+            assert self.swept(sys) == self.per_subset(sys)
+
+    def test_failures_match_per_subset_checks(self, trans_corpus):
+        # Generated systems always pass, so corrupt the recorded domains:
+        # drop one point from some maps' domains, so that subsets holding
+        # an untouched member fail against the shrunk ones in their closure.
+        failing = 0
+        for n, sys in enumerate(trans_corpus[:40]):
+            rng = random.Random(n)
+            broken = generate(sys.elements, cap=64)
+            broken.dom_bits = tuple(
+                d & ~(1 << rng.randrange(sys.base_size)) if rng.random() < 0.3 else d
+                for d in sys.dom_bits)
+            got = self.swept(broken)
+            assert got == self.per_subset(broken)
+            failing += not got[0]
+        assert failing > 5
+
+
 class TestToAbstract:
     def test_singleton(self):
-        ab = to_abstract(generate([PartialMap.identity(2)], cap=4))
+        ab = generate([PartialMap.identity(2)], cap=4).abstract()
         assert ab.size == 1
         assert validate(ab).passed
 
     def test_pair_system_validates(self, delta_id_system):
-        assert validate(to_abstract(delta_id_system)).passed
+        assert validate(delta_id_system.abstract()).passed
 
     def test_product_orientation(self, trans_corpus):
         # abstract x.y is the concrete composition apply-x-first
