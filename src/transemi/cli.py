@@ -12,6 +12,7 @@ byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys as _sys
 
@@ -160,7 +161,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="transemi",
         description="intersection-closed semigroups of partial transformations: "
@@ -168,15 +171,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("analyze", cmd_analyze),
-        ("check", cmd_check),
-        ("represent", cmd_represent),
-        ("roundtrip", cmd_roundtrip),
-    ):
-        p = sub.add_parser(name)
-        _common_flags(p)
-        p.set_defaults(fn=fn)
+    for name in ("analyze", "check", "represent", "roundtrip"):
+        _common_flags(sub.add_parser(name))
 
     g = sub.add_parser("generate")
     _common_flags(g, needs_input=False)
@@ -186,11 +182,16 @@ def main(argv=None) -> int:
     g.add_argument("--maps", type=int, default=2, help="seed map count (transformations)")
     g.add_argument("--size", type=int, default=2, help="carrier size (abstract)")
     g.add_argument("--out", help="write the instance here instead of stdout")
-    g.set_defaults(fn=cmd_generate)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    # Looked up on each call rather than stored in the shared parser, so a
+    # rebound cmd_* function (a test double, a tracing wrapper) is the one run.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except InstanceFormatError as exc:
         print(f"input error: {exc}", file=_sys.stderr)
         return 2

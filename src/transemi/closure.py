@@ -45,9 +45,14 @@ _ORACLE_BUDGET_ENV = "TRANSEMI_ORACLE_BUDGET"
 DIRECT_TREE_MAX_ROUNDS = 2
 DIRECT_TREE_MAX_SIZE = 6
 
+# Cells of the (u, v, x) block the first-witness search holds at once; a
+# block is one u row when m (m + 1) exceeds it.
+_WITNESS_BLOCK = 1 << 16
+
 
 class _StepKernel:
-    """Vectorized one-step operator, built once per system."""
+    """Vectorized one-step operator and first-witness search, built once
+    per system."""
 
     def __init__(self, sys):
         m = sys.size
@@ -55,14 +60,22 @@ class _StepKernel:
         self.mg = sys.mul_star[:m, :]          # (m, m+1), products g.x for x in G*
         self.meet = sys.meet
         self.xi = sys.xi
+        self.zeta = sys.zeta
         self.delta_star = sys.delta_star       # (m, m+1), column e is all True
         # reach[z, w] says: w <= z.t for some t in G*.
         reach = np.zeros((m, m), dtype=bool)
         for lo in range(0, m, 64):
             hi = min(m, lo + 64)
             reach[lo:hi] = sys.zeta[:, self.mg[lo:hi]].any(axis=2).T
-        # float64 carries these counts exactly and keeps matmuls on BLAS
-        self.reach_f = reach.astype(np.float64)
+        self.reach = reach
+        # ext[w1, w2] says: w2 = w1.y for some y in G* with w1 |- y.
+        ext = np.zeros((m, m), dtype=np.float64)
+        rows, ys = np.nonzero(self.delta_star)
+        ext[rows, self.mg[rows, ys]] = 1.0
+        # adm[w1, z] says: w1 = (u meet v).x admits z, that is w1 |- y and
+        # w1.y <= z.t for some y, t in G*. float64 carries the counts
+        # exactly and keeps the matmul on BLAS.
+        self.adm = (ext @ reach.T.astype(np.float64)) > 0.5
 
     def step(self, h: np.ndarray) -> np.ndarray:
         m = self.m
@@ -74,10 +87,47 @@ class _StepKernel:
         feas = (meets.T @ in_h.astype(np.float64)) > 0.5  # (w, x) pairs via shared v
         w1 = np.zeros(m, dtype=bool)
         w1[self.mg[feas]] = True                # products (u^v).x
-        ext = w1[:, None] & self.delta_star
-        w2 = np.zeros(m, dtype=np.float64)
-        w2[self.mg[ext]] = 1.0                  # products (u^v).x.y with (u^v)x |- y
-        return (self.reach_f @ w2) > 0.5
+        return self.adm[w1].any(axis=0)
+
+    def first_witnesses(self, h: np.ndarray, zs: list[int]) -> dict:
+        """First admitting (u, v, x, y, t) in lex order for each z of `zs`,
+        memberships against h; None where nothing admits z.
+
+        The triples (u, v, x) with u in H, u ~xi~ v and v.x in H are walked
+        in lex order, in blocks of u rows of at most _WITNESS_BLOCK cells.
+        A triple admits z exactly when adm[w1, z] for w1 = (u meet v).x, so
+        within a block only the first triple of each distinct w1 can come
+        first for any z, and one (w1, z) table settles every pending z.
+        y and t are then the first ones for that triple.
+        """
+        m = self.m
+        found: dict[int, tuple[int, int, int, int, int]] = {}
+        pending = np.asarray(zs, dtype=np.int64)
+        hx = h[self.mg]                         # v.x in H
+        us = np.flatnonzero(h)
+        block = max(1, _WITNESS_BLOCK // (m * (m + 1)))
+        for lo in range(0, len(us), block):
+            if not pending.size:
+                break
+            u = us[lo:lo + block]
+            feas = self.xi[u][:, :, None] & hx[None, :, :]
+            idx = np.flatnonzero(feas)
+            if not idx.size:
+                continue
+            bi, v, x = np.unravel_index(idx, feas.shape)
+            w1 = self.mg[self.meet[u[bi], v], x]
+            w, first = np.unique(w1, return_index=True)
+            pos = np.where(self.adm[w][:, pending], first[:, None], len(idx)).min(axis=0)
+            hit = pos < len(idx)
+            z, p = pending[hit], pos[hit]
+            wz = w1[p]
+            y = np.argmax(self.delta_star[wz] & self.reach[z[:, None], self.mg[wz]], axis=1)
+            t = np.argmax(self.zeta[self.mg[wz, y][:, None], self.mg[z]], axis=1)
+            for row in zip(z.tolist(), u[bi[p]].tolist(), v[p].tolist(), x[p].tolist(),
+                           y.tolist(), t.tolist()):
+                found[row[0]] = row[1:]
+            pending = pending[~hit]
+        return {z: found.get(z) for z in zs}
 
 
 def _kernel(sys) -> _StepKernel:
@@ -123,36 +173,6 @@ def _star_range(m: int) -> list[int]:
     return list(range(m)) + [m]
 
 
-def _first_witness(sys, prev_bits: int, z: int):
-    """First admitting (u,v,x,y,t) in lex order, memberships against prev_bits."""
-    m = sys.size
-    star = sys.mul_star
-    meet = sys.meet
-    xi = sys.xi
-    dstar = sys.delta_star
-    zeta = sys.zeta
-    srange = _star_range(m)
-    for u in range(m):
-        if not (prev_bits >> u) & 1:
-            continue
-        for v in range(m):
-            if not xi[u, v]:
-                continue
-            w0 = meet[u, v]
-            for x in srange:
-                if not (prev_bits >> int(star[v, x])) & 1:
-                    continue
-                w1 = star[w0, x]
-                for y in srange:
-                    if not dstar[w1, y]:
-                        continue
-                    w2 = star[w1, y]
-                    for t in srange:
-                        if zeta[w2, star[z, t]]:
-                            return (u, int(v), int(x), int(y), int(t))
-    return None
-
-
 def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     """Iterate the step operator to its fixpoint.
 
@@ -176,8 +196,8 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
         if nxt_bits == cur_bits:
             break
         if witnesses:
-            for z in iter_bits(nxt_bits & ~acc_bits):
-                tup = _first_witness(sys, cur_bits, z)
+            new = list(iter_bits(nxt_bits & ~acc_bits))
+            for z, tup in kern.first_witnesses(cur, new).items():
                 if tup is not None:
                     witness[z] = (rounds, tup)
         acc_bits |= nxt_bits
@@ -244,6 +264,15 @@ class ClosureCache:
             return h_bits
         return self.closed_bits(low) | self.closed_bits(high)
 
+    def remember_pairs(self, pair_key: np.ndarray, entries: list[tuple[int, int]]) -> None:
+        """Memoise each two-element seed {x, y} under entries[pair_key[x, y]],
+        the entry of the seed that `_pair_union` maps it to."""
+        keys = pair_key.tolist()
+        with self._lock:
+            for x, row in enumerate(keys):
+                for y in range(x + 1, len(keys)):
+                    self._memo.setdefault((1 << x) | (1 << y), entries[row[y]])
+
     def of_singleton(self, x: int) -> int:
         return self.closed_bits(1 << x)
 
@@ -257,7 +286,9 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
     The "implication" method evaluates the defining implication by direct
     enumeration; the "four-conditions" method checks the equivalent rule
     set (left factors, adjacency products, upward order closure, and
-    restricted meets) and requires a nonempty H.
+    restricted meets), each as one array test over the system's tables,
+    and requires a nonempty H. The two share no code with each other or
+    with the step kernel.
     """
     m = sys.size
     if method == "implication":
@@ -289,38 +320,23 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
     if method == "four-conditions":
         if h_bits == 0:
             raise ValueError("four-conditions method needs a nonempty subset")
-        mul = sys.mul
-        meet = sys.meet
-        xi = sys.xi
-        delta = sys.delta
-        zeta = sys.zeta
-        star = sys.mul_star
-        inside = list(iter_bits(h_bits))
-        # products: xy in H forces x in H
-        for x in range(m):
-            if (h_bits >> x) & 1:
-                continue
-            for y in range(m):
-                if (h_bits >> int(mul[x, y])) & 1:
-                    return False
-        for g1 in inside:
-            # adjacency: g1 |- g2 forces g1.g2 in H
-            for g2 in range(m):
-                if delta[g1, g2] and not (h_bits >> int(mul[g1, g2])) & 1:
-                    return False
-                # order: g1 <= g2 forces g2 in H
-                if zeta[g1, g2] and not (h_bits >> g2) & 1:
-                    return False
-            # meets: g1 ~xi~ g2 and g2.x in H force (g1 meet g2).x in H,
-            # x ranging over G*; x = e covers the bare meet.
-            for g2 in range(m):
-                if not xi[g1, g2]:
-                    continue
-                w = meet[g1, g2]
-                for x in _star_range(m):
-                    if (h_bits >> int(star[g2, x])) & 1 and not (h_bits >> int(star[w, x])) & 1:
-                        return False
-        return True
+        h = bits_to_bool(h_bits, m)
+        inside = h[:, None]
+        # products: x.y in H forces x in H
+        if (~inside & h[sys.mul]).any():
+            return False
+        # adjacency: g1 in H and g1 |- g2 force g1.g2 in H
+        if (inside & sys.delta & ~h[sys.mul]).any():
+            return False
+        # order: g1 in H and g1 <= g2 force g2 in H
+        if (inside & sys.zeta & ~h[None, :]).any():
+            return False
+        # meets: g1 in H, g1 ~xi~ g2 and g2.x in H force (g1 meet g2).x in
+        # H, x ranging over G*; x = e covers the bare meet. escapes[a, b]
+        # says a.x is in H and b.x is not for some x, read at (g2, meet).
+        hx = h[sys.mul_star[:m]].astype(np.float64)
+        escapes = (hx @ (1.0 - hx).T) > 0.5
+        return not (inside & sys.xi & escapes[np.arange(m)[None, :], sys.meet]).any()
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -465,12 +481,11 @@ def _witnessed_chain(sys, h_bits: int, n: int):
     for r in range(1, n + 1):
         nxt = kern.step(cur)
         nxt_bits = bool_to_bits(nxt)
-        for z in iter_bits(nxt_bits):
-            if z not in first_round:
-                first_round[z] = r
-                tup = _first_witness(sys, cur_bits, z)
-                if tup is not None:
-                    tuples[z] = tup
+        new = [z for z in iter_bits(nxt_bits) if z not in first_round]
+        for z, tup in kern.first_witnesses(cur, new).items():
+            first_round[z] = r
+            if tup is not None:
+                tuples[z] = tup
         chain.append(nxt_bits)
         if nxt_bits == cur_bits:
             chain.extend([nxt_bits] * (n - r))
@@ -580,7 +595,8 @@ def _axiom_failures(sys):
     singleton closures come first, as rows of an (m, m) membership matrix
     read at meet[x, y] and x.y. Each pair's closure is then looked up by the
     distinct union of its singleton closures (its own seed when the step is
-    not extensive), so the cache closes each distinct union once.
+    not extensive), so the cache closes each distinct union once, and every
+    pair seed is memoised under its union's entry for later lookups.
     """
     m = sys.size
     cache = sys.closures
@@ -596,10 +612,11 @@ def _axiom_failures(sys):
     seeds = single if cache.extensive else np.eye(m, dtype=bool)
     unions = np.packbits(seeds[:, None, :] | seeds[None, :, :], axis=2, bitorder="little")
     keys, pair_key = np.unique(unions.reshape(m * m, -1), axis=0, return_inverse=True)
-    closed = bits_matrix(
-        [cache.closed_bits(int.from_bytes(k.tobytes(), "little")) for k in keys], m
-    )
-    in_pair = closed[pair_key.reshape(m, m), sys.meet]
+    pair_key = pair_key.reshape(m, m)
+    entries = [cache.result(int.from_bytes(k.tobytes(), "little")) for k in keys]
+    cache.remember_pairs(pair_key, entries)
+    closed = bits_matrix([bits for bits, _ in entries], m)
+    in_pair = closed[pair_key, sys.meet]
     yield ("closure-forces-semicompat",
            _failing(in_pair & ~sys.xi, sys.meet),
            time.perf_counter() - t0)

@@ -74,6 +74,67 @@ def naive_closure(sys, h_bits):
         seen.add(cur)
 
 
+def naive_first_witness(sys, prev_bits, z):
+    """First admitting (u, v, x, y, t) in lex order, memberships against
+    prev_bits; x, y, t range over G* with e = m last. None if none admits."""
+    m = sys.size
+    star = sys.mul_star
+    gstar = range(m + 1)
+    for u in range(m):
+        if not (prev_bits >> u) & 1:
+            continue
+        for v in range(m):
+            if not sys.xi[u, v]:
+                continue
+            w0 = sys.meet[u, v]
+            for x in gstar:
+                if not (prev_bits >> int(star[v, x])) & 1:
+                    continue
+                w1 = star[w0, x]
+                for y in gstar:
+                    if not sys.delta_star[w1, y]:
+                        continue
+                    w2 = star[w1, y]
+                    for t in gstar:
+                        if sys.zeta[w2, star[z, t]]:
+                            return (u, v, x, y, t)
+    return None
+
+
+def naive_four_conditions(sys, h_bits):
+    """Closedness of a nonempty H by the four-conditions rule set, pair by
+    pair: left factors, adjacency products, upward order closure and
+    restricted meets."""
+    m = sys.size
+    star = sys.mul_star
+    inside = [g for g in range(m) if (h_bits >> g) & 1]
+    # products: xy in H forces x in H
+    for x in range(m):
+        if (h_bits >> x) & 1:
+            continue
+        for y in range(m):
+            if (h_bits >> int(sys.mul[x, y])) & 1:
+                return False
+    for g1 in inside:
+        for g2 in range(m):
+            # adjacency: g1 |- g2 forces g1.g2 in H
+            if sys.delta[g1, g2] and not (h_bits >> int(sys.mul[g1, g2])) & 1:
+                return False
+            # order: g1 <= g2 forces g2 in H
+            if sys.zeta[g1, g2] and not (h_bits >> g2) & 1:
+                return False
+        # meets: g1 ~xi~ g2 and g2.x in H force (g1 meet g2).x in H, x
+        # ranging over G*; x = e covers the bare meet.
+        for g2 in range(m):
+            if not sys.xi[g1, g2]:
+                continue
+            w = sys.meet[g1, g2]
+            for x in range(m + 1):
+                if (h_bits >> int(star[g2, x])) & 1 and not (h_bits >> int(star[w, x])) & 1:
+                    return False
+    return True
+
+
 def naive_axiom_failures(sys, close):
     """Failing (x, y, closure member) triples of each closure axiom, x-major,
     with `close(seed)` called on the direct seed {x} or {x, y} every time."""

@@ -17,13 +17,27 @@ from transemi import (
     least_closed_oracle,
     member_at_round,
     simplest_representation,
+    validate,
     verify_witness_tree,
 )
-from transemi.bitsets import full_mask
-from transemi.closure import ClosureCache, _axiom_failures, _kernel
+from transemi.bitsets import bits_to_bool, bool_to_bits, full_mask, iter_bits
+from transemi.closure import (
+    ClosureCache,
+    _axiom_failures,
+    _kernel,
+    _tree_from_chain,
+    _witnessed_chain,
+    oracle_budget,
+)
 from transemi.instances import parse_instance
 
-from naive import naive_axiom_failures, naive_closure, naive_step
+from naive import (
+    naive_axiom_failures,
+    naive_closure,
+    naive_first_witness,
+    naive_four_conditions,
+    naive_step,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +71,74 @@ def golden_failures():
 
 def direct(sys, h_bits):
     return closure_fixpoint(sys, h_bits, witnesses=False).closed_bits
+
+
+def step_bits(sys, h_bits):
+    """The step kernel on any subset, the empty one included."""
+    return bool_to_bits(_kernel(sys).step(bits_to_bool(h_bits, sys.size)))
+
+
+def naive_witnesses(sys, h_bits):
+    """`closure_fixpoint`'s witness dict, each tuple from
+    `naive_first_witness` against the previous iterate."""
+    cur, acc, seen, rounds, out = h_bits, h_bits, {h_bits}, 0, {}
+    while True:
+        nxt = step_bits(sys, cur)
+        rounds += 1
+        if nxt == cur:
+            return out
+        for z in iter_bits(nxt & ~acc):
+            tup = naive_first_witness(sys, cur, z)
+            if tup is not None:
+                out[z] = (rounds, tup)
+        acc |= nxt
+        if nxt in seen:
+            return out
+        seen.add(nxt)
+        cur = nxt
+
+
+def naive_witnessed_chain(sys, h_bits, n):
+    """`_witnessed_chain` with its tuples from `naive_first_witness`."""
+    chain, first_round, tuples = [h_bits], {z: 0 for z in iter_bits(h_bits)}, {}
+    cur = h_bits
+    for r in range(1, n + 1):
+        nxt = step_bits(sys, cur)
+        for z in iter_bits(nxt):
+            if z not in first_round:
+                first_round[z] = r
+                tup = naive_first_witness(sys, cur, z)
+                if tup is not None:
+                    tuples[z] = tup
+        chain.append(nxt)
+        if nxt == cur:
+            chain.extend([nxt] * (n - r))
+            break
+        cur = nxt
+    return chain, first_round, tuples
+
+
+def witness_pairs(sys, limit=30, sample=12):
+    """Every pair (x <= y) of a carrier up to `limit` elements; above it
+    the pairs of 0 and m - 1 and `sample` random ones, because the naive
+    witness loop takes minutes on every pair of the m = 39-55 systems."""
+    m = sys.size
+    if m <= limit:
+        return [(x, y) for x in range(m) for y in range(x, m)]
+    rng = random.Random(m)
+    return [(0, m - 1), (m - 1, m - 1)] + [
+        tuple(sorted(rng.sample(range(m), 2))) for _ in range(sample)
+    ]
+
+
+def closedness_inputs(sys, pairs):
+    """Distinct closures of the given pairs and singletons, each also with
+    every single element flipped, and the bare seeds themselves."""
+    m = sys.size
+    seeds = [1 << x for x in range(m)] + [(1 << x) | (1 << y) for x, y in pairs]
+    closed = sorted({sys.closures.closed_bits(seed) for seed in seeds})
+    flipped = [h ^ (1 << g) for h in closed for g in range(m) if h ^ (1 << g)]
+    return closed + flipped + seeds
 
 
 class TestStep:
@@ -151,6 +233,30 @@ class TestFixpoint:
         with pytest.raises(ValueError, match="empty"):
             closure_fixpoint(s1(), 0)
 
+    @staticmethod
+    def _assert_witnesses_match(sys, pairs):
+        for x, y in pairs:
+            seed = (1 << x) | (1 << y)
+            got = closure_fixpoint(sys, seed, witnesses=True).witness
+            want = naive_witnesses(sys, seed)
+            assert list(got.items()) == list(want.items())
+            assert all(type(v) is int for _, tup in got.values() for v in tup)
+
+    def test_witnesses_match_naive_loop(self, abstract_corpus):
+        for sys in abstract_corpus + golden_failures() + [non_extensive()]:
+            self._assert_witnesses_match(sys, witness_pairs(sys))
+
+    def test_witnesses_match_naive_loop_past_bit_63(self, system_m70):
+        sys = system_m70
+        # {0, 1, 3, 5, 15} is the one part of the carrier whose pair
+        # closures all stay below bit 63
+        low = [0, 1, 3, 5, 15]
+        below = [(x, y) for x in low for y in low if x <= y]
+        assert all(sys.closures.of_pair(x, y) >> 63 == 0 for x, y in below)
+        above = [(69, 3), (5, 40)] + witness_pairs(sys, sample=20)
+        assert all(sys.closures.of_pair(x, y) >> 63 for x, y in above)
+        self._assert_witnesses_match(sys, below + above)
+
 
 class TestIsClosed:
     def test_full_carrier_always_closed(self, abstract_corpus):
@@ -167,6 +273,30 @@ class TestIsClosed:
                 assert is_closed(sys, h, "implication") == is_closed(
                     sys, h, "four-conditions"
                 )
+
+    @staticmethod
+    def _assert_four_conditions_match(sys, pairs, validated=True):
+        # the two rule sets are equivalent only under the hypotheses
+        implication = validated and sys.size <= oracle_budget()
+        for h in closedness_inputs(sys, pairs):
+            want = naive_four_conditions(sys, h)
+            assert is_closed(sys, h, "four-conditions") == want
+            if implication:
+                assert is_closed(sys, h, "implication") == want
+
+    def test_four_conditions_match_naive_loop(self, abstract_corpus):
+        for sys in abstract_corpus + golden_failures() + [non_extensive()]:
+            m = sys.size
+            self._assert_four_conditions_match(
+                sys, [(x, y) for x in range(m) for y in range(x, m)],
+                validated=validate(sys).passed)
+
+    def test_four_conditions_past_bit_63(self, system_m70):
+        sys = system_m70
+        rng = random.Random(63)
+        pairs = [(69, 3), (5, 40), (0, 15)] + [
+            (rng.randrange(sys.size), rng.randrange(sys.size)) for _ in range(40)]
+        self._assert_four_conditions_match(sys, pairs)
 
     def test_empty_set(self):
         assert is_closed(s1(), 0, "implication")
@@ -259,6 +389,23 @@ class TestMemberAtRound:
                     got, tree = member_at_round(sys, x, 1 << x, n, method="iterate")
                     assert got
                     assert verify_witness_tree(sys, x, 1 << x, n, tree)
+
+    def test_iterate_trees_match_naive_witnesses(self, abstract_corpus, system_m70):
+        systems = [a for a in abstract_corpus if a.size <= 30]
+        for sys in systems + golden_failures() + [non_extensive(), system_m70]:
+            m = sys.size
+            for x, y in witness_pairs(sys, limit=8, sample=3):
+                seed = (1 << x) | (1 << y)
+                want = naive_witnessed_chain(sys, seed, 3)
+                got = _witnessed_chain(sys, seed, 3)
+                assert got == want
+                assert list(got[2].items()) == list(want[2].items())
+                for n in (1, 2, 3):
+                    chain = want[0]
+                    for z in range(m):
+                        held = bool((chain[n] >> z) & 1)
+                        tree = _tree_from_chain(sys, z, n, want[1], want[2]) if held else None
+                        assert member_at_round(sys, z, seed, n, method="iterate") == (held, tree)
 
     def test_direct_bounds_enforced(self):
         with pytest.raises(ValueError, match="direct search bounded"):
@@ -353,6 +500,18 @@ class TestUnionSeededPairs:
         union = cache.of_singleton(x) | cache.of_singleton(y)
         assert cache._memo[(1 << x) | (1 << y)][0] == closed
         assert cache._memo[union][0] == closed
+
+    def test_axiom_sweep_memoises_pair_seeds(self, abstract_corpus):
+        # each pair seed gets the entry of its union, round count included,
+        # or its own entry when the step is not extensive
+        for sys in abstract_corpus[::7] + golden_failures() + [non_extensive()]:
+            sys = AbstractSystem(sys.mul, sys.meet, sys.xi, sys.delta)
+            list(_axiom_failures(sys))
+            fresh = ClosureCache(sys)
+            for x in range(sys.size):
+                for y in range(x + 1, sys.size):
+                    pair = (1 << x) | (1 << y)
+                    assert sys.closures._memo[pair] == fresh.result(pair)
 
     def test_non_extensive_step_seeds_pairs_directly(self):
         sys = non_extensive()

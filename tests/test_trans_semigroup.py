@@ -9,6 +9,7 @@ from transemi import (
     PartialMap,
     check_adjacency_laws,
     check_domain_bounds,
+    check_representability,
     check_domain_meet,
     compose,
     generate,
@@ -279,6 +280,24 @@ class TestDomainBounds:
             assert got == self.per_subset(broken)
             failing += not got[0]
         assert failing > 5
+
+    def test_reads_pair_closures_memoised_by_axiom_sweep(self, trans_corpus, monkeypatch):
+        # `transemi check` runs the axiom sweep first; it leaves every pair
+        # seed in the cache, so the domain sweep closes nothing and every
+        # lookup hits the memo
+        from transemi import closure
+
+        systems = [generate(sys.elements, cap=64) for sys in trans_corpus[::3]]
+        want = [self.swept(generate(sys.elements, cap=64)) for sys in systems]
+        for sys in systems:
+            check_representability(sys.abstract())
+        misses = []
+        monkeypatch.setattr(closure, "closure_fixpoint",
+                            lambda *a, **k: misses.append("fixpoint"))
+        monkeypatch.setattr(closure.ClosureCache, "_pair_union",
+                            lambda self, h: misses.append("union"))
+        assert [self.swept(sys) for sys in systems] == want
+        assert misses == []
 
 
 class TestToAbstract:
