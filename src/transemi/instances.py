@@ -4,7 +4,13 @@ Two kinds. "transformations" carries a carrier size and seed maps as pair
 lists; the closure is computed on load. "abstract" carries row-major index
 tables and sparse relation pair lists. Parsing failures raise
 InstanceFormatError with a key-path tag; write followed by parse is the
-identity on instances.
+identity on instances. Files are read as UTF-8.
+
+Documents are read with libyaml's parser (`yaml.CSafeLoader`) when PyYAML
+was built with it, and with PyYAML's own otherwise; the constructor and
+resolver are PyYAML's Python ones in both cases, so the values are the
+same. Text that libyaml rejects is parsed again by `yaml.safe_load`, so its
+error message, or its value, is PyYAML's.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from .abstract_system import AbstractSystem
 from .errors import InstanceFormatError
 from .partial_maps import PartialMap
 from .trans_semigroup import TransSystem, generate
+
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -179,17 +187,20 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def parse_instance_text(text: str, where: str = "instance") -> Instance:
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise InstanceFormatError(f"{where}: not valid YAML: {exc}") from exc
+        data = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError):  # libyaml takes str as UTF-8
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise InstanceFormatError(f"{where}: not valid YAML: {exc}") from exc
     return instance_from_dict(data, where)
 
 
 def parse_instance(path: str | Path) -> Instance:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"{path}: {exc}") from exc
     return parse_instance_text(text, str(path))
 

@@ -219,6 +219,11 @@ def semiadjacent(f: PartialMap, g: PartialMap) -> bool:
 # k rows on n points holds b * k * n cells, so b shrinks as k * n grows and
 # never drops below one row (k * n cells).
 _BLOCK_CELLS = 1 << 12
+# The pair matrices cut a row of more cells than this into tiles of columns,
+# so that their temporaries stay at most max(_ROW_CELLS, n) cells however
+# many maps there are (a wide sum would otherwise allocate and fault in
+# k * n cells per row, several times per matrix).
+_ROW_CELLS = 1 << 16
 
 
 def as_rows(maps: Sequence[PartialMap]) -> np.ndarray:
@@ -254,24 +259,34 @@ def _row_blocks(rows: np.ndarray) -> Iterator[tuple[int, int]]:
         yield lo, min(k, lo + step)
 
 
-def _by_blocks(rows: np.ndarray, block) -> np.ndarray:
-    """The (k, k) bool matrix whose rows lo..hi-1 are block(lo, hi)."""
-    out = np.empty((len(rows), len(rows)), dtype=bool)
+def _tiles(rows: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
+    """(lo, hi, jlo, jhi): the row blocks, each row wider than _ROW_CELLS
+    cut into tiles of columns jlo..jhi-1."""
+    k, n = rows.shape
+    width = k if k * n <= _ROW_CELLS else max(1, _ROW_CELLS // n)
     for lo, hi in _row_blocks(rows):
-        out[lo:hi] = block(lo, hi)
+        for jlo in range(0, k, width):
+            yield lo, hi, jlo, min(k, jlo + width)
+
+
+def _by_blocks(rows: np.ndarray, block) -> np.ndarray:
+    """The (k, k) bool matrix whose tile [lo:hi, jlo:jhi] is block(lo, hi, jlo, jhi)."""
+    out = np.empty((len(rows), len(rows)), dtype=bool)
+    for lo, hi, jlo, jhi in _tiles(rows):
+        out[lo:hi, jlo:jhi] = block(lo, hi, jlo, jhi)
     return out
 
 
-def _compose_block(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, k, n): entry [b, j] is compose(rows[lo + b], rows[j])."""
-    ext = np.concatenate([rows[lo:hi], np.full((hi - lo, 1), -1, np.int64)], axis=1)
-    return np.take(ext, rows, axis=1)  # -1 picks the appended undefined column
+def _compose_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(len(left), len(right), n): entry [b, j] is compose(left[b], right[j])."""
+    ext = np.concatenate([left, np.full((len(left), 1), -1, np.int64)], axis=1)
+    return np.take(ext, right, axis=1)  # -1 picks the appended undefined column
 
 
-def _intersect_block(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, k, n): entry [b, j] is intersect(rows[lo + b], rows[j])."""
-    block = rows[lo:hi, None, :]
-    return np.where(block == rows, block, -1)
+def _intersect_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(len(left), len(right), n): entry [b, j] is intersect(left[b], right[j])."""
+    block = left[:, None, :]
+    return np.where(block == right, block, -1)
 
 
 def products(rows: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -283,39 +298,40 @@ def products(rows: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
     """
     for lo, hi in _row_blocks(rows):
         yield lo, hi, np.stack(
-            [_compose_block(rows, lo, hi), _intersect_block(rows, lo, hi)], axis=2)
+            [_compose_block(rows[lo:hi], rows), _intersect_block(rows[lo:hi], rows)], axis=2)
 
 
 def compose_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
     """(k, k) bool: compose(rows[i], rows[j]) differs from rows[want[i, j]]."""
-    return _by_blocks(rows, lambda lo, hi: (
-        _compose_block(rows, lo, hi) != rows[want[lo:hi]]).any(axis=2))
+    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
+        _compose_block(rows[lo:hi], rows[jlo:jhi]) != rows[want[lo:hi, jlo:jhi]]).any(axis=2))
 
 
 def intersect_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
     """(k, k) bool: intersect(rows[i], rows[j]) differs from rows[want[i, j]]."""
-    return _by_blocks(rows, lambda lo, hi: (
-        _intersect_block(rows, lo, hi) != rows[want[lo:hi]]).any(axis=2))
+    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
+        _intersect_block(rows[lo:hi], rows[jlo:jhi]) != rows[want[lo:hi, jlo:jhi]]).any(axis=2))
 
 
 def submap_matrix(rows: np.ndarray) -> np.ndarray:
     """zeta: [i, j] when rows[i] is contained in rows[j] (`issubmap`)."""
-    return _by_blocks(rows, lambda lo, hi: (
-        (rows[lo:hi, None] < 0) | (rows[lo:hi, None] == rows)).all(axis=2))
+    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
+        (rows[lo:hi, None] < 0) | (rows[lo:hi, None] == rows[jlo:jhi])).all(axis=2))
 
 
 def semicompatible_matrix(rows: np.ndarray) -> np.ndarray:
     """xi: [i, j] when the rows agree wherever both are defined."""
-    return _by_blocks(rows, lambda lo, hi: (
-        (rows[lo:hi, None] < 0) | (rows < 0) | (rows[lo:hi, None] == rows)).all(axis=2))
+    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
+        (rows[lo:hi, None] < 0) | (rows[jlo:jhi] < 0)
+        | (rows[lo:hi, None] == rows[jlo:jhi])).all(axis=2))
 
 
 def semiadjacent_matrix(rows: np.ndarray) -> np.ndarray:
     """delta: [i, j] when the image of rows[i] lies inside the domain of rows[j]."""
     # defined[j, b] says rows[j] is defined at b; -1 picks the spare True column
     defined = np.concatenate([rows >= 0, np.ones((len(rows), 1), dtype=bool)], axis=1)
-    return _by_blocks(rows, lambda lo, hi: (
-        np.take(defined, rows[lo:hi], axis=1).all(axis=2).T))
+    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
+        np.take(defined[jlo:jhi], rows[lo:hi], axis=1).all(axis=2).T))
 
 
 def relations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

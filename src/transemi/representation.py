@@ -13,9 +13,10 @@ re-checks concretely.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,20 +59,52 @@ class DeterminingPair:
         return tuple(i for i, c in enumerate(self.class_of) if c == cid)
 
 
-@dataclass(frozen=True)
 class Representation:
     """An assignment of one partial map per carrier element.
 
     Carrier points carry labels: a bare class id for a single simplest
-    representation, or (pair, class id) for sums.
+    representation, or (pair, class id) for sums. The maps are held as
+    `rows`, a read-only (k, n) int64 array with -1 where a map is undefined
+    (see `partial_maps.as_rows`), and `maps`, the same maps as `PartialMap`
+    values, is built from the rows on first read. A representation built
+    from maps derives its rows on first read instead.
     """
 
-    carrier: tuple
-    maps: tuple[PartialMap, ...]
+    def __init__(self, carrier: tuple, maps: Optional[Sequence[PartialMap]] = None, *,
+                 rows: Optional[np.ndarray] = None):
+        if (maps is None) == (rows is None):
+            raise TypeError("Representation needs exactly one of maps and rows")
+        self.carrier = tuple(carrier)
+        # fill in the cached property given; the other one derives from it
+        if maps is not None:
+            self.__dict__["maps"] = tuple(maps)
+        elif np.shape(rows)[1] < 1:  # as for a `PartialMap`
+            raise ValueError("base_size must be positive")
+        else:
+            self.__dict__["rows"] = _read_only(rows)
+
+    @functools.cached_property
+    def maps(self) -> tuple[PartialMap, ...]:
+        return from_rows(self.rows)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        return _read_only(as_rows(self.maps))
 
     @property
     def num_points(self) -> int:
         return len(self.carrier)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Representation):
+            return NotImplemented
+        return self.carrier == other.carrier and np.array_equal(self.rows, other.rows)
+
+
+def _read_only(rows: np.ndarray) -> np.ndarray:
+    view = np.asarray(rows, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
 
 
 def partition_to_pair(sys: AbstractSystem, classes: list[list[int]],
@@ -205,25 +238,25 @@ def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Represe
     pos = np.full(dp.num_classes, -1)
     pos[kept] = np.arange(len(kept))
     lands = cls[sys.mul_star[:, :m]]  # [h, g]: class of h.g, for h in G*
-    rows = np.empty((len(kept), m), dtype=np.int64)  # [kept class, g]: image
+    rows = np.empty((m, len(kept)), dtype=np.int64)  # [g, kept class]: image
     split = np.ones((len(kept), m), dtype=bool)  # an empty class splits everywhere
     for i, c in enumerate(kept):
         members = lands[cls == c]
         if len(members):
             split[i] = (members != members[0]).any(axis=0)
-            rows[i] = pos[members[0]]
+            rows[:, i] = pos[members[0]]
     if split.any():
         g, i = np.argwhere(split.T)[0]
         raise InternalConsistencyError(
             f"class {kept[i]} splits under element {g}; determining pair invalid"
         )
-    return Representation(tuple(kept), from_rows(rows.T))
+    return Representation(tuple(kept), rows=rows)
 
 
 def rep_relations(rep: Representation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Containment, common-domain agreement, and image-inside-domain
     matrices of the represented maps."""
-    return relations(as_rows(rep.maps))
+    return relations(rep.rows)
 
 
 def _relation_check(report: Report, check_id: str, t0: float, got: np.ndarray,
@@ -244,7 +277,7 @@ def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
     first-order descriptions over the classes."""
     m = sys.size
     star = sys.mul_star
-    rows = as_rows(simplest_representation(sys, dp).maps)
+    rows = simplest_representation(sys, dp).rows
     cls = np.asarray(dp.class_of)
     cx = cls[star[:, :m]]  # [x, a]: class of x.a, for x in G* and a in G
     # [x, a]: x.a lies outside the excluded class
@@ -287,7 +320,7 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     rep = simplest_representation(sys, dp)
 
     t0 = time.perf_counter()
-    bad = np.argwhere(intersect_mismatch(as_rows(rep.maps), sys.meet))
+    bad = np.argwhere(intersect_mismatch(rep.rows, sys.meet))
     maps_ok = not len(bad)
     maps_witness = [{"g1": int(a), "g2": int(b)} for a, b in bad[:10]]
     t_maps = time.perf_counter() - t0
@@ -333,22 +366,21 @@ def sum_representation(sys: AbstractSystem) -> Representation:
     """
     m = sys.size
     pairs = [(g1, g2) for g1 in range(m) for g2 in range(m)]
-    by_closure: dict[int, tuple[Representation, np.ndarray]] = {}
+    by_closure: dict[int, Representation] = {}
     fragments = []
     for g1, g2 in pairs:
         closed = sys.closures.of_pair(g1, g2)
         if closed not in by_closure:
-            frag = simplest_representation(sys, determining_pair_for(sys, g1, g2))
-            by_closure[closed] = (frag, as_rows(frag.maps))
+            by_closure[closed] = simplest_representation(sys, determining_pair_for(sys, g1, g2))
         fragments.append(by_closure[closed])
 
     carrier: list = []
-    rows = np.empty((m, sum(len(frag.carrier) for frag, _ in fragments)), dtype=np.int64)
-    for pair, (frag, frag_rows) in zip(pairs, fragments):
+    rows = np.empty((m, sum(frag.num_points for frag in fragments)), dtype=np.int64)
+    for pair, frag in zip(pairs, fragments):
         off = len(carrier)
         carrier.extend((pair, cid) for cid in frag.carrier)
-        rows[:, off:len(carrier)] = np.where(frag_rows >= 0, frag_rows + off, -1)
-    return Representation(tuple(carrier), from_rows(rows))
+        rows[:, off:len(carrier)] = np.where(frag.rows >= 0, frag.rows + off, -1)
+    return Representation(tuple(carrier), rows=rows)
 
 
 def verify_representability(sys: AbstractSystem) -> Report:
@@ -370,15 +402,12 @@ def verify_representability(sys: AbstractSystem) -> Report:
 
     rep = sum_representation(sys)
     t0 = time.perf_counter()
-    rows = as_rows(rep.maps)
-    points = rep.num_points
-    del rep  # every check below reads the rows alone
-
+    rows = rep.rows
     same = first_equal(rows)  # [a]: the least element with a's map
     dup = [{"g1": int(a), "g2": int(b)}
            for a, b in np.argwhere(np.triu(same[:, None] == same[None, :], 1))]
     report.add("injective", not dup, dup[:10],
-               f"carrier of {points} points", time.perf_counter() - t0)
+               f"carrier of {rep.num_points} points", time.perf_counter() - t0)
 
     # compose_mismatch(...)[b, a] compares compose(maps[b], maps[a]) with maps[a.b]
     t0 = time.perf_counter()

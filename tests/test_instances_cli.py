@@ -4,8 +4,9 @@ import sys as pysys
 from pathlib import Path
 
 import pytest
+import yaml
 
-from transemi import cli
+from transemi import cli, instances
 from transemi.errors import InstanceFormatError
 from transemi.instances import (
     AbstractInstance,
@@ -18,6 +19,13 @@ from transemi.instances import (
 from transemi.representation import rep_relations, sum_representation
 
 DATA = Path(__file__).parent / "data"
+
+MALFORMED = {
+    "unclosed-flow-sequence": "kind: [unclosed\n",
+    "mapping-in-plain-value": "a: b: c\n",
+    "bad-block-indent": "kind: abstract\nsize: 1\nmul:\n- [0]\n meet:\n- [0]\n",
+    "truncated-maps": "kind: transformations\nbase_size: 2\nmaps: [[0,1]\n",
+}
 
 S1_TEXT = """\
 kind: abstract
@@ -72,9 +80,89 @@ class TestParsing:
         with pytest.raises(InstanceFormatError, match="YAML"):
             parse_instance_text("kind: [unclosed\n")
 
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_yaml_keeps_pure_python_message(self, text, tmp_path, capsys):
+        if yaml.__with_libyaml__:  # the case is libyaml rejecting first
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(text, Loader=yaml.CSafeLoader)
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.safe_load(text)
+        want = f"not valid YAML: {pure.value}"
+        with pytest.raises(InstanceFormatError) as got:
+            parse_instance_text(text)
+        assert str(got.value) == f"instance: {want}"
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert cli.main(["check", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: {want}\n"
+
+    def test_lone_surrogate_keeps_pure_python_message(self):
+        # libyaml cannot take it at all: encoding the text to UTF-8 fails
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.safe_load("kind: \ud800\n")
+        with pytest.raises(InstanceFormatError, match="^instance: not valid YAML: ") as got:
+            parse_instance_text("kind: \ud800\n")
+        assert str(got.value).endswith(str(pure.value))
+
     def test_golden_files_parse(self):
         for name in ("axiom_fail_adjacency.yaml", "axiom_fail_semicompat.yaml"):
             parse_instance(DATA / name).build()
+
+
+def typed(value):
+    """The parsed value with the type of every element and key spelled out."""
+    if isinstance(value, dict):
+        return ("dict", [(typed(k), typed(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("list", [typed(v) for v in value])
+    return (type(value).__name__, value)
+
+
+@pytest.fixture(scope="module")
+def loader_texts(tmp_path_factory, m70_file):
+    """Instance texts: the test data, the m = 70 fixture, and `transemi
+    generate` output for transformations on 3-6 points and abstract
+    systems of size 3."""
+    out = tmp_path_factory.mktemp("loader")
+    paths = sorted(DATA.glob("*.yaml")) + [m70_file]
+    for seed in range(4):
+        for points in (3, 4, 5, 6):
+            paths.append(out / f"t-{seed}-{points}.yaml")
+            assert cli.main(["generate", "--seed", str(seed), "--points", str(points),
+                             "--maps", "3", "--out", str(paths[-1])]) == 0
+        paths.append(out / f"a-{seed}.yaml")
+        assert cli.main(["generate", "--seed", str(seed), "--kind", "abstract",
+                         "--size", "3", "--out", str(paths[-1])]) == 0
+    return {path.name: path.read_text() for path in paths}
+
+
+class TestLoader:
+    def test_same_values_as_pure_python(self, loader_texts):
+        kinds = set()
+        for name, text in loader_texts.items():
+            want = yaml.safe_load(text)
+            if yaml.__with_libyaml__:
+                assert typed(yaml.load(text, Loader=yaml.CSafeLoader)) == typed(want), name
+            inst = parse_instance_text(text)
+            assert typed(instances.instance_to_dict(inst)) == typed(want), name
+            kinds.add(inst.kind)
+        assert kinds == {"transformations", "abstract"}
+
+    def test_write_then_parse_is_identity(self, loader_texts, tmp_path):
+        for name, text in loader_texts.items():
+            inst = parse_instance_text(text)
+            write_instance(inst, tmp_path / name)
+            assert parse_instance(tmp_path / name) == inst, name
+
+    def test_libyaml_used_when_present(self, monkeypatch):
+        # every pure-Python loader, `yaml.safe_load`'s included, builds a Reader
+        readers = []
+        init = yaml.reader.Reader.__init__
+        monkeypatch.setattr(yaml.reader.Reader, "__init__",
+                            lambda self, stream: readers.append(stream) or init(self, stream))
+        inst = parse_instance_text(S1_TEXT)
+        assert inst.size == 1 and inst.xi == ((0, 0),)
+        assert bool(readers) != yaml.__with_libyaml__
 
 
 class TestRoundTrip:
@@ -164,6 +252,14 @@ class TestCli:
         res = run_cli("check", "--input", str(bad))
         assert res.returncode == 2
         assert "input error" in res.stderr
+
+    def test_non_utf8_input_exits_two(self, tmp_path):
+        bad = tmp_path / "bytes.yaml"
+        bad.write_bytes(b'kind: abstract\nname: "\xff\xfe"\n')
+        res = run_cli("check", "--input", str(bad))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"input error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
     def test_unexpected_exception_exits_three(self, trans_file, monkeypatch, capsys):
         def boom(args):

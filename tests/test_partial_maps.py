@@ -16,6 +16,7 @@ from transemi import (
 )
 from transemi.partial_maps import (
     _row_blocks,
+    _tiles,
     as_rows,
     compose_mismatch,
     from_rows,
@@ -55,6 +56,29 @@ class TestCompose:
         g = pm(2, [(0, 1)])
         assert compose(g, PartialMap.identity(2)) == g
 
+    def test_rows_past_the_row_budget_cut_into_tiles(self):
+        # 12 maps on 6000 points: a row holds more than _ROW_CELLS cells,
+        # so the pair matrices take tiles of 10 and 2 columns
+        rng = np.random.default_rng(1)
+        rows = rng.integers(-1, 6000, size=(12, 6000))
+        rows[3] = rows[11]
+        rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
+        rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
+        assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
+        want = rng.integers(0, 12, size=(12, 12))
+        want[10, 11] = 10
+        maps = from_rows(rows)
+        zeta, xi, delta = relations(rows)
+        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+        for i, f in enumerate(maps):
+            for j, g in enumerate(maps):
+                assert zeta[i, j] == f.issubmap(g)
+                assert xi[i, j] == semicompatible(f, g)
+                assert delta[i, j] == semiadjacent(f, g)
+                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
+                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
+
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatchError, match="carrier mismatch"):
             compose(PartialMap.identity(2), PartialMap.identity(3))
@@ -87,6 +111,29 @@ class TestIntersect:
         assert intersect(f, f) == f
         assert intersect(f, g) == intersect(g, f)
         assert intersect(f, intersect(g, h)) == intersect(intersect(f, g), h)
+
+    def test_rows_past_the_row_budget_cut_into_tiles(self):
+        # 12 maps on 6000 points: a row holds more than _ROW_CELLS cells,
+        # so the pair matrices take tiles of 10 and 2 columns
+        rng = np.random.default_rng(1)
+        rows = rng.integers(-1, 6000, size=(12, 6000))
+        rows[3] = rows[11]
+        rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
+        rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
+        assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
+        want = rng.integers(0, 12, size=(12, 12))
+        want[10, 11] = 10
+        maps = from_rows(rows)
+        zeta, xi, delta = relations(rows)
+        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+        for i, f in enumerate(maps):
+            for j, g in enumerate(maps):
+                assert zeta[i, j] == f.issubmap(g)
+                assert xi[i, j] == semicompatible(f, g)
+                assert delta[i, j] == semiadjacent(f, g)
+                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
+                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatchError):
@@ -233,6 +280,29 @@ class TestArrayKernel:
                 assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
                 assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
         assert zeta[9, 5] and xi[5, 7] and not meet[9, 5]
+
+    def test_rows_past_the_row_budget_cut_into_tiles(self):
+        # 12 maps on 6000 points: a row holds more than _ROW_CELLS cells,
+        # so the pair matrices take tiles of 10 and 2 columns
+        rng = np.random.default_rng(1)
+        rows = rng.integers(-1, 6000, size=(12, 6000))
+        rows[3] = rows[11]
+        rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
+        rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
+        assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
+        want = rng.integers(0, 12, size=(12, 12))
+        want[10, 11] = 10
+        maps = from_rows(rows)
+        zeta, xi, delta = relations(rows)
+        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+        for i, f in enumerate(maps):
+            for j, g in enumerate(maps):
+                assert zeta[i, j] == f.issubmap(g)
+                assert xi[i, j] == semicompatible(f, g)
+                assert delta[i, j] == semiadjacent(f, g)
+                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
+                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatchError):

@@ -22,6 +22,7 @@ from transemi import (
 )
 from transemi import representation
 from transemi.instances import parse_instance
+from transemi.partial_maps import as_rows
 from transemi.representation import Representation, partition_to_pair
 
 from naive import (
@@ -458,3 +459,48 @@ class TestSumAndVerify:
         data = rep.to_dict()
         assert data["passed"] is True
         assert any(c["id"] == "injective" for c in data["checks"])
+
+
+class TestRowStorage:
+    """Representations keep their maps as rows and build `PartialMap`s only
+    when `maps` is read."""
+
+    @staticmethod
+    def representations(sys):
+        m = sys.size
+        yield sum_representation(sys)
+        for g1, g2 in dict.fromkeys([(0, 0), (0, m - 1), (m - 1, m // 2)]):
+            yield simplest_representation(sys, determining_pair_for(sys, g1, g2))
+
+    def test_rows_match_maps(self, trans_corpus, m70_file):
+        systems = [s.abstract() for s in trans_corpus]
+        systems.append(parse_instance(m70_file).build().abstract())
+        for sys in systems:
+            for rep in self.representations(sys):
+                assert not rep.rows.flags.writeable
+                assert np.array_equal(rep.rows, as_rows(rep.maps))
+                rebuilt = Representation(rep.carrier, rep.maps)
+                assert np.array_equal(rebuilt.rows, rep.rows)
+                assert rebuilt == rep
+
+    def test_built_from_maps_or_rows_only(self):
+        rep = sum_representation(s1())
+        with pytest.raises(TypeError):
+            Representation(rep.carrier)
+        with pytest.raises(TypeError):
+            Representation(rep.carrier, rep.maps, rows=rep.rows)
+
+    def test_verifier_and_pair_query_build_no_maps(self, trans_corpus, monkeypatch):
+        calls = []
+        build = representation.from_rows
+        monkeypatch.setattr(representation, "from_rows",
+                            lambda rows: calls.append(len(rows)) or build(rows))
+        systems = [s.abstract() for s in trans_corpus if 6 <= s.size <= 20][:8]
+        for sys in systems:
+            assert verify_representability(sys).passed
+            m = sys.size
+            for g1, g2 in [(0, m - 1), (m // 2, 1)]:
+                simplest_representation(sys, determining_pair_for(sys, g1, g2))
+        assert calls == []
+        rep = simplest_representation(sys, determining_pair_for(sys, 0, 0))
+        assert rep.maps is rep.maps and calls == [m]  # built once, on first read
