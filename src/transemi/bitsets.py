@@ -46,3 +46,9 @@ def bits_matrix(rows: Sequence[int], m: int) -> np.ndarray:
     buf = b"".join(bits.to_bytes(width, "little") for bits in rows)
     packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), width)
     return np.unpackbits(packed, axis=1, count=m, bitorder="little").astype(bool)
+
+
+def rows_bits(mat: np.ndarray) -> list[int]:
+    """The bitset of each row of a 2-d bool array; inverse of `bits_matrix`."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

@@ -33,6 +33,7 @@ from .bitsets import (
     full_mask,
     iter_bits,
     members,
+    rows_bits,
 )
 from .errors import OracleBudgetError
 from .reports import Report
@@ -48,6 +49,11 @@ DIRECT_TREE_MAX_SIZE = 6
 # Cells of the (u, v, x) block the first-witness search holds at once; a
 # block is one u row when m (m + 1) exceeds it.
 _WITNESS_BLOCK = 1 << 16
+
+# Cells of each float32 temporary of the batched sweep: a block of rows of
+# the pair-rule table (at least one row of m^2 cells) and the products of a
+# seed batch with it.
+_SWEEP_CELLS = 1 << 17
 
 
 class _StepKernel:
@@ -128,6 +134,65 @@ class _StepKernel:
                 found[row[0]] = row[1:]
             pending = pending[~hit]
         return {z: found.get(z) for z in zs}
+
+
+class _PairRule:
+    """The step operator as a table of two-premise rules, for closing many
+    seeds at once.
+
+    rule[u, a, z] says: some v, x in G* have u ~xi~ v, v.x = a and
+    adm[(u meet v).x, z]. So z is in step(H) exactly when rule[u, a, z]
+    for some u, a in H. The table is built per sweep and dropped after it:
+    it holds m^3 bools and costs an m^4 product, which one-off queries
+    should not pay.
+    """
+
+    def __init__(self, kern: _StepKernel):
+        m = kern.m
+        self.m = m
+        self.block = min(m, max(1, _SWEEP_CELLS // (m * m)))
+        mg = kern.mg.astype(np.int32)
+        adm = kern.adm.astype(np.float32)
+        rule = np.empty((m, m, m), dtype=bool)
+        for lo in range(0, m, self.block):
+            hi = min(m, lo + self.block)
+            u, v = np.nonzero(kern.xi[lo:hi])
+            pairs = np.zeros((hi - lo, m, m), dtype=np.float32)  # [u, v.x, (u meet v).x]
+            pairs[u[:, None], mg[v], mg[kern.meet[u + lo, v]]] = 1.0
+            rule[lo:hi] = (pairs.reshape(-1, m) @ adm).reshape(hi - lo, m, m) > 0.5
+        self.rule = rule
+
+    def step(self, h: np.ndarray) -> np.ndarray:
+        """The step operator on each row of a (B, m) bool matrix, over the
+        table in blocks of a."""
+        m = self.m
+        hf = h.astype(np.float32)
+        out = np.zeros(h.shape, dtype=np.float32)
+        for lo in range(0, m, self.block):
+            hi = min(m, lo + self.block)
+            slab = self.rule[:, lo:hi].astype(np.float32).reshape(m, -1)
+            by_a = (hf @ slab).reshape(len(h), hi - lo, m)  # [b, a, z]: some u in H
+            out += (hf[:, None, lo:hi] @ by_a)[:, 0]        # and a in H
+        return out > 0.5
+
+    def fixpoints(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed set and round count of the fixpoint from each row of a
+        (n, m) bool matrix, as `closure_fixpoint` gives them for an
+        extensive step. Seeds are closed in batches; a row leaves its batch
+        at the step that does not grow it."""
+        closed = seeds.copy()
+        rounds = np.zeros(len(seeds), dtype=np.int64)
+        batch = max(1, _SWEEP_CELLS // (self.block * self.m))
+        for lo in range(0, len(seeds), batch):
+            rows = np.arange(lo, min(len(seeds), lo + batch))
+            h = seeds[rows]
+            while rows.size:
+                nxt = self.step(h)
+                rounds[rows] += 1
+                grew = (nxt != h).any(axis=1)
+                closed[rows[~grew]] = h[~grew]
+                rows, h = rows[grew], nxt[grew]
+        return closed, rounds
 
 
 def _kernel(sys) -> _StepKernel:
@@ -224,13 +289,15 @@ class ClosureCache:
     is then closed from the union of its singleton closures, which many
     pairs share and which is nearly closed; the entry is memoised under
     both seeds, and its round count is the one from the union. Without
-    extensiveness every seed is iterated directly.
+    extensiveness every seed is iterated directly. `sweep` fills the memo
+    for every singleton and pair seed at once.
     """
 
     def __init__(self, sys):
         self.sys = sys
         self._memo: dict[int, tuple[int, int]] = {}
         self._lock = threading.Lock()
+        self._stages = None
         diag = np.arange(sys.size)
         self.extensive = bool(
             sys.xi[diag, diag].all() and (sys.meet[diag, diag] == diag).all()
@@ -263,6 +330,58 @@ class ClosureCache:
         if high == 0 or high & (high - 1):
             return h_bits
         return self.closed_bits(low) | self.closed_bits(high)
+
+    def sweep(self):
+        """The closures of every singleton and pair seed, in two stages.
+
+        Yields the m singleton closures as an (m, m) bool matrix, then the
+        pair table (pair_key, closed): the closure of {x, y} (of {x} when
+        x = y) is row pair_key[x, y] of the bool matrix closed. Pair seeds
+        are keyed by the union of their singleton closures, formed over
+        the distinct singleton closures (by their own seeds when the step
+        is not extensive). With an extensive step each stage closes all its
+        seeds in batched fixpoints over a `_PairRule` table; otherwise each
+        seed goes through `result`. Every seed, union and pair is memoised
+        with the entry `result` would give it, and the two stages are kept
+        for later sweeps.
+        """
+        if self._stages is not None:
+            yield from self._stages
+            return
+        m = self.sys.size
+        rule = _PairRule(_kernel(self.sys)) if self.extensive else None
+        single, entries = self._close_rows(rule, [1 << x for x in range(m)])
+        yield single
+        # {x, y} closes from bases[x] | bases[y]
+        bases = [bits for bits, _ in entries] if self.extensive else [1 << x for x in range(m)]
+        distinct: dict[int, int] = {}
+        of_base = np.array([distinct.setdefault(bits, len(distinct)) for bits in bases])
+        unions: dict[int, int] = {}
+        union_of = np.array([[unions.setdefault(a | b, len(unions)) for b in distinct]
+                             for a in distinct])
+        pair_key = union_of[of_base[:, None], of_base[None, :]]
+        closed, entries = self._close_rows(rule, list(unions))
+        self.remember_pairs(pair_key, entries)
+        self._stages = (single, (pair_key, closed))
+        yield self._stages[1]
+
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair table of `sweep`, running the sweep if it has not run."""
+        *_, table = self.sweep()
+        return table
+
+    def _close_rows(self, rule: _PairRule | None, seeds: list[int]):
+        """Closures of the given seeds as the rows of a bool matrix, and
+        their memo entries."""
+        m = self.sys.size
+        if rule is None:
+            entries = [self.result(h) for h in seeds]
+            return bits_matrix([bits for bits, _ in entries], m), entries
+        closed, rounds = rule.fixpoints(bits_matrix(seeds, m))
+        with self._lock:
+            entries = [self._memo.setdefault(h, entry)
+                       for h, entry in zip(seeds, zip(rows_bits(closed), rounds.tolist()))]
+        return closed, entries
 
     def remember_pairs(self, pair_key: np.ndarray, entries: list[tuple[int, int]]) -> None:
         """Memoise each two-element seed {x, y} under entries[pair_key[x, y]],
@@ -591,34 +710,24 @@ def _failing(mask: np.ndarray, target: np.ndarray) -> list[tuple[int, int, int]]
 def _axiom_failures(sys):
     """Failing (x, y, closure member) triples of each closure axiom, x-major.
 
-    Yields (check id, triples, seconds) per axiom, each timed alone. All m
-    singleton closures come first, as rows of an (m, m) membership matrix
-    read at meet[x, y] and x.y. Each pair's closure is then looked up by the
-    distinct union of its singleton closures (its own seed when the step is
-    not extensive), so the cache closes each distinct union once, and every
-    pair seed is memoised under its union's entry for later lookups.
+    Yields (check id, triples, seconds) per axiom, each timed alone. The
+    closures come from the two stages of `ClosureCache.sweep`: the m
+    singleton closures, read at meet[x, y] and x.y, count towards the
+    order check and the pair table towards the semicompat check.
     """
-    m = sys.size
-    cache = sys.closures
-    rows = np.arange(m)[:, None]
+    rows = np.arange(sys.size)[:, None]
+    stages = sys.closures.sweep()
 
     t0 = time.perf_counter()
-    single = bits_matrix([cache.of_singleton(x) for x in range(m)], m)
+    single = next(stages)
     yield ("closure-forces-order",
            _failing(single[rows, sys.meet] & ~sys.zeta, sys.meet),
            time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    seeds = single if cache.extensive else np.eye(m, dtype=bool)
-    unions = np.packbits(seeds[:, None, :] | seeds[None, :, :], axis=2, bitorder="little")
-    keys, pair_key = np.unique(unions.reshape(m * m, -1), axis=0, return_inverse=True)
-    pair_key = pair_key.reshape(m, m)
-    entries = [cache.result(int.from_bytes(k.tobytes(), "little")) for k in keys]
-    cache.remember_pairs(pair_key, entries)
-    closed = bits_matrix([bits for bits, _ in entries], m)
-    in_pair = closed[pair_key, sys.meet]
+    pair_key, closed = next(stages)
     yield ("closure-forces-semicompat",
-           _failing(in_pair & ~sys.xi, sys.meet),
+           _failing(closed[pair_key, sys.meet] & ~sys.xi, sys.meet),
            time.perf_counter() - t0)
 
     t0 = time.perf_counter()

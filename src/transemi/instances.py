@@ -10,7 +10,9 @@ Documents are read with libyaml's parser (`yaml.CSafeLoader`) when PyYAML
 was built with it, and with PyYAML's own otherwise; the constructor and
 resolver are PyYAML's Python ones in both cases, so the values are the
 same. Text that libyaml rejects is parsed again by `yaml.safe_load`, so its
-error message, or its value, is PyYAML's.
+error message, or its value, is PyYAML's. Text containing a tab goes to
+`yaml.safe_load` alone, because libyaml accepts tabs in places where PyYAML
+rejects them.
 """
 
 from __future__ import annotations
@@ -186,14 +188,21 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def parse_instance_text(text: str, where: str = "instance") -> Instance:
-    try:
-        data = yaml.load(text, Loader=_LOADER)
-    except (yaml.YAMLError, UnicodeEncodeError):  # libyaml takes str as UTF-8
+    return instance_from_dict(_load_yaml(text, where), where)
+
+
+def _load_yaml(text: str, where: str):
+    # libyaml accepts tabs that PyYAML rejects (`kind:\tabstract`), so text
+    # with a tab goes to PyYAML alone and is valid or not with either build
+    if "\t" not in text:
         try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise InstanceFormatError(f"{where}: not valid YAML: {exc}") from exc
-    return instance_from_dict(data, where)
+            return yaml.load(text, Loader=_LOADER)
+        except (yaml.YAMLError, UnicodeEncodeError):  # libyaml takes str as UTF-8
+            pass
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise InstanceFormatError(f"{where}: not valid YAML: {exc}") from exc
 
 
 def parse_instance(path: str | Path) -> Instance:

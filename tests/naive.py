@@ -320,3 +320,24 @@ def naive_simplest_maps(sys, dp):
                 entries[pos[c]] = pos[target]
         maps.append(PartialMap(tuple(entries)))
     return tuple(maps)
+
+
+def naive_pair_rule(sys):
+    """Triples (u, a, z) such that some v ~xi~ u and x in G* have v.x = a
+    and admit z, by enumerating (u, v, x) and then (y, t) from the guard."""
+    m = sys.size
+    gstar = range(m + 1)
+    admits = [[any(star_delta(sys, w1, y)
+                   and any(sys.zeta[star_mul(sys, w1, y), star_mul(sys, z, t)] for t in gstar)
+                   for y in gstar)
+               for z in range(m)] for w1 in range(m)]
+    out = set()
+    for u in range(m):
+        for v in range(m):
+            if not sys.xi[u, v]:
+                continue
+            for x in gstar:
+                a = star_mul(sys, v, x)
+                w1 = star_mul(sys, int(sys.meet[u, v]), x)
+                out.update((u, a, z) for z in range(m) if admits[w1][z])
+    return out

@@ -3,6 +3,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transemi import (
@@ -20,11 +21,13 @@ from transemi import (
     validate,
     verify_witness_tree,
 )
-from transemi.bitsets import bits_to_bool, bool_to_bits, full_mask, iter_bits
+from transemi import closure
+from transemi.bitsets import bits_matrix, bits_to_bool, bool_to_bits, full_mask, iter_bits
 from transemi.closure import (
     ClosureCache,
     _axiom_failures,
     _kernel,
+    _PairRule,
     _tree_from_chain,
     _witnessed_chain,
     oracle_budget,
@@ -36,6 +39,7 @@ from naive import (
     naive_closure,
     naive_first_witness,
     naive_four_conditions,
+    naive_pair_rule,
     naive_step,
 )
 
@@ -523,6 +527,110 @@ class TestUnionSeededPairs:
         assert cache.of_pair(2, 3) == 0b1110
         union = cache.of_singleton(2) | cache.of_singleton(3)
         assert direct(sys, union) == 0b1111
+
+
+def sweep_seeds(sys, rng):
+    """Singletons, the unions of their closures, and random subsets."""
+    m = sys.size
+    single = [direct(sys, 1 << x) for x in range(m)]
+    unions = {a | b for a in single for b in single}
+    randoms = {rng.getrandbits(m) | (1 << rng.randrange(m)) for _ in range(8)}
+    return [1 << x for x in range(m)] + sorted(unions) + sorted(randoms)
+
+
+def fresh_copy(sys):
+    return AbstractSystem(sys.mul, sys.meet, sys.xi, sys.delta)
+
+
+class TestBatchedSweep:
+    """The pair-rule table and its batched fixpoints against the per-seed
+    step kernel."""
+
+    def test_pair_rule_matches_naive_enumeration(self, abstract_corpus):
+        systems = [a for a in abstract_corpus if a.size <= 24] + golden_failures()
+        for sys in systems + [non_extensive()]:
+            rule = _PairRule(_kernel(sys)).rule
+            assert set(map(tuple, np.argwhere(rule).tolist())) == naive_pair_rule(sys)
+
+    def test_pair_rule_step_matches_kernel(self, abstract_corpus, system_m70):
+        rng = random.Random(5)
+        for sys in abstract_corpus[::5] + [system_m70]:
+            seeds = [rng.getrandbits(sys.size) for _ in range(20)]
+            got = _PairRule(_kernel(sys)).step(bits_matrix(seeds, sys.size))
+            assert [bool_to_bits(row) for row in got] == [step_bits(sys, h) for h in seeds]
+
+    @staticmethod
+    def assert_fixpoints_match(sys, seeds):
+        closed, rounds = _PairRule(_kernel(sys)).fixpoints(bits_matrix(seeds, sys.size))
+        want = [closure_fixpoint(sys, h, witnesses=False) for h in seeds]
+        assert [bool_to_bits(row) for row in closed] == [res.closed_bits for res in want]
+        assert rounds.tolist() == [res.rounds for res in want]
+
+    def test_fixpoints_match_closure_fixpoint(self, abstract_corpus):
+        rng = random.Random(7)
+        for sys in abstract_corpus + golden_failures():
+            assert sys.closures.extensive
+            self.assert_fixpoints_match(sys, sweep_seeds(sys, rng))
+
+    def test_fixpoints_past_bit_63(self, system_m70):
+        seeds = sweep_seeds(system_m70, random.Random(70))
+        assert any(h >> 64 for h in seeds) and any(0 < h < 1 << 63 for h in seeds)
+        self.assert_fixpoints_match(system_m70, seeds)
+
+    def test_one_row_blocks(self, abstract_corpus, system_m70, monkeypatch):
+        systems = abstract_corpus[::9] + golden_failures() + [system_m70]
+        want = []
+        for sys in systems:
+            cache = fresh_copy(sys).closures
+            want.append((list(cache.sweep()), cache._memo))
+        monkeypatch.setattr(closure, "_SWEEP_CELLS", 1)
+        assert _PairRule(_kernel(system_m70)).block == 1
+        self.assert_fixpoints_match(system_m70, sweep_seeds(system_m70, random.Random(1))[60:90])
+        for sys, ((want_single, (want_key, want_closed)), memo) in zip(systems, want):
+            cache = fresh_copy(sys).closures
+            single, (pair_key, closed) = cache.sweep()
+            assert (single == want_single).all()
+            assert (closed[pair_key] == want_closed[want_key]).all()
+            assert cache._memo == memo
+
+    def test_memo_matches_fresh_cache(self, abstract_corpus, system_m70):
+        # singletons, unions and pairs alike hold the entry a fresh cache
+        # computes for that seed alone, round count included
+        for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
+            sys = fresh_copy(sys)
+            list(sys.closures.sweep())
+            fresh = ClosureCache(sys)
+            m = sys.size
+            pairs = {(1 << x) | (1 << y) for x in range(m) for y in range(m)}
+            assert pairs <= sys.closures._memo.keys()
+            for seed, entry in sys.closures._memo.items():
+                assert entry == fresh.result(seed)
+
+    def test_pair_table_reads_every_pair_closure(self, abstract_corpus, system_m70):
+        for sys in abstract_corpus[::3] + golden_failures() + [non_extensive(), system_m70]:
+            sys = fresh_copy(sys)
+            pair_key, closed = sys.closures.pair_table()
+            fresh = ClosureCache(sys)
+            for x in range(sys.size):
+                for y in range(sys.size):
+                    assert bool_to_bits(closed[pair_key[x, y]]) == fresh.of_pair(x, y)
+
+    def test_non_extensive_closes_each_seed_directly(self, monkeypatch):
+        sys = non_extensive()
+        calls = []
+        monkeypatch.setattr(closure, "_PairRule", None)  # no table is built
+        fixpoint = closure.closure_fixpoint
+        monkeypatch.setattr(closure, "closure_fixpoint",
+                            lambda s, h, **kw: calls.append(h) or fixpoint(s, h, **kw))
+        single, (pair_key, closed) = sys.closures.sweep()
+        m = sys.size
+        seeds = [1 << x for x in range(m)] + [(1 << x) | (1 << y)
+                                              for x in range(m) for y in range(x + 1, m)]
+        assert sorted(calls) == sorted(seeds)
+        for x in range(m):
+            for y in range(m):
+                assert bool_to_bits(closed[pair_key[x, y]]) == direct(sys, (1 << x) | (1 << y))
+        assert [bool_to_bits(row) for row in single] == [direct(sys, 1 << x) for x in range(m)]
 
 
 @pytest.fixture(scope="module")

@@ -104,6 +104,25 @@ class TestParsing:
             parse_instance_text("kind: \ud800\n")
         assert str(got.value).endswith(str(pure.value))
 
+    def test_tab_after_colon_rejected_with_or_without_libyaml(self, tmp_path, capsys):
+        # libyaml loads this text; PyYAML alone does not, so neither may we
+        text = S1_TEXT.replace("kind: ", "kind:\t")
+        if yaml.__with_libyaml__:
+            assert yaml.load(text, Loader=yaml.CSafeLoader)["kind"] == "abstract"
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.safe_load(text)
+        want = f"not valid YAML: {pure.value}"
+        path = tmp_path / "tab.yaml"
+        path.write_text(text)
+        assert cli.main(["check", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: {want}\n"
+
+    def test_tab_inside_quoted_value_still_loads(self, monkeypatch):
+        text = S1_TEXT + 'name: "a\tb"\n'
+        assert parse_instance_text(text).name == "a\tb"
+        monkeypatch.setattr(instances, "_LOADER", None)  # any libyaml call would fail
+        assert parse_instance_text(text).name == "a\tb"
+
     def test_golden_files_parse(self):
         for name in ("axiom_fail_adjacency.yaml", "axiom_fail_semicompat.yaml"):
             parse_instance(DATA / name).build()
@@ -275,6 +294,12 @@ class TestCli:
         res = run_cli("check", "--input", str(m70_file), "--format", "machine")
         assert res.returncode == 0
         assert json.loads(res.stdout)["passed"] is True
+
+    def test_check_output_past_bit_63_is_golden(self, m70_file, capsys):
+        # tests/data/m70_check.json is `check --format machine` on the
+        # fixture as printed before the batched closure sweep
+        assert cli.main(["check", "--input", str(m70_file), "--format", "machine"]) == 0
+        assert capsys.readouterr().out == (DATA / "m70_check.json").read_text()
 
     def test_represent_passes_past_bit_63(self, m70_file):
         res = run_cli("represent", "--input", str(m70_file), "--format", "machine")
