@@ -18,7 +18,7 @@ import sys as _sys
 
 from . import generators, instances
 from .abstract_system import AbstractSystem, derived_props, validate
-from .closure import check_representability, closure_fixpoint, least_closed_oracle, oracle_budget
+from .closure import ORACLE_BUDGET, check_representability, closure_fixpoint, least_closed_oracle
 from .errors import CapExceededError, InstanceFormatError, TransemiError
 from .reports import Report
 from .representation import verify_representability
@@ -53,7 +53,7 @@ def _emit(report: Report, args) -> int:
 
 
 def _oracle_entries(ab: AbstractSystem, report: Report) -> None:
-    if ab.size > oracle_budget():
+    if ab.size > ORACLE_BUDGET:
         report.add("closure-oracle-agreement", True, [],
                    f"skipped: carrier {ab.size} above oracle budget")
         return

@@ -18,7 +18,6 @@ for the adjoined identity e.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,8 +37,8 @@ from .bitsets import (
 from .errors import OracleBudgetError
 from .reports import Report
 
-DEFAULT_ORACLE_BUDGET = 12
-_ORACLE_BUDGET_ENV = "TRANSEMI_ORACLE_BUDGET"
+# Largest carrier `least_closed_oracle` enumerates the subsets of.
+ORACLE_BUDGET = 12
 
 # Direct witness-tree search is exponential in the tree size; beyond these
 # bounds the iterated-step route is authoritative.
@@ -278,19 +277,17 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
 class ClosureCache:
     """Per-system memo of closures keyed by seed bitset.
 
-    Stores the closed set and round count only; witness extraction is
-    redone on demand. Fills are lock-guarded so concurrent callers see
-    consistent entries.
+    Each entry is the (closed set, round count) that `closure_fixpoint`
+    gives for its own seed, without witnesses; witness extraction is redone
+    on demand. Fills are lock-guarded so concurrent callers see consistent
+    entries.
 
     The step operator is monotone. With xi reflexive and meet idempotent,
     every z in H is admitted by (z, z, e, e, e), so it is also extensive
     (`extensive` records this): the fixpoint from H is the least closed
-    superset of H, and C({x, y}) = C(C({x}) | C({y})). A two-element seed
-    is then closed from the union of its singleton closures, which many
-    pairs share and which is nearly closed; the entry is memoised under
-    both seeds, and its round count is the one from the union. Without
-    extensiveness every seed is iterated directly. `sweep` fills the memo
-    for every singleton and pair seed at once.
+    superset of H, and C({x, y}) = C(C({x}) | C({y})). `sweep` uses this
+    to close every pair at once; before it has run, `of_pair` closes the
+    pair from itself, and afterwards it reads the sweep's pair table.
     """
 
     def __init__(self, sys):
@@ -311,39 +308,23 @@ class ClosureCache:
             hit = self._memo.get(h_bits)
         if hit is not None:
             return hit
-        seed = self._pair_union(h_bits)
-        if seed != h_bits:
-            entry = self.result(seed)
-        else:
-            res = closure_fixpoint(self.sys, h_bits, witnesses=False)
-            entry = (res.closed_bits, res.rounds)
+        res = closure_fixpoint(self.sys, h_bits, witnesses=False)
         with self._lock:
-            return self._memo.setdefault(h_bits, entry)
-
-    def _pair_union(self, h_bits: int) -> int:
-        """C({x}) | C({y}) for an extensive step and a seed {x, y}; the
-        seed itself otherwise."""
-        if not self.extensive:
-            return h_bits
-        low = h_bits & -h_bits
-        high = h_bits ^ low
-        if high == 0 or high & (high - 1):
-            return h_bits
-        return self.closed_bits(low) | self.closed_bits(high)
+            return self._memo.setdefault(h_bits, (res.closed_bits, res.rounds))
 
     def sweep(self):
         """The closures of every singleton and pair seed, in two stages.
 
         Yields the m singleton closures as an (m, m) bool matrix, then the
         pair table (pair_key, closed): the closure of {x, y} (of {x} when
-        x = y) is row pair_key[x, y] of the bool matrix closed. Pair seeds
-        are keyed by the union of their singleton closures, formed over
-        the distinct singleton closures (by their own seeds when the step
-        is not extensive). With an extensive step each stage closes all its
+        x = y) is row pair_key[x, y] of the bool matrix closed, whose rows
+        are pairwise distinct. With an extensive step, {x, y} is closed
+        from the union of its singleton closures, the unions formed over
+        the distinct singleton closures, and each stage closes all its
         seeds in batched fixpoints over a `_PairRule` table; otherwise each
-        seed goes through `result`. Every seed, union and pair is memoised
-        with the entry `result` would give it, and the two stages are kept
-        for later sweeps.
+        pair seed goes through `result`. Only the seeds closed are
+        memoised, each with its own fixpoint's entry, and the two stages
+        are kept for later sweeps and for `of_pair`.
         """
         if self._stages is not None:
             yield from self._stages
@@ -359,10 +340,12 @@ class ClosureCache:
         unions: dict[int, int] = {}
         union_of = np.array([[unions.setdefault(a | b, len(unions)) for b in distinct]
                              for a in distinct])
-        pair_key = union_of[of_base[:, None], of_base[None, :]]
         closed, entries = self._close_rows(rule, list(unions))
-        self.remember_pairs(pair_key, entries)
-        self._stages = (single, (pair_key, closed))
+        # one table row per distinct closed set, numbered by first union
+        rows: dict[int, int] = {}
+        row_of = np.array([rows.setdefault(bits, len(rows)) for bits, _ in entries])
+        pair_key = row_of[union_of[of_base[:, None], of_base[None, :]]]
+        self._stages = (single, (pair_key, closed[np.unique(row_of, return_index=True)[1]]))
         yield self._stages[1]
 
     def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -383,20 +366,17 @@ class ClosureCache:
                        for h, entry in zip(seeds, zip(rows_bits(closed), rounds.tolist()))]
         return closed, entries
 
-    def remember_pairs(self, pair_key: np.ndarray, entries: list[tuple[int, int]]) -> None:
-        """Memoise each two-element seed {x, y} under entries[pair_key[x, y]],
-        the entry of the seed that `_pair_union` maps it to."""
-        keys = pair_key.tolist()
-        with self._lock:
-            for x, row in enumerate(keys):
-                for y in range(x + 1, len(keys)):
-                    self._memo.setdefault((1 << x) | (1 << y), entries[row[y]])
-
-    def of_singleton(self, x: int) -> int:
-        return self.closed_bits(1 << x)
-
     def of_pair(self, x: int, y: int) -> int:
-        return self.closed_bits((1 << x) | (1 << y))
+        """The closure of {x, y}: from the pair table once `sweep` has run,
+        from the memo otherwise."""
+        m = self.sys.size
+        if not (0 <= x < m and 0 <= y < m):
+            raise ValueError(f"pair ({x}, {y}) outside the carrier 0..{m - 1}")
+        stages = self._stages
+        if stages is None:
+            return self.closed_bits((1 << x) | (1 << y))
+        pair_key, closed = stages[1]
+        return bool_to_bits(closed[pair_key[x, y]])
 
 
 def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
@@ -459,13 +439,6 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
     raise ValueError(f"unknown method {method!r}")
 
 
-def oracle_budget() -> int:
-    raw = os.environ.get(_ORACLE_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_BUDGET
-    return int(raw)
-
-
 def least_closed_oracle(sys, h_bits: int) -> int:
     """Least closed superset of H by enumerating every superset.
 
@@ -473,9 +446,8 @@ def least_closed_oracle(sys, h_bits: int) -> int:
     the two routes can be compared. Refuses carriers above the budget.
     """
     m = sys.size
-    budget = oracle_budget()
-    if m > budget:
-        raise OracleBudgetError(f"budget exceeded: carrier {m} > {budget}")
+    if m > ORACLE_BUDGET:
+        raise OracleBudgetError(f"budget exceeded: carrier {m} > {ORACLE_BUDGET}")
     if h_bits == 0:
         raise ValueError("closure of empty set undefined")
     rest = [i for i in range(m) if not (h_bits >> i) & 1]

@@ -361,18 +361,18 @@ def sum_representation(sys: AbstractSystem) -> Representation:
 
     Carriers are relabeled with their pair tag to force disjointness. A
     pair's fragment depends only on the closure of the pair, so fragments
-    are built once per distinct pair closure, in pair order, and shared by
+    are built once per closure of the closure cache's pair table (see
+    `ClosureCache.sweep`), from its first pair in pair order, and shared by
     every pair with that closure.
     """
     m = sys.size
     pairs = [(g1, g2) for g1 in range(m) for g2 in range(m)]
+    keys = sys.closures.pair_table()[0].ravel().tolist()
     by_closure: dict[int, Representation] = {}
-    fragments = []
-    for g1, g2 in pairs:
-        closed = sys.closures.of_pair(g1, g2)
-        if closed not in by_closure:
-            by_closure[closed] = simplest_representation(sys, determining_pair_for(sys, g1, g2))
-        fragments.append(by_closure[closed])
+    for (g1, g2), key in zip(pairs, keys):
+        if key not in by_closure:
+            by_closure[key] = simplest_representation(sys, determining_pair_for(sys, g1, g2))
+    fragments = [by_closure[key] for key in keys]
 
     carrier: list = []
     rows = np.empty((m, sum(frag.num_points for frag in fragments)), dtype=np.int64)

@@ -8,6 +8,7 @@ import pytest
 
 from transemi import (
     AbstractSystem,
+    HypothesesViolatedError,
     OracleBudgetError,
     check_representability,
     closure_fixpoint,
@@ -22,7 +23,14 @@ from transemi import (
     verify_witness_tree,
 )
 from transemi import closure
-from transemi.bitsets import bits_matrix, bits_to_bool, bool_to_bits, full_mask, iter_bits
+from transemi.bitsets import (
+    bits_matrix,
+    bits_to_bool,
+    bool_to_bits,
+    full_mask,
+    iter_bits,
+    rows_bits,
+)
 from transemi.closure import (
     ClosureCache,
     _axiom_failures,
@@ -30,7 +38,7 @@ from transemi.closure import (
     _PairRule,
     _tree_from_chain,
     _witnessed_chain,
-    oracle_budget,
+    ORACLE_BUDGET,
 )
 from transemi.instances import parse_instance
 
@@ -281,7 +289,7 @@ class TestIsClosed:
     @staticmethod
     def _assert_four_conditions_match(sys, pairs, validated=True):
         # the two rule sets are equivalent only under the hypotheses
-        implication = validated and sys.size <= oracle_budget()
+        implication = validated and sys.size <= ORACLE_BUDGET
         for h in closedness_inputs(sys, pairs):
             want = naive_four_conditions(sys, h)
             assert is_closed(sys, h, "four-conditions") == want
@@ -339,25 +347,6 @@ class TestOracle:
         )
         with pytest.raises(OracleBudgetError, match="budget exceeded"):
             least_closed_oracle(big, 1)
-
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("TRANSEMI_ORACLE_BUDGET", "3")
-        four = AbstractSystem(
-            [[0, 0, 0, 0]] * 4,
-            [[min(i, j) for j in range(4)] for i in range(4)],
-            [[True] * 4] * 4,
-            [[False] * 4] * 4,
-        )
-        with pytest.raises(OracleBudgetError):
-            least_closed_oracle(four, 1)
-        monkeypatch.setenv("TRANSEMI_ORACLE_BUDGET", "13")
-        big = AbstractSystem(
-            [[0] * 13 for _ in range(13)],
-            [[min(i, j) for j in range(13)] for i in range(13)],
-            [[True] * 13 for _ in range(13)],
-            [[False] * 13 for _ in range(13)],
-        )
-        assert least_closed_oracle(big, 1) == closure_fixpoint(big, 1).closed_bits
 
 
 class TestMemberAtRound:
@@ -471,19 +460,24 @@ class TestCache:
 
 
 class TestUnionSeededPairs:
-    """Pair closures seeded from the union of singleton closures against
-    fixpoints from the pair itself."""
+    """Pair closures, from the memo before the sweep and from its pair
+    table after it (where an extensive step closes each pair from the union
+    of its singleton closures), against fixpoints from the pair itself."""
 
-    def test_every_corpus_pair(self, abstract_corpus):
-        for sys in abstract_corpus:
-            assert sys.size < 64
-            cache = ClosureCache(sys)
-            assert cache.extensive
-            for x in range(sys.size):
-                for y in range(x, sys.size):
-                    pair = (1 << x) | (1 << y)
-                    assert cache.of_pair(x, y) == direct(sys, pair)
-                    assert cache.result(pair)[1] <= sys.size
+    def test_every_corpus_pair(self, abstract_corpus, system_m70):
+        assert all(sys.closures.extensive for sys in abstract_corpus)
+        for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
+            m = sys.size
+            want = {}
+            for x in range(m):
+                for y in range(x, m):
+                    want[x, y] = want[y, x] = direct(sys, (1 << x) | (1 << y))
+            queried, swept = ClosureCache(sys), ClosureCache(sys)
+            swept.pair_table()
+            for (x, y), closed in want.items():
+                assert queried.of_pair(x, y) == closed
+                assert swept.of_pair(x, y) == closed
+                assert queried.result((1 << x) | (1 << y))[1] <= m
 
     def test_sampled_pairs_past_bit_63(self, system_m70):
         sys = system_m70
@@ -496,26 +490,38 @@ class TestUnionSeededPairs:
         for x, y in pairs:
             assert cache.of_pair(x, y) == direct(sys, (1 << x) | (1 << y))
 
-    def test_memoised_under_pair_and_union(self, abstract_corpus):
-        sys = max(abstract_corpus, key=lambda a: a.size)
-        cache = ClosureCache(sys)
-        x, y = 0, sys.size - 1
-        closed = cache.of_pair(x, y)
-        union = cache.of_singleton(x) | cache.of_singleton(y)
-        assert cache._memo[(1 << x) | (1 << y)][0] == closed
-        assert cache._memo[union][0] == closed
+    def test_memo_holds_each_seeds_own_fixpoint(self, abstract_corpus, system_m70):
+        # whatever mix of pair queries, lookups and sweeps filled it
+        rng = random.Random(12)
+        for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
+            sys = fresh_copy(sys)
+            cache, m = sys.closures, sys.size
 
-    def test_axiom_sweep_memoises_pair_seeds(self, abstract_corpus):
-        # each pair seed gets the entry of its union, round count included,
-        # or its own entry when the step is not extensive
-        for sys in abstract_corpus[::7] + golden_failures() + [non_extensive()]:
-            sys = AbstractSystem(sys.mul, sys.meet, sys.xi, sys.delta)
+            def queries():
+                for _ in range(4):
+                    cache.of_pair(rng.randrange(m), rng.randrange(m))
+                cache.closed_bits(rng.getrandbits(m) | 1)
+
+            queries()
             list(_axiom_failures(sys))
-            fresh = ClosureCache(sys)
-            for x in range(sys.size):
-                for y in range(x + 1, sys.size):
-                    pair = (1 << x) | (1 << y)
-                    assert sys.closures._memo[pair] == fresh.result(pair)
+            queries()
+            list(cache.sweep())
+            for seed, entry in cache._memo.items():
+                res = closure_fixpoint(sys, seed, witnesses=False)
+                assert entry == (res.closed_bits, res.rounds)
+
+    def test_axiom_sweep_memoises_only_the_seeds_it_closes(self, abstract_corpus):
+        # the singletons, then the distinct unions of their closures, or the
+        # pair seeds themselves when the step is not extensive
+        for sys in abstract_corpus[::7] + golden_failures() + [non_extensive()]:
+            sys = fresh_copy(sys)
+            list(_axiom_failures(sys))
+            m = sys.size
+            single = [direct(sys, 1 << x) for x in range(m)]
+            if not sys.closures.extensive:
+                single = [1 << x for x in range(m)]
+            seeds = {1 << x for x in range(m)} | {a | b for a in single for b in single}
+            assert sys.closures._memo.keys() == seeds
 
     def test_non_extensive_step_seeds_pairs_directly(self):
         sys = non_extensive()
@@ -525,8 +531,49 @@ class TestUnionSeededPairs:
             for y in range(sys.size):
                 assert cache.of_pair(x, y) == direct(sys, (1 << x) | (1 << y))
         assert cache.of_pair(2, 3) == 0b1110
-        union = cache.of_singleton(2) | cache.of_singleton(3)
+        union = cache.closed_bits(1 << 2) | cache.closed_bits(1 << 3)
         assert direct(sys, union) == 0b1111
+
+    def test_pair_elements_outside_the_carrier(self, system_m70):
+        for sys in golden_failures() + [system_m70]:
+            m = sys.size
+            for swept in (False, True):
+                fresh = fresh_copy(sys)
+                if swept:
+                    fresh.closures.pair_table()
+                memo = dict(fresh.closures._memo)
+                for bad in (m, m + 3, -1):
+                    for x, y in ((bad, 0), (0, bad), (bad, bad)):
+                        with pytest.raises(ValueError, match="outside the carrier"):
+                            fresh.closures.of_pair(x, y)
+                    with pytest.raises(ValueError, match="outside the carrier"):
+                        determining_pair_for(fresh, bad, 0)
+                assert fresh.closures._memo == memo
+
+    def test_one_pair_query_closes_the_pair_once(self, abstract_corpus, system_m70,
+                                                 monkeypatch):
+        # the witnessed closure, then the determining pair's plain one
+        plain = []
+        fixpoint = closure.closure_fixpoint
+
+        def recording(sys, h_bits, witnesses=True):
+            if not witnesses:
+                plain.append(h_bits)
+            return fixpoint(sys, h_bits, witnesses=witnesses)
+
+        monkeypatch.setattr(closure, "closure_fixpoint", recording)
+        systems = abstract_corpus[::9] + golden_failures() + [non_extensive(), system_m70]
+        for sys in systems:
+            for x, y in witness_pairs(sys, limit=4, sample=3):
+                fresh = fresh_copy(sys)
+                seed = (1 << x) | (1 << y)
+                plain.clear()
+                closure.closure_fixpoint(fresh, seed, witnesses=True)
+                try:
+                    determining_pair_for(fresh, x, y)
+                except HypothesesViolatedError:
+                    pass
+                assert plain == [seed]
 
 
 def sweep_seeds(sys, rng):
@@ -594,22 +641,22 @@ class TestBatchedSweep:
             assert cache._memo == memo
 
     def test_memo_matches_fresh_cache(self, abstract_corpus, system_m70):
-        # singletons, unions and pairs alike hold the entry a fresh cache
+        # singletons and unions alike hold the entry a fresh cache
         # computes for that seed alone, round count included
         for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
             sys = fresh_copy(sys)
             list(sys.closures.sweep())
             fresh = ClosureCache(sys)
-            m = sys.size
-            pairs = {(1 << x) | (1 << y) for x in range(m) for y in range(m)}
-            assert pairs <= sys.closures._memo.keys()
             for seed, entry in sys.closures._memo.items():
                 assert entry == fresh.result(seed)
 
     def test_pair_table_reads_every_pair_closure(self, abstract_corpus, system_m70):
-        for sys in abstract_corpus[::3] + golden_failures() + [non_extensive(), system_m70]:
+        # one row per distinct closure, each read by some pair
+        for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
             sys = fresh_copy(sys)
             pair_key, closed = sys.closures.pair_table()
+            assert len(set(rows_bits(closed))) == len(closed)
+            assert sorted(set(pair_key.ravel().tolist())) == list(range(len(closed)))
             fresh = ClosureCache(sys)
             for x in range(sys.size):
                 for y in range(sys.size):

@@ -301,6 +301,14 @@ class TestCli:
         assert cli.main(["check", "--input", str(m70_file), "--format", "machine"]) == 0
         assert capsys.readouterr().out == (DATA / "m70_check.json").read_text()
 
+    def test_represent_output_is_golden(self, capsys):
+        # tests/data/represent_m16.json is `represent --format machine` on
+        # represent_m16.yaml (m = 16) as printed when the sum still read
+        # every pair's closure through `ClosureCache.of_pair`
+        path = DATA / "represent_m16.yaml"
+        assert cli.main(["represent", "--input", str(path), "--format", "machine"]) == 0
+        assert capsys.readouterr().out == (DATA / "represent_m16.json").read_text()
+
     def test_represent_passes_past_bit_63(self, m70_file):
         res = run_cli("represent", "--input", str(m70_file), "--format", "machine")
         assert res.returncode == 0

@@ -12,6 +12,7 @@ from transemi import (
     check_class_formulas,
     check_meet_hom_equivalence,
     check_representability,
+    closure_fixpoint,
     compose,
     determining_pair_for,
     rep_relations,
@@ -59,6 +60,11 @@ def flipped(mat, cells):
     for a, b in cells:
         out[a, b] = not out[a, b]
     return out
+
+
+def copy(sys):
+    """The system with an empty closure cache."""
+    return AbstractSystem(sys.mul, sys.meet, sys.xi, sys.delta)
 
 
 def axiom_passing(abstract_corpus, limit=None, max_size=8):
@@ -444,6 +450,29 @@ class TestSumAndVerify:
             distinct = {sys.closures.of_pair(g1, g2) for g1 in range(m) for g2 in range(m)}
             shared |= len(distinct) < m * m
         assert shared
+
+    def test_sum_reads_the_pair_table(self, abstract_corpus, m70_file, monkeypatch):
+        # a fresh system runs the sweep itself; each closure's fragment is
+        # built from its first pair in pair order
+        systems = axiom_passing(abstract_corpus, max_size=8)[::4] + [
+            s for s in abstract_corpus if 9 <= s.size <= 30][::6]
+        systems += [parse_instance(path).build().abstract()
+                    for path in (DATA / "represent_m16.yaml", m70_file)]
+        build = representation.determining_pair_for
+        for sys in systems:
+            m = sys.size
+            first = {}
+            for g1 in range(m):
+                for g2 in range(m):
+                    closed = closure_fixpoint(sys, (1 << g1) | (1 << g2), witnesses=False)
+                    first.setdefault(closed.closed_bits, (g1, g2))
+            swept = copy(sys)
+            assert check_representability(swept).passed
+            calls = []
+            monkeypatch.setattr(representation, "determining_pair_for",
+                                lambda s, g1, g2: calls.append((g1, g2)) or build(s, g1, g2))
+            assert sum_representation(copy(sys)) == sum_representation(swept)
+            assert calls == list(first.values()) * 2
 
     def test_failed_axiom_stops_before_building(self):
         sys = parse_instance(DATA / "axiom_fail_semicompat.yaml").build()

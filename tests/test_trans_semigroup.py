@@ -282,9 +282,8 @@ class TestDomainBounds:
         assert failing > 5
 
     def test_reads_pair_closures_memoised_by_axiom_sweep(self, trans_corpus, monkeypatch):
-        # `transemi check` runs the axiom sweep first; it leaves every pair
-        # seed in the cache, so the domain sweep closes nothing and every
-        # lookup hits the memo
+        # `transemi check` runs the axiom sweep first; it keeps the pair
+        # table, so the domain sweep reads it and closes nothing
         from transemi import closure
 
         systems = [generate(sys.elements, cap=64) for sys in trans_corpus[::3]]
@@ -294,8 +293,7 @@ class TestDomainBounds:
         misses = []
         monkeypatch.setattr(closure, "closure_fixpoint",
                             lambda *a, **k: misses.append("fixpoint"))
-        monkeypatch.setattr(closure.ClosureCache, "_pair_union",
-                            lambda self, h: misses.append("union"))
+        monkeypatch.setattr(closure, "_PairRule", None)  # no second sweep
         assert [self.swept(sys) for sys in systems] == want
         assert misses == []
 
