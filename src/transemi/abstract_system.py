@@ -7,15 +7,16 @@ system read-only by an adjoined identity at index m with the fixed
 conventions: e.e = e on products, e <= e, e |- e and x |- e for every x in
 G, and no other pair involving e in any of the three relations.
 
-Law checks over triples are evaluated in row blocks so peak memory stays
-near block * m^2 even on carriers of a few hundred elements.
+Law checks over triples are evaluated in row blocks (`Report.scan`) so
+peak memory stays near block * m^2 even on carriers of a few hundred
+elements.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +25,6 @@ from .reports import Report
 
 if TYPE_CHECKING:
     from .closure import ClosureCache
-
-_WITNESS_CAP = 10
-_BLOCK = 32
 
 
 def _as_table(name: str, table, m: int) -> np.ndarray:
@@ -139,38 +137,6 @@ class StarView:
         return bool(self.sys.delta[a, b])
 
 
-def _scan_blocks(m: int, violations_of: Callable[[int, int], np.ndarray]):
-    """Count violations of a blocked triple law and keep a few witnesses.
-
-    `violations_of(lo, hi)` returns a boolean array whose first axis runs
-    over rows lo..hi-1; witness tuples are re-based to absolute indices.
-    """
-    count = 0
-    witnesses: list[tuple[int, ...]] = []
-    for lo in range(0, m, _BLOCK):
-        hi = min(m, lo + _BLOCK)
-        viol = violations_of(lo, hi)
-        if viol.any():
-            idx = np.argwhere(viol)
-            count += len(idx)
-            room = _WITNESS_CAP - len(witnesses)
-            for row in idx[:room]:
-                witnesses.append((lo + int(row[0]),) + tuple(int(v) for v in row[1:]))
-    return count, witnesses
-
-
-def _add_scan(report: Report, check_id: str, m: int, violations_of, names: tuple[str, ...]) -> None:
-    t0 = time.perf_counter()
-    count, witnesses = _scan_blocks(m, violations_of)
-    report.add(
-        check_id,
-        count == 0,
-        [dict(zip(names, w)) for w in witnesses],
-        "" if not count else f"{count} violating tuples",
-        time.perf_counter() - t0,
-    )
-
-
 def validate(sys: AbstractSystem) -> Report:
     """Check every hypothesis the representation machinery relies on.
 
@@ -181,81 +147,55 @@ def validate(sys: AbstractSystem) -> Report:
     mul, meet, xi, delta, zeta = sys.mul, sys.meet, sys.xi, sys.delta, sys.zeta
     report = Report("system hypotheses")
 
-    _add_scan(
-        report, "mul-associative", m,
-        lambda lo, hi: mul[mul[lo:hi], :] != mul[lo:hi][:, mul],
-        ("x", "y", "z"),
-    )
-
-    t0 = time.perf_counter()
-    bad_diag = np.nonzero(meet.diagonal() != np.arange(m))[0]
-    report.add("meet-idempotent", not len(bad_diag),
-               [{"x": int(x)} for x in bad_diag[:_WITNESS_CAP]],
-               "" if not len(bad_diag) else f"{len(bad_diag)} elements",
-               time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    bad_comm = np.argwhere(meet != meet.T)
-    report.add("meet-commutative", not len(bad_comm),
-               [{"x": int(a), "y": int(b)} for a, b in bad_comm[:_WITNESS_CAP]],
-               "" if not len(bad_comm) else f"{len(bad_comm)} pairs",
-               time.perf_counter() - t0)
-    _add_scan(
-        report, "meet-associative", m,
-        lambda lo, hi: meet[meet[lo:hi], :] != meet[lo:hi][:, meet],
-        ("x", "y", "z"),
-    )
-
-    t0 = time.perf_counter()
-    bad_zx = np.argwhere(zeta & ~xi)
-    report.add("order-contained-in-xi", not len(bad_zx),
-               [{"x": int(a), "y": int(b)} for a, b in bad_zx[:_WITNESS_CAP]],
-               "" if not len(bad_zx) else f"{len(bad_zx)} pairs",
-               time.perf_counter() - t0)
+    report.scan("mul-associative", m,
+                lambda lo, hi: mul[mul[lo:hi], :] != mul[lo:hi][:, mul],
+                ("x", "y", "z"), "violating tuples")
+    report.record_mask("meet-idempotent", time.perf_counter(),
+                       meet.diagonal() != np.arange(m), ("x",), "elements")
+    report.record_mask("meet-commutative", time.perf_counter(),
+                       meet != meet.T, ("x", "y"), "pairs")
+    report.scan("meet-associative", m,
+                lambda lo, hi: meet[meet[lo:hi], :] != meet[lo:hi][:, meet],
+                ("x", "y", "z"), "violating tuples")
+    report.record_mask("order-contained-in-xi", time.perf_counter(),
+                       zeta & ~xi, ("x", "y"), "pairs")
 
     # (u,v) in xi implies (xu, xv) in xi.
-    _add_scan(
-        report, "xi-left-regular", m,
-        lambda lo, hi: xi[None, :, :]
-        & ~xi[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]],
-        ("x", "u", "v"),
-    )
+    report.scan("xi-left-regular", m,
+                lambda lo, hi: xi[None, :, :]
+                & ~xi[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]],
+                ("x", "u", "v"), "violating tuples")
 
     # (x,y) in delta implies (ux, y) in delta.
-    _add_scan(
-        report, "delta-left-ideal", m,
-        lambda lo, hi: delta[None, :, :] & ~delta[mul[lo:hi]],
-        ("u", "x", "y"),
-    )
+    report.scan("delta-left-ideal", m,
+                lambda lo, hi: delta[None, :, :] & ~delta[mul[lo:hi]],
+                ("u", "x", "y"), "violating tuples")
 
     # x(y meet z) = xy meet xz.
-    _add_scan(
-        report, "mul-distributes-over-meet", m,
-        lambda lo, hi: mul[lo:hi][:, meet]
-        != meet[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]],
-        ("x", "y", "z"),
-    )
+    report.scan("mul-distributes-over-meet", m,
+                lambda lo, hi: mul[lo:hi][:, meet]
+                != meet[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]],
+                ("x", "y", "z"), "violating tuples")
 
     # x <= y, u <= v and (y,v) in xi force (u,x) in xi.
     t0 = time.perf_counter()
     zf = zeta.astype(np.float64)
     premise = (zf @ xi.astype(np.float64) @ zf.T) > 0.5
     viol_xu = premise & ~xi.T
-    witnesses = []
-    for x, u in np.argwhere(viol_xu)[:_WITNESS_CAP]:
-        y, v = np.argwhere(zeta[x][:, None] & zeta[u][None, :] & xi)[0]  # first (y, v)
-        witnesses.append({"x": int(x), "y": int(y), "u": int(u), "v": int(v)})
-    n_viol = int(viol_xu.sum())
-    report.add("xi-downward-compatible", n_viol == 0, witnesses,
-               "" if not n_viol else f"{n_viol} violating pairs",
-               time.perf_counter() - t0)
+
+    def downward_witnesses():
+        for x, u in np.argwhere(viol_xu):
+            y, v = np.argwhere(zeta[x][:, None] & zeta[u][None, :] & xi)[0]  # first (y, v)
+            yield {"x": int(x), "y": int(y), "u": int(u), "v": int(v)}
+
+    report.record("xi-downward-compatible", t0, viol_xu.sum(), downward_witnesses(),
+                  "violating pairs")
 
     # (x,y) in xi implies (x meet y)u = xu meet yu.
-    _add_scan(
-        report, "xi-meet-right-distributive", m,
-        lambda lo, hi: xi[lo:hi][:, :, None]
-        & (mul[meet[lo:hi]] != meet[mul[lo:hi][:, None, :], mul[None, :, :]]),
-        ("x", "y", "u"),
-    )
+    report.scan("xi-meet-right-distributive", m,
+                lambda lo, hi: xi[lo:hi][:, :, None]
+                & (mul[meet[lo:hi]] != meet[mul[lo:hi][:, None, :], mul[None, :, :]]),
+                ("x", "y", "u"), "violating tuples")
 
     return report
 
@@ -267,31 +207,16 @@ def derived_props(sys: AbstractSystem) -> Report:
     mul, xi, zeta = sys.mul, sys.xi, sys.zeta
     report = Report("derived properties")
 
-    t0 = time.perf_counter()
-    bad_refl = np.nonzero(~xi.diagonal())[0]
-    report.add("xi-reflexive", not len(bad_refl),
-               [{"x": int(x)} for x in bad_refl[:_WITNESS_CAP]],
-               "" if not len(bad_refl) else f"{len(bad_refl)} elements",
-               time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    bad_sym = np.argwhere(xi != xi.T)
-    report.add("xi-symmetric", not len(bad_sym),
-               [{"x": int(a), "y": int(b)} for a, b in bad_sym[:_WITNESS_CAP]],
-               "" if not len(bad_sym) else f"{len(bad_sym)} pairs",
-               time.perf_counter() - t0)
-
-    _add_scan(
-        report, "order-left-regular", m,
-        lambda lo, hi: zeta[None, :, :]
-        & ~zeta[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]],
-        ("z", "x", "y"),
-    )
+    report.record_mask("xi-reflexive", time.perf_counter(), ~xi.diagonal(), ("x",), "elements")
+    report.record_mask("xi-symmetric", time.perf_counter(), xi != xi.T, ("x", "y"), "pairs")
+    report.scan("order-left-regular", m,
+                lambda lo, hi: zeta[None, :, :]
+                & ~zeta[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]],
+                ("z", "x", "y"), "violating tuples")
     mt = np.ascontiguousarray(mul.T)
-    _add_scan(
-        report, "order-right-regular", m,
-        lambda lo, hi: zeta[None, :, :]
-        & ~zeta[mt[lo:hi][:, :, None], mt[lo:hi][:, None, :]],
-        ("z", "x", "y"),
-    )
+    report.scan("order-right-regular", m,
+                lambda lo, hi: zeta[None, :, :]
+                & ~zeta[mt[lo:hi][:, :, None], mt[lo:hi][:, None, :]],
+                ("z", "x", "y"), "violating tuples")
 
     return report

@@ -15,6 +15,7 @@ import argparse
 import functools
 import random
 import sys as _sys
+import time
 
 from . import generators, instances
 from .abstract_system import AbstractSystem, derived_props, validate
@@ -57,6 +58,7 @@ def _oracle_entries(ab: AbstractSystem, report: Report) -> None:
         report.add("closure-oracle-agreement", True, [],
                    f"skipped: carrier {ab.size} above oracle budget")
         return
+    t0 = time.perf_counter()
     bad = []
     for x in range(ab.size):
         for y in range(x, ab.size):
@@ -65,8 +67,7 @@ def _oracle_entries(ab: AbstractSystem, report: Report) -> None:
             slow = least_closed_oracle(ab, seed)
             if fast != slow:
                 bad.append({"seed": sorted({x, y}), "engine": fast, "oracle": slow})
-    report.add("closure-oracle-agreement", not bad, bad[:10],
-               "" if not bad else f"{len(bad)} seeds disagree")
+    report.record("closure-oracle-agreement", t0, len(bad), bad, "seeds disagree")
 
 
 def cmd_analyze(args) -> int:

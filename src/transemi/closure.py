@@ -18,6 +18,7 @@ for the adjoined identity e.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from dataclasses import dataclass, field
@@ -368,8 +369,10 @@ class ClosureCache:
 
     def of_pair(self, x: int, y: int) -> int:
         """The closure of {x, y}: from the pair table once `sweep` has run,
-        from the memo otherwise."""
+        from the memo otherwise. Elements are any integers, numpy ones
+        included."""
         m = self.sys.size
+        x, y = operator.index(x), operator.index(y)
         if not (0 <= x < m and 0 <= y < m):
             raise ValueError(f"pair ({x}, {y}) outside the carrier 0..{m - 1}")
         stages = self._stages
@@ -682,7 +685,7 @@ def _failing(mask: np.ndarray, target: np.ndarray) -> list[tuple[int, int, int]]
 def _axiom_failures(sys):
     """Failing (x, y, closure member) triples of each closure axiom, x-major.
 
-    Yields (check id, triples, seconds) per axiom, each timed alone. The
+    Yields (check id, triples, start time) per axiom, each timed alone. The
     closures come from the two stages of `ClosureCache.sweep`: the m
     singleton closures, read at meet[x, y] and x.y, count towards the
     order check and the pair table towards the semicompat check.
@@ -692,20 +695,15 @@ def _axiom_failures(sys):
 
     t0 = time.perf_counter()
     single = next(stages)
-    yield ("closure-forces-order",
-           _failing(single[rows, sys.meet] & ~sys.zeta, sys.meet),
-           time.perf_counter() - t0)
+    yield "closure-forces-order", _failing(single[rows, sys.meet] & ~sys.zeta, sys.meet), t0
 
     t0 = time.perf_counter()
     pair_key, closed = next(stages)
     yield ("closure-forces-semicompat",
-           _failing(closed[pair_key, sys.meet] & ~sys.xi, sys.meet),
-           time.perf_counter() - t0)
+           _failing(closed[pair_key, sys.meet] & ~sys.xi, sys.meet), t0)
 
     t0 = time.perf_counter()
-    yield ("closure-forces-adjacency",
-           _failing(single[rows, sys.mul] & ~sys.delta, sys.mul),
-           time.perf_counter() - t0)
+    yield "closure-forces-adjacency", _failing(single[rows, sys.mul] & ~sys.delta, sys.mul), t0
 
 
 def check_representability(sys) -> Report:
@@ -717,8 +715,7 @@ def check_representability(sys) -> Report:
     detection and its witnesses.
     """
     report = Report("representability axioms")
-    for check_id, bad, elapsed in _axiom_failures(sys):
-        t0 = time.perf_counter()
+    for check_id, bad, t0 in _axiom_failures(sys):
         witnesses = []
         for x, y, target in bad[:5]:
             seed = (1 << x) if check_id != "closure-forces-semicompat" else (1 << x) | (1 << y)
@@ -731,7 +728,5 @@ def check_representability(sys) -> Report:
                     "chain": derivation_chain(sys, res, target),
                 }
             )
-        detail = "" if not bad else f"{len(bad)} failing pairs"
-        report.add(check_id, not bad, witnesses, detail,
-                   elapsed + time.perf_counter() - t0)
+        report.record(check_id, t0, len(bad), witnesses, "failing pairs")
     return report

@@ -1,10 +1,27 @@
-"""Structured pass/fail reports emitted by every checker in the package."""
+"""Structured pass/fail reports emitted by every checker in the package.
+
+A check that counts its failures is recorded through `Report.record` (or
+`record_mask`, `scan`): it passes when the count is 0, keeps the first
+`WITNESS_CAP` witnesses, has the detail "<count> <noun>" on failure and
+"" on a pass, and carries the seconds since its start. Arguments are
+evaluated left to right, so `time.perf_counter()` passed as the start
+ahead of a mask expression times that expression too.
+"""
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable
+
+import numpy as np
+
+# Witnesses kept per counting check.
+WITNESS_CAP = 10
+# Rows of each block of a blocked scan (see `Report.scan`).
+_BLOCK = 32
 
 
 @dataclass
@@ -47,6 +64,46 @@ class Report:
         result = CheckResult(check_id, passed, witnesses, detail, seconds)
         self.results.append(result)
         return result
+
+    def record(self, check_id: str, t0: float, count: int, witnesses: Iterable[Any],
+               noun: str) -> CheckResult:
+        """Add a check that found `count` failures, started at `t0`
+        (`time.perf_counter`). The witnesses are read only on a failure,
+        and only the first `WITNESS_CAP` of them."""
+        count = int(count)
+        kept = list(itertools.islice(witnesses, WITNESS_CAP)) if count else []
+        return self.add(check_id, not count, kept, f"{count} {noun}" if count else "",
+                        time.perf_counter() - t0)
+
+    def record_mask(self, check_id: str, t0: float, mask: np.ndarray,
+                    names: tuple[str, ...], noun: str,
+                    extra: Callable[..., dict] | None = None) -> CheckResult:
+        """`record` a bool mask whose set entries are the failures. A
+        witness maps `names` to an entry's indices, in row-major order, and
+        takes the keys of `extra(*indices)` after them."""
+        return self._record_blocks(check_id, t0, (mask,), names, noun, extra)
+
+    def scan(self, check_id: str, rows: int, violations_of: Callable[[int, int], np.ndarray],
+             names: tuple[str, ...], noun: str) -> CheckResult:
+        """`record_mask` for a mask of `rows` rows built in blocks, timed
+        from here: `violations_of(lo, hi)` is the mask's rows lo..hi-1, and
+        witnesses carry absolute row indices."""
+        t0 = time.perf_counter()
+        blocks = (violations_of(lo, min(rows, lo + _BLOCK)) for lo in range(0, rows, _BLOCK))
+        return self._record_blocks(check_id, t0, blocks, names, noun)
+
+    def _record_blocks(self, check_id, t0, blocks, names, noun, extra=None) -> CheckResult:
+        count, cells, lo = 0, [], 0
+        for block in blocks:
+            if block.any():  # most blocks of a passing law have no set entry
+                idx = np.argwhere(block)
+                count += len(idx)
+                first = idx[:WITNESS_CAP - len(cells)]
+                first[:, 0] += lo
+                cells += first.tolist()
+            lo += len(block)
+        witnesses = (dict(zip(names, c), **(extra(*c) if extra else {})) for c in cells)
+        return self.record(check_id, t0, count, witnesses, noun)
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for r in other.results:

@@ -36,7 +36,7 @@ from .partial_maps import (
     semicompatible_matrix,
     submap_matrix,
 )
-from .reports import Report
+from .reports import WITNESS_CAP, Report
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,7 @@ def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Repor
             diff = image[members[i + 1:]] != image[x]
             bad_reg += [{"x": int(x), "y": int(members[i + 1 + j]), "z": int(diff[j].argmax())}
                         for j in np.flatnonzero(diff.any(axis=1))]
-    report.add(
-        "classes-right-regular",
-        not bad_reg,
-        bad_reg[:10],
-        "" if not bad_reg else f"{len(bad_reg)} pairs",
-        time.perf_counter() - t0,
-    )
+    report.record("classes-right-regular", t0, len(bad_reg), bad_reg, "pairs")
 
     t0 = time.perf_counter()
     bad_ideal = []
@@ -166,13 +160,7 @@ def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Repor
             lands = sys.mul[list(w_members)]
             bad_ideal = [{"w": w_members[i], "u": int(u), "lands": int(lands[i, u])}
                          for i, u in np.argwhere(cls[lands] != dp.w_class)]
-    report.add(
-        "excluded-class-right-ideal",
-        not bad_ideal,
-        bad_ideal[:10],
-        "" if not bad_ideal else f"{len(bad_ideal)} products escape",
-        time.perf_counter() - t0,
-    )
+    report.record("excluded-class-right-ideal", t0, len(bad_ideal), bad_ideal, "products escape")
     return report
 
 
@@ -259,19 +247,6 @@ def rep_relations(rep: Representation) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return relations(rep.rows)
 
 
-def _relation_check(report: Report, check_id: str, t0: float, got: np.ndarray,
-                    want: np.ndarray, want_key: str) -> None:
-    """Add one check comparing a represented relation with its expected
-    matrix; witnesses are the first differing (g1, g2) in row-major order."""
-    diff = np.argwhere(got != want)
-    witnesses = [
-        {"g1": int(a), "g2": int(b), "maps": bool(got[a, b]), want_key: bool(want[a, b])}
-        for a, b in diff[:10]
-    ]
-    report.add(check_id, not len(diff), witnesses,
-               "" if not len(diff) else f"{len(diff)} pairs", time.perf_counter() - t0)
-
-
 def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
     """Concrete relations of the simplest representation against their
     first-order descriptions over the classes."""
@@ -300,7 +275,9 @@ def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
         want = np.ones((m, m), dtype=bool)
         for x in range(m + 1):
             want &= holds_at(x)
-        _relation_check(report, check_id, t0, matrix(rows), want, "classes")
+        got = matrix(rows)
+        report.record_mask(check_id, t0, got != want, ("g1", "g2"), "pairs",
+                           lambda a, b: {"maps": bool(got[a, b]), "classes": bool(want[a, b])})
     return report
 
 
@@ -318,12 +295,10 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
         raise ValueError("system product does not distribute over meet")
 
     rep = simplest_representation(sys, dp)
-
-    t0 = time.perf_counter()
-    bad = np.argwhere(intersect_mismatch(rep.rows, sys.meet))
-    maps_ok = not len(bad)
-    maps_witness = [{"g1": int(a), "g2": int(b)} for a, b in bad[:10]]
-    t_maps = time.perf_counter() - t0
+    report = Report("meet homomorphism equivalence")
+    maps_ok = report.record_mask("meet-homomorphism-pointwise", time.perf_counter(),
+                                 intersect_mismatch(rep.rows, sys.meet), ("g1", "g2"),
+                                 "pairs").passed
 
     t0 = time.perf_counter()
     cls = np.asarray(dp.class_of[:m])
@@ -334,18 +309,10 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
         "collapse": ~in_w[sys.meet] & ~same,
         "align": ~in_w[:, None] & same & (cls[sys.meet] != cls[:, None]),
     }
-    bad = np.argwhere(failed["drop"] | failed["collapse"] | failed["align"])
-    cond_ok = not len(bad)
-    cond_witness = [{"g1": int(a), "g2": int(b),
-                     "failed": [name for name, mat in failed.items() if mat[a, b]]}
-                    for a, b in bad[:10]]
-    t_cond = time.perf_counter() - t0
-
-    report = Report("meet homomorphism equivalence")
-    report.add("meet-homomorphism-pointwise", maps_ok, maps_witness,
-               "" if maps_ok else f"{len(maps_witness)}+ pairs", t_maps)
-    report.add("class-side-conditions", cond_ok, cond_witness,
-               "" if cond_ok else f"{len(cond_witness)}+ pairs", t_cond)
+    cond_ok = report.record_mask(
+        "class-side-conditions", t0, failed["drop"] | failed["collapse"] | failed["align"],
+        ("g1", "g2"), "pairs",
+        lambda a, b: {"failed": [name for name, mat in failed.items() if mat[a, b]]}).passed
     agree = maps_ok == cond_ok
     report.add(
         "equivalence-agreement",
@@ -406,21 +373,14 @@ def verify_representability(sys: AbstractSystem) -> Report:
     same = first_equal(rows)  # [a]: the least element with a's map
     dup = [{"g1": int(a), "g2": int(b)}
            for a, b in np.argwhere(np.triu(same[:, None] == same[None, :], 1))]
-    report.add("injective", not dup, dup[:10],
+    report.add("injective", not dup, dup[:WITNESS_CAP],
                f"carrier of {rep.num_points} points", time.perf_counter() - t0)
 
     # compose_mismatch(...)[b, a] compares compose(maps[b], maps[a]) with maps[a.b]
-    t0 = time.perf_counter()
-    bad_prod = [{"g1": int(a), "g2": int(b)}
-                for a, b in np.argwhere(compose_mismatch(rows, sys.mul.T).T)]
-    report.add("product-homomorphism", not bad_prod, bad_prod[:10], "",
-               time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    bad_meet = [{"g1": int(a), "g2": int(b)}
-                for a, b in np.argwhere(intersect_mismatch(rows, sys.meet))]
-    report.add("meet-homomorphism", not bad_meet, bad_meet[:10], "",
-               time.perf_counter() - t0)
+    report.record_mask("product-homomorphism", time.perf_counter(),
+                       compose_mismatch(rows, sys.mul.T).T, ("g1", "g2"), "pairs")
+    report.record_mask("meet-homomorphism", time.perf_counter(),
+                       intersect_mismatch(rows, sys.meet), ("g1", "g2"), "pairs")
 
     for check_id, matrix, want in (
         ("order-relation-matches", submap_matrix, sys.zeta),
@@ -428,5 +388,7 @@ def verify_representability(sys: AbstractSystem) -> Report:
         ("adjacency-relation-matches", semiadjacent_matrix, sys.delta),
     ):
         t0 = time.perf_counter()
-        _relation_check(report, check_id, t0, matrix(rows), want, "system")
+        got = matrix(rows)
+        report.record_mask(check_id, t0, got != want, ("g1", "g2"), "pairs",
+                           lambda a, b: {"maps": bool(got[a, b]), "system": bool(want[a, b])})
     return report

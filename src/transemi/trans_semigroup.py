@@ -20,11 +20,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .abstract_system import AbstractSystem, _scan_blocks
+from .abstract_system import AbstractSystem
 from .bitsets import bits_matrix, bits_of, bool_to_bits, full_mask, iter_bits
 from .errors import CapExceededError
 from .partial_maps import PartialMap, as_rows, from_rows, products, relations, row_keys
-from .reports import Report
+from .reports import WITNESS_CAP, Report
 
 
 class TransSystem:
@@ -109,30 +109,14 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
     generated system; violations are reported with the offending tuples.
     """
     report = Report("adjacency laws")
-
     t0 = time.perf_counter()
     dom = sys.rows >= 0
     kept = ~(dom[:, None, :] & ~dom[sys.mul_table.T]).any(axis=2)  # [f, g]: g o f keeps dom f
-    bad_iff = [{"f": int(i), "g": int(j)} for i, j in np.argwhere(sys.delta != kept)]
-    report.add(
-        "adjacency-iff-domain-kept",
-        not bad_iff,
-        bad_iff[:10],
-        "" if not bad_iff else f"{len(bad_iff)} pairs",
-        time.perf_counter() - t0,
-    )
-
-    t0 = time.perf_counter()
+    report.record_mask("adjacency-iff-domain-kept", t0, sys.delta != kept, ("f", "g"), "pairs")
     # delta[f,g] must imply delta[f o h, g] for every h
-    n_viol, found = _scan_blocks(
-        sys.size, lambda lo, hi: sys.delta[lo:hi, None, :] & ~sys.delta[sys.mul_table[lo:hi]])
-    report.add(
-        "adjacency-precompose-stable",
-        n_viol == 0,
-        [{"f": f, "h": h, "g": g} for f, h, g in found],
-        "" if not n_viol else f"{n_viol} triples",
-        time.perf_counter() - t0,
-    )
+    report.scan("adjacency-precompose-stable", sys.size,
+                lambda lo, hi: sys.delta[lo:hi, None, :] & ~sys.delta[sys.mul_table[lo:hi]],
+                ("f", "h", "g"), "triples")
     return report
 
 
@@ -147,6 +131,7 @@ def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
     encoding) must keep the intersection of the domains of H inside its own
     domain.
     """
+    t0 = time.perf_counter()
     idx = sorted(set(h_indices))
     if not idx:
         raise ValueError("subset of elements must be nonempty")
@@ -158,12 +143,7 @@ def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
     bad = [{"subset": idx, "member": phi}
            for phi in iter_bits(closed) if common & ~sys.dom_bits[phi]]
     report = Report("domain meet bound")
-    report.add(
-        "closure-domain-bound",
-        not bad,
-        bad[:10],
-        "" if not bad else f"{len(bad)} members",
-    )
+    report.record("closure-domain-bound", t0, len(bad), bad, "members")
     return report
 
 
@@ -171,11 +151,11 @@ def check_domain_bounds(sys: TransSystem) -> Report:
     """`check_domain_meet` on every singleton and pair subset, in one pass.
 
     Subsets run in order {0}, {0, 1}, ..., {1}, {1, 2}, ...; the witnesses
-    are the first ten failing (subset, member) pairs in that order. Each
-    subset's closure is read from the closure cache's pair table (see
-    `ClosureCache.sweep`, run here if it has not run), and its common
-    domain is tested, for all subsets at once, against the points in the
-    domain of every member of its closure; members are walked only for
+    are the first `WITNESS_CAP` failing (subset, member) pairs in that
+    order. Each subset's closure is read from the closure cache's pair
+    table (see `ClosureCache.sweep`, run here if it has not run), and its
+    common domain is tested, for all subsets at once, against the points in
+    the domain of every member of its closure; members are walked only for
     subsets that fail.
     """
     t0 = time.perf_counter()
@@ -189,8 +169,9 @@ def check_domain_bounds(sys: TransSystem) -> Report:
     for i, j in np.argwhere(np.triu((common & ~bound[pair_key]).any(axis=2))).tolist():
         members = np.flatnonzero(closed[pair_key[i, j]] & (common[i, j] & ~dom).any(axis=1))
         subset = [i] if i == j else [i, j]
-        bad.extend({"subset": subset, "member": phi} for phi in members[:10 - len(bad)].tolist())
-        if len(bad) == 10:
+        bad.extend({"subset": subset, "member": phi}
+                   for phi in members[:WITNESS_CAP - len(bad)].tolist())
+        if len(bad) == WITNESS_CAP:
             break
     report = Report("domain meet bounds")
     report.add("closure-domain-bound", not bad, bad,

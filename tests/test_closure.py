@@ -550,6 +550,24 @@ class TestUnionSeededPairs:
                         determining_pair_for(fresh, bad, 0)
                 assert fresh.closures._memo == memo
 
+    def test_pair_elements_may_be_numpy_integers(self, system_m70):
+        # both paths, below and past bit 63; `1 << np.int64(69)` would stay
+        # a numpy scalar and wrap
+        pairs = [(69, 3), (3, 69), (64, 65), (0, 1), (5, 5)]
+        want = {(x, y): direct(system_m70, (1 << x) | (1 << y)) for x, y in pairs}
+        for swept in (False, True):
+            fresh = fresh_copy(system_m70)
+            if swept:
+                fresh.closures.pair_table()
+            for (x, y), closed in want.items():
+                for kind in (int, np.int64, np.int32, np.uint8):
+                    got = fresh.closures.of_pair(kind(x), kind(y))
+                    assert type(got) is int and got == closed
+                dp = determining_pair_for(fresh, x, y)
+                assert determining_pair_for(fresh, np.int64(x), np.intp(y)) == dp
+            with pytest.raises(ValueError, match="outside the carrier"):
+                fresh.closures.of_pair(np.int64(70), np.int64(0))
+
     def test_one_pair_query_closes_the_pair_once(self, abstract_corpus, system_m70,
                                                  monkeypatch):
         # the witnessed closure, then the determining pair's plain one

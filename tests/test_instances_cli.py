@@ -16,9 +16,11 @@ from transemi.instances import (
     render_instance,
     write_instance,
 )
+from transemi.reports import WITNESS_CAP
 from transemi.representation import rep_relations, sum_representation
 
 DATA = Path(__file__).parent / "data"
+FAILING_REPORTS = json.loads((DATA / "failing_reports.json").read_text())
 
 MALFORMED = {
     "unclosed-flow-sequence": "kind: [unclosed\n",
@@ -308,6 +310,38 @@ class TestCli:
         path = DATA / "represent_m16.yaml"
         assert cli.main(["represent", "--input", str(path), "--format", "machine"]) == 0
         assert capsys.readouterr().out == (DATA / "represent_m16.json").read_text()
+
+    @pytest.mark.parametrize("run", sorted(FAILING_REPORTS))
+    def test_failing_reports_are_golden(self, run, capsys):
+        # tests/data/failing_reports.json maps "<file> <arguments>" to the
+        # exit code and stdout of that run, captured before the checks
+        # recorded through `Report.record`; the fail_*.yaml instances fail
+        # several hypothesis families or all closure axioms, most of them
+        # with more than WITNESS_CAP witnesses
+        name, *args = run.split()
+        want = FAILING_REPORTS[run]
+        assert cli.main([*args, "--input", str(DATA / name)]) == want["exit"]
+        out = capsys.readouterr()
+        assert out.out == want["stdout"]
+        assert out.err == ""
+
+    def test_failing_reports_cover_cap_and_count(self):
+        checks = [c for run, want in FAILING_REPORTS.items() if "machine" in run
+                  for c in json.loads(want["stdout"])["checks"] if not c["passed"]]
+        capped = [c for c in checks if len(c["witnesses"]) == WITNESS_CAP]
+        assert {c["id"].split("/")[0] for c in capped} == {"hypotheses"}
+        assert all(int(c["detail"].split()[0]) > WITNESS_CAP for c in capped)
+        assert {c["id"] for c in checks} >= {
+            f"axioms/closure-forces-{law}" for law in ("order", "semicompat", "adjacency")}
+
+    def test_oracle_check_times_every_entry(self, trans_file, capsys):
+        argv = ["check", "--input", str(trans_file), "--oracle", "on", "--timings",
+                "--format", "machine"]
+        assert cli.main(argv) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert checks[-1]["id"] == "closure-oracle-agreement"
+        assert "detail" not in checks[-1]  # compared with the oracle, not skipped
+        assert all(c["seconds"] >= 0 for c in checks)
 
     def test_represent_passes_past_bit_63(self, m70_file):
         res = run_cli("represent", "--input", str(m70_file), "--format", "machine")

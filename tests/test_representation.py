@@ -24,6 +24,7 @@ from transemi import (
 from transemi import representation
 from transemi.instances import parse_instance
 from transemi.partial_maps import as_rows
+from transemi.reports import WITNESS_CAP
 from transemi.representation import Representation, partition_to_pair
 
 from naive import (
@@ -365,6 +366,61 @@ class TestKernelAgainstNaiveLoops:
             seconds = [r.seconds for r in report.results]
             assert all(s is not None and s >= 0 for s in seconds)
             assert sum(seconds) <= wall
+
+
+class TestFailureCounts:
+    """Homomorphism details give the count of every failing pair, not of
+    the witnesses kept."""
+
+    # 13 cells, so that the count passes the witness cap
+    CELLS = [(a, b) for a in range(5) for b in range(5) if a != b][:13]
+
+    @staticmethod
+    def system(trans_corpus):
+        return next(s.abstract() for s in trans_corpus if s.size >= 6)
+
+    def test_verifier_homomorphism_details(self, trans_corpus, monkeypatch):
+        sys = self.system(trans_corpus)
+        for name, check_id in (("compose_mismatch", "product-homomorphism"),
+                               ("intersect_mismatch", "meet-homomorphism")):
+            real = getattr(representation, name)
+            # compose_mismatch's result is transposed into [g1, g2]
+            cells = [(b, a) for a, b in self.CELLS] if name == "compose_mismatch" else self.CELLS
+            monkeypatch.setattr(representation, name,
+                                lambda rows, table, real=real: flipped(real(rows, table), cells))
+            got = verify_representability(sys)[check_id]
+            monkeypatch.undo()
+            assert not got.passed
+            assert got.detail == f"{len(self.CELLS)} pairs"
+            assert [(w["g1"], w["g2"]) for w in got.witnesses] == self.CELLS[:WITNESS_CAP]
+
+    def test_meet_hom_pointwise_detail(self, trans_corpus, monkeypatch):
+        sys = self.system(trans_corpus)
+        dp = determining_pair_for(sys, 0, sys.size - 1)
+        real = representation.intersect_mismatch
+        monkeypatch.setattr(representation, "intersect_mismatch",
+                            lambda rows, table: flipped(real(rows, table), self.CELLS))
+        report = check_meet_hom_equivalence(sys, dp)
+        got = report["meet-homomorphism-pointwise"]
+        assert got.detail == f"{len(self.CELLS)} pairs"
+        assert [(w["g1"], w["g2"]) for w in got.witnesses] == self.CELLS[:WITNESS_CAP]
+        assert report["class-side-conditions"].passed
+        assert not report["equivalence-agreement"].passed
+
+    def test_class_side_detail(self, trans_corpus):
+        # every element alone in its class: each pair of distinct elements
+        # collapses, and the maps side fails on the same pairs
+        sys = self.system(trans_corpus)
+        dp = partition_to_pair(sys, [[i] for i in range(sys.size + 1)])
+        report = check_meet_hom_equivalence(sys, dp)
+        bad = naive_class_side_failures(sys, dp)
+        assert len(bad) > WITNESS_CAP
+        assert report["class-side-conditions"].detail == f"{len(bad)} pairs"
+        assert report["class-side-conditions"].witnesses == bad[:WITNESS_CAP]
+        rep = simplest_representation(sys, dp)
+        maps_bad = naive_verifier_failures(sys, rep.maps)["meet-homomorphism"]
+        assert report["meet-homomorphism-pointwise"].detail == f"{len(maps_bad)} pairs"
+        assert report["equivalence-agreement"].passed
 
 
 class TestMeetHomEquivalence:

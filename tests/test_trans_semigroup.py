@@ -226,6 +226,7 @@ class TestDomainMeet:
     def test_singleton_subset(self, delta_id_system):
         rep = check_domain_meet(delta_id_system, [1])
         assert rep.passed
+        assert rep["closure-domain-bound"].seconds >= 0
 
     def test_empty_map_system(self):
         sys = generate([PartialMap.empty(2)], cap=4)
