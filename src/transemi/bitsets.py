@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
 def bits_of(indices: Iterable[int]) -> int:
+    """The bitset of the given indices, numpy integers included."""
     out = 0
     for i in indices:
-        out |= 1 << i
+        out |= 1 << operator.index(i)
     return out
 
 

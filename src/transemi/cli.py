@@ -19,21 +19,20 @@ import time
 
 from . import generators, instances
 from .abstract_system import AbstractSystem, derived_props, validate
-from .closure import ORACLE_BUDGET, check_representability, closure_fixpoint, least_closed_oracle
+from .closure import ORACLE_BUDGET, check_representability, least_closed_oracle
 from .errors import CapExceededError, InstanceFormatError, TransemiError
 from .reports import Report
 from .representation import verify_representability
 from .trans_semigroup import TransSystem, check_adjacency_laws, check_domain_bounds, generate
 
 
-def _common_flags(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        p.add_argument("--input", required=True, help="instance file (YAML)")
-    p.add_argument("--seed", type=int, default=0)
+def _input_flags(p: argparse.ArgumentParser, oracle: bool = False) -> None:
+    p.add_argument("--input", required=True, help="instance file (YAML)")
     p.add_argument("--cap", type=int, default=256, help="closure element budget")
     p.add_argument("--format", choices=("text", "machine"), default="text")
-    p.add_argument("--oracle", choices=("on", "off"), default="off",
-                   help="cross-check closures against the brute-force oracle")
+    if oracle:
+        p.add_argument("--oracle", choices=("on", "off"), default="off",
+                       help="cross-check pair closures against the brute-force oracle")
     p.add_argument("--timings", action="store_true", help="include timings in output")
 
 
@@ -62,9 +61,8 @@ def _oracle_entries(ab: AbstractSystem, report: Report) -> None:
     bad = []
     for x in range(ab.size):
         for y in range(x, ab.size):
-            seed = (1 << x) | (1 << y)
-            fast = closure_fixpoint(ab, seed, witnesses=False).closed_bits
-            slow = least_closed_oracle(ab, seed)
+            fast = ab.closures.of_pair(x, y)
+            slow = least_closed_oracle(ab, (1 << x) | (1 << y))
             if fast != slow:
                 bad.append({"seed": sorted({x, y}), "engine": fast, "oracle": slow})
     report.record("closure-oracle-agreement", t0, len(bad), bad, "seeds disagree")
@@ -173,10 +171,11 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("analyze", "check", "represent", "roundtrip"):
-        _common_flags(sub.add_parser(name))
+        _input_flags(sub.add_parser(name), oracle=name == "check")
 
     g = sub.add_parser("generate")
-    _common_flags(g, needs_input=False)
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--cap", type=int, default=256, help="closure element budget")
     g.add_argument("--kind", choices=("transformations", "abstract"),
                    default="transformations")
     g.add_argument("--points", type=int, default=3, help="carrier points (transformations)")

@@ -6,11 +6,12 @@ A subset H of G is closed when the implication
     and  u, vx in H   implies   z in H
 
 holds for all z,u,v in G and x,y,t in G* (e allowed). `closure_step` maps H
-to the set of all admitted z; `closure_fixpoint` iterates it and returns the
-least closed superset together with the round count and, per added element,
-the first admitting 5-tuple in lexicographic order (u,v,x,y,t) with e
-ordered last. `least_closed_oracle` recomputes the same set by brute-force
-subset enumeration and is kept independent of the step kernel on purpose.
+to the set of all admitted z; `closure_fixpoint` iterates H -> H | step(H)
+and returns the least closed superset together with the round count and,
+per added element, the first admitting 5-tuple in lexicographic order
+(u,v,x,y,t) with e ordered last. `least_closed_oracle` recomputes the same
+set by brute-force subset enumeration and is kept independent of the step
+kernel on purpose.
 
 Subsets are int bitsets over {0..m-1}. In witness tuples the value m stands
 for the adjoined identity e.
@@ -97,7 +98,7 @@ class _StepKernel:
 
     def first_witnesses(self, h: np.ndarray, zs: list[int]) -> dict:
         """First admitting (u, v, x, y, t) in lex order for each z of `zs`,
-        memberships against h; None where nothing admits z.
+        memberships against h; every z must be in step(h).
 
         The triples (u, v, x) with u in H, u ~xi~ v and v.x in H are walked
         in lex order, in blocks of u rows of at most _WITNESS_BLOCK cells.
@@ -133,7 +134,7 @@ class _StepKernel:
                            y.tolist(), t.tolist()):
                 found[row[0]] = row[1:]
             pending = pending[~hit]
-        return {z: found.get(z) for z in zs}
+        return {z: found[z] for z in zs}
 
 
 class _PairRule:
@@ -177,9 +178,9 @@ class _PairRule:
 
     def fixpoints(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed set and round count of the fixpoint from each row of a
-        (n, m) bool matrix, as `closure_fixpoint` gives them for an
-        extensive step. Seeds are closed in batches; a row leaves its batch
-        at the step that does not grow it."""
+        (n, m) bool matrix, as `closure_fixpoint` gives them. Seeds are
+        closed in batches; a row leaves its batch at the round that does
+        not grow it."""
         closed = seeds.copy()
         rounds = np.zeros(len(seeds), dtype=np.int64)
         batch = max(1, _SWEEP_CELLS // (self.block * self.m))
@@ -187,7 +188,7 @@ class _PairRule:
             rows = np.arange(lo, min(len(seeds), lo + batch))
             h = seeds[rows]
             while rows.size:
-                nxt = self.step(h)
+                nxt = h | self.step(h)
                 rounds[rows] += 1
                 grew = (nxt != h).any(axis=1)
                 closed[rows[~grew]] = h[~grew]
@@ -239,40 +240,32 @@ def _star_range(m: int) -> list[int]:
 
 
 def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
-    """Iterate the step operator to its fixpoint.
+    """Iterate H -> H | step(H) to its fixpoint, the least closed superset.
 
-    Under the validated hypotheses the chain is increasing and stabilizes
-    within |G| rounds; `rounds` counts the step applications performed,
-    including the one that confirms stability.
+    The chain increases, so it stabilizes within |G| rounds; `rounds`
+    counts the step applications performed, including the one that
+    confirms stability. Under the validated hypotheses the step is
+    extensive, and each round is the plain step.
     """
     if h_bits == 0:
         raise ValueError("closure of empty set undefined")
     kern = _kernel(sys)
     cur = bits_to_bool(h_bits, sys.size)
     cur_bits = h_bits
-    acc_bits = h_bits
-    seen = {cur_bits}
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
     while True:
-        nxt = kern.step(cur)
+        nxt = cur | kern.step(cur)
         nxt_bits = bool_to_bits(nxt)
         rounds += 1
         if nxt_bits == cur_bits:
             break
         if witnesses:
-            new = list(iter_bits(nxt_bits & ~acc_bits))
+            new = list(iter_bits(nxt_bits & ~cur_bits))
             for z, tup in kern.first_witnesses(cur, new).items():
-                if tup is not None:
-                    witness[z] = (rounds, tup)
-        acc_bits |= nxt_bits
-        if nxt_bits in seen:
-            # Non-monotone chain on an input violating the hypotheses; the
-            # union over the cycle is still the full iterated union.
-            break
-        seen.add(nxt_bits)
+                witness[z] = (rounds, tup)
         cur, cur_bits = nxt, nxt_bits
-    return ClosureResult(h_bits, acc_bits, rounds, witness)
+    return ClosureResult(h_bits, cur_bits, rounds, witness)
 
 
 class ClosureCache:
@@ -283,12 +276,11 @@ class ClosureCache:
     on demand. Fills are lock-guarded so concurrent callers see consistent
     entries.
 
-    The step operator is monotone. With xi reflexive and meet idempotent,
-    every z in H is admitted by (z, z, e, e, e), so it is also extensive
-    (`extensive` records this): the fixpoint from H is the least closed
-    superset of H, and C({x, y}) = C(C({x}) | C({y})). `sweep` uses this
-    to close every pair at once; before it has run, `of_pair` closes the
-    pair from itself, and afterwards it reads the sweep's pair table.
+    The fixpoint from H is the least closed superset C(H) of H, so C is a
+    closure operator and C({x, y}) = C(C({x}) | C({y})). `sweep` uses this
+    to close every pair at once and memoises nothing; before it has run,
+    `of_pair` closes the pair from itself through `result`, and afterwards
+    it reads the sweep's pair table.
     """
 
     def __init__(self, sys):
@@ -296,10 +288,6 @@ class ClosureCache:
         self._memo: dict[int, tuple[int, int]] = {}
         self._lock = threading.Lock()
         self._stages = None
-        diag = np.arange(sys.size)
-        self.extensive = bool(
-            sys.xi[diag, diag].all() and (sys.meet[diag, diag] == diag).all()
-        )
 
     def closed_bits(self, h_bits: int) -> int:
         return self.result(h_bits)[0]
@@ -319,32 +307,30 @@ class ClosureCache:
         Yields the m singleton closures as an (m, m) bool matrix, then the
         pair table (pair_key, closed): the closure of {x, y} (of {x} when
         x = y) is row pair_key[x, y] of the bool matrix closed, whose rows
-        are pairwise distinct. With an extensive step, {x, y} is closed
-        from the union of its singleton closures, the unions formed over
-        the distinct singleton closures, and each stage closes all its
-        seeds in batched fixpoints over a `_PairRule` table; otherwise each
-        pair seed goes through `result`. Only the seeds closed are
-        memoised, each with its own fixpoint's entry, and the two stages
-        are kept for later sweeps and for `of_pair`.
+        are pairwise distinct. {x, y} is closed from the union of its
+        singleton closures, the unions formed over the distinct singleton
+        closures, and each stage closes all its seeds in batched fixpoints
+        over a `_PairRule` table. The two stages are kept for later sweeps
+        and for `of_pair`.
         """
         if self._stages is not None:
             yield from self._stages
             return
         m = self.sys.size
-        rule = _PairRule(_kernel(self.sys)) if self.extensive else None
-        single, entries = self._close_rows(rule, [1 << x for x in range(m)])
+        rule = _PairRule(_kernel(self.sys))
+        single, _ = rule.fixpoints(np.eye(m, dtype=bool))
         yield single
-        # {x, y} closes from bases[x] | bases[y]
-        bases = [bits for bits, _ in entries] if self.extensive else [1 << x for x in range(m)]
+        # {x, y} closes from C({x}) | C({y})
         distinct: dict[int, int] = {}
-        of_base = np.array([distinct.setdefault(bits, len(distinct)) for bits in bases])
+        of_base = np.array([distinct.setdefault(bits, len(distinct))
+                            for bits in rows_bits(single)])
         unions: dict[int, int] = {}
         union_of = np.array([[unions.setdefault(a | b, len(unions)) for b in distinct]
                              for a in distinct])
-        closed, entries = self._close_rows(rule, list(unions))
+        closed, _ = rule.fixpoints(bits_matrix(list(unions), m))
         # one table row per distinct closed set, numbered by first union
         rows: dict[int, int] = {}
-        row_of = np.array([rows.setdefault(bits, len(rows)) for bits, _ in entries])
+        row_of = np.array([rows.setdefault(bits, len(rows)) for bits in rows_bits(closed)])
         pair_key = row_of[union_of[of_base[:, None], of_base[None, :]]]
         self._stages = (single, (pair_key, closed[np.unique(row_of, return_index=True)[1]]))
         yield self._stages[1]
@@ -353,19 +339,6 @@ class ClosureCache:
         """The pair table of `sweep`, running the sweep if it has not run."""
         *_, table = self.sweep()
         return table
-
-    def _close_rows(self, rule: _PairRule | None, seeds: list[int]):
-        """Closures of the given seeds as the rows of a bool matrix, and
-        their memo entries."""
-        m = self.sys.size
-        if rule is None:
-            entries = [self.result(h) for h in seeds]
-            return bits_matrix([bits for bits, _ in entries], m), entries
-        closed, rounds = rule.fixpoints(bits_matrix(seeds, m))
-        with self._lock:
-            entries = [self._memo.setdefault(h, entry)
-                       for h, entry in zip(seeds, zip(rows_bits(closed), rounds.tolist()))]
-        return closed, entries
 
     def of_pair(self, x: int, y: int) -> int:
         """The closure of {x, y}: from the pair table once `sweep` has run,
@@ -578,8 +551,7 @@ def _witnessed_chain(sys, h_bits: int, n: int):
         new = [z for z in iter_bits(nxt_bits) if z not in first_round]
         for z, tup in kern.first_witnesses(cur, new).items():
             first_round[z] = r
-            if tup is not None:
-                tuples[z] = tup
+            tuples[z] = tup
         chain.append(nxt_bits)
         if nxt_bits == cur_bits:
             chain.extend([nxt_bits] * (n - r))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from functools import reduce
-from operator import and_
+from operator import and_, index
 from typing import Iterable
 
 import numpy as np
@@ -132,7 +132,7 @@ def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
     domain.
     """
     t0 = time.perf_counter()
-    idx = sorted(set(h_indices))
+    idx = sorted({index(i) for i in h_indices})
     if not idx:
         raise ValueError("subset of elements must be nonempty")
     for i in idx:

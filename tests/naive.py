@@ -64,14 +64,13 @@ def naive_step(sys, h_bits):
 
 
 def naive_closure(sys, h_bits):
-    """Union of the iterates of `naive_step` from the seed, until they repeat."""
-    acc, cur, seen = h_bits, h_bits, {h_bits}
+    """Iterate H -> H | naive_step(H) from the seed until it stops growing."""
+    cur = h_bits
     while True:
-        cur = naive_step(sys, cur)
-        acc |= cur
-        if cur in seen:
-            return acc
-        seen.add(cur)
+        nxt = cur | naive_step(sys, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def naive_first_witness(sys, prev_bits, z):

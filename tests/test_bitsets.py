@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from transemi.bitsets import bits_matrix, bits_to_bool, bool_to_bits, iter_bits
+from transemi.bitsets import bits_matrix, bits_of, bits_to_bool, bool_to_bits, iter_bits
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 130])
@@ -15,3 +15,9 @@ def test_bool_round_trip(m):
         assert np.flatnonzero(arr).tolist() == list(iter_bits(bits))
         assert bool_to_bits(arr) == bits
         assert np.array_equal(bits_matrix([bits], m)[0], arr)
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8, np.intp])
+def test_bits_of_numpy_integers(kind):
+    got = bits_of(kind(i) for i in (69, 3, 0, 64))
+    assert type(got) is int and got == (1 << 69) | (1 << 64) | (1 << 3) | 1

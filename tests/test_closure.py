@@ -63,9 +63,10 @@ def all_nonempty(m):
 
 
 def non_extensive():
-    """xi is not reflexive, so the step can drop seed members: the closure of
-    {2, 3} from its own seed is {1, 2, 3}, while the closure of the union of
-    the singleton closures of 2 and 3 is the whole carrier."""
+    """xi is not reflexive, so the step can drop seed members: one step from
+    {2, 3} gives {1, 2}, and the least closed superset of {2, 3} is the
+    whole carrier, as is that of the union of the singleton closures of 2
+    and 3."""
     return AbstractSystem(
         [[3, 3, 3, 3], [0, 1, 0, 0], [0, 1, 0, 2], [0, 0, 3, 3]],
         [[0, 1, 3, 2], [2, 1, 0, 3], [0, 3, 2, 0], [3, 0, 2, 3]],
@@ -81,6 +82,14 @@ def golden_failures():
             for name in ("axiom_fail_adjacency.yaml", "axiom_fail_semicompat.yaml")]
 
 
+def random_tables(rng, m):
+    """A system with uniformly random tables and relations, most often
+    outside the hypotheses."""
+    table = lambda: [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+    rel = lambda: [[rng.random() < 0.5 for _ in range(m)] for _ in range(m)]
+    return AbstractSystem(table(), table(), rel(), rel())
+
+
 def direct(sys, h_bits):
     return closure_fixpoint(sys, h_bits, witnesses=False).closed_bits
 
@@ -91,22 +100,17 @@ def step_bits(sys, h_bits):
 
 
 def naive_witnesses(sys, h_bits):
-    """`closure_fixpoint`'s witness dict, each tuple from
-    `naive_first_witness` against the previous iterate."""
-    cur, acc, seen, rounds, out = h_bits, h_bits, {h_bits}, 0, {}
+    """`closure_fixpoint`'s witness dict over the iterates of
+    H -> H | step(H), each tuple from `naive_first_witness` against the
+    previous iterate."""
+    cur, rounds, out = h_bits, 0, {}
     while True:
-        nxt = step_bits(sys, cur)
+        nxt = cur | step_bits(sys, cur)
         rounds += 1
         if nxt == cur:
             return out
-        for z in iter_bits(nxt & ~acc):
-            tup = naive_first_witness(sys, cur, z)
-            if tup is not None:
-                out[z] = (rounds, tup)
-        acc |= nxt
-        if nxt in seen:
-            return out
-        seen.add(nxt)
+        for z in iter_bits(nxt & ~cur):
+            out[z] = (rounds, naive_first_witness(sys, cur, z))
         cur = nxt
 
 
@@ -338,6 +342,26 @@ class TestOracle:
                     == least_closed_oracle(sys, h)
                 )
 
+    def test_closures_match_outside_the_hypotheses(self):
+        # closure_fixpoint on every nonempty subset, and of_pair before and
+        # after the sweep with the sweep's pair table, on systems whose step
+        # need not be extensive
+        rng = random.Random(10)
+        systems = [non_extensive()] + golden_failures() + [
+            random_tables(rng, 2 + i % 4) for i in range(240)]
+        for sys in systems:
+            m = sys.size
+            for h in all_nonempty(m):
+                assert direct(sys, h) == least_closed_oracle(sys, h)
+            queried, swept = ClosureCache(sys), ClosureCache(sys)
+            pair_key, closed = swept.pair_table()
+            for x in range(m):
+                for y in range(m):
+                    want = least_closed_oracle(sys, (1 << x) | (1 << y))
+                    assert queried.of_pair(x, y) == want
+                    assert swept.of_pair(x, y) == want
+                    assert bool_to_bits(closed[pair_key[x, y]]) == want
+
     def test_budget(self, monkeypatch):
         big = AbstractSystem(
             [[0] * 13 for _ in range(13)],
@@ -461,11 +485,10 @@ class TestCache:
 
 class TestUnionSeededPairs:
     """Pair closures, from the memo before the sweep and from its pair
-    table after it (where an extensive step closes each pair from the union
-    of its singleton closures), against fixpoints from the pair itself."""
+    table after it (where each pair closes from the union of its singleton
+    closures), against fixpoints from the pair itself."""
 
     def test_every_corpus_pair(self, abstract_corpus, system_m70):
-        assert all(sys.closures.extensive for sys in abstract_corpus)
         for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
             m = sys.size
             want = {}
@@ -486,7 +509,6 @@ class TestUnionSeededPairs:
             (rng.randrange(sys.size), rng.randrange(sys.size)) for _ in range(40)
         ]
         cache = ClosureCache(sys)
-        assert cache.extensive
         for x, y in pairs:
             assert cache.of_pair(x, y) == direct(sys, (1 << x) | (1 << y))
 
@@ -510,29 +532,37 @@ class TestUnionSeededPairs:
                 res = closure_fixpoint(sys, seed, witnesses=False)
                 assert entry == (res.closed_bits, res.rounds)
 
-    def test_axiom_sweep_memoises_only_the_seeds_it_closes(self, abstract_corpus):
-        # the singletons, then the distinct unions of their closures, or the
-        # pair seeds themselves when the step is not extensive
+    def test_axiom_sweep_leaves_the_memo_untouched(self, abstract_corpus):
+        # the seeds looked up one at a time stay, and the sweep adds none;
+        # its closures are the oracle's
+        rng = random.Random(14)
         for sys in abstract_corpus[::7] + golden_failures() + [non_extensive()]:
             sys = fresh_copy(sys)
-            list(_axiom_failures(sys))
             m = sys.size
-            single = [direct(sys, 1 << x) for x in range(m)]
-            if not sys.closures.extensive:
-                single = [1 << x for x in range(m)]
-            seeds = {1 << x for x in range(m)} | {a | b for a in single for b in single}
-            assert sys.closures._memo.keys() == seeds
+            sys.closures.of_pair(rng.randrange(m), rng.randrange(m))
+            memo = dict(sys.closures._memo)
+            got = {cid: bad for cid, bad, _ in _axiom_failures(sys)}
+            assert sys.closures._memo == memo and len(memo) == 1
+            if m <= 5:
+                assert got == naive_axiom_failures(
+                    sys, lambda h, sys=sys: least_closed_oracle(sys, h))
 
-    def test_non_extensive_step_seeds_pairs_directly(self):
+    def test_non_extensive_pairs_close_to_the_oracle(self):
         sys = non_extensive()
         cache = ClosureCache(sys)
-        assert not cache.extensive
-        for x in range(sys.size):
-            for y in range(sys.size):
-                assert cache.of_pair(x, y) == direct(sys, (1 << x) | (1 << y))
-        assert cache.of_pair(2, 3) == 0b1110
+        want = {(x, y): least_closed_oracle(sys, (1 << x) | (1 << y))
+                for x in range(sys.size) for y in range(sys.size)}
+        for (x, y), closed in want.items():
+            assert cache.of_pair(x, y) == closed
+        assert cache.of_pair(2, 3) == 0b1111
+        assert not is_closed(sys, 0b1110, "implication")
         union = cache.closed_bits(1 << 2) | cache.closed_bits(1 << 3)
-        assert direct(sys, union) == 0b1111
+        assert cache.closed_bits(union) == 0b1111
+        memo = dict(cache._memo)
+        cache.pair_table()
+        assert cache._memo == memo
+        for (x, y), closed in want.items():
+            assert cache.of_pair(x, y) == closed
 
     def test_pair_elements_outside_the_carrier(self, system_m70):
         for sys in golden_failures() + [system_m70]:
@@ -633,8 +663,7 @@ class TestBatchedSweep:
 
     def test_fixpoints_match_closure_fixpoint(self, abstract_corpus):
         rng = random.Random(7)
-        for sys in abstract_corpus + golden_failures():
-            assert sys.closures.extensive
+        for sys in abstract_corpus + golden_failures() + [non_extensive()]:
             self.assert_fixpoints_match(sys, sweep_seeds(sys, rng))
 
     def test_fixpoints_past_bit_63(self, system_m70):
@@ -659,14 +688,28 @@ class TestBatchedSweep:
             assert cache._memo == memo
 
     def test_memo_matches_fresh_cache(self, abstract_corpus, system_m70):
-        # singletons and unions alike hold the entry a fresh cache
-        # computes for that seed alone, round count included
+        # seeds looked up before and after the sweep hold the entry a fresh
+        # cache computes for that seed alone, round count included, and the
+        # sweep adds none; its singleton closures are the lookups' and,
+        # within the oracle's reach, the oracle's
+        rng = random.Random(9)
         for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
             sys = fresh_copy(sys)
-            list(sys.closures.sweep())
+            cache, m = sys.closures, sys.size
+            seeds = [1 << x for x in range(m)] + [rng.getrandbits(m) | 1 for _ in range(4)]
+            for h in seeds[::2]:
+                cache.result(h)
+            memo = dict(cache._memo)
+            single, _ = cache.sweep()
+            assert cache._memo == memo
+            for h in seeds:
+                cache.result(h)
+            assert rows_bits(single) == [cache.closed_bits(1 << x) for x in range(m)]
             fresh = ClosureCache(sys)
-            for seed, entry in sys.closures._memo.items():
+            for seed, entry in cache._memo.items():
                 assert entry == fresh.result(seed)
+                if m <= 5:
+                    assert entry[0] == least_closed_oracle(sys, seed)
 
     def test_pair_table_reads_every_pair_closure(self, abstract_corpus, system_m70):
         # one row per distinct closure, each read by some pair
@@ -680,22 +723,21 @@ class TestBatchedSweep:
                 for y in range(sys.size):
                     assert bool_to_bits(closed[pair_key[x, y]]) == fresh.of_pair(x, y)
 
-    def test_non_extensive_closes_each_seed_directly(self, monkeypatch):
+    def test_non_extensive_sweep_matches_the_oracle(self, monkeypatch):
+        # batched like any other system: no seed closed alone, none memoised
         sys = non_extensive()
         calls = []
-        monkeypatch.setattr(closure, "_PairRule", None)  # no table is built
         fixpoint = closure.closure_fixpoint
         monkeypatch.setattr(closure, "closure_fixpoint",
                             lambda s, h, **kw: calls.append(h) or fixpoint(s, h, **kw))
         single, (pair_key, closed) = sys.closures.sweep()
+        assert calls == [] and sys.closures._memo == {}
         m = sys.size
-        seeds = [1 << x for x in range(m)] + [(1 << x) | (1 << y)
-                                              for x in range(m) for y in range(x + 1, m)]
-        assert sorted(calls) == sorted(seeds)
         for x in range(m):
             for y in range(m):
-                assert bool_to_bits(closed[pair_key[x, y]]) == direct(sys, (1 << x) | (1 << y))
-        assert [bool_to_bits(row) for row in single] == [direct(sys, 1 << x) for x in range(m)]
+                want = least_closed_oracle(sys, (1 << x) | (1 << y))
+                assert bool_to_bits(closed[pair_key[x, y]]) == want
+        assert rows_bits(single) == [least_closed_oracle(sys, 1 << x) for x in range(m)]
 
 
 @pytest.fixture(scope="module")

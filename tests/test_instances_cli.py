@@ -365,6 +365,23 @@ class TestCli:
         assert res.returncode == 0
         assert "closure-oracle-agreement" in res.stdout
 
+    @pytest.mark.parametrize("command, extra", [
+        ("analyze", ["--seed", "1"]), ("analyze", ["--oracle", "on"]),
+        ("check", ["--seed", "1"]),
+        ("represent", ["--seed", "1"]), ("represent", ["--oracle", "on"]),
+        ("roundtrip", ["--seed", "1"]), ("roundtrip", ["--oracle", "on"]),
+        ("generate", ["--oracle", "on"]), ("generate", ["--format", "machine"]),
+        ("generate", ["--timings"]),
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, command, extra, trans_file, capsys):
+        argv = [command] if command == "generate" else [command, "--input", str(trans_file)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + extra)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in out.err
+
     def test_represent_built_line_matches_fresh_sum(self, trans_file):
         res = run_cli("represent", "--input", str(trans_file), "--format", "machine")
         assert res.returncode == 0

@@ -243,6 +243,24 @@ class TestDomainMeet:
                 for j in range(i + 1, sys.size):
                     assert check_domain_meet(sys, [i, j]).passed
 
+    def test_numpy_integer_subsets(self, m70_file):
+        # the report for plain ints, past bit 63 too, on the system and on
+        # a copy whose recorded domains are empty outside the subsets
+        subsets = [[3, 69], [69], [69, 0, 64], [5, 40]]
+        keep = {i for subset in subsets for i in subset}
+        sys = parse_instance(m70_file).build(cap=256)
+        broken = parse_instance(m70_file).build(cap=256)
+        broken.dom_bits = tuple(d if i in keep else 0 for i, d in enumerate(broken.dom_bits))
+        failing = 0
+        for tsys in (sys, broken):
+            for subset in subsets:
+                want = check_domain_meet(tsys, subset)
+                failing += not want.passed
+                for kind in (np.int64, np.int32, np.uint8):
+                    got = check_domain_meet(tsys, [kind(i) for i in subset])
+                    assert got.to_json() == want.to_json()
+        assert failing
+
 
 class TestDomainBounds:
     @staticmethod
