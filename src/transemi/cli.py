@@ -26,9 +26,20 @@ from .representation import verify_representability
 from .trans_semigroup import TransSystem, check_adjacency_laws, check_domain_bounds, generate
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of counts and budgets: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _input_flags(p: argparse.ArgumentParser, oracle: bool = False) -> None:
     p.add_argument("--input", required=True, help="instance file (YAML)")
-    p.add_argument("--cap", type=int, default=256, help="closure element budget")
+    p.add_argument("--cap", type=_positive_int, default=256, help="closure element budget")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     if oracle:
         p.add_argument("--oracle", choices=("on", "off"), default="off",
@@ -129,6 +140,8 @@ def cmd_roundtrip(args) -> int:
 def cmd_generate(args) -> int:
     rng = random.Random(args.seed)
     if args.kind == "transformations":
+        if args.cap < args.maps:  # no draw of distinct seeds fits
+            raise CapExceededError(f"cap exceeded: {args.maps} seed maps past cap {args.cap}")
         while True:
             seeds = [
                 generators.random_partial_map(rng, args.points)
@@ -175,12 +188,13 @@ def _parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--cap", type=int, default=256, help="closure element budget")
+    g.add_argument("--cap", type=_positive_int, default=256, help="closure element budget")
     g.add_argument("--kind", choices=("transformations", "abstract"),
                    default="transformations")
-    g.add_argument("--points", type=int, default=3, help="carrier points (transformations)")
-    g.add_argument("--maps", type=int, default=2, help="seed map count (transformations)")
-    g.add_argument("--size", type=int, default=2, help="carrier size (abstract)")
+    g.add_argument("--points", type=_positive_int, default=3,
+                   help="carrier points (transformations)")
+    g.add_argument("--maps", type=_positive_int, default=2, help="seed map count (transformations)")
+    g.add_argument("--size", type=_positive_int, default=2, help="carrier size (abstract)")
     g.add_argument("--out", help="write the instance here instead of stdout")
     return parser
 

@@ -307,10 +307,11 @@ class ClosureCache:
         Yields the m singleton closures as an (m, m) bool matrix, then the
         pair table (pair_key, closed): the closure of {x, y} (of {x} when
         x = y) is row pair_key[x, y] of the bool matrix closed, whose rows
-        are pairwise distinct. {x, y} is closed from the union of its
-        singleton closures, the unions formed over the distinct singleton
-        closures, and each stage closes all its seeds in batched fixpoints
-        over a `_PairRule` table. The two stages are kept for later sweeps
+        are pairwise distinct and ordered by their first pair (x, y) in
+        pair order. {x, y} is closed from the union of its singleton
+        closures, the unions formed over the distinct singleton closures,
+        and each stage closes all its seeds in batched fixpoints over a
+        `_PairRule` table. The two stages are kept for later sweeps
         and for `of_pair`.
         """
         if self._stages is not None:
@@ -328,7 +329,8 @@ class ClosureCache:
         union_of = np.array([[unions.setdefault(a | b, len(unions)) for b in distinct]
                              for a in distinct])
         closed, _ = rule.fixpoints(bits_matrix(list(unions), m))
-        # one table row per distinct closed set, numbered by first union
+        # one row per distinct closed set, numbered by first union: a row's
+        # first pair has both elements first of their singleton closures
         rows: dict[int, int] = {}
         row_of = np.array([rows.setdefault(bits, len(rows)) for bits in rows_bits(closed)])
         pair_key = row_of[union_of[of_base[:, None], of_base[None, :]]]

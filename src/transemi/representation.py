@@ -5,9 +5,10 @@ by e, plus an optional excluded class that must be a right ideal. Its
 simplest representation acts on the remaining classes: class a1 maps to a2
 under g exactly when every member of a1 times g lands in a2. The canonical
 pair of (g1,g2) identifies two elements when their meet lies in the closure
-generated by {g1,g2}, or both lie outside it; the sum of the |G|^2 simplest
-representations over relabeled disjoint carriers is injective and carries
-all three relations across exactly, which `verify_representability`
+generated by {g1,g2}, or both lie outside it. The sum of the simplest
+representations over relabeled disjoint carriers, one per distinct pair
+closure (the paper's |G|^2 pairs only repeat fragments), is injective and
+carries all three relations across exactly, which `verify_representability`
 re-checks concretely.
 """
 
@@ -63,7 +64,8 @@ class Representation:
     """An assignment of one partial map per carrier element.
 
     Carrier points carry labels: a bare class id for a single simplest
-    representation, or (pair, class id) for sums. The maps are held as
+    representation, or ((g1, g2), class id) for sums, (g1, g2) being the
+    first pair of the fragment's closure. The maps are held as
     `rows`, a read-only (k, n) int64 array with -1 where a map is undefined
     (see `partial_maps.as_rows`), and `maps`, the same maps as `PartialMap`
     values, is built from the rows on first read. A representation built
@@ -324,30 +326,24 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
 
 
 def sum_representation(sys: AbstractSystem) -> Representation:
-    """Sum of the canonical simplest representations over all ordered pairs.
+    """Sum of the canonical simplest representations, one per distinct
+    pair closure.
 
-    Carriers are relabeled with their pair tag to force disjointness. A
-    pair's fragment depends only on the closure of the pair, so fragments
-    are built once per closure of the closure cache's pair table (see
-    `ClosureCache.sweep`), from its first pair in pair order, and shared by
-    every pair with that closure.
+    A pair's fragment depends only on the closure of the pair, and a
+    repeated component changes no relation, injectivity or homomorphism
+    law of a sum, so the sum takes one fragment per row of the closure
+    cache's pair table (see `ClosureCache.sweep`), in row order. Each is
+    built from its row's first pair (g1, g2) in pair order, and its points
+    are labelled ((g1, g2), class id) to keep the carriers disjoint.
     """
-    m = sys.size
-    pairs = [(g1, g2) for g1 in range(m) for g2 in range(m)]
-    keys = sys.closures.pair_table()[0].ravel().tolist()
-    by_closure: dict[int, Representation] = {}
-    for (g1, g2), key in zip(pairs, keys):
-        if key not in by_closure:
-            by_closure[key] = simplest_representation(sys, determining_pair_for(sys, g1, g2))
-    fragments = [by_closure[key] for key in keys]
-
+    firsts = np.unique(sys.closures.pair_table()[0], return_index=True)[1]
     carrier: list = []
-    rows = np.empty((m, sum(frag.num_points for frag in fragments)), dtype=np.int64)
-    for pair, frag in zip(pairs, fragments):
-        off = len(carrier)
+    blocks = []
+    for pair in (divmod(int(f), sys.size) for f in firsts):
+        frag = simplest_representation(sys, determining_pair_for(sys, *pair))
+        blocks.append(np.where(frag.rows >= 0, frag.rows + len(carrier), -1))
         carrier.extend((pair, cid) for cid in frag.carrier)
-        rows[:, off:len(carrier)] = np.where(frag.rows >= 0, frag.rows + off, -1)
-    return Representation(tuple(carrier), rows=rows)
+    return Representation(tuple(carrier), rows=np.hstack(blocks))
 
 
 def verify_representability(sys: AbstractSystem) -> Report:

@@ -78,8 +78,8 @@ def generate(seeds: Iterable[PartialMap], cap: int) -> TransSystem:
     if not seed_list:
         raise ValueError("at least one seed map is required")
     rows = as_rows(list(dict.fromkeys(seed_list)))  # raises on a carrier mismatch
-    if cap < len(rows):
-        raise ValueError("cap smaller than the seed set")
+    if cap < len(rows):  # the closure holds the seeds
+        raise CapExceededError(f"cap exceeded: closure grew past {cap}")
     n = rows.shape[1]
     index = {key: i for i, key in enumerate(row_keys(rows))}
     while True:

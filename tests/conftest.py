@@ -47,3 +47,14 @@ def m70_file(tmp_path_factory):
     assert cli.main(["generate", "--seed", "3", "--points", "5", "--maps", "4",
                      "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture(scope="session")
+def m245_file(tmp_path_factory):
+    """`transemi generate --seed 33 --points 6 --maps 3`: a 245-element
+    system, the size the representation pipeline is meant to handle in
+    seconds."""
+    path = tmp_path_factory.mktemp("m245") / "inst.yaml"
+    assert cli.main(["generate", "--seed", "33", "--points", "6", "--maps", "3",
+                     "--out", str(path)]) == 0
+    return path

@@ -174,9 +174,7 @@ def naive_generate(seeds, cap):
                 raise CapExceededError(f"cap exceeded: closure grew past {cap}")
 
     for f in seeds:
-        if f not in seen:
-            seen.add(f)
-            elements.append(f)
+        admit(f)
     grown = True
     while grown:
         grown = False
@@ -340,3 +338,24 @@ def naive_pair_rule(sys):
                 w1 = star_mul(sys, int(sys.meet[u, v]), x)
                 out.update((u, a, z) for z in range(m) if admits[w1][z])
     return out
+
+
+def naive_pair_sum(sys):
+    """The paper's sum representation: every ordered pair's own simplest
+    representation, built from that pair with no sharing between pairs
+    with one closure, on points labelled ((g1, g2), class id) and laid
+    side by side in pair order."""
+    import numpy as np
+
+    from transemi import determining_pair_for, simplest_representation
+    from transemi.representation import Representation
+
+    m = sys.size
+    carrier, blocks = [], []
+    for g1 in range(m):
+        for g2 in range(m):
+            frag = simplest_representation(sys, determining_pair_for(sys, g1, g2))
+            off = len(carrier)
+            carrier.extend(((g1, g2), cid) for cid in frag.carrier)
+            blocks.append(np.where(frag.rows >= 0, frag.rows + off, -1))
+    return Representation(tuple(carrier), rows=np.hstack(blocks))

@@ -305,8 +305,9 @@ class TestCli:
 
     def test_represent_output_is_golden(self, capsys):
         # tests/data/represent_m16.json is `represent --format machine` on
-        # represent_m16.yaml (m = 16) as printed when the sum still read
-        # every pair's closure through `ClosureCache.of_pair`
+        # represent_m16.yaml (m = 16) as printed when the sum took one
+        # fragment per distinct pair closure (39 points; the all-pairs sum
+        # had 1107)
         path = DATA / "represent_m16.yaml"
         assert cli.main(["represent", "--input", str(path), "--format", "machine"]) == 0
         assert capsys.readouterr().out == (DATA / "represent_m16.json").read_text()
@@ -347,6 +348,23 @@ class TestCli:
         res = run_cli("represent", "--input", str(m70_file), "--format", "machine")
         assert res.returncode == 0
         assert json.loads(res.stdout)["passed"] is True
+
+    @pytest.mark.parametrize("fixture, points", [("m70_file", 125), ("m245_file", 767)])
+    def test_represent_at_scale(self, fixture, points, request, capsys):
+        path = request.getfixturevalue(fixture)
+        assert cli.main(["represent", "--input", str(path)]) == 0
+        assert f"carrier of {points} points" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--cap", "1", "--maps", "2"], ["generate", "--maps", "0"],
+        ["generate", "--points", "0"], ["generate", "--kind", "abstract", "--size", "-1"],
+        ["check", "--input", str(DATA / "represent_m16.yaml"), "--cap", "3"],
+    ])
+    def test_bad_values_exit_two(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr and "internal error" not in res.stderr
 
     def test_cap_exceeded_exits_two(self, tmp_path):
         inst = tmp_path / "grows.yaml"

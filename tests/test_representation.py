@@ -23,7 +23,13 @@ from transemi import (
 )
 from transemi import representation
 from transemi.instances import parse_instance
-from transemi.partial_maps import as_rows
+from transemi.partial_maps import (
+    as_rows,
+    compose_mismatch,
+    first_equal,
+    intersect_mismatch,
+    relations,
+)
 from transemi.reports import WITNESS_CAP
 from transemi.representation import Representation, partition_to_pair
 
@@ -31,6 +37,7 @@ from naive import (
     naive_class_formula_failures,
     naive_class_side_failures,
     naive_determining_pair_failures,
+    naive_pair_sum,
     naive_simplest_maps,
     naive_verifier_failures,
 )
@@ -66,6 +73,25 @@ def flipped(mat, cells):
 def copy(sys):
     """The system with an empty closure cache."""
     return AbstractSystem(sys.mul, sys.meet, sys.xi, sys.delta)
+
+
+def built(build, sys):
+    """build(sys), or the type, message and witness of what it raised."""
+    try:
+        return build(sys)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@pytest.fixture(scope="module")
+def sum_systems(abstract_corpus, m70_file):
+    """abstract_m2 and the rest of the corpus up to m = 8, the instances
+    under tests/data and the m = 70 fixture."""
+    systems = [s for s in abstract_corpus if s.size <= 8]
+    for path in sorted(DATA.glob("*.yaml")) + [m70_file]:
+        sys = parse_instance(path).build()
+        systems.append(sys if isinstance(sys, AbstractSystem) else sys.abstract())
+    return systems
 
 
 def axiom_passing(abstract_corpus, limit=None, max_size=8):
@@ -468,9 +494,20 @@ class TestSumAndVerify:
         assert rep.maps[0].entries == (0, 0)
 
     def test_carrier_bound(self, abstract_corpus):
+        # one fragment per pair-table row, labelled by the row's first pair
+        # in pair order; each fragment has at most m + 1 classes
         for sys in axiom_passing(abstract_corpus, max_size=5, limit=10):
+            m = sys.size
+            pair_key, closed = sys.closures.pair_table()
             rep = sum_representation(sys)
-            assert rep.num_points <= sys.size ** 2 * (sys.size + 1)
+            labels = list(dict.fromkeys(pair for pair, _ in rep.carrier))
+            first = {}
+            for g1 in range(m):
+                for g2 in range(m):
+                    first.setdefault(int(pair_key[g1, g2]), (g1, g2))
+            assert len(labels) == len(closed)
+            assert labels == sorted(first.values())
+            assert rep.num_points <= len(closed) * (m + 1)
 
     def test_verify_one_element(self):
         assert verify_representability(s1()).passed
@@ -481,30 +518,42 @@ class TestSumAndVerify:
         for sys in small:
             assert verify_representability(sys.abstract()).passed
 
-    def test_sum_matches_direct_pair_builds(self, abstract_m2, trans_corpus):
-        # reference for sharing fragments between pairs with one closure:
-        # every pair's slice of the sum is that pair's own simplest
-        # representation, built directly, in pair order
-        systems = axiom_passing(abstract_m2) + [
-            s.abstract() for s in trans_corpus if 3 <= s.size <= 8][:10]
+    def test_fragments_match_direct_first_pair_builds(self, sum_systems):
+        # each fragment's slice of the sum is its first pair's own simplest
+        # representation, built directly
+        for sys in sum_systems:
+            rep = built(sum_representation, sys)
+            if not isinstance(rep, Representation):
+                continue
+            off = 0
+            for pair in dict.fromkeys(pair for pair, _ in rep.carrier):
+                frag = simplest_representation(sys, determining_pair_for(sys, *pair))
+                end = off + frag.num_points
+                assert rep.carrier[off:end] == tuple((pair, cid) for cid in frag.carrier)
+                assert np.array_equal(rep.rows[:, off:end],
+                                      np.where(frag.rows >= 0, frag.rows + off, -1))
+                off = end
+            assert off == rep.num_points
+
+    def test_sum_agrees_with_the_all_pairs_sum(self, sum_systems):
+        # the paper's sum over every ordered pair repeats fragments, which
+        # changes no relation, map equality or homomorphism defect; where
+        # the construction fails, both fail with one error and witness
         shared = False
-        for sys in systems:
-            m = sys.size
-            rep = sum_representation(sys)
-            carrier = []
-            for g1 in range(m):
-                for g2 in range(m):
-                    frag = simplest_representation(sys, determining_pair_for(sys, g1, g2))
-                    off = len(carrier)
-                    carrier.extend(((g1, g2), cid) for cid in frag.carrier)
-                    for g in range(m):
-                        got = rep.maps[g].entries[off:len(carrier)]
-                        want = tuple(None if b is None else off + b
-                                     for b in frag.maps[g].entries)
-                        assert got == want
-            assert rep.carrier == tuple(carrier)
-            distinct = {sys.closures.of_pair(g1, g2) for g1 in range(m) for g2 in range(m)}
-            shared |= len(distinct) < m * m
+        for sys in sum_systems:
+            rep, ref = built(sum_representation, sys), built(naive_pair_sum, copy(sys))
+            if not isinstance(ref, Representation):
+                assert rep == ref
+                continue
+            assert rep.num_points <= ref.num_points
+            shared |= rep.num_points < ref.num_points
+            for got, want in zip(relations(rep.rows), relations(ref.rows)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(first_equal(rep.rows), first_equal(ref.rows))
+            assert np.array_equal(compose_mismatch(rep.rows, sys.mul.T),
+                                  compose_mismatch(ref.rows, sys.mul.T))
+            assert np.array_equal(intersect_mismatch(rep.rows, sys.meet),
+                                  intersect_mismatch(ref.rows, sys.meet))
         assert shared
 
     def test_sum_reads_the_pair_table(self, abstract_corpus, m70_file, monkeypatch):

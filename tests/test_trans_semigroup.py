@@ -53,7 +53,7 @@ class TestGenerate:
             generate(seeds, cap=2)
 
     def test_cap_below_seed_count_rejected(self):
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(CapExceededError, match="^cap exceeded: closure grew past 1$"):
             generate([pm(2, [(0, 0)]), PartialMap.identity(2)], cap=1)
 
     def test_carrier_mismatch_checked_before_cap(self):
