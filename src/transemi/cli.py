@@ -25,6 +25,9 @@ from .reports import Report
 from .representation import verify_representability
 from .trans_semigroup import TransSystem, check_adjacency_laws, check_domain_bounds, generate
 
+# Draws of seed maps `generate` makes before it gives up on the cap.
+GENERATE_DRAWS = 1000
+
 
 def _positive_int(text: str) -> int:
     """argparse type of counts and budgets: an integer of at least 1."""
@@ -142,7 +145,7 @@ def cmd_generate(args) -> int:
     if args.kind == "transformations":
         if args.cap < args.maps:  # no draw of distinct seeds fits
             raise CapExceededError(f"cap exceeded: {args.maps} seed maps past cap {args.cap}")
-        while True:
+        for _ in range(GENERATE_DRAWS):
             seeds = [
                 generators.random_partial_map(rng, args.points)
                 for _ in range(args.maps)
@@ -152,6 +155,10 @@ def cmd_generate(args) -> int:
                 break
             except CapExceededError:
                 continue
+        else:
+            raise CapExceededError(
+                f"cap exceeded: no draw of {args.maps} seed maps on {args.points} points "
+                f"closed within cap {args.cap} in {GENERATE_DRAWS} draws")
         inst = instances.trans_instance_from_system(
             tsys, name=f"generated-{args.seed}", seed=args.seed, seeds_only=seeds
         )

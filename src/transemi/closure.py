@@ -22,6 +22,7 @@ from __future__ import annotations
 import operator
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,7 +246,8 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     The chain increases, so it stabilizes within |G| rounds; `rounds`
     counts the step applications performed, including the one that
     confirms stability. Under the validated hypotheses the step is
-    extensive, and each round is the plain step.
+    extensive, and each round is the plain step. Of `sys` it reads only the
+    size and the step kernel, which a system's `ClosureCache` also carries.
     """
     if h_bits == 0:
         raise ValueError("closure of empty set undefined")
@@ -281,10 +283,17 @@ class ClosureCache:
     to close every pair at once and memoises nothing; before it has run,
     `of_pair` closes the pair from itself through `result`, and afterwards
     it reads the sweep's pair table.
+
+    The system holds its cache, so the cache holds the system's size and
+    step kernel, all that `closure_fixpoint` reads of a system, and refers
+    to the system itself only weakly: a strong reference back would keep
+    every system alive until the cyclic garbage collector runs.
     """
 
     def __init__(self, sys):
-        self.sys = sys
+        self.size = sys.size
+        self._step_kernel = _kernel(sys)
+        self._system = weakref.ref(sys)
         self._memo: dict[int, tuple[int, int]] = {}
         self._lock = threading.Lock()
         self._stages = None
@@ -297,7 +306,9 @@ class ClosureCache:
             hit = self._memo.get(h_bits)
         if hit is not None:
             return hit
-        res = closure_fixpoint(self.sys, h_bits, witnesses=False)
+        # the system while it lives, so that callers keying closures by
+        # system (a tracer) see one key per system; else the cache in its place
+        res = closure_fixpoint(self._system() or self, h_bits, witnesses=False)
         with self._lock:
             return self._memo.setdefault(h_bits, (res.closed_bits, res.rounds))
 
@@ -317,8 +328,8 @@ class ClosureCache:
         if self._stages is not None:
             yield from self._stages
             return
-        m = self.sys.size
-        rule = _PairRule(_kernel(self.sys))
+        m = self.size
+        rule = _PairRule(self._step_kernel)
         single, _ = rule.fixpoints(np.eye(m, dtype=bool))
         yield single
         # {x, y} closes from C({x}) | C({y})
@@ -346,7 +357,7 @@ class ClosureCache:
         """The closure of {x, y}: from the pair table once `sweep` has run,
         from the memo otherwise. Elements are any integers, numpy ones
         included."""
-        m = self.sys.size
+        m = self.size
         x, y = operator.index(x), operator.index(y)
         if not (0 <= x < m and 0 <= y < m):
             raise ValueError(f"pair ({x}, {y}) outside the carrier 0..{m - 1}")
@@ -665,9 +676,8 @@ def _axiom_failures(sys):
     order check and the pair table towards the semicompat check.
     """
     rows = np.arange(sys.size)[:, None]
-    stages = sys.closures.sweep()
-
     t0 = time.perf_counter()
+    stages = sys.closures.sweep()
     single = next(stages)
     yield "closure-forces-order", _failing(single[rows, sys.meet] & ~sys.zeta, sys.meet), t0
 

@@ -3,7 +3,8 @@
 A check that counts its failures is recorded through `Report.record` (or
 `record_mask`, `scan`): it passes when the count is 0, keeps the first
 `WITNESS_CAP` witnesses, has the detail "<count> <noun>" on failure and
-"" on a pass, and carries the seconds since its start. Arguments are
+"" on a pass, and carries the seconds since its start. A blocked scan
+may take a certificate that settles a pass without scanning. Arguments are
 evaluated left to right, so `time.perf_counter()` passed as the start
 ahead of a mask expression times that expression too.
 """
@@ -84,11 +85,19 @@ class Report:
         return self._record_blocks(check_id, t0, (mask,), names, noun, extra)
 
     def scan(self, check_id: str, rows: int, violations_of: Callable[[int, int], np.ndarray],
-             names: tuple[str, ...], noun: str) -> CheckResult:
+             names: tuple[str, ...], noun: str,
+             holds: Callable[[], bool] | None = None) -> CheckResult:
         """`record_mask` for a mask of `rows` rows built in blocks, timed
         from here: `violations_of(lo, hi)` is the mask's rows lo..hi-1, and
-        witnesses carry absolute row indices."""
+        witnesses carry absolute row indices.
+
+        `holds` is a sufficient certificate that the mask is empty. It is
+        tried only when the mask has more than one block; when it returns
+        True the check passes without the scan, and otherwise the scan runs
+        as if it had not been tried."""
         t0 = time.perf_counter()
+        if holds is not None and rows > _BLOCK and holds():
+            return self.record(check_id, t0, 0, (), noun)
         blocks = (violations_of(lo, min(rows, lo + _BLOCK)) for lo in range(0, rows, _BLOCK))
         return self._record_blocks(check_id, t0, blocks, names, noun)
 

@@ -2,8 +2,13 @@
 
 Nothing here shares code with the vectorized kernels; everything is written
 straight from the defining formulas as plain loops, over `PartialMap`
-values wherever maps are involved.
+values wherever maps are involved. The triple laws are the exception: at
+the sizes their certificates start (m > 32) m^3 Python loops are too slow,
+so `naive_law_masks` writes each law as one whole (m, m, m) array
+expression over open index grids instead of loops.
 """
+
+import numpy as np
 
 
 def star_mul(sys, a, b):
@@ -345,8 +350,6 @@ def naive_pair_sum(sys):
     representation, built from that pair with no sharing between pairs
     with one closure, on points labelled ((g1, g2), class id) and laid
     side by side in pair order."""
-    import numpy as np
-
     from transemi import determining_pair_for, simplest_representation
     from transemi.representation import Representation
 
@@ -359,3 +362,31 @@ def naive_pair_sum(sys):
             carrier.extend(((g1, g2), cid) for cid in frag.carrier)
             blocks.append(np.where(frag.rows >= 0, frag.rows + off, -1))
     return Representation(tuple(carrier), rows=np.hstack(blocks))
+
+
+def naive_law_masks(sys):
+    """The full violation mask of each triple law that `validate` and
+    `derived_props` check, axes in the order of the check's witness names:
+    cell (a, b, c) is set when the law fails at that triple."""
+    mul, meet, xi, delta, zeta = sys.mul, sys.meet, sys.xi, sys.delta, sys.zeta
+    r = np.arange(sys.size)
+    a, b, c = np.ix_(r, r, r)
+    return {
+        # (x, y, z): (xy)z = x(yz)
+        "mul-associative": mul[mul[a, b], c] != mul[a, mul[b, c]],
+        # (x, y, z): (x meet y) meet z = x meet (y meet z)
+        "meet-associative": meet[meet[a, b], c] != meet[a, meet[b, c]],
+        # (x, u, v): u ~xi~ v implies xu ~xi~ xv
+        "xi-left-regular": xi[b, c] & ~xi[mul[a, b], mul[a, c]],
+        # (u, x, y): x |- y implies ux |- y
+        "delta-left-ideal": delta[b, c] & ~delta[mul[a, b], c],
+        # (x, y, z): x(y meet z) = xy meet xz
+        "mul-distributes-over-meet": mul[a, meet[b, c]] != meet[mul[a, b], mul[a, c]],
+        # (x, y, u): x ~xi~ y implies (x meet y)u = xu meet yu
+        "xi-meet-right-distributive":
+            xi[a, b] & (mul[meet[a, b], c] != meet[mul[a, c], mul[b, c]]),
+        # (z, x, y): x <= y implies zx <= zy
+        "order-left-regular": zeta[b, c] & ~zeta[mul[a, b], mul[a, c]],
+        # (z, x, y): x <= y implies xz <= yz
+        "order-right-regular": zeta[b, c] & ~zeta[mul[b, a], mul[c, a]],
+    }

@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -481,6 +483,25 @@ class TestCache:
         a = sys.closures.of_pair(0, 1)
         b = sys.closures.of_pair(1, 0)
         assert a == b
+
+    def test_checked_system_freed_without_the_cycle_collector(self, m70_file):
+        # the cache refers back to its system weakly, so reference counting
+        # alone frees a checked system, its cache and its step kernel
+        tsys = parse_instance(m70_file).build(cap=256)
+        gc.disable()
+        try:
+            sys = tsys.abstract()
+            assert check_representability(sys).passed
+            assert sys.closures.of_pair(69, 3) == sys.closures.closed_bits((1 << 69) | (1 << 3))
+            seed = (1 << 5) | (1 << 66) | (1 << 67)
+            want = closure_fixpoint(sys, seed, witnesses=False)
+            cache, ref = sys.closures, weakref.ref(sys)
+            del sys, tsys
+            assert ref() is None
+            # a cache kept past its system still closes seeds
+            assert cache.result(seed) == (want.closed_bits, want.rounds)
+        finally:
+            gc.enable()
 
 
 class TestUnionSeededPairs:

@@ -303,6 +303,12 @@ class TestCli:
         assert cli.main(["check", "--input", str(m70_file), "--format", "machine"]) == 0
         assert capsys.readouterr().out == (DATA / "m70_check.json").read_text()
 
+    def test_check_output_at_m245_is_golden(self, m245_file, capsys):
+        # tests/data/m245_check.json is `check --format machine` on the
+        # fixture as printed before the law scans took certificates
+        assert cli.main(["check", "--input", str(m245_file), "--format", "machine"]) == 0
+        assert capsys.readouterr().out == (DATA / "m245_check.json").read_text()
+
     def test_represent_output_is_golden(self, capsys):
         # tests/data/represent_m16.json is `represent --format machine` on
         # represent_m16.yaml (m = 16) as printed when the sum took one
@@ -358,6 +364,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["generate", "--cap", "1", "--maps", "2"], ["generate", "--maps", "0"],
         ["generate", "--points", "0"], ["generate", "--kind", "abstract", "--size", "-1"],
+        ["generate", "--cap", "3", "--maps", "3", "--points", "40"],
         ["check", "--input", str(DATA / "represent_m16.yaml"), "--cap", "3"],
     ])
     def test_bad_values_exit_two(self, argv):

@@ -137,3 +137,27 @@ class TestScan:
         assert calls == [(1, 4)]
         assert got.witnesses == [{"x": 3, "y": 2}]
         assert got.detail == "1 pairs"
+
+    def test_certificate_tried_only_past_one_block(self, mask, monkeypatch):
+        tried = []
+        violations_of, asked = self.law(mask)
+        got = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples",
+                            holds=lambda: tried.append(1) or True)
+        assert tried == [] and asked == [(0, 7)]  # one block: the scan alone
+        assert not got.passed
+        monkeypatch.setattr(reports, "_BLOCK", 3)
+        got = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples",
+                            holds=lambda: tried.append(1) or True)
+        assert tried == [1] and asked == [(0, 7)]  # trusted: no block built
+        assert (got.passed, got.detail, got.witnesses) == (True, "", [])
+        assert got.seconds >= 0
+
+    def test_failed_certificate_runs_the_scan(self, mask, monkeypatch):
+        monkeypatch.setattr(reports, "_BLOCK", 3)
+        violations_of, asked = self.law(mask)
+        plain = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples")
+        got = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples",
+                            holds=lambda: False)
+        assert asked == [(0, 3), (3, 6), (6, 7)] * 2
+        assert (got.passed, got.detail, got.witnesses) == (
+            plain.passed, plain.detail, plain.witnesses)
