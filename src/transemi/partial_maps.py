@@ -289,16 +289,26 @@ def _intersect_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.where(block == right, block, -1)
 
 
-def products(rows: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Both products of every ordered pair, one row block at a time.
+def products(rows: np.ndarray, done: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Both products of each ordered pair (i, j) with i >= done or j >= done,
+    one row block at a time.
 
-    Yields (lo, hi, out) with out[b, j, 0] = compose(rows[lo + b], rows[j])
-    and out[b, j, 1] = intersect(rows[lo + b], rows[j]), so that reshaping
-    out to rows lists them in (i, j, compose-then-intersect) order.
+    Yields (lo, hi, jlo, out) with out[b, j, 0] = compose(rows[lo + b],
+    rows[jlo + j]) and out[b, j, 1] = intersect(rows[lo + b], rows[jlo + j]):
+    first the rows below `done` against rows done..k-1 (jlo = done), then
+    the rows from `done` on against all k rows (jlo = 0). Reshaping the
+    blocks to rows in turn lists those pairs in (i, j, compose-then-intersect)
+    order; done = 0 lists every ordered pair. Each block is the part of one
+    `_row_blocks` block on one side of `done`.
     """
-    for lo, hi in _row_blocks(rows):
-        yield lo, hi, np.stack(
-            [_compose_block(rows[lo:hi], rows), _intersect_block(rows[lo:hi], rows)], axis=2)
+    k = len(rows)
+    for start, stop, jlo in ((0, done, done), (done, k, 0)):
+        for lo, hi in _row_blocks(rows):
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                left, right = rows[lo:hi], rows[jlo:]
+                yield lo, hi, jlo, np.stack(
+                    [_compose_block(left, right), _intersect_block(left, right)], axis=2)
 
 
 def compose_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:

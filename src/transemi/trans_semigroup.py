@@ -1,7 +1,8 @@
 """Intersection-closed semigroups of partial transformations.
 
-`generate` saturates a seed set under composition and intersection and
-computes, eagerly, the index tables for both operations plus three boolean
+`generate` saturates a seed set under composition and intersection
+semi-naively, forming each ordered pair's products once, and computes,
+eagerly, the index tables for both operations plus three boolean
 relations: containment (zeta), agreement on common domains (xi), and
 image-inside-domain (delta), all through the array kernel of
 `partial_maps`. `TransSystem.abstract` re-encodes the result as an
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import threading
 import time
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import islice
 from operator import and_, index
 from typing import Iterable
 
@@ -33,7 +35,8 @@ class TransSystem:
     Built by `generate`, which hands over the saturated maps as (k, n) rows
     (see `partial_maps.as_rows`) together with their product tables:
     mul_table[i, j] and meet_table[i, j] index compose(f_i, f_j) and
-    intersect(f_i, f_j).
+    intersect(f_i, f_j). The maps as `PartialMap` values (`elements`) and
+    their ids (`index`) are built on first read; the checks need only rows.
     """
 
     def __init__(self, rows: np.ndarray, mul_table: np.ndarray, meet_table: np.ndarray):
@@ -42,8 +45,6 @@ class TransSystem:
         for arr in (rows, mul_table, meet_table, self.zeta, self.xi, self.delta):
             arr.flags.writeable = False
         self.base_size = rows.shape[1]
-        self.elements = from_rows(rows)
-        self.index = {f: i for i, f in enumerate(self.elements)}
         self.dom_bits = tuple(bool_to_bits(row >= 0) for row in rows)
 
         self._lock = threading.Lock()
@@ -51,7 +52,15 @@ class TransSystem:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self) -> tuple[PartialMap, ...]:
+        return from_rows(self.rows)
+
+    @cached_property
+    def index(self) -> dict[PartialMap, int]:
+        return {f: i for i, f in enumerate(self.elements)}
 
     def abstract(self) -> AbstractSystem:
         with self._lock:
@@ -68,11 +77,17 @@ class TransSystem:
 def generate(seeds: Iterable[PartialMap], cap: int) -> TransSystem:
     """Least set containing the seeds closed under compose and intersect.
 
-    Saturation runs in rounds: seeds first, in given order; each round
-    forms both products of every ordered pair of the maps known when it
-    starts and appends the new ones in (i, j, compose-then-intersect)
-    order, until a round finds none. That last round's product ids are the
-    system's tables. Raises when the closure grows past `cap`.
+    Saturation runs in rounds, semi-naively: seeds first, in given order.
+    A round over the k maps known when it starts forms both products of
+    the ordered pairs with at least one map new since the previous round
+    (`products(rows, done)`, done being the number of maps known before
+    that round) and walks them in (i, j, compose-then-intersect) order,
+    appending the maps it has not seen; a pair of two older maps had its
+    products admitted in an earlier round, so its ids are copied from that
+    round's tables. Each ordered pair is thus formed once, and the maps get
+    the same ids as when every round forms every pair. A round that finds
+    no new map ends saturation, and its ids are the system's tables.
+    Raises when the closure grows past `cap`, checked after each block.
     """
     seed_list = list(seeds)
     if not seed_list:
@@ -82,23 +97,21 @@ def generate(seeds: Iterable[PartialMap], cap: int) -> TransSystem:
         raise CapExceededError(f"cap exceeded: closure grew past {cap}")
     n = rows.shape[1]
     index = {key: i for i, key in enumerate(row_keys(rows))}
+    done, old = 0, np.empty((2, 0, 0), dtype=np.int64)
     while True:
         k = len(rows)
         ids = np.empty((2, k, k), dtype=np.int64)  # compose, intersect
-        grown = []
-        for lo, hi, block in products(rows):
-            flat = block.reshape(-1, n)
-            before = len(index)
-            found = np.array([index.setdefault(key, len(index)) for key in row_keys(flat)])
+        ids[:, :done, :done] = old
+        for lo, hi, jlo, block in products(rows, done):
+            found = [index.setdefault(key, len(index)) for key in row_keys(block.reshape(-1, n))]
             if len(index) > cap:
                 raise CapExceededError(f"cap exceeded: closure grew past {cap}")
-            ids[:, lo:hi] = found.reshape(hi - lo, k, 2).transpose(2, 0, 1)
-            # ids were handed out in order of first occurrence
-            new, at = np.unique(found, return_index=True)
-            grown.append(flat[at[new >= before]])
+            ids[:, lo:hi, jlo:] = np.reshape(found, (hi - lo, k - jlo, 2)).transpose(2, 0, 1)
         if len(index) == k:
             return TransSystem(rows, ids[0], ids[1])
-        rows = np.concatenate([rows] + grown)
+        # the keys past k are the round's new maps, in the order of their ids
+        grown = np.frombuffer(b"".join(islice(index, k, None)), dtype=np.int64)
+        rows, done, old = np.concatenate([rows, grown.reshape(-1, n)]), k, ids
 
 
 def check_adjacency_laws(sys: TransSystem) -> Report:

@@ -240,13 +240,40 @@ class TestArrayKernel:
                 assert xi[i, j] == semicompatible(f, g)
                 assert delta[i, j] == semiadjacent(f, g)
 
-    @given(map_lists)
-    def test_products_in_pair_order(self, maps):
-        rows = as_rows(maps)
-        listed = np.concatenate(
-            [out.reshape(-1, rows.shape[1]) for _, _, out in products(rows)])
-        want = [h for f in maps for g in maps for h in (compose(f, g), intersect(f, g))]
-        assert from_rows(listed) == tuple(want)
+    @staticmethod
+    def assert_products_from(maps, rows, done):
+        """Every block of products(rows, done) against the one-pair
+        definitions: the blocks list the pairs with i >= done or j >= done
+        in (i, j) order, and each lies in one row block on one side of done."""
+        k = len(maps)
+        blocks = list(_row_blocks(rows))
+        listed = []
+        for lo, hi, jlo, out in products(rows, done):
+            assert jlo == (done if hi <= done else 0) and (lo >= done or hi <= done)
+            assert any(blo <= lo < hi <= bhi for blo, bhi in blocks)
+            assert out.shape == (hi - lo, k - jlo, 2, rows.shape[1])
+            for b in range(hi - lo):
+                for j in range(k - jlo):
+                    f, g = maps[lo + b], maps[jlo + j]
+                    assert from_rows(out[b, j]) == (compose(f, g), intersect(f, g))
+                    listed.append((lo + b, jlo + j))
+        assert listed == [(i, j) for i in range(k) for j in range(k) if i >= done or j >= done]
+
+    @given(map_lists, st.data())
+    def test_products_in_pair_order(self, maps, data):
+        k = len(maps)
+        for done in {0, k - 1, data.draw(st.integers(0, k - 1))}:
+            self.assert_products_from(maps, as_rows(maps), done)
+
+    def test_products_split_inside_a_row_block(self):
+        # 30 maps on 20 points: row blocks of 6 rows, so done = 9 cuts
+        # the block 6..11 in two
+        rng = np.random.default_rng(2)
+        rows = rng.integers(-1, 20, size=(30, 20))
+        assert (6, 12) in list(_row_blocks(rows))
+        maps = from_rows(rows)
+        for done in (0, 9, 29):
+            self.assert_products_from(maps, rows, done)
 
     @given(map_lists, st.data())
     def test_mismatches_match_definitions(self, maps, data):

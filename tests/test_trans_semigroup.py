@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from transemi import (
     intersect,
     validate,
 )
+from transemi import cli, partial_maps, trans_semigroup
 from transemi.generators import random_partial_map
 from transemi.instances import parse_instance
+from transemi.partial_maps import from_rows
 
 from naive import naive_generate
 
@@ -88,9 +92,10 @@ class TestGenerate:
             assert np.array_equal(meet.diagonal(), np.arange(sys.size))
             assert np.array_equal(meet[meet, :], meet[:, meet])
 
-    def test_matches_worklist_reference(self, m70_file):
-        # the corpus draws (cap-exceeding ones included) and the m = 70
-        # fixture: same elements in the same order, or the same cap error
+    @staticmethod
+    def reference_draws(m70_file):
+        """The corpus draws (cap-exceeding ones included) and the m = 70
+        fixture at caps 69, 70 and 256."""
         params = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
         draws = []
         for i in range(100):
@@ -99,7 +104,12 @@ class TestGenerate:
             draws += [([random_partial_map(rng, n) for _ in range(k)], 64) for _ in range(3)]
         inst = parse_instance(m70_file)
         m70_seeds = [PartialMap.from_pairs(inst.base_size, pairs) for pairs in inst.maps]
-        draws += [(m70_seeds, cap) for cap in (69, 70, 256)]
+        return draws + [(m70_seeds, cap) for cap in (69, 70, 256)]
+
+    def test_matches_worklist_reference(self, m70_file):
+        # same elements in the same order, or the same cap error, and
+        # tables that index each pair's compose and intersect
+        draws = self.reference_draws(m70_file)
         errors = 0
         for seeds, cap in draws:
             try:
@@ -109,8 +119,55 @@ class TestGenerate:
                 with pytest.raises(CapExceededError, match=f"^{exc}$"):
                     generate(seeds, cap)
                 continue
-            assert generate(seeds, cap).elements == tuple(want)
+            sys = generate(seeds, cap)
+            elements = sys.elements
+            assert elements == tuple(want)
+            for i, f in enumerate(elements):
+                for j, g in enumerate(elements):
+                    assert elements[sys.mul_table[i, j]] == compose(f, g)
+                    assert elements[sys.meet_table[i, j]] == intersect(f, g)
         assert 0 < errors < len(draws)
+
+    def test_forms_each_ordered_pair_once(self, m70_file, monkeypatch):
+        # saturation to k maps forms k^2 compose rows and k^2 intersect rows
+        formed = Counter()
+
+        def counting(name, kernel):
+            def block(left, right):
+                formed[name] += len(left) * len(right)
+                return kernel(left, right)
+            return block
+
+        monkeypatch.setattr(partial_maps, "_compose_block",
+                            counting("compose", partial_maps._compose_block))
+        monkeypatch.setattr(partial_maps, "_intersect_block",
+                            counting("intersect", partial_maps._intersect_block))
+        sizes = []
+        for seeds, cap in self.reference_draws(m70_file):
+            formed.clear()
+            try:
+                k = generate(seeds, cap).size
+            except CapExceededError:
+                continue
+            assert formed == {"compose": k * k, "intersect": k * k}
+            sizes.append(k)
+        assert max(sizes) == 70
+
+    def test_elements_built_on_first_read(self, m70_file, monkeypatch, capsys):
+        calls = []
+        build = trans_semigroup.from_rows
+        monkeypatch.setattr(trans_semigroup, "from_rows",
+                            lambda rows: calls.append(len(rows)) or build(rows))
+        represent_m16 = Path(__file__).parent / "data" / "represent_m16.yaml"
+        assert cli.main(["check", "--input", str(m70_file)]) == 0
+        assert cli.main(["represent", "--input", str(represent_m16)]) == 0
+        capsys.readouterr()
+        assert calls == []
+        sys = generate([pm(2, [(0, 1)]), pm(2, [(1, 0)])], cap=16)
+        assert calls == []
+        assert sys.elements == from_rows(sys.rows) and sys.elements is sys.elements
+        assert sys.index == {f: i for i, f in enumerate(sys.elements)}
+        assert calls == [sys.size]
 
     def test_duplicate_seeds_keep_first_occurrence(self):
         f, g = pm(3, [(0, 1)]), pm(3, [(1, 2), (2, 2)])
