@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .closure import check_representability
 from .errors import HypothesesViolatedError, InternalConsistencyError
 from .partial_maps import (
     PartialMap,
-    as_rows,
     compose_mismatch,
     first_equal,
     from_rows,
@@ -65,33 +64,22 @@ class Representation:
 
     Carrier points carry labels: a bare class id for a single simplest
     representation, or ((g1, g2), class id) for sums, (g1, g2) being the
-    first pair of the fragment's closure. The maps are held as
-    `rows`, a read-only (k, n) int64 array with -1 where a map is undefined
-    (see `partial_maps.as_rows`), and `maps`, the same maps as `PartialMap`
-    values, is built from the rows on first read. A representation built
-    from maps derives its rows on first read instead.
+    first pair of the fragment's closure. The maps are held as `rows`, a
+    read-only (k, n) int64 array with -1 where a map is undefined (see
+    `partial_maps.as_rows`); `maps`, the same maps as `PartialMap` values,
+    is built from the rows on first read.
     """
 
-    def __init__(self, carrier: tuple, maps: Optional[Sequence[PartialMap]] = None, *,
-                 rows: Optional[np.ndarray] = None):
-        if (maps is None) == (rows is None):
-            raise TypeError("Representation needs exactly one of maps and rows")
-        self.carrier = tuple(carrier)
-        # fill in the cached property given; the other one derives from it
-        if maps is not None:
-            self.__dict__["maps"] = tuple(maps)
-        elif np.shape(rows)[1] < 1:  # as for a `PartialMap`
+    def __init__(self, carrier: tuple, rows: np.ndarray):
+        if np.shape(rows)[1] < 1:  # as for a `PartialMap`
             raise ValueError("base_size must be positive")
-        else:
-            self.__dict__["rows"] = _read_only(rows)
+        self.carrier = tuple(carrier)
+        self.rows = np.asarray(rows, dtype=np.int64).view()
+        self.rows.flags.writeable = False
 
     @functools.cached_property
     def maps(self) -> tuple[PartialMap, ...]:
         return from_rows(self.rows)
-
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        return _read_only(as_rows(self.maps))
 
     @property
     def num_points(self) -> int:
@@ -103,22 +91,20 @@ class Representation:
         return self.carrier == other.carrier and np.array_equal(self.rows, other.rows)
 
 
-def _read_only(rows: np.ndarray) -> np.ndarray:
-    view = np.asarray(rows, dtype=np.int64).view()
-    view.flags.writeable = False
-    return view
-
-
 def partition_to_pair(sys: AbstractSystem, classes: list[list[int]],
                       w_members: Optional[frozenset[int]] = None) -> DeterminingPair:
-    """Canonicalize explicit classes over G* into a DeterminingPair."""
+    """Canonicalize explicit classes over G* into a DeterminingPair.
+
+    Raises ValueError unless the classes are nonempty and hold each of
+    0..m exactly once, or when `w_members` is not one of them.
+    """
+    if not all(classes) or sorted(i for c in classes for i in c) != list(range(sys.size + 1)):
+        raise ValueError("classes do not partition the extended carrier")
     ordered = sorted((sorted(c) for c in classes), key=lambda c: c[0])
     class_of = [-1] * (sys.size + 1)
     for cid, cls in enumerate(ordered):
         for i in cls:
             class_of[i] = cid
-    if any(c < 0 for c in class_of):
-        raise ValueError("classes do not cover the extended carrier")
     w_class = None
     if w_members:
         for cid, cls in enumerate(ordered):
@@ -171,45 +157,37 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
 
     Two elements of G are identified when their meet lies in the closure or
     both lie outside it; e forms its own class; the complement of the
-    closure, when nonempty, is the excluded class. Raises when the input
-    system does not actually support the construction.
+    closure, when nonempty, is the excluded class. Each element's class is
+    read off its leader, the least element it is identified with, and
+    classes are numbered by leader. Raises `HypothesesViolatedError` when
+    the identification is not an equivalence, when the complement is not
+    one class, or when the pair fails `validate_determining_pair`.
     """
     m = sys.size
-    closed = sys.closures.of_pair(g1, g2)
+    inside = bits_to_bool(sys.closures.of_pair(g1, g2), m)
+    eps = inside[sys.meet] | (~inside[:, None] & ~inside[None, :])
 
-    inside = bits_to_bool(closed, m)
-    meet_in = inside[sys.meet]
-    eps = meet_in | (~inside[:, None] & ~inside[None, :])
-
-    composed = (eps.astype(np.float64) @ eps.astype(np.float64)) > 0.5
-    gap = composed & ~eps
-    if gap.any():
-        x, z = (int(v) for v in np.argwhere(gap)[0])
-        y = int(np.nonzero(eps[x] & eps[:, z])[0][0])
+    # an equivalence is exactly the relation of having one leader
+    lead = eps.argmax(axis=1)
+    wrong = eps != (lead[:, None] == lead[None, :])
+    if wrong.any():
+        x, y = divmod(int(wrong.argmax()), m)
         raise HypothesesViolatedError(
-            "hypotheses violated: identification is not transitive",
-            witness={"x": x, "y": y, "z": z, "pair": [g1, g2]},
+            "hypotheses violated: identification is not an equivalence",
+            witness={"x": x, "y": y, "z": int(lead[x]), "pair": [g1, g2]},
         )
+    cid = np.unique(lead, return_inverse=True)[1]
+    class_of = (*cid.tolist(), int(cid.max()) + 1)  # e stays alone, last
 
-    classes: list[list[int]] = []
-    assigned = [-1] * m
-    for x in range(m):
-        if assigned[x] >= 0:
-            continue
-        cls = [y for y in range(m) if eps[x, y]]
-        for y in cls:
-            assigned[y] = 1
-        classes.append(cls)
-    classes.append([m])  # e stays alone
-
-    outside = frozenset(int(i) for i in np.nonzero(~inside)[0])
-    if outside:
-        if not any(frozenset(c) == outside for c in classes):
+    w_class = None
+    if not inside.all():
+        w_class = class_of[int(inside.argmin())]
+        if ((cid == w_class) != ~inside).any():
             raise HypothesesViolatedError(
                 "hypotheses violated: closure complement is not one class",
-                witness={"pair": [g1, g2], "outside": sorted(outside)},
+                witness={"pair": [g1, g2], "outside": np.flatnonzero(~inside).tolist()},
             )
-    dp = partition_to_pair(sys, classes, outside if outside else None)
+    dp = DeterminingPair(class_of, w_class)
 
     check = validate_determining_pair(sys, dp)
     if not check.passed:
@@ -240,7 +218,7 @@ def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Represe
         raise InternalConsistencyError(
             f"class {kept[i]} splits under element {g}; determining pair invalid"
         )
-    return Representation(tuple(kept), rows=rows)
+    return Representation(tuple(kept), rows)
 
 
 def rep_relations(rep: Representation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,7 +321,7 @@ def sum_representation(sys: AbstractSystem) -> Representation:
         frag = simplest_representation(sys, determining_pair_for(sys, *pair))
         blocks.append(np.where(frag.rows >= 0, frag.rows + len(carrier), -1))
         carrier.extend((pair, cid) for cid in frag.carrier)
-    return Representation(tuple(carrier), rows=np.hstack(blocks))
+    return Representation(tuple(carrier), np.hstack(blocks))
 
 
 def verify_representability(sys: AbstractSystem) -> Report:

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import threading
 import time
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import islice
-from operator import and_, index
+from operator import index
 from typing import Iterable
 
 import numpy as np
 
 from .abstract_system import AbstractSystem
-from .bitsets import bits_matrix, bits_of, bool_to_bits, full_mask, iter_bits
+from .bitsets import bits_of, bits_to_bool
 from .errors import CapExceededError
 from .partial_maps import PartialMap, as_rows, from_rows, products, relations, row_keys
 from .reports import WITNESS_CAP, Report
@@ -35,17 +35,18 @@ class TransSystem:
     Built by `generate`, which hands over the saturated maps as (k, n) rows
     (see `partial_maps.as_rows`) together with their product tables:
     mul_table[i, j] and meet_table[i, j] index compose(f_i, f_j) and
-    intersect(f_i, f_j). The maps as `PartialMap` values (`elements`) and
-    their ids (`index`) are built on first read; the checks need only rows.
+    intersect(f_i, f_j). `dom` marks each map's domain, `rows >= 0`. The
+    maps as `PartialMap` values (`elements`) and their ids (`index`) are
+    built on first read; the checks need only rows.
     """
 
     def __init__(self, rows: np.ndarray, mul_table: np.ndarray, meet_table: np.ndarray):
         self.rows, self.mul_table, self.meet_table = rows, mul_table, meet_table
         self.zeta, self.xi, self.delta = relations(rows)
-        for arr in (rows, mul_table, meet_table, self.zeta, self.xi, self.delta):
+        self.dom = rows >= 0  # [f, a]: point a is in the domain of map f
+        for arr in (rows, mul_table, meet_table, self.zeta, self.xi, self.delta, self.dom):
             arr.flags.writeable = False
         self.base_size = rows.shape[1]
-        self.dom_bits = tuple(bool_to_bits(row >= 0) for row in rows)
 
         self._lock = threading.Lock()
         self._abstract: AbstractSystem | None = None
@@ -123,7 +124,7 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
     """
     report = Report("adjacency laws")
     t0 = time.perf_counter()
-    dom = sys.rows >= 0
+    dom = sys.dom
     kept = ~(dom[:, None, :] & ~dom[sys.mul_table.T]).any(axis=2)  # [f, g]: g o f keeps dom f
     report.record_mask("adjacency-iff-domain-kept", t0, sys.delta != kept, ("f", "g"), "pairs")
     # delta[f,g] must imply delta[f o h, g] for every h
@@ -131,10 +132,6 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
                 lambda lo, hi: sys.delta[lo:hi, None, :] & ~sys.delta[sys.mul_table[lo:hi]],
                 ("f", "h", "g"), "triples")
     return report
-
-
-def _common_domain(sys: TransSystem, members: Iterable[int]) -> int:
-    return reduce(and_, (sys.dom_bits[i] for i in members), full_mask(sys.base_size))
 
 
 def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
@@ -151,10 +148,10 @@ def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
     for i in idx:
         if not 0 <= i < sys.size:
             raise ValueError(f"element index {i} out of range")
-    closed = sys.abstract().closures.closed_bits(bits_of(idx))
-    common = _common_domain(sys, idx)
+    closed = bits_to_bool(sys.abstract().closures.closed_bits(bits_of(idx)), sys.size)
+    common = sys.dom[idx].all(axis=0)
     bad = [{"subset": idx, "member": phi}
-           for phi in iter_bits(closed) if common & ~sys.dom_bits[phi]]
+           for phi in np.flatnonzero(closed & (common & ~sys.dom).any(axis=1)).tolist()]
     report = Report("domain meet bound")
     report.record("closure-domain-bound", t0, len(bad), bad, "members")
     return report
@@ -174,7 +171,7 @@ def check_domain_bounds(sys: TransSystem) -> Report:
     t0 = time.perf_counter()
     k = sys.size
     pair_key, closed = sys.abstract().closures.pair_table()
-    dom = bits_matrix(sys.dom_bits, sys.base_size)
+    dom = sys.dom
     # bound[c]: the points in the domain of every member of closure c
     bound = (closed.astype(np.float32) @ (~dom).astype(np.float32)) < 0.5
     common = dom[:, None, :] & dom[None, :, :]

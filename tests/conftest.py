@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from transemi import cli, generators
+from transemi import AbstractSystem, cli, generators
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -37,6 +37,20 @@ def abstract_corpus(abstract_m1, abstract_m2, abstract_m3, trans_corpus):
     """Validated abstract systems: enumerated small ones, a sampled batch on
     three points, and the abstract images of every generated system."""
     return abstract_m1 + abstract_m2 + abstract_m3 + [s.abstract() for s in trans_corpus]
+
+
+@pytest.fixture(scope="session")
+def random_systems():
+    """400 systems on one to five points with uniformly random tables and
+    relations, nearly all outside the hypotheses."""
+    rng = random.Random("random-systems")
+    out = []
+    for i in range(400):
+        m = 1 + i % 5
+        table = lambda: [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+        rel = lambda: [[rng.random() < 0.5 for _ in range(m)] for _ in range(m)]
+        out.append(AbstractSystem(table(), table(), rel(), rel()))
+    return out
 
 
 @pytest.fixture(scope="session")

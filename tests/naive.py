@@ -5,7 +5,9 @@ straight from the defining formulas as plain loops, over `PartialMap`
 values wherever maps are involved. The triple laws are the exception: at
 the sizes their certificates start (m > 32) m^3 Python loops are too slow,
 so `naive_law_masks` writes each law as one whole (m, m, m) array
-expression over open index grids instead of loops.
+expression over open index grids instead of loops. For the same reason
+`naive_identification` is one (m, m) array expression and the
+transitivity test in `naive_determining_pair` one matrix product.
 """
 
 import numpy as np
@@ -276,6 +278,63 @@ def naive_determining_pair_failures(sys, dp):
                     if dp.class_of[sys.mul[w, u]] != dp.w_class:
                         ideal.append({"w": w, "u": u, "lands": int(sys.mul[w, u])})
     return regular, ideal
+
+
+def naive_identification(sys, g1, g2):
+    """The identification of the closure C of {g1, g2} as an (m, m) bool
+    array, eps[x, y] saying x meet y lies in C or neither x nor y does, and
+    the members of C as an m-vector."""
+    closed = sys.closures.of_pair(g1, g2)
+    inside = np.array([(closed >> x) & 1 for x in range(sys.size)], dtype=bool)
+    return inside[sys.meet] | np.outer(~inside, ~inside), inside
+
+
+def naive_determining_pair(sys, g1, g2):
+    """`determining_pair_for` built class by class: a transitivity check,
+    then, for each element not yet placed, the elements identified with it
+    as one class, and e alone. Raises `HypothesesViolatedError` as
+    `determining_pair_for` does, except that a relation that is not
+    transitive is reported so, with the first (x, z) it misses and the
+    least y between them. A transitive relation that is not an equivalence
+    is misread: it ends in IndexError or ValueError, or in a pair whose
+    classes are not the relation."""
+    from transemi import DeterminingPair, HypothesesViolatedError, validate_determining_pair
+
+    m = sys.size
+    rel, inside = naive_identification(sys, g1, g2)
+    eps = rel.tolist()
+    gap = ((rel @ rel.astype(np.float64)) > 0.5) & ~rel  # x ~ y ~ z for some y, not x ~ z
+    if gap.any():
+        x, z = (int(v) for v in np.argwhere(gap)[0])
+        y = next(y for y in range(m) if eps[x][y] and eps[y][z])
+        raise HypothesesViolatedError(
+            "hypotheses violated: identification is not transitive",
+            witness={"x": x, "y": y, "z": z, "pair": [g1, g2]})
+    classes, placed = [], set()
+    for x in range(m):
+        if x not in placed:
+            classes.append([y for y in range(m) if eps[x][y]])
+            placed.update(classes[-1])
+    classes.append([m])  # e stays alone
+    outside = np.flatnonzero(~inside).tolist()
+    if outside and outside not in classes:
+        raise HypothesesViolatedError(
+            "hypotheses violated: closure complement is not one class",
+            witness={"pair": [g1, g2], "outside": outside})
+    ordered = sorted(classes, key=lambda c: c[0])
+    class_of = [-1] * (m + 1)
+    for cid, cls in enumerate(ordered):
+        for i in cls:
+            class_of[i] = cid
+    if -1 in class_of:
+        raise ValueError("classes do not cover the extended carrier")
+    dp = DeterminingPair(tuple(class_of), ordered.index(outside) if outside else None)
+    check = validate_determining_pair(sys, dp)
+    if not check.passed:
+        first = check.failures()[0]
+        raise HypothesesViolatedError(
+            f"hypotheses violated: {first.check_id}", witness=first.witnesses[0])
+    return dp
 
 
 def naive_class_side_failures(sys, dp):

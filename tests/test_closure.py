@@ -895,6 +895,21 @@ class TestRepresentabilityAxioms:
         for sys in small + golden_failures() + [non_extensive()]:
             self._assert_matches_direct_loop(sys, lambda h, sys=sys: naive_closure(sys, h))
 
+    def test_replays_each_seed_once(self, abstract_corpus, monkeypatch):
+        # failing pairs are x-major and the order and adjacency checks share
+        # singleton seeds, so a call closes each distinct seed once
+        fixpoint = closure.closure_fixpoint
+        seeds = []
+        monkeypatch.setattr(closure, "closure_fixpoint",
+                            lambda s, h, **kw: seeds.append(h) or fixpoint(s, h, **kw))
+        replayed = 0
+        for sys in abstract_corpus + golden_failures() + [non_extensive()]:
+            seeds.clear()
+            check_representability(AbstractSystem(sys.mul, sys.meet, sys.xi, sys.delta))
+            assert len(seeds) == len(set(seeds))
+            replayed += len(seeds)
+        assert replayed
+
     def test_seconds_time_each_check_alone(self, system_m70):
         sys = AbstractSystem(system_m70.mul, system_m70.meet, system_m70.xi,
                              system_m70.delta)

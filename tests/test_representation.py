@@ -7,6 +7,7 @@ import pytest
 from transemi import (
     AbstractSystem,
     DeterminingPair,
+    HypothesesViolatedError,
     InternalConsistencyError,
     PartialMap,
     check_class_formulas,
@@ -36,7 +37,9 @@ from transemi.representation import Representation, partition_to_pair
 from naive import (
     naive_class_formula_failures,
     naive_class_side_failures,
+    naive_determining_pair,
     naive_determining_pair_failures,
+    naive_identification,
     naive_pair_sum,
     naive_simplest_maps,
     naive_verifier_failures,
@@ -60,7 +63,7 @@ def corrupted(rep):
     entries[defined[0]] = None
     entries[defined[-1]] = 0
     maps[0] = PartialMap(tuple(entries))
-    return Representation(rep.carrier, tuple(maps))
+    return Representation(rep.carrier, as_rows(maps))
 
 
 def flipped(mat, cells):
@@ -92,6 +95,14 @@ def sum_systems(abstract_corpus, m70_file):
         sys = parse_instance(path).build()
         systems.append(sys if isinstance(sys, AbstractSystem) else sys.abstract())
     return systems
+
+
+def is_equivalence(eps):
+    return bool(eps.diagonal().all() and (eps == eps.T).all()
+                and not (((eps @ eps.astype(np.float64)) > 0.5) & ~eps).any())
+
+
+NOT_EQUIVALENCE = "hypotheses violated: identification is not an equivalence"
 
 
 def axiom_passing(abstract_corpus, limit=None, max_size=8):
@@ -126,6 +137,75 @@ class TestDeterminingPair:
                 for g2 in range(g1, sys.size):
                     dp = determining_pair_for(sys, g1, g2)
                     assert validate_determining_pair(sys, dp).passed
+
+    def test_matches_class_list_reference(self, abstract_corpus, m70_file, random_systems):
+        # the reference builds classes one by one; where the identification
+        # is an equivalence both give one pair, or one error and witness,
+        # and where it is not, the reference reports a failed transitivity
+        # or misreads the classes
+        systems = abstract_corpus + random_systems
+        for path in sorted(DATA.glob("*.yaml")) + [m70_file]:
+            sys = parse_instance(path).build()
+            systems.append(sys if isinstance(sys, AbstractSystem) else sys.abstract())
+        misread = set()
+        for sys in systems:
+            for g1, g2 in np.ndindex(sys.size, sys.size):
+                got = built(lambda s: determining_pair_for(s, g1, g2), sys)
+                want = built(lambda s: naive_determining_pair(s, g1, g2), sys)
+                if is_equivalence(naive_identification(sys, g1, g2)[0]):
+                    assert got == want
+                else:
+                    assert got[:2] == (HypothesesViolatedError, NOT_EQUIVALENCE)
+                    misread.add(want[:2] if isinstance(want, tuple) else (type(want), None))
+        assert {DeterminingPair, IndexError, ValueError} <= {m[0] for m in misread}
+        assert (HypothesesViolatedError,
+                "hypotheses violated: identification is not transitive") in misread
+
+    @pytest.mark.parametrize("mul, meet, xi, delta, pair, witness", [
+        # eps = [[F, F], [F, T]]: 0 is identified with nothing
+        ([[1, 1], [0, 0]], [[1, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 0], [0, 0]], (0, 0),
+         {"x": 0, "y": 0, "z": 0}),
+        # eps = [[F, T], [F, T]]: both lead with 1, and 0 is not identified with itself
+        ([[0, 1], [1, 1]], [[1, 0], [1, 1]], [[0, 0], [1, 0]], [[1, 1], [0, 0]], (0, 0),
+         {"x": 0, "y": 0, "z": 1}),
+        # eps = [[T, F], [T, T]]: 1 is identified with 0 but not 0 with 1
+        ([[0, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [0, 0]], [[0, 1], [0, 0]], (1, 1),
+         {"x": 0, "y": 1, "z": 0}),
+    ])
+    def test_identification_not_an_equivalence(self, mul, meet, xi, delta, pair, witness):
+        sys = AbstractSystem(mul, meet, xi, delta)
+        with pytest.raises(HypothesesViolatedError) as exc:
+            determining_pair_for(sys, *pair)
+        assert str(exc.value) == NOT_EQUIVALENCE
+        assert exc.value.witness == {**witness, "pair": list(pair)}
+
+    def test_random_tables_end_in_hypotheses_violated(self, random_systems):
+        # outside the hypotheses a pair either raises HypothesesViolatedError
+        # or is a determining pair whose classes are its identification
+        returned = 0
+        for sys in random_systems:
+            for g1, g2 in np.ndindex(sys.size, sys.size):
+                try:
+                    dp = determining_pair_for(sys, g1, g2)
+                except HypothesesViolatedError:
+                    continue
+                cls = np.asarray(dp.class_of[:-1])
+                assert np.array_equal(cls[:, None] == cls[None, :],
+                                      naive_identification(sys, g1, g2)[0])
+                returned += 1
+        assert returned
+
+    @pytest.mark.parametrize("classes", [
+        [[0, 1], [1, 2]],    # 1 twice
+        [[0, 1], [], [2]],   # an empty class
+        [[0], [1], [2, 5]],  # 5 past e
+    ])
+    def test_partition_rejects_malformed_classes(self, classes):
+        mul = [[0, 0], [0, 1]]
+        sys = AbstractSystem(mul, mul, [[True, True], [True, True]],
+                             [[False, False], [False, False]])
+        with pytest.raises(ValueError, match="do not partition the extended carrier"):
+            partition_to_pair(sys, classes)
 
     def test_corrupted_classes_reported(self):
         # two-element chain with product = meet; gluing 1 with e breaks
@@ -613,16 +693,16 @@ class TestRowStorage:
             for rep in self.representations(sys):
                 assert not rep.rows.flags.writeable
                 assert np.array_equal(rep.rows, as_rows(rep.maps))
-                rebuilt = Representation(rep.carrier, rep.maps)
+                rebuilt = Representation(rep.carrier, as_rows(rep.maps))
                 assert np.array_equal(rebuilt.rows, rep.rows)
                 assert rebuilt == rep
 
-    def test_built_from_maps_or_rows_only(self):
+    def test_built_from_rows_of_one_point_or_more(self):
         rep = sum_representation(s1())
         with pytest.raises(TypeError):
             Representation(rep.carrier)
-        with pytest.raises(TypeError):
-            Representation(rep.carrier, rep.maps, rows=rep.rows)
+        with pytest.raises(ValueError, match="base_size must be positive"):
+            Representation((), np.empty((1, 0), dtype=np.int64))
 
     def test_verifier_and_pair_query_build_no_maps(self, trans_corpus, monkeypatch):
         calls = []

@@ -264,7 +264,7 @@ class TestAdjacencyLaws:
 
     def test_iff_witnesses_on_damaged_delta(self, trans_corpus):
         # generated systems always pass: flip some delta entries and compare
-        # with the law evaluated pair by pair on domain bitsets
+        # with the law evaluated pair by pair on domain rows
         for sys in [s for s in trans_corpus if s.size >= 4][:10]:
             broken = generate(sys.elements, cap=64)
             delta = sys.delta.copy()
@@ -272,8 +272,8 @@ class TestAdjacencyLaws:
             delta[3, 1] = ~delta[3, 1]
             broken.delta = delta
             want = [{"f": i, "g": j} for i in range(sys.size) for j in range(sys.size)
-                    if bool(delta[i, j]) != (not sys.dom_bits[i]
-                                             & ~sys.dom_bits[sys.mul_table[j, i]])]
+                    if bool(delta[i, j]) != (not (sys.dom[i]
+                                                  & ~sys.dom[sys.mul_table[j, i]]).any())]
             got = check_adjacency_laws(broken)["adjacency-iff-domain-kept"]
             assert want and got.witnesses == want[:10]
             assert got.detail == f"{len(want)} pairs"
@@ -307,7 +307,7 @@ class TestDomainMeet:
         keep = {i for subset in subsets for i in subset}
         sys = parse_instance(m70_file).build(cap=256)
         broken = parse_instance(m70_file).build(cap=256)
-        broken.dom_bits = tuple(d if i in keep else 0 for i, d in enumerate(broken.dom_bits))
+        broken.dom = broken.dom & np.isin(np.arange(broken.size), list(keep))[:, None]
         failing = 0
         for tsys in (sys, broken):
             for subset in subsets:
@@ -349,9 +349,10 @@ class TestDomainBounds:
         for n, sys in enumerate(trans_corpus[:40]):
             rng = random.Random(n)
             broken = generate(sys.elements, cap=64)
-            broken.dom_bits = tuple(
-                d & ~(1 << rng.randrange(sys.base_size)) if rng.random() < 0.3 else d
-                for d in sys.dom_bits)
+            broken.dom = sys.dom.copy()
+            for dom in broken.dom:
+                if rng.random() < 0.3:
+                    dom[rng.randrange(sys.base_size)] = False
             got = self.swept(broken)
             assert got == self.per_subset(broken)
             failing += not got[0]
