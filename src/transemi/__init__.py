@@ -7,7 +7,7 @@ that characterize such systems, and constructs the sum-of-simplest faithful
 representation with a full verifier on top.
 """
 
-from .abstract_system import AbstractSystem, StarView, derived_props, validate
+from .abstract_system import AbstractSystem, derived_props, validate
 from .closure import (
     ClosureCache,
     ClosureResult,

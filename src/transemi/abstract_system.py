@@ -2,10 +2,12 @@
 
 The carrier is {0..m-1}. `mul` and `meet` are m x m index tables, `xi` and
 `delta` are m x m boolean matrices. The natural semilattice order `zeta`
-(x <= y iff x meet y = x) is derived eagerly. A `StarView` extends the
-system read-only by an adjoined identity at index m with the fixed
-conventions: e.e = e on products, e <= e, e |- e and x |- e for every x in
-G, and no other pair involving e in any of the three relations.
+(x <= y iff x meet y = x) is derived eagerly. G* = G with an adjoined
+identity e at index m is stated once, by two read-only tables: `mul_star`,
+the (m + 1) x (m + 1) product with e.a = a.e = a, and `delta_star`, the
+m x (m + 1) relation delta with x |- e for every x in G. These are the
+only places e occurs: the closure layer never orders, meets or relates e
+under xi, so no convention for it is stated there.
 
 Law checks over triples are evaluated in row blocks (`Report.scan`) so
 peak memory stays near block * m^2 even on carriers of a few hundred
@@ -119,14 +121,6 @@ class AbstractSystem:
         self._closures: "ClosureCache | None" = None
 
     @property
-    def e(self) -> int:
-        return self.size
-
-    @property
-    def star(self) -> "StarView":
-        return StarView(self)
-
-    @property
     def closures(self) -> "ClosureCache":
         with self._lock:
             if self._closures is None:
@@ -148,45 +142,8 @@ class AbstractSystem:
         mul = self.mul
         return not any((mul[mul[:, s]] != mul[:, mul[s]]).any() for s in self.generators)
 
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.zeta[x, y])
-
     def __repr__(self) -> str:
         return f"AbstractSystem(size={self.size})"
-
-
-class StarView:
-    """Read-only view of a system extended by the identity e = size.
-
-    The meet operation is deliberately not extended to e.
-    """
-
-    def __init__(self, sys: AbstractSystem):
-        self.sys = sys
-        self.e = sys.size
-        self.size = sys.size + 1
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.sys.mul_star[a, b])
-
-    def leq(self, a: int, b: int) -> bool:
-        e = self.e
-        if a == e or b == e:
-            return a == e and b == e
-        return bool(self.sys.zeta[a, b])
-
-    def xi(self, a: int, b: int) -> bool:
-        e = self.e
-        if a == e or b == e:
-            return False
-        return bool(self.sys.xi[a, b])
-
-    def delta(self, a: int, b: int) -> bool:
-        if b == self.e:
-            return True
-        if a == self.e:
-            return False
-        return bool(self.sys.delta[a, b])
 
 
 def _over_generators(sys: AbstractSystem,

@@ -32,7 +32,10 @@ def full_mask(m: int) -> int:
 
 
 def bits_to_bool(bits: int, m: int) -> np.ndarray:
-    """Length-m bool array marking the members of `bits`."""
+    """Length-m bool array marking the members of `bits`, which must be a
+    subset of {0..m-1}: anything else raises `ValueError`."""
+    if bits < 0 or bits >> m:
+        raise ValueError(f"bitset is not a subset of the carrier 0..{m - 1}")
     packed = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(packed, count=m, bitorder="little").view(bool)
 

@@ -163,6 +163,8 @@ def cmd_generate(args) -> int:
             tsys, name=f"generated-{args.seed}", seed=args.seed, seeds_only=seeds
         )
     else:
+        if args.size > 3:  # abstract systems are enumerated or sampled on 1-3 points
+            raise TransemiError(f"abstract systems are generated on sizes 1-3, not {args.size}")
         if args.size <= 2:
             pool = generators.enumerate_valid_abstract(args.size)
             ab = pool[rng.randrange(len(pool))]

@@ -13,8 +13,13 @@ per added element, the first admitting 5-tuple in lexicographic order
 set by brute-force subset enumeration and is kept independent of the step
 kernel on purpose.
 
-Subsets are int bitsets over {0..m-1}. In witness tuples the value m stands
-for the adjoined identity e.
+Subsets are int bitsets over {0..m-1}. Each one that enters this module
+converts through `bits_to_bool`, which raises `ValueError` on a member
+outside the carrier (a negative bitset included). The seeds of a step, a
+fixpoint, the oracle, a round membership and the four-conditions test
+must also be nonempty (`_seed`). G* is read off the system's `mul_star`
+and `delta_star` tables, so in witness tuples the value m stands for the
+adjoined identity e.
 """
 
 from __future__ import annotations
@@ -205,12 +210,17 @@ def _kernel(sys) -> _StepKernel:
     return kern
 
 
+def _seed(sys, h_bits: int) -> np.ndarray:
+    """A seed H as a length-m bool array. H must be a nonempty subset of
+    the carrier; anything else raises `ValueError`."""
+    if h_bits == 0:
+        raise ValueError("empty subset: a seed must be nonempty")
+    return bits_to_bool(h_bits, sys.size)
+
+
 def closure_step(sys, h_bits: int) -> int:
     """One application of the step operator to a nonempty subset."""
-    if h_bits == 0:
-        raise ValueError("closure of empty set undefined")
-    h = bits_to_bool(h_bits, sys.size)
-    return bool_to_bits(_kernel(sys).step(h))
+    return bool_to_bits(_kernel(sys).step(_seed(sys, h_bits)))
 
 
 @dataclass
@@ -236,10 +246,6 @@ class ClosureResult:
         return bool((self.closed_bits >> z) & 1)
 
 
-def _star_range(m: int) -> list[int]:
-    return list(range(m)) + [m]
-
-
 def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     """Iterate H -> H | step(H) to its fixpoint, the least closed superset.
 
@@ -249,10 +255,8 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     extensive, and each round is the plain step. Of `sys` it reads only the
     size and the step kernel, which a system's `ClosureCache` also carries.
     """
-    if h_bits == 0:
-        raise ValueError("closure of empty set undefined")
+    cur = _seed(sys, h_bits)
     kern = _kernel(sys)
-    cur = bits_to_bool(h_bits, sys.size)
     cur_bits = h_bits
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
@@ -375,17 +379,18 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
     enumeration; the "four-conditions" method checks the equivalent rule
     set (left factors, adjacency products, upward order closure, and
     restricted meets), each as one array test over the system's tables,
-    and requires a nonempty H. The two share no code with each other or
-    with the step kernel.
+    and requires a nonempty H. Beyond the subset gate the two share no
+    code with each other or with the step kernel.
     """
     m = sys.size
     if method == "implication":
+        bits_to_bool(h_bits, m)  # rejects members outside the carrier
         star = sys.mul_star
         meet = sys.meet
         xi = sys.xi
         dstar = sys.delta_star
         zeta = sys.zeta
-        srange = _star_range(m)
+        srange = range(m + 1)
         outside = [z for z in range(m) if not (h_bits >> z) & 1]
         for u in iter_bits(h_bits):
             for v in range(m):
@@ -406,9 +411,7 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
                                     return False
         return True
     if method == "four-conditions":
-        if h_bits == 0:
-            raise ValueError("four-conditions method needs a nonempty subset")
-        h = bits_to_bool(h_bits, m)
+        h = _seed(sys, h_bits)
         inside = h[:, None]
         # products: x.y in H forces x in H
         if (~inside & h[sys.mul]).any():
@@ -437,8 +440,7 @@ def least_closed_oracle(sys, h_bits: int) -> int:
     m = sys.size
     if m > ORACLE_BUDGET:
         raise OracleBudgetError(f"budget exceeded: carrier {m} > {ORACLE_BUDGET}")
-    if h_bits == 0:
-        raise ValueError("closure of empty set undefined")
+    _seed(sys, h_bits)
     rest = [i for i in range(m) if not (h_bits >> i) & 1]
     acc = full_mask(m)
     for pick in range(1 << len(rest)):
@@ -466,18 +468,22 @@ class WitnessNode:
 
 
 def verify_witness_tree(sys, z: int, h_bits: int, n: int, node: WitnessNode) -> bool:
-    """Check every guard and leaf condition of a depth-n witness tree."""
+    """Check every guard and leaf condition of a depth-n witness tree.
+
+    A tree with u or v outside G, or x, y or t outside G*, fails.
+    """
     m = sys.size
+    bits_to_bool(h_bits, m)  # rejects seeds outside the carrier
     star = sys.mul_star
-    sv = sys.star
 
     def ok(target: int, nd: WitnessNode, level: int) -> bool:
-        if not (0 <= nd.u < m and 0 <= nd.v < m):
+        if not (0 <= nd.u < m and 0 <= nd.v < m
+                and all(0 <= a <= m for a in (nd.x, nd.y, nd.t))):
             return False
         if not sys.xi[nd.u, nd.v]:
             return False
         w1 = star[sys.meet[nd.u, nd.v], nd.x]
-        if not sv.delta(int(w1), nd.y):
+        if not sys.delta_star[w1, nd.y]:
             return False
         w2 = star[w1, nd.y]
         if not sys.zeta[w2, star[target, nd.t]]:
@@ -500,7 +506,7 @@ def _direct_tree_search(sys, z: int, h_bits: int, n: int):
     xi = sys.xi
     dstar = sys.delta_star
     zeta = sys.zeta
-    srange = _star_range(m)
+    srange = range(m + 1)
     memo: dict[tuple[int, int], WitnessNode | None] = {}
 
     def search(target: int, level: int) -> WitnessNode | None:
@@ -552,11 +558,11 @@ def _direct_tree_search(sys, z: int, h_bits: int, n: int):
 
 def _witnessed_chain(sys, h_bits: int, n: int):
     """Fn chain up to n with first-round and first-tuple bookkeeping."""
+    cur = bits_to_bool(h_bits, sys.size)
     kern = _kernel(sys)
     chain = [h_bits]
     first_round = {z: 0 for z in iter_bits(h_bits)}
     tuples: dict[int, tuple[int, int, int, int, int]] = {}
-    cur = bits_to_bool(h_bits, sys.size)
     cur_bits = h_bits
     for r in range(1, n + 1):
         nxt = kern.step(cur)
@@ -607,13 +613,16 @@ def member_at_round(sys, z: int, h_bits: int, n: int, method: str = "auto"):
     method "direct" searches the tree variables exhaustively (bounded to
     small carriers and n <= 2); "iterate" applies the step operator n times
     and rebuilds the tree from round witnesses; "auto" picks direct inside
-    the bounds and iterate otherwise.
+    the bounds and iterate otherwise. z must be in the carrier and H a
+    nonempty subset of it.
     """
     if n < 1:
         raise ValueError("round count must be at least 1")
-    if h_bits == 0:
-        raise ValueError("closure of empty set undefined")
+    _seed(sys, h_bits)
     m = sys.size
+    z = operator.index(z)
+    if not 0 <= z < m:
+        raise ValueError(f"element {z} outside the carrier 0..{m - 1}")
     if method == "auto":
         method = (
             "direct"

@@ -23,10 +23,9 @@ from .representation import DeterminingPair, partition_to_pair, validate_determi
 from .trans_semigroup import TransSystem, generate
 
 
-def random_partial_map(rng: random.Random, n: int, undefined_p: float = 0.4) -> PartialMap:
-    entries = tuple(
-        None if rng.random() < undefined_p else rng.randrange(n) for _ in range(n)
-    )
+def random_partial_map(rng: random.Random, n: int) -> PartialMap:
+    """A map on n points leaving each point undefined with probability 0.4."""
+    entries = tuple(None if rng.random() < 0.4 else rng.randrange(n) for _ in range(n))
     return PartialMap(entries)
 
 
@@ -36,17 +35,17 @@ def random_trans_system(rng: random.Random, n: int, k: int, cap: int) -> TransSy
     return generate(seeds, cap)
 
 
-def trans_corpus(count: int = 100, cap: int = 64, tag: str = "corpus") -> list[TransSystem]:
+def trans_corpus(count: int = 100, cap: int = 64) -> list[TransSystem]:
     """Deterministic corpus of saturated systems on at most 4 points.
 
     Parameters cycle through small (n, k) combinations; draws whose closure
     overflows the cap are retried on the same stream, so the result is a
-    pure function of (count, cap, tag).
+    pure function of (count, cap).
     """
     params = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
     out = []
     for i in range(count):
-        rng = random.Random(f"{tag}-{i}")
+        rng = random.Random(f"corpus-{i}")
         n, k = params[i % len(params)]
         while True:
             try:

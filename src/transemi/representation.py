@@ -174,7 +174,8 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
         x, y = divmod(int(wrong.argmax()), m)
         raise HypothesesViolatedError(
             "hypotheses violated: identification is not an equivalence",
-            witness={"x": x, "y": y, "z": int(lead[x]), "pair": [g1, g2]},
+            witness={"x": x, "y": y, "z": int(lead[x]) if eps[x, lead[x]] else None,
+                     "pair": [g1, g2]},
         )
     cid = np.unique(lead, return_inverse=True)[1]
     class_of = (*cid.tolist(), int(cid.max()) + 1)  # e stays alone, last

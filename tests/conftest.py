@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,15 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args, cwd=None):
+    """`python -m transemi <args>` in a child process that imports the
+    package from this checkout's `src`, ahead of any PYTHONPATH it has."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "transemi", *args], capture_output=True,
+                          text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
 
 
 @pytest.fixture(scope="session")

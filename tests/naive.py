@@ -30,6 +30,31 @@ def star_delta(sys, a, b):
     return bool(sys.delta[a, b])
 
 
+def naive_verify_tree(sys, z, h_bits, n, node):
+    """Whether a depth-n witness tree certifies z in Fn(H): every node's
+    guard holds for its target, inner nodes have two children certifying u
+    and v.x, and leaves have u and v.x in H. u, v and z range over G, x, y
+    and t over G*; a field outside its range fails the tree."""
+    m = sys.size
+
+    def ok(target, nd, level):
+        u, v, x, y, t = nd.u, nd.v, nd.x, nd.y, nd.t
+        if u not in range(m) or v not in range(m) or not {x, y, t} <= set(range(m + 1)):
+            return False
+        w1 = star_mul(sys, int(sys.meet[u, v]), x)
+        w2 = star_mul(sys, w1, y)
+        vx = star_mul(sys, v, x)
+        if not (sys.xi[u, v] and star_delta(sys, w1, y)
+                and sys.meet[w2, star_mul(sys, target, t)] == w2):
+            return False
+        if level == n:
+            return not nd.children and (h_bits >> u) & 1 and (h_bits >> vx) & 1
+        return (len(nd.children) == 2 and ok(u, nd.children[0], level + 1)
+                and ok(vx, nd.children[1], level + 1))
+
+    return z in range(m) and bool(ok(z, node, 1))
+
+
 def naive_step(sys, h_bits):
     """All z admitted by some (u, v, x, y, t), straight from the guard."""
     m = sys.size

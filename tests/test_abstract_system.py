@@ -295,37 +295,12 @@ class TestDerivedProps:
             assert derived_props(sys).passed
 
 
-class TestStarView:
-    def test_multiplication_by_identity(self):
-        sys = chain2()
-        sv = sys.star
-        e = sv.e
-        assert e == 2
-        for a in range(sv.size):
-            assert sv.mul(e, a) == a
-            assert sv.mul(a, e) == a
-
-    def test_stated_conventions_exactly(self):
-        sys = chain2()
-        sv = sys.star
-        e = sv.e
-        assert sv.leq(e, e)
-        assert sv.delta(e, e)
-        for x in range(sys.size):
-            assert sv.delta(x, e)
-            assert not sv.leq(e, x)
-            assert not sv.leq(x, e)
-            assert not sv.xi(e, x)
-            assert not sv.xi(x, e)
-            assert not sv.delta(e, x)
-        assert not sv.xi(e, e)
-
-    def test_restriction_matches_base(self):
-        sys = chain2()
-        sv = sys.star
-        for a in range(sys.size):
-            for b in range(sys.size):
-                assert sv.mul(a, b) == int(sys.mul[a, b])
-                assert sv.leq(a, b) == bool(sys.zeta[a, b])
-                assert sv.xi(a, b) == bool(sys.xi[a, b])
-                assert sv.delta(a, b) == bool(sys.delta[a, b])
+class TestStarTables:
+    def test_identity_adjoined_at_index_m(self, random_systems):
+        for sys in [chain2()] + random_systems[:20]:
+            m, star, dstar = sys.size, sys.mul_star, sys.delta_star
+            assert star.shape == (m + 1, m + 1) and dstar.shape == (m, m + 1)
+            assert np.array_equal(star[:m, :m], sys.mul)
+            assert star[m].tolist() == star[:, m].tolist() == list(range(m + 1))
+            assert np.array_equal(dstar[:, :m], sys.delta) and dstar[:, m].all()
+            assert not (star.flags.writeable or dstar.flags.writeable)

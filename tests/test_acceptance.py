@@ -1,11 +1,10 @@
 """Acceptance suite: one test and one printed verdict line per criterion."""
 
 import json
-import subprocess
-import sys as pysys
 import time
 
 import numpy as np
+from conftest import run_cli
 
 from transemi import (
     check_adjacency_laws,
@@ -237,11 +236,7 @@ def test_determinism(tmp_path):
     t0 = time.time()
 
     def run(*args):
-        res = subprocess.run(
-            [pysys.executable, "-m", "transemi", *args],
-            capture_output=True,
-            text=True,
-        )
+        res = run_cli(*args)
         return res.returncode, res.stdout
 
     ok = True

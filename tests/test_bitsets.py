@@ -17,6 +17,14 @@ def test_bool_round_trip(m):
         assert np.array_equal(bits_matrix([bits], m)[0], arr)
 
 
+@pytest.mark.parametrize("m", [1, 3, 63, 64, 70])
+def test_bool_rejects_bits_outside_the_carrier(m):
+    message = rf"^bitset is not a subset of the carrier 0\.\.{m - 1}$"
+    for bits in (1 << m, (1 << m) | 1, 1 << (m + 10), -1, -(1 << m)):
+        with pytest.raises(ValueError, match=message):
+            bits_to_bool(bits, m)
+
+
 @pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8, np.intp])
 def test_bits_of_numpy_integers(kind):
     got = bits_of(kind(i) for i in (69, 3, 0, 64))

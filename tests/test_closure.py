@@ -3,6 +3,7 @@ import random
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from transemi import (
     AbstractSystem,
     HypothesesViolatedError,
     OracleBudgetError,
+    WitnessNode,
     check_representability,
     closure_fixpoint,
     closure_step,
@@ -24,7 +26,7 @@ from transemi import (
     validate,
     verify_witness_tree,
 )
-from transemi import closure
+from transemi import closure, generators
 from transemi.bitsets import (
     bits_matrix,
     bits_to_bool,
@@ -51,6 +53,7 @@ from naive import (
     naive_four_conditions,
     naive_pair_rule,
     naive_step,
+    naive_verify_tree,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -90,6 +93,18 @@ def random_tables(rng, m):
     table = lambda: [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
     rel = lambda: [[rng.random() < 0.5 for _ in range(m)] for _ in range(m)]
     return AbstractSystem(table(), table(), rel(), rel())
+
+
+def one_field_variants(tree, values):
+    """`tree` with one field (u, v, x, y or t) of one node replaced by each
+    of `values` that differs from it."""
+    for name in ("u", "v", "x", "y", "t"):
+        for a in values:
+            if a != getattr(tree, name):
+                yield replace(tree, **{name: a})
+    for i, child in enumerate(tree.children):
+        for sub in one_field_variants(child, values):
+            yield replace(tree, children=tree.children[:i] + (sub,) + tree.children[i + 1:])
 
 
 def direct(sys, h_bits):
@@ -425,6 +440,28 @@ class TestMemberAtRound:
                         held = bool((chain[n] >> z) & 1)
                         tree = _tree_from_chain(sys, z, n, want[1], want[2]) if held else None
                         assert member_at_round(sys, z, seed, n, method="iterate") == (held, tree)
+
+    def test_trees_verify_as_the_naive_verifier(self, abstract_corpus):
+        # every tree member_at_round returns on carriers of at most 3, and
+        # each with one field of one node moved anywhere in -1..m+1: out of
+        # range too, where x = -1 once wrapped round to e's column m
+        checked = 0
+        for sys in abstract_corpus:
+            m = sys.size
+            if m > 3:
+                continue
+            for h in all_nonempty(m):
+                for n in (1, 2):
+                    for z in range(m):
+                        trees = {member_at_round(sys, z, h, n, method=method)[1]
+                                 for method in ("direct", "iterate")} - {None}
+                        for tree in trees:
+                            assert verify_witness_tree(sys, z, h, n, tree)
+                            for bent in one_field_variants(tree, range(-1, m + 2)):
+                                assert (verify_witness_tree(sys, z, h, n, bent)
+                                        == naive_verify_tree(sys, z, h, n, bent))
+                                checked += 1
+        assert checked
 
     def test_direct_bounds_enforced(self):
         with pytest.raises(ValueError, match="direct search bounded"):
@@ -766,6 +803,57 @@ def system_m70(m70_file):
     sys = parse_instance(m70_file).build(cap=256).abstract()
     assert sys.size == 70
     return sys
+
+
+@pytest.fixture(scope="module")
+def system_m3():
+    sys = generators.trans_corpus(3, cap=64)[2].abstract()
+    assert sys.size == 3
+    return sys
+
+
+class TestSubsetGate:
+    """Seeds and elements outside the carrier are refused, not truncated,
+    wrapped or walked forever."""
+
+    @pytest.mark.parametrize("fixture", ["system_m3", "system_m70"])
+    def test_seeds_outside_the_carrier(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        m = sys.size
+        calls = [
+            lambda h: closure_step(sys, h),
+            lambda h: closure_fixpoint(sys, h),
+            lambda h: sys.closures.closed_bits(h),
+            lambda h: is_closed(sys, h, "implication"),
+            lambda h: is_closed(sys, h, "four-conditions"),
+            lambda h: member_at_round(sys, 0, h, 1, method="iterate"),
+            lambda h: member_at_round(sys, 0, h, 1, method="direct"),
+            lambda h: verify_witness_tree(sys, 0, h, 1, WitnessNode(0, 0, m, m, m)),
+        ]
+        if m <= ORACLE_BUDGET:
+            calls.append(lambda h: least_closed_oracle(sys, h))
+        for h in (1 << m, (1 << m) | 1, 1 << (m + 10), -1):
+            for call in calls:
+                with pytest.raises(ValueError, match="not a subset of the carrier"):
+                    call(h)
+        assert all(0 < h < 1 << m for h in sys.closures._memo)
+
+    @pytest.mark.parametrize("fixture", ["system_m3", "system_m70"])
+    def test_elements_outside_the_carrier(self, fixture, request):
+        sys = request.getfixturevalue(fixture)
+        for z in (-1, sys.size):
+            for method in ("iterate", "direct"):
+                with pytest.raises(ValueError, match=f"^element {z} outside the carrier"):
+                    member_at_round(sys, z, 1, 1, method=method)
+
+    def test_one_message_for_the_empty_seed(self, system_m3):
+        calls = [closure_step, closure_fixpoint, least_closed_oracle,
+                 lambda sys, h: is_closed(sys, h, "four-conditions"),
+                 lambda sys, h: member_at_round(sys, 0, h, 1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="^empty subset: a seed must be nonempty$"):
+                call(system_m3, 0)
+        assert is_closed(system_m3, 0, "implication")
 
 
 class TestLargeCarrier:

@@ -1,10 +1,9 @@
 import json
-import subprocess
-import sys as pysys
 from pathlib import Path
 
 import pytest
 import yaml
+from conftest import run_cli
 
 from transemi import cli, instances
 from transemi.errors import InstanceFormatError
@@ -204,15 +203,6 @@ class TestRoundTrip:
         assert render_instance(inst) == render_instance(inst)
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [pysys.executable, "-m", "transemi", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
-
-
 @pytest.fixture(scope="module")
 def trans_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "inst.yaml"
@@ -364,6 +354,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["generate", "--cap", "1", "--maps", "2"], ["generate", "--maps", "0"],
         ["generate", "--points", "0"], ["generate", "--kind", "abstract", "--size", "-1"],
+        ["generate", "--kind", "abstract", "--size", "4"],
         ["generate", "--cap", "3", "--maps", "3", "--points", "40"],
         ["check", "--input", str(DATA / "represent_m16.yaml"), "--cap", "3"],
     ])
@@ -372,6 +363,13 @@ class TestCli:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr and "internal error" not in res.stderr
+
+    @pytest.mark.parametrize("size", [4, 5, 40])
+    def test_generate_abstract_above_size_three_is_bad_input(self, size, capsys):
+        assert cli.main(["generate", "--kind", "abstract", "--size", str(size)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: abstract systems are generated on sizes 1-3, "
+                                  f"not {size}\n")
 
     def test_cap_exceeded_exits_two(self, tmp_path):
         inst = tmp_path / "grows.yaml"

@@ -162,9 +162,9 @@ class TestDeterminingPair:
                 "hypotheses violated: identification is not transitive") in misread
 
     @pytest.mark.parametrize("mul, meet, xi, delta, pair, witness", [
-        # eps = [[F, F], [F, T]]: 0 is identified with nothing
+        # eps = [[F, F], [F, T]]: 0 is identified with nothing, so has no leader
         ([[1, 1], [0, 0]], [[1, 1], [1, 0]], [[0, 1], [1, 1]], [[0, 0], [0, 0]], (0, 0),
-         {"x": 0, "y": 0, "z": 0}),
+         {"x": 0, "y": 0, "z": None}),
         # eps = [[F, T], [F, T]]: both lead with 1, and 0 is not identified with itself
         ([[0, 1], [1, 1]], [[1, 0], [1, 1]], [[0, 0], [1, 0]], [[1, 1], [0, 0]], (0, 0),
          {"x": 0, "y": 0, "z": 1}),
