@@ -31,17 +31,6 @@ from .errors import (
     OracleBudgetError,
     TransemiError,
 )
-from .partial_maps import (
-    PartialMap,
-    Subset,
-    compose,
-    domain,
-    identity_on,
-    image,
-    intersect,
-    semiadjacent,
-    semicompatible,
-)
 from .reports import CheckResult, Report
 from .representation import (
     DeterminingPair,

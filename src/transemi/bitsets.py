@@ -17,6 +17,10 @@ def bits_of(indices: Iterable[int]) -> int:
 
 
 def iter_bits(bits: int) -> Iterator[int]:
+    """The members of `bits` in increasing order. A negative int has
+    infinitely many set bits, so it raises `ValueError`."""
+    if bits < 0:
+        raise ValueError(f"bitset {bits} is negative")
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -24,6 +28,7 @@ def iter_bits(bits: int) -> Iterator[int]:
 
 
 def members(bits: int) -> tuple[int, ...]:
+    """The members of `bits` in increasing order; see `iter_bits`."""
     return tuple(iter_bits(bits))
 
 

@@ -6,7 +6,7 @@ class TransemiError(Exception):
 
 
 class CarrierMismatchError(TransemiError, ValueError):
-    """Two maps or subsets live on carriers of different sizes."""
+    """Two maps live on carriers of different sizes."""
 
 
 class CapExceededError(TransemiError, RuntimeError):

@@ -18,15 +18,15 @@ import numpy as np
 
 from .abstract_system import AbstractSystem, validate
 from .errors import CapExceededError
-from .partial_maps import PartialMap
 from .representation import DeterminingPair, partition_to_pair, validate_determining_pair
 from .trans_semigroup import TransSystem, generate
 
 
-def random_partial_map(rng: random.Random, n: int) -> PartialMap:
-    """A map on n points leaving each point undefined with probability 0.4."""
-    entries = tuple(None if rng.random() < 0.4 else rng.randrange(n) for _ in range(n))
-    return PartialMap(entries)
+def random_partial_map(rng: random.Random, n: int) -> np.ndarray:
+    """A map on n points, as one int64 row, leaving each point undefined
+    (-1) with probability 0.4."""
+    return np.array([-1 if rng.random() < 0.4 else rng.randrange(n) for _ in range(n)],
+                    dtype=np.int64)
 
 
 def random_trans_system(rng: random.Random, n: int, k: int, cap: int) -> TransSystem:

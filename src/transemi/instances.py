@@ -1,10 +1,11 @@
 """Instance files: one YAML document per system, hand-editable.
 
 Two kinds. "transformations" carries a carrier size and seed maps as pair
-lists; the closure is computed on load. "abstract" carries row-major index
-tables and sparse relation pair lists. Parsing failures raise
-InstanceFormatError with a key-path tag; write followed by parse is the
-identity on instances. Files are read as UTF-8.
+lists; building one fills an int64 row per map (-1 where undefined)
+straight from the checked pairs and saturates the rows. "abstract" carries
+row-major index tables and sparse relation pair lists. Parsing failures
+raise InstanceFormatError with a key-path tag; write followed by parse is
+the identity on instances. Files are read as UTF-8.
 
 Documents are read with libyaml's parser (`yaml.CSafeLoader`) when PyYAML
 was built with it, and with PyYAML's own otherwise; the constructor and
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
+import numpy as np
 import yaml
 
 from .abstract_system import AbstractSystem
 from .errors import InstanceFormatError
-from .partial_maps import PartialMap
 from .trans_semigroup import TransSystem, generate
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -41,10 +42,12 @@ class TransInstance:
     kind = "transformations"
 
     def build(self, cap: int = 256) -> TransSystem:
-        seeds = [
-            PartialMap.from_pairs(self.base_size, pairs) for pairs in self.maps
-        ]
-        return generate(seeds, cap)
+        # the pairs were checked for range and functionality when parsed
+        rows = [[-1] * self.base_size for _ in self.maps]
+        for row, pairs in zip(rows, self.maps):
+            for a, b in pairs:
+                row[a] = b
+        return generate(rows, cap)
 
 
 @dataclass(frozen=True)
@@ -224,11 +227,14 @@ def write_instance(inst: Instance, path: str | Path) -> None:
 
 def trans_instance_from_system(sys: TransSystem, name: Optional[str] = None,
                                seed: Optional[int] = None,
-                               seeds_only: Optional[list[PartialMap]] = None) -> TransInstance:
-    maps = seeds_only if seeds_only is not None else list(sys.elements)
-    return TransInstance(
-        sys.base_size, tuple(f.pairs() for f in maps), name, seed
-    )
+                               seeds_only: np.ndarray | Sequence[Sequence[int]] | None = None,
+                               ) -> TransInstance:
+    """The system as an instance whose maps are `seeds_only`, rows as
+    `generate` takes them, or else all of the system's rows; the pairs are
+    Python ints, which `yaml.safe_dump` requires."""
+    rows = np.asarray(sys.rows if seeds_only is None else seeds_only)
+    maps = tuple(tuple((a, b) for a, b in enumerate(row) if b >= 0) for row in rows.tolist())
+    return TransInstance(sys.base_size, maps, name, seed)
 
 
 def abstract_instance_from_system(sys: AbstractSystem, name: Optional[str] = None,

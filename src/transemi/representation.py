@@ -9,12 +9,13 @@ generated by {g1,g2}, or both lie outside it. The sum of the simplest
 representations over relabeled disjoint carriers, one per distinct pair
 closure (the paper's |G|^2 pairs only repeat fragments), is injective and
 carries all three relations across exactly, which `verify_representability`
-re-checks concretely.
+re-checks concretely. A representation's maps are int64 rows, one per
+element (-1 where undefined), and the checks run on them through the row
+kernel of `partial_maps`.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -26,10 +27,8 @@ from .bitsets import bits_to_bool
 from .closure import check_representability
 from .errors import HypothesesViolatedError, InternalConsistencyError
 from .partial_maps import (
-    PartialMap,
     compose_mismatch,
     first_equal,
-    from_rows,
     intersect_mismatch,
     relations,
     semiadjacent_matrix,
@@ -64,22 +63,17 @@ class Representation:
 
     Carrier points carry labels: a bare class id for a single simplest
     representation, or ((g1, g2), class id) for sums, (g1, g2) being the
-    first pair of the fragment's closure. The maps are held as `rows`, a
-    read-only (k, n) int64 array with -1 where a map is undefined (see
-    `partial_maps.as_rows`); `maps`, the same maps as `PartialMap` values,
-    is built from the rows on first read.
+    first pair of the fragment's closure. The maps are `rows`, a read-only
+    (k, n) int64 array whose row g is element g's map on the n carrier
+    points, -1 where it is undefined (see `partial_maps`).
     """
 
     def __init__(self, carrier: tuple, rows: np.ndarray):
-        if np.shape(rows)[1] < 1:  # as for a `PartialMap`
+        if np.shape(rows)[1] < 1:  # a map acts on at least one point
             raise ValueError("base_size must be positive")
         self.carrier = tuple(carrier)
         self.rows = np.asarray(rows, dtype=np.int64).view()
         self.rows.flags.writeable = False
-
-    @functools.cached_property
-    def maps(self) -> tuple[PartialMap, ...]:
-        return from_rows(self.rows)
 
     @property
     def num_points(self) -> int:

@@ -1,10 +1,11 @@
 """Intersection-closed semigroups of partial transformations.
 
-`generate` saturates a seed set under composition and intersection
-semi-naively, forming each ordered pair's products once, and computes,
-eagerly, the index tables for both operations plus three boolean
-relations: containment (zeta), agreement on common domains (xi), and
-image-inside-domain (delta), all through the array kernel of
+`generate` saturates a set of seed maps, given as int64 rows (-1 where a
+map is undefined), under composition and intersection semi-naively,
+forming each ordered pair's products once, and computes, eagerly, the
+index tables for both operations plus three boolean relations:
+containment (zeta), agreement on common domains (xi), and
+image-inside-domain (delta), all through the row kernel of
 `partial_maps`. `TransSystem.abstract` re-encodes the result as an
 AbstractSystem; the abstract product x.y is the transformation y o x
 (apply x first), so the abstract table is the transpose of the concrete
@@ -15,29 +16,27 @@ from __future__ import annotations
 
 import threading
 import time
-from functools import cached_property
 from itertools import islice
 from operator import index
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .abstract_system import AbstractSystem
 from .bitsets import bits_of, bits_to_bool
-from .errors import CapExceededError
-from .partial_maps import PartialMap, as_rows, from_rows, products, relations, row_keys
+from .errors import CapExceededError, CarrierMismatchError
+from .partial_maps import products, relations, row_keys
 from .reports import WITNESS_CAP, Report
 
 
 class TransSystem:
     """A closed set of partial maps with its tables and relation matrices.
 
-    Built by `generate`, which hands over the saturated maps as (k, n) rows
-    (see `partial_maps.as_rows`) together with their product tables:
-    mul_table[i, j] and meet_table[i, j] index compose(f_i, f_j) and
-    intersect(f_i, f_j). `dom` marks each map's domain, `rows >= 0`. The
-    maps as `PartialMap` values (`elements`) and their ids (`index`) are
-    built on first read; the checks need only rows.
+    Built by `generate`, which hands over the saturated maps as (k, n) int64
+    rows, -1 where a map is undefined, together with their product tables:
+    mul_table[i, j] and meet_table[i, j] index rows[i] o rows[j] (apply
+    rows[j] first) and the meet of rows[i] and rows[j]. `dom` marks each
+    map's domain, `rows >= 0`.
     """
 
     def __init__(self, rows: np.ndarray, mul_table: np.ndarray, meet_table: np.ndarray):
@@ -55,14 +54,6 @@ class TransSystem:
     def size(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def elements(self) -> tuple[PartialMap, ...]:
-        return from_rows(self.rows)
-
-    @cached_property
-    def index(self) -> dict[PartialMap, int]:
-        return {f: i for i, f in enumerate(self.elements)}
-
     def abstract(self) -> AbstractSystem:
         with self._lock:
             if self._abstract is None:
@@ -75,8 +66,14 @@ class TransSystem:
         return f"TransSystem(base_size={self.base_size}, size={self.size})"
 
 
-def generate(seeds: Iterable[PartialMap], cap: int) -> TransSystem:
+def generate(seeds: np.ndarray | Sequence[Sequence[int]], cap: int) -> TransSystem:
     """Least set containing the seeds closed under compose and intersect.
+
+    The seeds are rows: a (k, n) int64 array, or k sequences of n ints, each
+    entry the image of its point or -1 where the map is undefined. Seeds of
+    different lengths raise `CarrierMismatchError`; no seeds, no points or
+    an entry outside -1..n-1 raise `ValueError`. Repeated seeds count once,
+    at their first occurrence.
 
     Saturation runs in rounds, semi-naively: seeds first, in given order.
     A round over the k maps known when it starts forms both products of
@@ -93,11 +90,23 @@ def generate(seeds: Iterable[PartialMap], cap: int) -> TransSystem:
     seed_list = list(seeds)
     if not seed_list:
         raise ValueError("at least one seed map is required")
-    rows = as_rows(list(dict.fromkeys(seed_list)))  # raises on a carrier mismatch
-    if cap < len(rows):  # the closure holds the seeds
+    n = len(seed_list[0])
+    for row in seed_list:
+        if len(row) != n:
+            raise CarrierMismatchError(f"carrier mismatch: {n} vs {len(row)}")
+    if n < 1:
+        raise ValueError("base_size must be positive")
+    seed_rows = np.asarray(seed_list)
+    if seed_rows.ndim != 2 or seed_rows.dtype.kind not in "iu":
+        raise ValueError("seed maps must be rows of integers")
+    if seed_rows.min() < -1 or seed_rows.max() >= n:
+        raise ValueError(f"seed map entry out of range -1..{n - 1}")
+    index: dict[bytes, int] = {}  # each distinct row's id, in first-seen order
+    for key in row_keys(seed_rows):
+        index.setdefault(key, len(index))
+    if cap < len(index):  # the closure holds the seeds
         raise CapExceededError(f"cap exceeded: closure grew past {cap}")
-    n = rows.shape[1]
-    index = {key: i for i, key in enumerate(row_keys(rows))}
+    rows = np.frombuffer(b"".join(index), dtype=np.int64).reshape(-1, n)
     done, old = 0, np.empty((2, 0, 0), dtype=np.int64)
     while True:
         k = len(rows)

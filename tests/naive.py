@@ -1,16 +1,44 @@
 """Reference implementations kept deliberately naive for differential tests.
 
 Nothing here shares code with the vectorized kernels; everything is written
-straight from the defining formulas as plain loops, over `PartialMap`
-values wherever maps are involved. The triple laws are the exception: at
-the sizes their certificates start (m > 32) m^3 Python loops are too slow,
-so `naive_law_masks` writes each law as one whole (m, m, m) array
-expression over open index grids instead of loops. For the same reason
+straight from the defining formulas as plain loops. A partial map on n
+points is a tuple of n ints, entry a the image of a or -1 where the map is
+undefined, so that a row of a kernel array reads as one by `tuple(row)`;
+`naive_compose` and its neighbours are the one-pair definitions the row
+kernel of `partial_maps` is tested against. The triple laws are the
+exception: at the sizes their certificates start (m > 32) m^3 Python loops
+are too slow, so `naive_law_masks` writes each law as one whole (m, m, m)
+array expression over open index grids instead of loops. For the same reason
 `naive_identification` is one (m, m) array expression and the
 transitivity test in `naive_determining_pair` one matrix product.
 """
 
 import numpy as np
+
+
+def naive_compose(g, f):
+    """The map a -> g(f(a)), defined where both stages are (apply f first)."""
+    return tuple(-1 if b < 0 else g[b] for b in f)
+
+
+def naive_intersect(f, g):
+    """The set-theoretic intersection of the two maps as subsets of A x A."""
+    return tuple(b if b == c else -1 for b, c in zip(f, g))
+
+
+def naive_issubmap(f, g):
+    """True when f, as a set of pairs, is contained in g."""
+    return all(b < 0 or b == c for b, c in zip(f, g))
+
+
+def naive_semicompatible(f, g):
+    """True when f and g agree wherever both are defined."""
+    return all(b < 0 or c < 0 or b == c for b, c in zip(f, g))
+
+
+def naive_semiadjacent(f, g):
+    """True when the image of f is contained in the domain of g."""
+    return all(b < 0 or g[b] >= 0 for b in f)
 
 
 def star_mul(sys, a, b):
@@ -191,10 +219,10 @@ def naive_axiom_failures(sys, close):
 
 def naive_generate(seeds, cap):
     """The saturated element list of `generate`, as a deterministic
-    worklist over `PartialMap` values: seeds in given order, then each
-    round composes and intersects every ordered pair of the maps known at
-    its start, admitting new maps as they appear."""
-    from transemi import CapExceededError, compose, intersect
+    worklist over tuples: seeds in given order, then each round composes
+    and intersects every ordered pair of the maps known at its start,
+    admitting new maps as they appear."""
+    from transemi import CapExceededError
 
     elements, seen = [], set()
 
@@ -206,7 +234,7 @@ def naive_generate(seeds, cap):
                 raise CapExceededError(f"cap exceeded: closure grew past {cap}")
 
     for f in seeds:
-        admit(f)
+        admit(tuple(int(b) for b in f))
     grown = True
     while grown:
         grown = False
@@ -214,35 +242,34 @@ def naive_generate(seeds, cap):
         for i in range(k):
             for j in range(k):
                 before = len(elements)
-                admit(compose(elements[i], elements[j]))
-                admit(intersect(elements[i], elements[j]))
+                admit(naive_compose(elements[i], elements[j]))
+                admit(naive_intersect(elements[i], elements[j]))
                 grown |= len(elements) != before
     return elements
 
 
-def naive_verifier_failures(sys, maps):
-    """Failing (g1, g2) pairs, row-major, of the verifier's map checks on a
-    list of m `PartialMap`s standing for the elements of `sys`."""
-    from transemi import compose, intersect, semiadjacent, semicompatible
-
+def naive_verifier_failures(sys, rows):
+    """Failing (g1, g2) pairs, row-major, of the verifier's map checks on m
+    rows standing for the elements of `sys`."""
+    maps = [tuple(row) for row in np.asarray(rows).tolist()]
     m = sys.size
     pairs = [(a, b) for a in range(m) for b in range(m)]
     return {
         "injective": [(a, b) for a, b in pairs if a < b and maps[a] == maps[b]],
         "product-homomorphism": [
             (a, b) for a, b in pairs
-            if maps[sys.mul[a, b]] != compose(maps[b], maps[a])],
+            if maps[sys.mul[a, b]] != naive_compose(maps[b], maps[a])],
         "meet-homomorphism": [
             (a, b) for a, b in pairs
-            if maps[sys.meet[a, b]] != intersect(maps[a], maps[b])],
+            if maps[sys.meet[a, b]] != naive_intersect(maps[a], maps[b])],
         "order-relation-matches": [
-            (a, b) for a, b in pairs if maps[a].issubmap(maps[b]) != sys.zeta[a, b]],
+            (a, b) for a, b in pairs if naive_issubmap(maps[a], maps[b]) != sys.zeta[a, b]],
         "semicompat-relation-matches": [
             (a, b) for a, b in pairs
-            if semicompatible(maps[a], maps[b]) != sys.xi[a, b]],
+            if naive_semicompatible(maps[a], maps[b]) != sys.xi[a, b]],
         "adjacency-relation-matches": [
             (a, b) for a, b in pairs
-            if semiadjacent(maps[a], maps[b]) != sys.delta[a, b]],
+            if naive_semiadjacent(maps[a], maps[b]) != sys.delta[a, b]],
     }
 
 
@@ -385,16 +412,18 @@ def naive_class_side_failures(sys, dp):
 
 
 def naive_simplest_maps(sys, dp):
-    """`simplest_representation`'s maps, element by element and class by
-    class; raises on the first (element, class) that splits."""
-    from transemi import InternalConsistencyError, PartialMap
+    """`simplest_representation`'s maps as tuples, element by element and
+    class by class; raises on the first (element, class) that splits."""
+    from transemi import InternalConsistencyError
 
     m = sys.size
     kept = [c for c in range(max(dp.class_of) + 1) if c != dp.w_class]
+    if not kept:  # every class excluded: maps on no points
+        raise ValueError("base_size must be positive")
     pos = {c: i for i, c in enumerate(kept)}
     maps = []
     for g in range(m):
-        entries = [None] * len(kept)
+        entries = [-1] * len(kept)
         for c in kept:
             targets = {dp.class_of[star_mul(sys, h, g)]
                        for h in range(m + 1) if dp.class_of[h] == c}
@@ -404,7 +433,7 @@ def naive_simplest_maps(sys, dp):
             target = targets.pop()
             if target != dp.w_class:
                 entries[pos[c]] = pos[target]
-        maps.append(PartialMap(tuple(entries)))
+        maps.append(tuple(entries))
     return tuple(maps)
 
 

@@ -3,7 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from transemi.bitsets import bits_matrix, bits_of, bits_to_bool, bool_to_bits, iter_bits
+from transemi.bitsets import (
+    bits_matrix,
+    bits_of,
+    bits_to_bool,
+    bool_to_bits,
+    iter_bits,
+    members,
+)
+from transemi.closure import ClosureResult
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 130])
@@ -29,3 +37,16 @@ def test_bool_rejects_bits_outside_the_carrier(m):
 def test_bits_of_numpy_integers(kind):
     got = bits_of(kind(i) for i in (69, 3, 0, 64))
     assert type(got) is int and got == (1 << 69) | (1 << 64) | (1 << 3) | 1
+
+
+@pytest.mark.parametrize("bits", [-1, -2, -(1 << 64), -(1 << 70)])
+def test_negative_bits_are_rejected(bits):
+    # a negative int has infinitely many set bits: `bits & -bits` never
+    # clears the sign, so walking them would not end
+    message = rf"^bitset {bits} is negative$"
+    with pytest.raises(ValueError, match=message):
+        list(iter_bits(bits))
+    with pytest.raises(ValueError, match=message):
+        members(bits)
+    with pytest.raises(ValueError, match=message):
+        ClosureResult(seed_bits=1, closed_bits=bits, rounds=1).members()

@@ -877,7 +877,7 @@ class TestLargeCarrier:
         outside = frozenset(i for i in range(sys.size) if i not in res)
         assert frozenset(dp.class_members(dp.w_class)) == outside
         rep = simplest_representation(sys, dp)
-        assert len(rep.maps) == sys.size
+        assert len(rep.rows) == sys.size
 
     def test_implication_rejects_open_seed_past_bit_63(self, system_m70):
         # the implication method is only fast here on a set that is not

@@ -204,6 +204,19 @@ class TestRoundTrip:
         inst = parse_instance_text(S1_TEXT)
         assert render_instance(inst) == render_instance(inst)
 
+    def test_whole_system_round_trip(self, trans_corpus):
+        # without seeds_only every row of the system is written, as pairs
+        # of Python ints (yaml.safe_dump rejects numpy ints); saturating
+        # the closed rows again adds nothing and keeps their ids
+        for sys in trans_corpus[::7]:
+            inst = instances.trans_instance_from_system(sys, name="whole")
+            assert {type(v) for pairs in inst.maps for pair in pairs for v in pair} == {int}
+            back = parse_instance_text(render_instance(inst))
+            assert back == inst
+            rebuilt = back.build(cap=sys.size)
+            for name in ("rows", "mul_table", "meet_table"):
+                assert np.array_equal(getattr(rebuilt, name), getattr(sys, name)), name
+
 
 class TestPinnedDigests:
     """sha256 digests of generated instances and of the corpus's rows and
@@ -437,7 +450,7 @@ class TestCli:
         rep = sum_representation(ab)
         _, xi_p, delta_p = rep_relations(rep)
         assert built["detail"] == (
-            f"carrier of {rep.num_points} points, {len(rep.maps)} maps, "
+            f"carrier of {rep.num_points} points, {len(rep.rows)} maps, "
             f"xi pairs={int(xi_p.sum())}, delta pairs={int(delta_p.sum())}")
 
     def test_timings_flag_adds_durations(self, trans_file):

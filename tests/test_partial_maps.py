@@ -1,251 +1,195 @@
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from transemi import (
-    CarrierMismatchError,
-    PartialMap,
-    Subset,
-    compose,
-    domain,
-    identity_on,
-    image,
-    intersect,
-    semiadjacent,
-    semicompatible,
-)
 from transemi.partial_maps import (
     _row_blocks,
     _tiles,
-    as_rows,
+    compose,
     compose_mismatch,
-    from_rows,
+    intersect,
     intersect_mismatch,
     products,
     relations,
     row_keys,
 )
 
+from naive import (
+    naive_compose,
+    naive_intersect,
+    naive_issubmap,
+    naive_semiadjacent,
+    naive_semicompatible,
+)
 
-def pm(n, pairs):
-    return PartialMap.from_pairs(n, pairs)
+
+def one(op, f, g):
+    """The kernel product op of the single maps f and g, as a tuple."""
+    return tuple(op(np.array([f]), np.array([g]))[0, 0].tolist())
+
+
+def as_maps(rows):
+    return [tuple(row) for row in rows.tolist()]
+
+
+def identity_on(members, n):
+    return tuple(a if a in members else -1 for a in range(n))
 
 
 def maps_on(n, count):
-    entry = st.one_of(st.none(), st.integers(0, n - 1))
-    one = st.tuples(*[entry] * n).map(PartialMap)
-    return st.tuples(*[one] * count)
+    row = st.tuples(*[st.integers(-1, n - 1)] * n)
+    return st.tuples(*[row] * count)
 
 
 shared_maps = st.integers(1, 5).flatmap(lambda n: maps_on(n, 3))
 map_lists = st.integers(1, 6).flatmap(
     lambda n: st.integers(1, 9).flatmap(lambda k: maps_on(n, k)))
+block_pairs = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.integers(1, 4).flatmap(lambda k: maps_on(n, k)),
+    st.integers(1, 4).flatmap(lambda k: maps_on(n, k))))
+
+
+def assert_pair_matrices_match(rows, want, cells=None):
+    """The relation and mismatch matrices of the rows against the one-pair
+    definitions, on the pairs of `cells` (all rows by default)."""
+    maps = as_maps(rows)
+    zeta, xi, delta = relations(rows)
+    comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+    cells = range(len(maps)) if cells is None else cells
+    for i in cells:
+        for j in cells:
+            f, g = maps[i], maps[j]
+            assert zeta[i, j] == naive_issubmap(f, g)
+            assert xi[i, j] == naive_semicompatible(f, g)
+            assert delta[i, j] == naive_semiadjacent(f, g)
+            assert comp[i, j] == (naive_compose(f, g) != maps[want[i, j]])
+            assert meet[i, j] == (naive_intersect(f, g) != maps[want[i, j]])
+    return zeta, xi, delta, meet
+
+
+def tiled_rows():
+    """12 maps on 6000 points: a row holds more than _ROW_CELLS cells, so
+    the pair matrices take tiles of 10 and 2 columns."""
+    rng = np.random.default_rng(1)
+    rows = rng.integers(-1, 6000, size=(12, 6000))
+    rows[3] = rows[11]
+    rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
+    rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
+    assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
+    want = rng.integers(0, 12, size=(12, 12))
+    want[10, 11] = 10
+    return rows, want
 
 
 class TestCompose:
     def test_defining_formula(self):
-        f = pm(3, [(0, 1), (1, 2)])
-        g = pm(3, [(1, 0)])
-        assert compose(g, f) == pm(3, [(0, 0)])
+        f, g = (1, 2, -1), (-1, 0, -1)
+        assert one(compose, g, f) == naive_compose(g, f) == (0, -1, -1)
 
     def test_empty_absorbs(self):
-        g = pm(2, [(0, 1), (1, 1)])
-        assert compose(g, PartialMap.empty(2)) == PartialMap.empty(2)
+        assert one(compose, (1, 1), (-1, -1)) == (-1, -1)
 
     def test_identity(self):
-        g = pm(2, [(0, 1)])
-        assert compose(g, PartialMap.identity(2)) == g
+        assert one(compose, (1, -1), (0, 1)) == (1, -1)
 
     def test_rows_past_the_row_budget_cut_into_tiles(self):
-        # 12 maps on 6000 points: a row holds more than _ROW_CELLS cells,
-        # so the pair matrices take tiles of 10 and 2 columns
-        rng = np.random.default_rng(1)
-        rows = rng.integers(-1, 6000, size=(12, 6000))
-        rows[3] = rows[11]
-        rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
-        rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
-        assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
-        want = rng.integers(0, 12, size=(12, 12))
-        want[10, 11] = 10
-        maps = from_rows(rows)
-        zeta, xi, delta = relations(rows)
-        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
-        for i, f in enumerate(maps):
-            for j, g in enumerate(maps):
-                assert zeta[i, j] == f.issubmap(g)
-                assert xi[i, j] == semicompatible(f, g)
-                assert delta[i, j] == semiadjacent(f, g)
-                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
-                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        rows, want = tiled_rows()
+        zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
-    def test_carrier_mismatch(self):
-        with pytest.raises(CarrierMismatchError, match="carrier mismatch"):
-            compose(PartialMap.identity(2), PartialMap.identity(3))
+    @given(block_pairs)
+    def test_blocks_match_definition(self, blocks):
+        # entry [b, j] is left[b] o right[j], right[j] applied first
+        left, right = blocks
+        out = compose(np.array(left), np.array(right))
+        assert out.shape == (len(left), len(right), len(left[0]))
+        assert [as_maps(block) for block in out] == [
+            [naive_compose(f, g) for g in right] for f in left]
 
     @given(shared_maps)
     def test_associative(self, maps):
         f, g, h = maps
-        assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+        assert one(compose, h, one(compose, g, f)) == one(compose, one(compose, h, g), f)
 
     @given(shared_maps)
     def test_domain_image_shrink(self, maps):
         f, g, _ = maps
-        gf = compose(g, f)
-        assert domain(gf).issubset(domain(f))
-        assert image(gf).issubset(image(g))
+        gf = one(compose, g, f)
+        assert all(c < 0 or b >= 0 for b, c in zip(f, gf))  # dom gf inside dom f
+        assert set(gf) - {-1} <= set(g)  # image gf inside image g
 
 
 class TestIntersect:
     def test_pointwise_agreement(self):
-        f = pm(2, [(0, 0), (1, 1)])
-        g = pm(2, [(0, 0), (1, 0)])
-        assert intersect(f, g) == pm(2, [(0, 0)])
+        assert one(intersect, (0, 1), (0, 0)) == naive_intersect((0, 1), (0, 0)) == (0, -1)
 
     def test_disagreement_everywhere(self):
-        assert intersect(pm(2, [(0, 0)]), pm(2, [(0, 1)])) == PartialMap.empty(2)
+        assert one(intersect, (0, -1), (1, -1)) == (-1, -1)
 
     @given(shared_maps)
     def test_idempotent_commutative_associative(self, maps):
         f, g, h = maps
-        assert intersect(f, f) == f
-        assert intersect(f, g) == intersect(g, f)
-        assert intersect(f, intersect(g, h)) == intersect(intersect(f, g), h)
+        assert one(intersect, f, f) == f
+        assert one(intersect, f, g) == one(intersect, g, f)
+        assert one(intersect, f, one(intersect, g, h)) == one(intersect, one(intersect, f, g), h)
 
     def test_rows_past_the_row_budget_cut_into_tiles(self):
-        # 12 maps on 6000 points: a row holds more than _ROW_CELLS cells,
-        # so the pair matrices take tiles of 10 and 2 columns
-        rng = np.random.default_rng(1)
-        rows = rng.integers(-1, 6000, size=(12, 6000))
-        rows[3] = rows[11]
-        rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
-        rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
-        assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
-        want = rng.integers(0, 12, size=(12, 12))
-        want[10, 11] = 10
-        maps = from_rows(rows)
-        zeta, xi, delta = relations(rows)
-        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
-        for i, f in enumerate(maps):
-            for j, g in enumerate(maps):
-                assert zeta[i, j] == f.issubmap(g)
-                assert xi[i, j] == semicompatible(f, g)
-                assert delta[i, j] == semiadjacent(f, g)
-                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
-                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        rows, want = tiled_rows()
+        zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
-    def test_carrier_mismatch(self):
-        with pytest.raises(CarrierMismatchError):
-            intersect(PartialMap.identity(2), PartialMap.identity(3))
+    @given(block_pairs)
+    def test_blocks_match_definition(self, blocks):
+        left, right = blocks
+        out = intersect(np.array(left), np.array(right))
+        assert out.shape == (len(left), len(right), len(left[0]))
+        assert [as_maps(block) for block in out] == [
+            [naive_intersect(f, g) for g in right] for f in left]
 
 
 class TestIdentityOn:
-    def test_singleton(self):
-        assert identity_on(Subset.from_members(2, [0])) == pm(2, [(0, 0)])
-
-    def test_empty(self):
-        assert identity_on(Subset.empty(2)) == PartialMap.empty(2)
-
-    def test_full(self):
-        assert identity_on(Subset.full(2)) == PartialMap.identity(2)
+    """`compose` against partial identities, the rows a -> a on a subset."""
 
     @given(shared_maps)
     def test_restriction_laws(self, maps):
         f, g, _ = maps
-        n = f.base_size
-        assert compose(f, identity_on(domain(f))) == f
-        sup = image(f) | domain(g)
-        assert compose(identity_on(sup), f) == f
+        n = len(f)
+        assert one(compose, f, identity_on({a for a in range(n) if f[a] >= 0}, n)) == f
+        sup = set(f) | {a for a in range(n) if g[a] >= 0}
+        assert one(compose, identity_on(sup, n), f) == f
 
     @given(st.integers(1, 5), st.data())
     def test_identity_meet(self, n, data):
-        bits = st.integers(0, (1 << n) - 1)
-        x = Subset(n, data.draw(bits))
-        y = Subset(n, data.draw(bits))
-        assert compose(identity_on(x), identity_on(y)) == identity_on(x & y)
-
-
-class TestRestrict:
-    def test_restrict_to_subset(self):
-        f = pm(3, [(0, 1), (1, 2), (2, 0)])
-        assert f.restrict(Subset.from_members(3, [0, 2])) == pm(3, [(0, 1), (2, 0)])
-
-    @given(st.integers(1, 5), st.data())
-    def test_restrict_equals_identity_composition(self, n, data):
-        entry = st.one_of(st.none(), st.integers(0, n - 1))
-        f = PartialMap(tuple(data.draw(entry) for _ in range(n)))
-        x = Subset(n, data.draw(st.integers(0, (1 << n) - 1)))
-        assert f.restrict(x) == compose(f, identity_on(x))
-
-
-class TestDomainImage:
-    def test_simple(self):
-        f = pm(3, [(0, 1), (1, 2)])
-        assert domain(f).members() == (0, 1)
-        assert image(f).members() == (1, 2)
-
-    def test_empty(self):
-        f = PartialMap.empty(3)
-        assert len(domain(f)) == 0 and len(image(f)) == 0
-
-    def test_identity(self):
-        f = PartialMap.identity(3)
-        assert domain(f) == image(f) == Subset.full(3)
-
-
-class TestConstruction:
-    def test_nonfunctional_rejected_with_element(self):
-        with pytest.raises(ValueError, match="element 1 mapped to both 0 and 2"):
-            PartialMap.from_pairs(3, [(1, 0), (1, 2)])
-
-    def test_duplicate_pair_tolerated(self):
-        assert pm(2, [(0, 1), (0, 1)]) == pm(2, [(0, 1)])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            PartialMap.from_pairs(2, [(0, 5)])
-        with pytest.raises(ValueError):
-            PartialMap.from_pairs(2, [(5, 0)])
-
-    def test_structural_equality(self):
-        assert pm(2, [(0, 1)]) == pm(2, [(0, 1)])
-        assert pm(2, [(0, 1)]) != pm(3, [(0, 1)])
-
-    def test_empty_map_is_legal(self):
-        PartialMap.empty(1)
-        with pytest.raises(ValueError):
-            PartialMap(())
+        subsets = st.sets(st.integers(0, n - 1))
+        x, y = data.draw(subsets), data.draw(subsets)
+        assert one(compose, identity_on(x, n), identity_on(y, n)) == identity_on(x & y, n)
 
 
 class TestArrayKernel:
-    """The kernel over (k, n) rows against the one-pair definitions."""
+    """The pair matrices and `products` over (k, n) rows against the
+    one-pair definitions."""
 
     @given(map_lists)
-    def test_rows_round_trip(self, maps):
-        rows = as_rows(maps)
-        assert rows.shape == (len(maps), maps[0].base_size)
-        assert from_rows(rows) == maps
-        keys = row_keys(rows)
+    def test_row_keys(self, maps):
+        keys = row_keys(np.array(maps))
         for i, f in enumerate(maps):
             for j, g in enumerate(maps):
                 assert (keys[i] == keys[j]) == (f == g)
 
     @given(map_lists)
     def test_relations_match_definitions(self, maps):
-        zeta, xi, delta = relations(as_rows(maps))
+        zeta, xi, delta = relations(np.array(maps))
         for i, f in enumerate(maps):
             for j, g in enumerate(maps):
-                assert zeta[i, j] == f.issubmap(g)
-                assert xi[i, j] == semicompatible(f, g)
-                assert delta[i, j] == semiadjacent(f, g)
+                assert zeta[i, j] == naive_issubmap(f, g)
+                assert xi[i, j] == naive_semicompatible(f, g)
+                assert delta[i, j] == naive_semiadjacent(f, g)
 
     @staticmethod
-    def assert_products_from(maps, rows, done):
+    def assert_products_from(rows, done):
         """Every block of products(rows, done) against the one-pair
         definitions: the blocks list the pairs with i >= done or j >= done
         in (i, j) order, and each lies in one row block on one side of done."""
-        k = len(maps)
+        maps, k = as_maps(rows), len(rows)
         blocks = list(_row_blocks(rows))
         listed = []
         for lo, hi, jlo, out in products(rows, done):
@@ -255,7 +199,7 @@ class TestArrayKernel:
             for b in range(hi - lo):
                 for j in range(k - jlo):
                     f, g = maps[lo + b], maps[jlo + j]
-                    assert from_rows(out[b, j]) == (compose(f, g), intersect(f, g))
+                    assert as_maps(out[b, j]) == [naive_compose(f, g), naive_intersect(f, g)]
                     listed.append((lo + b, jlo + j))
         assert listed == [(i, j) for i in range(k) for j in range(k) if i >= done or j >= done]
 
@@ -263,7 +207,7 @@ class TestArrayKernel:
     def test_products_in_pair_order(self, maps, data):
         k = len(maps)
         for done in {0, k - 1, data.draw(st.integers(0, k - 1))}:
-            self.assert_products_from(maps, as_rows(maps), done)
+            self.assert_products_from(np.array(maps), done)
 
     def test_products_split_inside_a_row_block(self):
         # 30 maps on 20 points: row blocks of 6 rows, so done = 9 cuts
@@ -271,20 +215,19 @@ class TestArrayKernel:
         rng = np.random.default_rng(2)
         rows = rng.integers(-1, 20, size=(30, 20))
         assert (6, 12) in list(_row_blocks(rows))
-        maps = from_rows(rows)
         for done in (0, 9, 29):
-            self.assert_products_from(maps, rows, done)
+            self.assert_products_from(rows, done)
 
     @given(map_lists, st.data())
     def test_mismatches_match_definitions(self, maps, data):
-        rows, k = as_rows(maps), len(maps)
+        rows, k = np.array(maps), len(maps)
         want = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k * k,
                                            max_size=k * k))).reshape(k, k)
         comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
         for i, f in enumerate(maps):
             for j, g in enumerate(maps):
-                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
-                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+                assert comp[i, j] == (naive_compose(f, g) != maps[want[i, j]])
+                assert meet[i, j] == (naive_intersect(f, g) != maps[want[i, j]])
 
     def test_wide_rows_one_per_block(self):
         # 40 maps on 2000 points: past the block budget, so one row per block
@@ -295,42 +238,10 @@ class TestArrayKernel:
         assert len(list(_row_blocks(rows))) == 40
         want = rng.integers(0, 40, size=(40, 40))
         want[5, 7] = want[9, 5] = 9
-        maps = from_rows(rows)
-        zeta, xi, delta = relations(rows)
-        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
-        for i in (0, 5, 7, 9, 39):
-            for j in (0, 5, 7, 9, 39):
-                f, g = maps[i], maps[j]
-                assert zeta[i, j] == f.issubmap(g)
-                assert xi[i, j] == semicompatible(f, g)
-                assert delta[i, j] == semiadjacent(f, g)
-                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
-                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        zeta, xi, _, meet = assert_pair_matrices_match(rows, want, (0, 5, 7, 9, 39))
         assert zeta[9, 5] and xi[5, 7] and not meet[9, 5]
 
     def test_rows_past_the_row_budget_cut_into_tiles(self):
-        # 12 maps on 6000 points: a row holds more than _ROW_CELLS cells,
-        # so the pair matrices take tiles of 10 and 2 columns
-        rng = np.random.default_rng(1)
-        rows = rng.integers(-1, 6000, size=(12, 6000))
-        rows[3] = rows[11]
-        rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
-        rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
-        assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
-        want = rng.integers(0, 12, size=(12, 12))
-        want[10, 11] = 10
-        maps = from_rows(rows)
-        zeta, xi, delta = relations(rows)
-        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
-        for i, f in enumerate(maps):
-            for j, g in enumerate(maps):
-                assert zeta[i, j] == f.issubmap(g)
-                assert xi[i, j] == semicompatible(f, g)
-                assert delta[i, j] == semiadjacent(f, g)
-                assert comp[i, j] == (compose(f, g) != maps[want[i, j]])
-                assert meet[i, j] == (intersect(f, g) != maps[want[i, j]])
+        rows, want = tiled_rows()
+        zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
-
-    def test_carrier_mismatch(self):
-        with pytest.raises(CarrierMismatchError):
-            as_rows([PartialMap.identity(2), PartialMap.identity(3)])

@@ -9,12 +9,10 @@ from transemi import (
     DeterminingPair,
     HypothesesViolatedError,
     InternalConsistencyError,
-    PartialMap,
     check_class_formulas,
     check_meet_hom_equivalence,
     check_representability,
     closure_fixpoint,
-    compose,
     determining_pair_for,
     rep_relations,
     simplest_representation,
@@ -25,7 +23,6 @@ from transemi import (
 from transemi import representation
 from transemi.instances import parse_instance
 from transemi.partial_maps import (
-    as_rows,
     compose_mismatch,
     first_equal,
     intersect_mismatch,
@@ -37,6 +34,7 @@ from transemi.representation import Representation, partition_to_pair
 from naive import (
     naive_class_formula_failures,
     naive_class_side_failures,
+    naive_compose,
     naive_determining_pair,
     naive_determining_pair_failures,
     naive_identification,
@@ -56,14 +54,12 @@ def corrupted(rep):
     """The representation with its maps damaged in three ways: element 1
     takes element 2's map, and element 0's map loses its first defined
     point and sends its last one to point 0."""
-    maps = list(rep.maps)
-    maps[1] = maps[2]
-    entries = list(maps[0].entries)
-    defined = [a for a, b in enumerate(entries) if b is not None]
-    entries[defined[0]] = None
-    entries[defined[-1]] = 0
-    maps[0] = PartialMap(tuple(entries))
-    return Representation(rep.carrier, as_rows(maps))
+    rows = rep.rows.copy()
+    rows[1] = rows[2]
+    defined = np.flatnonzero(rows[0] >= 0)
+    rows[0, defined[0]] = -1
+    rows[0, defined[-1]] = 0
+    return Representation(rep.carrier, rows)
 
 
 def flipped(mat, cells):
@@ -249,7 +245,7 @@ class TestSimplestRepresentation:
         sys = s1()
         rep = simplest_representation(sys, determining_pair_for(sys, 0, 0))
         assert rep.carrier == (0, 1)
-        assert rep.maps[0] == PartialMap((0, 0))
+        assert rep.rows.tolist() == [[0, 0]]
 
     def test_carrier_always_has_identity_class_and_more(self, abstract_corpus):
         for sys in axiom_passing(abstract_corpus, limit=20):
@@ -266,12 +262,10 @@ class TestSimplestRepresentation:
             for g1 in range(sys.size):
                 for g2 in range(sys.size):
                     dp = determining_pair_for(sys, g1, g2)
-                    rep = simplest_representation(sys, dp)
+                    maps = [tuple(row) for row in simplest_representation(sys, dp).rows.tolist()]
                     for a in range(sys.size):
                         for b in range(sys.size):
-                            assert rep.maps[sys.mul[a, b]] == compose(
-                                rep.maps[b], rep.maps[a]
-                            )
+                            assert maps[sys.mul[a, b]] == naive_compose(maps[b], maps[a])
 
     def test_invalid_pair_detected(self):
         # non-right-regular partition makes a class split under the action
@@ -342,7 +336,7 @@ class TestClassFormulas:
 
 
 class TestKernelAgainstNaiveLoops:
-    """Witness lists of the array-backed checks against `PartialMap` loops,
+    """Witness lists of the array-backed checks against one-pair loops,
     on damaged representations so that every check has failures."""
 
     @staticmethod
@@ -355,7 +349,7 @@ class TestKernelAgainstNaiveLoops:
             rep = corrupted(build(sys))
             monkeypatch.setattr(representation, "sum_representation", lambda s: rep)
             report = verify_representability(sys)
-            for check_id, bad in naive_verifier_failures(sys, rep.maps).items():
+            for check_id, bad in naive_verifier_failures(sys, rep.rows).items():
                 got = report[check_id]
                 assert got.passed == (not bad)
                 assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
@@ -368,7 +362,7 @@ class TestKernelAgainstNaiveLoops:
             rep = corrupted(build(sys, dp))
             monkeypatch.setattr(representation, "simplest_representation", lambda s, d: rep)
             got = check_meet_hom_equivalence(sys, dp)["meet-homomorphism-pointwise"]
-            bad = naive_verifier_failures(sys, rep.maps)["meet-homomorphism"]
+            bad = naive_verifier_failures(sys, rep.rows)["meet-homomorphism"]
             assert got.passed == (not bad)
             assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
 
@@ -445,7 +439,8 @@ class TestKernelAgainstNaiveLoops:
                 with pytest.raises(type(exc), match=f"^{exc}$"):
                     simplest_representation(sys, dp)
                 continue
-            assert simplest_representation(sys, dp).maps == want
+            rows = simplest_representation(sys, dp).rows
+            assert tuple(tuple(row) for row in rows.tolist()) == want
         assert split > 5
 
     def test_class_side_witnesses(self, abstract_m2):
@@ -524,7 +519,7 @@ class TestFailureCounts:
         assert report["class-side-conditions"].detail == f"{len(bad)} pairs"
         assert report["class-side-conditions"].witnesses == bad[:WITNESS_CAP]
         rep = simplest_representation(sys, dp)
-        maps_bad = naive_verifier_failures(sys, rep.maps)["meet-homomorphism"]
+        maps_bad = naive_verifier_failures(sys, rep.rows)["meet-homomorphism"]
         assert report["meet-homomorphism-pointwise"].detail == f"{len(maps_bad)} pairs"
         assert report["equivalence-agreement"].passed
 
@@ -571,7 +566,7 @@ class TestSumAndVerify:
     def test_one_element_sum(self):
         rep = sum_representation(s1())
         assert rep.num_points == 2
-        assert rep.maps[0].entries == (0, 0)
+        assert rep.rows.tolist() == [[0, 0]]
 
     def test_carrier_bound(self, abstract_corpus):
         # one fragment per pair-table row, labelled by the row's first pair
@@ -676,8 +671,7 @@ class TestSumAndVerify:
 
 
 class TestRowStorage:
-    """Representations keep their maps as rows and build `PartialMap`s only
-    when `maps` is read."""
+    """Representations keep their maps as read-only rows."""
 
     @staticmethod
     def representations(sys):
@@ -686,14 +680,14 @@ class TestRowStorage:
         for g1, g2 in dict.fromkeys([(0, 0), (0, m - 1), (m - 1, m // 2)]):
             yield simplest_representation(sys, determining_pair_for(sys, g1, g2))
 
-    def test_rows_match_maps(self, trans_corpus, m70_file):
+    def test_rebuilt_from_rows(self, trans_corpus, m70_file):
         systems = [s.abstract() for s in trans_corpus]
         systems.append(parse_instance(m70_file).build().abstract())
         for sys in systems:
             for rep in self.representations(sys):
                 assert not rep.rows.flags.writeable
-                assert np.array_equal(rep.rows, as_rows(rep.maps))
-                rebuilt = Representation(rep.carrier, as_rows(rep.maps))
+                assert rep.rows.dtype == np.int64 and rep.rows.shape[0] == sys.size
+                rebuilt = Representation(rep.carrier, rep.rows.tolist())
                 assert np.array_equal(rebuilt.rows, rep.rows)
                 assert rebuilt == rep
 
@@ -703,18 +697,3 @@ class TestRowStorage:
             Representation(rep.carrier)
         with pytest.raises(ValueError, match="base_size must be positive"):
             Representation((), np.empty((1, 0), dtype=np.int64))
-
-    def test_verifier_and_pair_query_build_no_maps(self, trans_corpus, monkeypatch):
-        calls = []
-        build = representation.from_rows
-        monkeypatch.setattr(representation, "from_rows",
-                            lambda rows: calls.append(len(rows)) or build(rows))
-        systems = [s.abstract() for s in trans_corpus if 6 <= s.size <= 20][:8]
-        for sys in systems:
-            assert verify_representability(sys).passed
-            m = sys.size
-            for g1, g2 in [(0, m - 1), (m // 2, 1)]:
-                simplest_representation(sys, determining_pair_for(sys, g1, g2))
-        assert calls == []
-        rep = simplest_representation(sys, determining_pair_for(sys, 0, 0))
-        assert rep.maps is rep.maps and calls == [m]  # built once, on first read

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,47 +7,60 @@ import pytest
 from transemi import (
     CapExceededError,
     CarrierMismatchError,
-    PartialMap,
     check_adjacency_laws,
     check_domain_bounds,
     check_representability,
     check_domain_meet,
-    compose,
     generate,
-    intersect,
     validate,
 )
-from transemi import cli, partial_maps, trans_semigroup
+from transemi import partial_maps
 from transemi.generators import random_partial_map
 from transemi.instances import parse_instance
-from transemi.partial_maps import from_rows
 
-from naive import naive_generate
+from naive import naive_compose, naive_generate, naive_intersect
 
 
 def pm(n, pairs):
-    return PartialMap.from_pairs(n, pairs)
+    """The map on n points with the given (element, image) pairs, as a
+    tuple row: -1 where it is undefined."""
+    row = [-1] * n
+    for a, b in pairs:
+        row[a] = b
+    return tuple(row)
+
+
+def identity(n):
+    return tuple(range(n))
+
+
+def empty(n):
+    return (-1,) * n
+
+
+def maps(sys):
+    """The system's maps as tuple rows, in the order of their ids."""
+    return [tuple(row) for row in sys.rows.tolist()]
 
 
 @pytest.fixture
 def delta_id_system():
-    return generate([pm(2, [(0, 0)]), PartialMap.identity(2)], cap=16)
+    return generate([pm(2, [(0, 0)]), identity(2)], cap=16)
 
 
 class TestGenerate:
     def test_two_element_closure(self, delta_id_system):
         sys = delta_id_system
         assert sys.size == 2
-        assert sys.elements[0] == pm(2, [(0, 0)])
-        assert sys.elements[1] == PartialMap.identity(2)
+        assert maps(sys) == [pm(2, [(0, 0)]), identity(2)]
         assert sys.zeta[0, 1] and not sys.zeta[1, 0]
 
     def test_empty_singleton(self):
-        sys = generate([PartialMap.empty(2)], cap=4)
+        sys = generate([empty(2)], cap=4)
         assert sys.size == 1
 
     def test_identity_singleton(self):
-        sys = generate([PartialMap.identity(3)], cap=4)
+        sys = generate([identity(3)], cap=4)
         assert sys.size == 1
 
     def test_cap_exceeded(self):
@@ -58,31 +70,47 @@ class TestGenerate:
 
     def test_cap_below_seed_count_rejected(self):
         with pytest.raises(CapExceededError, match="^cap exceeded: closure grew past 1$"):
-            generate([pm(2, [(0, 0)]), PartialMap.identity(2)], cap=1)
+            generate([pm(2, [(0, 0)]), identity(2)], cap=1)
 
-    def test_carrier_mismatch_checked_before_cap(self):
+    @pytest.mark.parametrize("seeds", [
+        [identity(2), identity(2), identity(3)],
+        [[0, 1], [-1, -1, -1], [0]],
+        [np.arange(2), np.arange(3)],
+    ], ids=["tuples", "lists", "arrays"])
+    def test_carrier_mismatch_checked_before_cap(self, seeds):
         with pytest.raises(CarrierMismatchError, match="^carrier mismatch: 2 vs 3$"):
-            generate([PartialMap.identity(2), PartialMap.identity(2), PartialMap.identity(3)],
-                     cap=1)
+            generate(seeds, cap=1)
 
-    def test_no_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            generate([], cap=4)
+    @pytest.mark.parametrize("seeds, message", [
+        ([], "at least one seed map is required"),
+        (np.empty((0, 3), dtype=np.int64), "at least one seed map is required"),
+        ([[]], "base_size must be positive"),
+        ([[0, 1], [-2, 0]], r"seed map entry out of range -1\.\.1"),
+        ([[0, 2]], r"seed map entry out of range -1\.\.1"),
+        (np.array([[0, 1, 2, 4]]), r"seed map entry out of range -1\.\.3"),
+        ([[0.0, 1.0]], "seed maps must be rows of integers"),
+        ([[None, 0]], "seed maps must be rows of integers"),
+    ], ids=["no-seeds", "no-rows", "no-points", "entry-below", "entry-n", "array-entry-n",
+            "floats", "none-entry"])
+    def test_bad_seeds_rejected(self, seeds, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(seeds, cap=4)
 
     def test_closed_under_both_operations(self, trans_corpus):
         for sys in trans_corpus[:15]:
-            idx = set(sys.elements)
-            for f in sys.elements:
-                for g in sys.elements:
-                    assert compose(f, g) in idx
-                    assert intersect(f, g) in idx
+            idx = set(maps(sys))
+            for f in idx:
+                for g in idx:
+                    assert naive_compose(f, g) in idx
+                    assert naive_intersect(f, g) in idx
 
     def test_tables_match_operations(self, trans_corpus):
         for sys in trans_corpus[:10]:
-            for i, f in enumerate(sys.elements):
-                for j, g in enumerate(sys.elements):
-                    assert sys.elements[sys.mul_table[i, j]] == compose(f, g)
-                    assert sys.elements[sys.meet_table[i, j]] == intersect(f, g)
+            elements = maps(sys)
+            for i, f in enumerate(elements):
+                for j, g in enumerate(elements):
+                    assert elements[sys.mul_table[i, j]] == naive_compose(f, g)
+                    assert elements[sys.meet_table[i, j]] == naive_intersect(f, g)
 
     def test_mul_table_associative_meet_semilattice(self, trans_corpus):
         for sys in trans_corpus[:10]:
@@ -103,7 +131,7 @@ class TestGenerate:
             n, k = params[i % len(params)]
             draws += [([random_partial_map(rng, n) for _ in range(k)], 64) for _ in range(3)]
         inst = parse_instance(m70_file)
-        m70_seeds = [PartialMap.from_pairs(inst.base_size, pairs) for pairs in inst.maps]
+        m70_seeds = [pm(inst.base_size, pairs) for pairs in inst.maps]
         return draws + [(m70_seeds, cap) for cap in (69, 70, 256)]
 
     def test_matches_worklist_reference(self, m70_file):
@@ -120,12 +148,12 @@ class TestGenerate:
                     generate(seeds, cap)
                 continue
             sys = generate(seeds, cap)
-            elements = sys.elements
-            assert elements == tuple(want)
+            elements = maps(sys)
+            assert elements == want
             for i, f in enumerate(elements):
                 for j, g in enumerate(elements):
-                    assert elements[sys.mul_table[i, j]] == compose(f, g)
-                    assert elements[sys.meet_table[i, j]] == intersect(f, g)
+                    assert elements[sys.mul_table[i, j]] == naive_compose(f, g)
+                    assert elements[sys.meet_table[i, j]] == naive_intersect(f, g)
         assert 0 < errors < len(draws)
 
     def test_forms_each_ordered_pair_once(self, m70_file, monkeypatch):
@@ -138,10 +166,9 @@ class TestGenerate:
                 return kernel(left, right)
             return block
 
-        monkeypatch.setattr(partial_maps, "_compose_block",
-                            counting("compose", partial_maps._compose_block))
-        monkeypatch.setattr(partial_maps, "_intersect_block",
-                            counting("intersect", partial_maps._intersect_block))
+        monkeypatch.setattr(partial_maps, "compose", counting("compose", partial_maps.compose))
+        monkeypatch.setattr(partial_maps, "intersect",
+                            counting("intersect", partial_maps.intersect))
         sizes = []
         for seeds, cap in self.reference_draws(m70_file):
             formed.clear()
@@ -153,44 +180,31 @@ class TestGenerate:
             sizes.append(k)
         assert max(sizes) == 70
 
-    def test_elements_built_on_first_read(self, m70_file, monkeypatch, capsys):
-        calls = []
-        build = trans_semigroup.from_rows
-        monkeypatch.setattr(trans_semigroup, "from_rows",
-                            lambda rows: calls.append(len(rows)) or build(rows))
-        represent_m16 = Path(__file__).parent / "data" / "represent_m16.yaml"
-        assert cli.main(["check", "--input", str(m70_file)]) == 0
-        assert cli.main(["represent", "--input", str(represent_m16)]) == 0
-        capsys.readouterr()
-        assert calls == []
-        sys = generate([pm(2, [(0, 1)]), pm(2, [(1, 0)])], cap=16)
-        assert calls == []
-        assert sys.elements == from_rows(sys.rows) and sys.elements is sys.elements
-        assert sys.index == {f: i for i, f in enumerate(sys.elements)}
-        assert calls == [sys.size]
-
-    def test_duplicate_seeds_keep_first_occurrence(self):
+    @pytest.mark.parametrize("form", [list, np.array, lambda seeds: [list(f) for f in seeds]],
+                             ids=["tuples", "array", "lists"])
+    def test_duplicate_seeds_keep_first_occurrence(self, form):
         f, g = pm(3, [(0, 1)]), pm(3, [(1, 2), (2, 2)])
         seeds = [g, f, g, f]
-        assert generate(seeds, cap=64).elements == tuple(naive_generate(seeds, 64))
-        assert generate(seeds, cap=64).elements[:2] == (g, f)
+        sys = generate(form(seeds), cap=64)
+        assert maps(sys) == naive_generate(seeds, 64)
+        assert maps(sys)[:2] == [g, f]
 
     def test_deterministic_element_order(self):
         seeds = [pm(3, [(0, 1), (1, 0)]), pm(3, [(2, 2), (0, 0)])]
         a = generate(seeds, cap=64)
         b = generate(seeds, cap=64)
-        assert a.elements == b.elements
+        assert np.array_equal(a.rows, b.rows)
 
 
 class TestRelations:
     def test_xi_examples(self):
         sys = generate([pm(2, [(0, 1)]), pm(2, [(0, 1), (1, 1)])], cap=16)
-        i = sys.index[pm(2, [(0, 1)])]
-        j = sys.index[pm(2, [(0, 1), (1, 1)])]
+        i = maps(sys).index(pm(2, [(0, 1)]))
+        j = maps(sys).index(pm(2, [(0, 1), (1, 1)]))
         assert sys.xi[i, j] and sys.xi[j, i]
         sys2 = generate([pm(2, [(0, 0)]), pm(2, [(0, 1)])], cap=16)
-        a = sys2.index[pm(2, [(0, 0)])]
-        b = sys2.index[pm(2, [(0, 1)])]
+        a = maps(sys2).index(pm(2, [(0, 0)]))
+        b = maps(sys2).index(pm(2, [(0, 1)]))
         assert not sys2.xi[a, b]
 
     def test_xi_reflexive_symmetric(self, trans_corpus):
@@ -205,17 +219,15 @@ class TestRelations:
 
     def test_delta_examples(self):
         sys = generate([pm(2, [(0, 1)]), pm(2, [(1, 0)])], cap=16)
-        i = sys.index[pm(2, [(0, 1)])]
-        j = sys.index[pm(2, [(1, 0)])]
+        i = maps(sys).index(pm(2, [(0, 1)]))
+        j = maps(sys).index(pm(2, [(1, 0)]))
         assert sys.delta[i, j]
-        e = sys.index[PartialMap.empty(2)] if PartialMap.empty(2) in sys.index else None
-        if e is not None:
-            assert sys.delta[e, :].all()
+        if empty(2) in maps(sys):
+            assert sys.delta[maps(sys).index(empty(2)), :].all()
 
     def test_empty_map_adjacent_to_all(self, delta_id_system):
-        sys = generate([PartialMap.empty(2), PartialMap.identity(2)], cap=16)
-        e = sys.index[PartialMap.empty(2)]
-        assert sys.delta[e, :].all()
+        sys = generate([empty(2), identity(2)], cap=16)
+        assert sys.delta[maps(sys).index(empty(2)), :].all()
 
     def test_identity_not_adjacent_to_smaller(self, delta_id_system):
         sys = delta_id_system
@@ -223,22 +235,21 @@ class TestRelations:
 
     def test_xi_matches_restriction_equation(self, trans_corpus):
         # agreement on common domains, written as the two restrictions
-        from transemi import domain, identity_on, compose
-
         for sys in trans_corpus[:12]:
-            for i, f in enumerate(sys.elements):
-                for j, g in enumerate(sys.elements):
-                    lhs = compose(f, identity_on(domain(g)))
-                    rhs = compose(g, identity_on(domain(f)))
+            elements = maps(sys)
+            for i, f in enumerate(elements):
+                for j, g in enumerate(elements):
+                    lhs = naive_compose(f, tuple(a if b >= 0 else -1 for a, b in enumerate(g)))
+                    rhs = naive_compose(g, tuple(a if b >= 0 else -1 for a, b in enumerate(f)))
                     assert bool(sys.xi[i, j]) == (lhs == rhs)
 
     def test_delta_matches_inclusion(self, trans_corpus):
-        from transemi import domain, image
-
         for sys in trans_corpus[:12]:
-            for i, f in enumerate(sys.elements):
-                for j, g in enumerate(sys.elements):
-                    assert bool(sys.delta[i, j]) == image(f).issubset(domain(g))
+            elements = maps(sys)
+            for i, f in enumerate(elements):
+                for j, g in enumerate(elements):
+                    image_f = set(f) - {-1}
+                    assert bool(sys.delta[i, j]) == all(g[b] >= 0 for b in image_f)
 
     def test_xi_left_regular_in_abstract_orientation(self, trans_corpus):
         for sys in trans_corpus[:15]:
@@ -256,7 +267,7 @@ class TestAdjacencyLaws:
         assert check_adjacency_laws(delta_id_system).passed
 
     def test_empty_singleton(self):
-        assert check_adjacency_laws(generate([PartialMap.empty(2)], cap=4)).passed
+        assert check_adjacency_laws(generate([empty(2)], cap=4)).passed
 
     def test_corpus(self, trans_corpus):
         for sys in trans_corpus[:25]:
@@ -266,7 +277,7 @@ class TestAdjacencyLaws:
         # generated systems always pass: flip some delta entries and compare
         # with the law evaluated pair by pair on domain rows
         for sys in [s for s in trans_corpus if s.size >= 4][:10]:
-            broken = generate(sys.elements, cap=64)
+            broken = generate(sys.rows, cap=64)
             delta = sys.delta.copy()
             delta[0, :3] = ~delta[0, :3]
             delta[3, 1] = ~delta[3, 1]
@@ -286,7 +297,7 @@ class TestDomainMeet:
         assert rep["closure-domain-bound"].seconds >= 0
 
     def test_empty_map_system(self):
-        sys = generate([PartialMap.empty(2)], cap=4)
+        sys = generate([empty(2)], cap=4)
         assert check_domain_meet(sys, [0]).passed
 
     def test_rejects_empty_subset(self, delta_id_system):
@@ -348,7 +359,7 @@ class TestDomainBounds:
         failing = 0
         for n, sys in enumerate(trans_corpus[:40]):
             rng = random.Random(n)
-            broken = generate(sys.elements, cap=64)
+            broken = generate(sys.rows, cap=64)
             broken.dom = sys.dom.copy()
             for dom in broken.dom:
                 if rng.random() < 0.3:
@@ -363,8 +374,8 @@ class TestDomainBounds:
         # table, so the domain sweep reads it and closes nothing
         from transemi import closure
 
-        systems = [generate(sys.elements, cap=64) for sys in trans_corpus[::3]]
-        want = [self.swept(generate(sys.elements, cap=64)) for sys in systems]
+        systems = [generate(sys.rows, cap=64) for sys in trans_corpus[::3]]
+        want = [self.swept(generate(sys.rows, cap=64)) for sys in systems]
         for sys in systems:
             check_representability(sys.abstract())
         misses = []
@@ -377,7 +388,7 @@ class TestDomainBounds:
 
 class TestToAbstract:
     def test_singleton(self):
-        ab = generate([PartialMap.identity(2)], cap=4).abstract()
+        ab = generate([identity(2)], cap=4).abstract()
         assert ab.size == 1
         assert validate(ab).passed
 
@@ -387,10 +398,10 @@ class TestToAbstract:
     def test_product_orientation(self, trans_corpus):
         # abstract x.y is the concrete composition apply-x-first
         for sys in trans_corpus[:10]:
-            ab = sys.abstract()
+            ab, elements = sys.abstract(), maps(sys)
             for x in range(sys.size):
                 for y in range(sys.size):
-                    want = sys.index[compose(sys.elements[y], sys.elements[x])]
+                    want = elements.index(naive_compose(elements[y], elements[x]))
                     assert int(ab.mul[x, y]) == want
 
     def test_corpus_validates(self, trans_corpus):
