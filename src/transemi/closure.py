@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitsets import (
-    bits_matrix,
     bits_of,
     bits_to_bool,
     bool_to_bits,
@@ -58,8 +57,9 @@ DIRECT_TREE_MAX_SIZE = 6
 _WITNESS_BLOCK = 1 << 16
 
 # Cells of each float32 temporary of the batched sweep: a block of rows of
-# the pair-rule table (at least one row of m^2 cells) and the products of a
-# seed batch with it.
+# the pair-rule table (at least one row of m^2 cells), the products of a
+# batch of seeds with it, and a block of half-step tables (at least one
+# table of m^2 cells).
 _SWEEP_CELLS = 1 << 17
 
 
@@ -143,6 +143,16 @@ class _StepKernel:
         return {z: found[z] for z in zs}
 
 
+def _distinct_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d bool matrix in first-seen order and, per
+    row, its index among them; rows are compared packed, eight to a byte."""
+    first: dict[bytes, int] = {}  # each distinct row's first index
+    at = np.array([first.setdefault(row.tobytes(), i)
+                   for i, row in enumerate(np.packbits(h, axis=1))], dtype=np.int64)
+    firsts = np.array(list(first.values()), dtype=np.int64)
+    return h[firsts], np.searchsorted(firsts, at)
+
+
 class _PairRule:
     """The step operator as a table of two-premise rules, for closing many
     seeds at once.
@@ -152,6 +162,14 @@ class _PairRule:
     for some u, a in H. The table is built per sweep and dropped after it:
     it holds m^3 bools and costs an m^4 product, which one-off queries
     should not pay.
+
+    Three exact shortcuts spare the sweep most of its steps. A singleton's
+    first round is read off the diagonal, step({x}) = rule[x, x]
+    (`singleton_rounds`). Rows that are equal at one round have the same
+    remaining chain and round count, so `fixpoints` steps each distinct
+    row once per round. And the union of two closed sets takes its first
+    round from the half-step tables of its parts (`union_rounds`), exactly
+    on every system, inside the hypotheses or not.
     """
 
     def __init__(self, kern: _StepKernel):
@@ -169,37 +187,100 @@ class _PairRule:
             rule[lo:hi] = (pairs.reshape(-1, m) @ adm).reshape(hi - lo, m, m) > 0.5
         self.rule = rule
 
+    def _slabs(self):
+        """(lo, hi, slab) per block of a: slab is rule[:, lo:hi] as an
+        (m, (hi - lo) m) float32 matrix, [u, (a, z)]."""
+        m = self.m
+        for lo in range(0, m, self.block):
+            hi = min(m, lo + self.block)
+            yield lo, hi, self.rule[:, lo:hi].astype(np.float32).reshape(m, -1)
+
     def step(self, h: np.ndarray) -> np.ndarray:
         """The step operator on each row of a (B, m) bool matrix, over the
-        table in blocks of a."""
+        table in blocks of a, each block cast once and applied to the rows
+        in batches."""
         m = self.m
         hf = h.astype(np.float32)
         out = np.zeros(h.shape, dtype=np.float32)
-        for lo in range(0, m, self.block):
-            hi = min(m, lo + self.block)
-            slab = self.rule[:, lo:hi].astype(np.float32).reshape(m, -1)
-            by_a = (hf @ slab).reshape(len(h), hi - lo, m)  # [b, a, z]: some u in H
-            out += (hf[:, None, lo:hi] @ by_a)[:, 0]        # and a in H
+        batch = max(1, _SWEEP_CELLS // (self.block * m))
+        for lo, hi, slab in self._slabs():
+            for b in range(0, len(h), batch):
+                hb = hf[b:b + batch]
+                by_a = (hb @ slab).reshape(len(hb), hi - lo, m)     # [b, a, z]: some u in H
+                out[b:b + batch] += (hb[:, None, lo:hi] @ by_a)[:, 0]  # and a in H
         return out > 0.5
 
     def fixpoints(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed set and round count of the fixpoint from each row of a
-        (n, m) bool matrix, as `closure_fixpoint` gives them. Seeds are
-        closed in batches; a row leaves its batch at the round that does
-        not grow it."""
-        closed = seeds.copy()
+        (n, m) bool matrix, as `closure_fixpoint` gives them.
+
+        Rows equal at one round have the same remaining chain, so each
+        round steps the distinct rows still growing once and hands the
+        result to every row equal to one; a row leaves at the round that
+        does not grow it.
+        """
+        closed = np.empty_like(seeds)
         rounds = np.zeros(len(seeds), dtype=np.int64)
-        batch = max(1, _SWEEP_CELLS // (self.block * self.m))
-        for lo in range(0, len(seeds), batch):
-            rows = np.arange(lo, min(len(seeds), lo + batch))
-            h = seeds[rows]
-            while rows.size:
-                nxt = h | self.step(h)
-                rounds[rows] += 1
-                grew = (nxt != h).any(axis=1)
-                closed[rows[~grew]] = h[~grew]
-                rows, h = rows[grew], nxt[grew]
+        rows = np.arange(len(seeds))
+        h, of = _distinct_rows(seeds)  # row r is h[of[r]]
+        while rows.size:
+            nxt = h | self.step(h)
+            rounds[rows] += 1
+            grew = (nxt != h).any(axis=1)
+            done = ~grew[of]
+            closed[rows[done]] = h[of[done]]
+            rows, of = rows[~done], (np.cumsum(grew) - 1)[of[~done]]
+            if rows.size:
+                h, inv = _distinct_rows(nxt[grew])
+                of = inv[of]
         return closed, rounds
+
+    def singleton_rounds(self) -> np.ndarray:
+        """{x} | step({x}) for every x, row x of an (m, m) bool matrix: the
+        table's diagonal, with no step taken."""
+        m = self.m
+        diag = np.arange(m)
+        out = self.rule[diag, diag]
+        out[diag, diag] = True
+        return out
+
+    def half_steps(self, closed: np.ndarray) -> np.ndarray:
+        """The half-step tables of the rows of a (d, m) bool matrix:
+        R[i, a, z] says some u in row i has rule[u, a, z]. One d m^3
+        product over the table's slabs. R is bool, packed along z by
+        `np.packbits` into a (d, m, ceil(m / 8)) uint8 array, so that it
+        stays within an eighth of the table even when d = m."""
+        d, m = closed.shape
+        cf = closed.astype(np.float32)
+        out = np.empty((d, m, (m + 7) // 8), dtype=np.uint8)
+        for lo, hi, slab in self._slabs():
+            out[:, lo:hi] = np.packbits((cf @ slab).reshape(d, hi - lo, m) > 0.5, axis=2)
+        return out
+
+    def union_rounds(self, closed: np.ndarray) -> np.ndarray:
+        """H | step(H) for H the union of rows i and j of a (d, m) bool
+        matrix of closed sets, at [i, j] of a (d, d, m) bool array.
+
+        A closed C has step(C) within C, so of the premise pairs (u, a) in
+        H = A | B only those with u in A and a in B, or u in B and a in A,
+        can add to H: z is added exactly when R_A[a, z] for some a in B or
+        R_B[a, z] for some a in A, R the `half_steps` tables. This needs
+        no hypothesis on the system: every fixpoint of H -> H | step(H)
+        contains its own step. The products take the tables in blocks of
+        at most _SWEEP_CELLS cells (at least one table).
+        """
+        d, m = closed.shape
+        half = self.half_steps(closed)
+        cf = closed.astype(np.float32)
+        cross = np.empty((d, d, m), dtype=bool)  # [i, j, z]: some a in row j has R_i[a, z]
+        block = max(1, _SWEEP_CELLS // (m * m))
+        for lo in range(0, d, block):
+            tables = np.unpackbits(half[lo:lo + block], axis=2, count=m)
+            cross[lo:lo + block] = (cf @ tables.astype(np.float32)) > 0.5
+        out = cross | cross.transpose(1, 0, 2)
+        out |= closed[:, None]
+        out |= closed[None, :]
+        return out
 
 
 def _kernel(sys) -> _StepKernel:
@@ -323,33 +404,44 @@ class ClosureCache:
         pair table (pair_key, closed): the closure of {x, y} (of {x} when
         x = y) is row pair_key[x, y] of the bool matrix closed, whose rows
         are pairwise distinct and ordered by their first pair (x, y) in
-        pair order. {x, y} is closed from the union of its singleton
-        closures, the unions formed over the distinct singleton closures,
-        and each stage closes all its seeds in batched fixpoints over a
-        `_PairRule` table. The two stages are kept for later sweeps
-        and for `of_pair`.
+        pair order. The two stages are kept for later sweeps and for
+        `of_pair`.
+
+        Both stages run over one `_PairRule` table and step no set they
+        know to be closed. The singletons take their first round from the
+        table's diagonal. {x, y} is closed from the union of its singleton
+        closures, over the distinct ones, and each union takes its first
+        round from the half-step tables of its two parts; a union that
+        round leaves unchanged is closed, and so is a first round equal to
+        one. Only the rows a first round grew, and did not close, go on to
+        batched fixpoints, which step each distinct row once per round.
         """
         if self._stages is not None:
             yield from self._stages
             return
-        m = self.size
         rule = _PairRule(self._step_kernel)
-        single, _ = rule.fixpoints(np.eye(m, dtype=bool))
+        single = rule.singleton_rounds()
+        grew = single.sum(axis=1) > 1
+        single[grew] = rule.fixpoints(single[grew])[0]
         yield single
-        # {x, y} closes from C({x}) | C({y})
-        distinct: dict[int, int] = {}
-        of_base = np.array([distinct.setdefault(bits, len(distinct))
-                            for bits in rows_bits(single)])
-        unions: dict[int, int] = {}
-        union_of = np.array([[unions.setdefault(a | b, len(unions)) for b in distinct]
-                             for a in distinct])
-        closed, _ = rule.fixpoints(bits_matrix(list(unions), m))
+        # {x, y} closes from C({x}) | C({y}), a union of two closed sets
+        base, of_base = _distinct_rows(single)
+        # the unions are symmetric in (i, j): close those with i <= j
+        iu, ju = np.nonzero(np.arange(len(base))[:, None] <= np.arange(len(base)))
+        unions = rule.union_rounds(base)[iu, ju]
+        parts, bits = rows_bits(base), rows_bits(unions)
+        # closed: the unions that their first round left unchanged
+        known = {h for h, i, j in zip(bits, iu.tolist(), ju.tolist()) if h == parts[i] | parts[j]}
+        open_rows = np.array([h not in known for h in bits])
+        if open_rows.any():
+            unions[open_rows] = rule.fixpoints(unions[open_rows])[0]
         # one row per distinct closed set, numbered by first union: a row's
         # first pair has both elements first of their singleton closures
-        rows: dict[int, int] = {}
-        row_of = np.array([rows.setdefault(bits, len(rows)) for bits in rows_bits(closed)])
-        pair_key = row_of[union_of[of_base[:, None], of_base[None, :]]]
-        self._stages = (single, (pair_key, closed[np.unique(row_of, return_index=True)[1]]))
+        closed, row = _distinct_rows(unions)
+        row_of = np.empty((len(base), len(base)), dtype=np.int64)
+        row_of[iu, ju] = row_of[ju, iu] = row
+        pair_key = row_of[of_base[:, None], of_base[None, :]]
+        self._stages = (single, (pair_key, closed))
         yield self._stages[1]
 
     def pair_table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -42,10 +42,19 @@ class TransInstance:
     kind = "transformations"
 
     def build(self, cap: int = 256) -> TransSystem:
-        # the pairs were checked for range and functionality when parsed
-        rows = [[-1] * self.base_size for _ in self.maps]
+        """The saturated system of the seed maps. An instance built in
+        code has not been through the parser's checks, so a pair with an
+        element outside 0..base_size-1, or a point mapped to two images,
+        raises `ValueError` here."""
+        n = self.base_size
+        rows = [[-1] * n for _ in self.maps]
         for row, pairs in zip(rows, self.maps):
             for a, b in pairs:
+                for g in (a, b):
+                    if not 0 <= g < n:
+                        raise ValueError(f"element {g} out of range for carrier of size {n}")
+                if row[a] not in (-1, b):
+                    raise ValueError(f"element {a} mapped to both {row[a]} and {b}")
                 row[a] = b
         return generate(rows, cap)
 

@@ -26,9 +26,10 @@ from transemi import (
     validate,
     verify_witness_tree,
 )
-from transemi import closure, generators
+from transemi import cli, closure, generators
 from transemi.bitsets import (
     bits_matrix,
+    bits_of,
     bits_to_bool,
     bool_to_bits,
     full_mask,
@@ -695,6 +696,17 @@ def fresh_copy(sys):
     return AbstractSystem(sys.mul, sys.meet, sys.xi, sys.delta)
 
 
+def assert_sweep_matches_fixpoints(sys, pairs):
+    """Both stages of a fresh sweep against each seed's own
+    `closure_fixpoint`: every singleton, and the given pairs. Returns the
+    pair table."""
+    single, (pair_key, closed) = fresh_copy(sys).closures.sweep()
+    assert rows_bits(single) == [direct(sys, 1 << x) for x in range(sys.size)]
+    for x, y in pairs:
+        assert bool_to_bits(closed[pair_key[x, y]]) == direct(sys, (1 << x) | (1 << y))
+    return pair_key, closed
+
+
 class TestBatchedSweep:
     """The pair-rule table and its batched fixpoints against the per-seed
     step kernel."""
@@ -735,8 +747,14 @@ class TestBatchedSweep:
         for sys in systems:
             cache = fresh_copy(sys).closures
             want.append((list(cache.sweep()), cache._memo))
+        base = bits_matrix(sorted({direct(system_m70, 1 << x) for x in range(70)}), 70)
+        rule = _PairRule(_kernel(system_m70))
+        want_half, want_first = rule.half_steps(base), rule.union_rounds(base)
         monkeypatch.setattr(closure, "_SWEEP_CELLS", 1)
-        assert _PairRule(_kernel(system_m70)).block == 1
+        rule = _PairRule(_kernel(system_m70))
+        assert rule.block == 1
+        assert (rule.half_steps(base) == want_half).all()
+        assert (rule.union_rounds(base) == want_first).all()
         self.assert_fixpoints_match(system_m70, sweep_seeds(system_m70, random.Random(1))[60:90])
         for sys, ((want_single, (want_key, want_closed)), memo) in zip(systems, want):
             cache = fresh_copy(sys).closures
@@ -769,17 +787,97 @@ class TestBatchedSweep:
                 if m <= 5:
                     assert entry[0] == least_closed_oracle(sys, seed)
 
-    def test_pair_table_reads_every_pair_closure(self, abstract_corpus, system_m70):
-        # one row per distinct closure, each read by some pair
-        for sys in abstract_corpus + golden_failures() + [non_extensive(), system_m70]:
-            sys = fresh_copy(sys)
-            pair_key, closed = sys.closures.pair_table()
+    def test_pair_table_reads_every_pair_closure(self, abstract_corpus, random_systems,
+                                                 system_m70):
+        # one row per distinct closure, each read by some pair, and both
+        # stages hold each seed's own fixpoint, inside the hypotheses and
+        # outside them
+        systems = abstract_corpus + golden_failures() + [non_extensive(), system_m70]
+        for sys in systems + random_systems:
+            m = sys.size
+            pair_key, closed = assert_sweep_matches_fixpoints(
+                sys, [(x, y) for x in range(m) for y in range(m)])
             assert len(set(rows_bits(closed))) == len(closed)
             assert sorted(set(pair_key.ravel().tolist())) == list(range(len(closed)))
-            fresh = ClosureCache(sys)
-            for x in range(sys.size):
-                for y in range(sys.size):
-                    assert bool_to_bits(closed[pair_key[x, y]]) == fresh.of_pair(x, y)
+
+    def test_sweep_matches_fixpoints_on_a_seed_ladder(self, seed_ladder):
+        # every singleton, and every pair of twelve elements that include
+        # the last two and, past bit 63, 63 and 64
+        for sys in seed_ladder:
+            m = sys.size
+            picks = {0, m - 2, m - 1} | {g for g in (63, 64) if g < m}
+            picks |= set(random.Random(m).sample(sorted(set(range(m)) - picks), 12 - len(picks)))
+            assert_sweep_matches_fixpoints(sys, [(x, y) for x in picks for y in picks])
+
+    def test_first_rounds_match_naive_enumeration(self, abstract_corpus, random_systems):
+        # the singletons' diagonal rounds, the half-step table of each
+        # singleton closure and of random subsets, and the unions' first
+        # rounds, inside the hypotheses and outside them
+        rng = random.Random(17)
+        systems = [a for a in abstract_corpus if a.size <= 24] + golden_failures()
+        for sys in systems + [non_extensive()] + random_systems[::4]:
+            m = sys.size
+            rules = naive_pair_rule(sys)
+            rule = _PairRule(_kernel(sys))
+            assert rows_bits(rule.singleton_rounds()) == [
+                bits_of([x] + [z for z in range(m) if (x, x, z) in rules]) for x in range(m)]
+            closures = sorted({direct(sys, 1 << x) for x in range(m)})
+            rows = closures + [rng.getrandbits(m) for _ in range(3)]
+            half = np.unpackbits(rule.half_steps(bits_matrix(rows, m)), axis=2, count=m)
+            for h, table in zip(rows, half):
+                want = {(a, z) for u, a, z in rules if (h >> u) & 1}
+                assert set(map(tuple, np.argwhere(table).tolist())) == want
+            first = rule.union_rounds(bits_matrix(closures, m))
+            for i, a in enumerate(closures):
+                for j, b in enumerate(closures):
+                    assert bool_to_bits(first[i, j]) == a | b | step_bits(sys, a | b)
+
+    def test_fixpoints_share_steps_but_keep_round_counts(self, abstract_corpus, random_systems,
+                                                         system_m70):
+        # seeds that repeat, and distinct seeds that meet after one round
+        # and go on growing: each row still gets its own round count
+        met = 0
+        systems = [a for a in abstract_corpus if a.size <= 5] + golden_failures()
+        for sys in systems + [non_extensive()] + random_systems[::4]:
+            seeds = list(all_nonempty(sys.size))
+            firsts: dict[int, set] = {}
+            for h in seeds:
+                nxt = h | step_bits(sys, h)
+                if nxt | step_bits(sys, nxt) != nxt:
+                    firsts.setdefault(nxt, set()).add(h)
+            met += sum(len(hs) > 1 for hs in firsts.values())
+            self.assert_fixpoints_match(sys, seeds + seeds[::-1] + seeds[:2] * 3)
+        assert met
+        seeds = sweep_seeds(system_m70, random.Random(3))
+        self.assert_fixpoints_match(system_m70, seeds + seeds[::3] + [seeds[-1]] * 4)
+
+    def test_sweep_steps_each_open_set_once(self, system_m70, monkeypatch):
+        # no step batch holds a row twice or a bare singleton, the
+        # singletons step first their grown diagonal rounds, and the unions
+        # step no union that its half-step round left unchanged
+        batches = []
+        step = _PairRule.step
+        monkeypatch.setattr(_PairRule, "step",
+                            lambda self, h: batches.append(rows_bits(h)) or step(self, h))
+        sys = fresh_copy(system_m70)
+        m = sys.size
+        stages = sys.closures.sweep()
+        single = next(stages)
+        single_batches = batches[:]
+        batches.clear()
+        next(stages)
+        for batch in single_batches + batches:
+            assert len(set(batch)) == len(batch)
+            assert all(h & (h - 1) for h in batch)
+        firsts = {(1 << x) | step_bits(sys, 1 << x) for x in range(m)}
+        assert set(single_batches[0]) == {h for h in firsts if h & (h - 1)}
+        closures = set(rows_bits(single))
+        unions = {a | b for a in closures for b in closures}
+        unchanged = {h for h in unions if step_bits(sys, h) & ~h == 0}
+        assert unchanged and unchanged != unions
+        assert not unchanged & set().union(*batches)
+        opened = {h | step_bits(sys, h) for h in unions} - unchanged
+        assert set(batches[0] if batches else ()) == opened
 
     def test_non_extensive_sweep_matches_the_oracle(self, monkeypatch):
         # batched like any other system: no seed closed alone, none memoised
@@ -803,6 +901,20 @@ def system_m70(m70_file):
     sys = parse_instance(m70_file).build(cap=256).abstract()
     assert sys.size == 70
     return sys
+
+
+@pytest.fixture(scope="module")
+def seed_ladder(tmp_path_factory):
+    """`transemi generate --points 5 --maps 4 --cap 90` at five seeds: the
+    systems have 46, 57, 65, 77 and 87 elements, on both sides of 64."""
+    out = []
+    for seed in (9, 11, 17, 14, 10):
+        path = tmp_path_factory.mktemp("ladder") / "inst.yaml"
+        assert cli.main(["generate", "--seed", str(seed), "--points", "5", "--maps", "4",
+                         "--cap", "90", "--out", str(path)]) == 0
+        out.append(parse_instance(path).build(cap=90).abstract())
+    assert [sys.size for sys in out] == [46, 57, 65, 77, 87]
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -65,6 +65,23 @@ class TestParsing:
                 "kind: transformations\nbase_size: 2\nmaps:\n- [[0, 0], [0, 1]]\n"
             )
 
+    @pytest.mark.parametrize("pairs, message", [
+        (((-1, 0),), "element -1 out of range for carrier of size 2"),
+        (((0, -1),), "element -1 out of range for carrier of size 2"),
+        (((2, 0),), "element 2 out of range for carrier of size 2"),
+        (((1, 0), (0, 2)), "element 2 out of range for carrier of size 2"),
+        (((0, 0), (0, 1)), "element 0 mapped to both 0 and 1"),
+    ])
+    def test_build_checks_pairs_made_in_code(self, pairs, message):
+        # the parser's checks, for an instance that never went through it
+        inst = TransInstance(2, ((), pairs))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            inst.build()
+
+    def test_build_takes_a_repeated_pair(self):
+        inst = TransInstance(2, (((0, 1), (0, 1), (1, 1)),))
+        assert inst.build(cap=8).rows.tolist() == [[1, 1]]
+
     def test_position_tagged_diagnostics(self):
         with pytest.raises(InstanceFormatError, match=r"mul\[1\]"):
             parse_instance_text(
