@@ -56,10 +56,10 @@ DIRECT_TREE_MAX_SIZE = 6
 # block is one u row when m (m + 1) exceeds it.
 _WITNESS_BLOCK = 1 << 16
 
-# Cells of each float32 temporary of the batched sweep: a block of rows of
-# the pair-rule table (at least one row of m^2 cells), the products of a
-# batch of seeds with it, and a block of half-step tables (at least one
-# table of m^2 cells).
+# Cells of each temporary of the axiom sweep: a block of premise tables (at
+# least one table of m^2 cells), its products with the closed rows, and a
+# chunk of the flat indices the tables are scattered from (at least one
+# run of m + 1 over G*).
 _SWEEP_CELLS = 1 << 17
 
 
@@ -93,11 +93,11 @@ class _StepKernel:
     def step(self, h: np.ndarray) -> np.ndarray:
         m = self.m
         in_h = h[self.mg]                       # v.x in H
-        pair = h[:, None] & self.xi             # u in H and u ~xi~ v
-        meets = np.zeros((m, m), dtype=np.float64)
-        uu, vv = np.nonzero(pair)
-        meets[vv, self.meet[uu, vv]] = 1.0      # per v: reachable meets u^v
-        feas = (meets.T @ in_h.astype(np.float64)) > 0.5  # (w, x) pairs via shared v
+        vs = np.flatnonzero(in_h.any(axis=1))   # the v with some v.x in H
+        uu, vi = np.nonzero(h[:, None] & self.xi[:, vs])  # u in H and u ~xi~ v
+        meets = np.zeros((m, len(vs)), dtype=np.float64)
+        meets[self.meet[uu, vs[vi]], vi] = 1.0  # per v: reachable meets u^v
+        feas = (meets @ in_h[vs].astype(np.float64)) > 0.5  # (w, x) pairs via shared v
         w1 = np.zeros(m, dtype=bool)
         w1[self.mg[feas]] = True                # products (u^v).x
         return self.adm[w1].any(axis=0)
@@ -153,134 +153,96 @@ def _distinct_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h[firsts], np.searchsorted(firsts, at)
 
 
-class _PairRule:
-    """The step operator as a table of two-premise rules, for closing many
-    seeds at once.
+def _fixpoints(kern: _StepKernel, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed set and round count of the fixpoint from each row of an
+    (n, m) bool matrix, as `closure_fixpoint` gives them.
 
-    rule[u, a, z] says: some v, x in G* have u ~xi~ v, v.x = a and
-    adm[(u meet v).x, z]. So z is in step(H) exactly when rule[u, a, z]
-    for some u, a in H. The table is built per sweep and dropped after it:
-    it holds m^3 bools and costs an m^4 product, which one-off queries
-    should not pay.
-
-    Three exact shortcuts spare the sweep most of its steps. A singleton's
-    first round is read off the diagonal, step({x}) = rule[x, x]
-    (`singleton_rounds`). Rows that are equal at one round have the same
-    remaining chain and round count, so `fixpoints` steps each distinct
-    row once per round. And the union of two closed sets takes its first
-    round from the half-step tables of its parts (`union_rounds`), exactly
-    on every system, inside the hypotheses or not.
+    Rows equal at one round have the same remaining chain, so each round
+    steps the distinct rows still growing once and hands the result to
+    every row equal to one; a row leaves at the round that does not grow it.
     """
+    closed = np.empty_like(seeds)
+    rounds = np.zeros(len(seeds), dtype=np.int64)
+    rows = np.arange(len(seeds))
+    h, of = _distinct_rows(seeds)  # row r is h[of[r]]
+    while rows.size:
+        nxt = h | np.array([kern.step(row) for row in h])
+        rounds[rows] += 1
+        grew = (nxt != h).any(axis=1)
+        done = ~grew[of]
+        closed[rows[done]] = h[of[done]]
+        rows, of = rows[~done], (np.cumsum(grew) - 1)[of[~done]]
+        if rows.size:
+            h, inv = _distinct_rows(nxt[grew])
+            of = inv[of]
+    return closed, rounds
 
-    def __init__(self, kern: _StepKernel):
-        m = kern.m
-        self.m = m
-        self.block = min(m, max(1, _SWEEP_CELLS // (m * m)))
-        mg = kern.mg.astype(np.int32)
-        adm = kern.adm.astype(np.float32)
-        rule = np.empty((m, m, m), dtype=bool)
-        for lo in range(0, m, self.block):
-            hi = min(m, lo + self.block)
-            u, v = np.nonzero(kern.xi[lo:hi])
-            pairs = np.zeros((hi - lo, m, m), dtype=np.float32)  # [u, v.x, (u meet v).x]
-            pairs[u[:, None], mg[v], mg[kern.meet[u + lo, v]]] = 1.0
-            rule[lo:hi] = (pairs.reshape(-1, m) @ adm).reshape(hi - lo, m, m) > 0.5
-        self.rule = rule
 
-    def _slabs(self):
-        """(lo, hi, slab) per block of a: slab is rule[:, lo:hi] as an
-        (m, (hi - lo) m) float32 matrix, [u, (a, z)]."""
-        m = self.m
-        for lo in range(0, m, self.block):
-            hi = min(m, lo + self.block)
-            yield lo, hi, self.rule[:, lo:hi].astype(np.float32).reshape(m, -1)
+def _singleton_rounds(kern: _StepKernel) -> np.ndarray:
+    """{x} | step({x}) for every x, row x of an (m, m) bool matrix, with no
+    step taken: the premises of step({x}) are u = x = v.x', so scattering
+    the (v, x') with a = v.x' and a ~xi~ v to [a, (a meet v).x'] gives the
+    products (u meet v).x' of every x at once, and one product with adm
+    the elements they admit."""
+    m = kern.m
+    v, x = np.nonzero(kern.xi[kern.mg, np.arange(m)[:, None]])  # v.x ~xi~ v
+    a = kern.mg[v, x]
+    w1 = np.zeros((m, m), dtype=np.float32)
+    w1[a, kern.mg[kern.meet[a, v], x]] = 1.0
+    out = (w1 @ kern.adm.astype(np.float32)) > 0.5
+    np.fill_diagonal(out, True)
+    return out
 
-    def step(self, h: np.ndarray) -> np.ndarray:
-        """The step operator on each row of a (B, m) bool matrix, over the
-        table in blocks of a, each block cast once and applied to the rows
-        in batches."""
-        m = self.m
-        hf = h.astype(np.float32)
-        out = np.zeros(h.shape, dtype=np.float32)
-        batch = max(1, _SWEEP_CELLS // (self.block * m))
-        for lo, hi, slab in self._slabs():
-            for b in range(0, len(h), batch):
-                hb = hf[b:b + batch]
-                by_a = (hb @ slab).reshape(len(hb), hi - lo, m)     # [b, a, z]: some u in H
-                out[b:b + batch] += (hb[:, None, lo:hi] @ by_a)[:, 0]  # and a in H
-        return out > 0.5
 
-    def fixpoints(self, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed set and round count of the fixpoint from each row of a
-        (n, m) bool matrix, as `closure_fixpoint` gives them.
+def _premise_tables(kern: _StepKernel, rows: np.ndarray):
+    """The premise tables of the rows of a (d, m) bool matrix, in blocks
+    of at most _SWEEP_CELLS cells (at least one table): yields (lo, P) with
+    P[i - lo, a, w1] = 1.0 when some u in row i, v ~xi~ u and x in G* have
+    v.x = a and (u meet v).x = w1. So z is in step(H) for every H holding u
+    and a exactly when P[i - lo, a, w1] and adm[w1, z] for some w1.
 
-        Rows equal at one round have the same remaining chain, so each
-        round steps the distinct rows still growing once and hands the
-        result to every row equal to one; a row leaves at the round that
-        does not grow it.
-        """
-        closed = np.empty_like(seeds)
-        rounds = np.zeros(len(seeds), dtype=np.int64)
-        rows = np.arange(len(seeds))
-        h, of = _distinct_rows(seeds)  # row r is h[of[r]]
-        while rows.size:
-            nxt = h | self.step(h)
-            rounds[rows] += 1
-            grew = (nxt != h).any(axis=1)
-            done = ~grew[of]
-            closed[rows[done]] = h[of[done]]
-            rows, of = rows[~done], (np.cumsum(grew) - 1)[of[~done]]
-            if rows.size:
-                h, inv = _distinct_rows(nxt[grew])
-                of = inv[of]
-        return closed, rounds
+    Per block, the distinct (i, v, u meet v) are scattered over x in G* to
+    [i, v.x, (u meet v).x], in chunks of at most _SWEEP_CELLS flat int32
+    indices (at least one run over G*).
+    """
+    d, m = rows.shape
+    mg = kern.mg.astype(np.int32)
+    block = min(d, max(1, _SWEEP_CELLS // (m * m)))
+    chunk = max(1, _SWEEP_CELLS // (m + 1))
+    for lo in range(0, d, block):
+        hi = min(d, lo + block)
+        i, u, v = np.nonzero(rows[lo:hi, :, None] & kern.xi)  # u in row i, u ~xi~ v
+        seen = np.zeros((hi - lo, m, m), dtype=bool)
+        seen[i, v, kern.meet[u, v]] = True
+        i, v, w0 = (k.astype(np.int32) for k in np.nonzero(seen))
+        tables = np.zeros((hi - lo) * m * m, dtype=np.float32)
+        for c in range(0, len(i), chunk):
+            s = slice(c, c + chunk)
+            tables[(i[s, None] * m + mg[v[s]]) * m + mg[w0[s]]] = 1.0
+        yield lo, tables.reshape(hi - lo, m, m)
 
-    def singleton_rounds(self) -> np.ndarray:
-        """{x} | step({x}) for every x, row x of an (m, m) bool matrix: the
-        table's diagonal, with no step taken."""
-        m = self.m
-        diag = np.arange(m)
-        out = self.rule[diag, diag]
-        out[diag, diag] = True
-        return out
 
-    def half_steps(self, closed: np.ndarray) -> np.ndarray:
-        """The half-step tables of the rows of a (d, m) bool matrix:
-        R[i, a, z] says some u in row i has rule[u, a, z]. One d m^3
-        product over the table's slabs. R is bool, packed along z by
-        `np.packbits` into a (d, m, ceil(m / 8)) uint8 array, so that it
-        stays within an eighth of the table even when d = m."""
-        d, m = closed.shape
-        cf = closed.astype(np.float32)
-        out = np.empty((d, m, (m + 7) // 8), dtype=np.uint8)
-        for lo, hi, slab in self._slabs():
-            out[:, lo:hi] = np.packbits((cf @ slab).reshape(d, hi - lo, m) > 0.5, axis=2)
-        return out
+def _union_rounds(kern: _StepKernel, closed: np.ndarray) -> np.ndarray:
+    """H | step(H) for H the union of rows i and j of a (d, m) bool matrix
+    of closed sets, at [i, j] of a (d, d, m) bool array.
 
-    def union_rounds(self, closed: np.ndarray) -> np.ndarray:
-        """H | step(H) for H the union of rows i and j of a (d, m) bool
-        matrix of closed sets, at [i, j] of a (d, d, m) bool array.
-
-        A closed C has step(C) within C, so of the premise pairs (u, a) in
-        H = A | B only those with u in A and a in B, or u in B and a in A,
-        can add to H: z is added exactly when R_A[a, z] for some a in B or
-        R_B[a, z] for some a in A, R the `half_steps` tables. This needs
-        no hypothesis on the system: every fixpoint of H -> H | step(H)
-        contains its own step. The products take the tables in blocks of
-        at most _SWEEP_CELLS cells (at least one table).
-        """
-        d, m = closed.shape
-        half = self.half_steps(closed)
-        cf = closed.astype(np.float32)
-        cross = np.empty((d, d, m), dtype=bool)  # [i, j, z]: some a in row j has R_i[a, z]
-        block = max(1, _SWEEP_CELLS // (m * m))
-        for lo in range(0, d, block):
-            tables = np.unpackbits(half[lo:lo + block], axis=2, count=m)
-            cross[lo:lo + block] = (cf @ tables.astype(np.float32)) > 0.5
-        out = cross | cross.transpose(1, 0, 2)
-        out |= closed[:, None]
-        out |= closed[None, :]
-        return out
+    A closed C has step(C) within C, so of the premise pairs (u, a) in
+    H = A | B only those with u in A and a in B, or u in B and a in A, can
+    add to H: z is added exactly when a premise table of A, read at some a
+    in B, admits z, or one of B at some a in A. This needs no hypothesis on
+    the system: every fixpoint of H -> H | step(H) contains its own step.
+    """
+    d, m = closed.shape
+    cf = closed.astype(np.float32)
+    adm = kern.adm.astype(np.float32)
+    cross = np.empty((d, d, m), dtype=bool)  # [i, j, z]: a in row j, premise table of row i
+    for lo, tables in _premise_tables(kern, closed):
+        # [i - lo, j, z]: counts of (a, w1) with a in row j and adm[w1, z]
+        cross[lo:lo + len(tables)] = (cf @ tables @ adm) > 0.5
+    out = cross | cross.transpose(1, 0, 2)
+    out |= closed[:, None]
+    out |= closed[None, :]
+    return out
 
 
 def _kernel(sys) -> _StepKernel:
@@ -407,34 +369,35 @@ class ClosureCache:
         pair order. The two stages are kept for later sweeps and for
         `of_pair`.
 
-        Both stages run over one `_PairRule` table and step no set they
-        know to be closed. The singletons take their first round from the
-        table's diagonal. {x, y} is closed from the union of its singleton
-        closures, over the distinct ones, and each union takes its first
-        round from the half-step tables of its two parts; a union that
-        round leaves unchanged is closed, and so is a first round equal to
-        one. Only the rows a first round grew, and did not close, go on to
-        batched fixpoints, which step each distinct row once per round.
+        Both stages step no set they know to be closed. The singletons
+        take their first round from one scatter of the (v, x) grid
+        (`_singleton_rounds`). {x, y} is closed from the union of its
+        singleton closures, over the distinct ones, and each union takes
+        its first round from the premise tables of its two parts
+        (`_union_rounds`); a union that round leaves unchanged is closed,
+        and so is a first round equal to one. Only the rows a first round
+        grew, and did not close, go on to `_fixpoints`, which steps each
+        distinct row once per round on the step kernel.
         """
         if self._stages is not None:
             yield from self._stages
             return
-        rule = _PairRule(self._step_kernel)
-        single = rule.singleton_rounds()
+        kern = self._step_kernel
+        single = _singleton_rounds(kern)
         grew = single.sum(axis=1) > 1
-        single[grew] = rule.fixpoints(single[grew])[0]
+        single[grew] = _fixpoints(kern, single[grew])[0]
         yield single
         # {x, y} closes from C({x}) | C({y}), a union of two closed sets
         base, of_base = _distinct_rows(single)
         # the unions are symmetric in (i, j): close those with i <= j
         iu, ju = np.nonzero(np.arange(len(base))[:, None] <= np.arange(len(base)))
-        unions = rule.union_rounds(base)[iu, ju]
+        unions = _union_rounds(kern, base)[iu, ju]
         parts, bits = rows_bits(base), rows_bits(unions)
         # closed: the unions that their first round left unchanged
         known = {h for h, i, j in zip(bits, iu.tolist(), ju.tolist()) if h == parts[i] | parts[j]}
         open_rows = np.array([h not in known for h in bits])
         if open_rows.any():
-            unions[open_rows] = rule.fixpoints(unions[open_rows])[0]
+            unions[open_rows] = _fixpoints(kern, unions[open_rows])[0]
         # one row per distinct closed set, numbered by first union: a row's
         # first pair has both elements first of their singleton closures
         closed, row = _distinct_rows(unions)

@@ -135,13 +135,15 @@ def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Repor
     t0 = time.perf_counter()
     bad_ideal = []
     if dp.w_class is not None:
-        w_members = dp.class_members(dp.w_class)
-        if m in w_members:
+        w = cls == dp.w_class  # the excluded class, e at index m
+        if w[m]:
             bad_ideal.append({"member": m, "reason": "identity inside excluded class"})
         else:
-            lands = sys.mul[list(w_members)]
-            bad_ideal = [{"w": w_members[i], "u": int(u), "lands": int(lands[i, u])}
-                         for i, u in np.argwhere(cls[lands] != dp.w_class)]
+            ws = np.flatnonzero(w)
+            escape = image[ws, :m] != dp.w_class  # [i, u]: ws[i].u is outside the class
+            if escape.any():  # witnesses only on failure: argwhere is most of the cost
+                bad_ideal = [{"w": int(ws[i]), "u": int(u), "lands": int(sys.mul[ws[i], u])}
+                             for i, u in np.argwhere(escape)]
     report.record("excluded-class-right-ideal", t0, len(bad_ideal), bad_ideal, "products escape")
     return report
 

@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -39,8 +40,12 @@ from transemi.bitsets import (
 from transemi.closure import (
     ClosureCache,
     _axiom_failures,
+    _fixpoints,
     _kernel,
-    _PairRule,
+    _premise_tables,
+    _singleton_rounds,
+    _StepKernel,
+    _union_rounds,
     _tree_from_chain,
     _witnessed_chain,
     ORACLE_BUDGET,
@@ -707,26 +712,32 @@ def assert_sweep_matches_fixpoints(sys, pairs):
     return pair_key, closed
 
 
+def premise_table_sets(sys, rows):
+    """Each row's premise table as the set of (a, z) that its products
+    (u meet v).x admit."""
+    adm = _kernel(sys).adm.astype(np.float32)
+    out = []
+    for _, tables in _premise_tables(_kernel(sys), rows):
+        out += [set(map(tuple, np.argwhere(t @ adm > 0.5).tolist())) for t in tables]
+    return out
+
+
 class TestBatchedSweep:
-    """The pair-rule table and its batched fixpoints against the per-seed
-    step kernel."""
+    """The sweep's premise tables, first rounds and many-row fixpoints
+    against the per-seed step kernel and the naive pair rules."""
 
-    def test_pair_rule_matches_naive_enumeration(self, abstract_corpus):
+    def test_pair_rule_matches_naive_enumeration(self, abstract_corpus, system_m70,
+                                                 pair_rules_m70):
+        # the premise tables of the singletons {u} are the rules of u
         systems = [a for a in abstract_corpus if a.size <= 24] + golden_failures()
-        for sys in systems + [non_extensive()]:
-            rule = _PairRule(_kernel(sys)).rule
-            assert set(map(tuple, np.argwhere(rule).tolist())) == naive_pair_rule(sys)
-
-    def test_pair_rule_step_matches_kernel(self, abstract_corpus, system_m70):
-        rng = random.Random(5)
-        for sys in abstract_corpus[::5] + [system_m70]:
-            seeds = [rng.getrandbits(sys.size) for _ in range(20)]
-            got = _PairRule(_kernel(sys)).step(bits_matrix(seeds, sys.size))
-            assert [bool_to_bits(row) for row in got] == [step_bits(sys, h) for h in seeds]
+        for sys, rules in [(s, naive_pair_rule(s)) for s in systems + [non_extensive()]] + [
+                (system_m70, pair_rules_m70)]:
+            tables = premise_table_sets(sys, np.eye(sys.size, dtype=bool))
+            assert {(u, a, z) for u, t in enumerate(tables) for a, z in t} == rules
 
     @staticmethod
     def assert_fixpoints_match(sys, seeds):
-        closed, rounds = _PairRule(_kernel(sys)).fixpoints(bits_matrix(seeds, sys.size))
+        closed, rounds = _fixpoints(_kernel(sys), bits_matrix(seeds, sys.size))
         want = [closure_fixpoint(sys, h, witnesses=False) for h in seeds]
         assert [bool_to_bits(row) for row in closed] == [res.closed_bits for res in want]
         assert rounds.tolist() == [res.rounds for res in want]
@@ -742,19 +753,23 @@ class TestBatchedSweep:
         self.assert_fixpoints_match(system_m70, seeds)
 
     def test_one_row_blocks(self, abstract_corpus, system_m70, monkeypatch):
+        # a cell budget of 1 makes every block of premise tables one table
+        # and every chunk of scatter indices one run over G*
         systems = abstract_corpus[::9] + golden_failures() + [system_m70]
         want = []
         for sys in systems:
             cache = fresh_copy(sys).closures
             want.append((list(cache.sweep()), cache._memo))
+        kern = _kernel(system_m70)
         base = bits_matrix(sorted({direct(system_m70, 1 << x) for x in range(70)}), 70)
-        rule = _PairRule(_kernel(system_m70))
-        want_half, want_first = rule.half_steps(base), rule.union_rounds(base)
+        want_tables = np.concatenate([t for _, t in _premise_tables(kern, base)])
+        want_first = _union_rounds(kern, base)
+        assert len(list(_premise_tables(kern, base))) < len(base)
         monkeypatch.setattr(closure, "_SWEEP_CELLS", 1)
-        rule = _PairRule(_kernel(system_m70))
-        assert rule.block == 1
-        assert (rule.half_steps(base) == want_half).all()
-        assert (rule.union_rounds(base) == want_first).all()
+        blocks = list(_premise_tables(kern, base))
+        assert [(lo, len(t)) for lo, t in blocks] == [(i, 1) for i in range(len(base))]
+        assert (np.concatenate([t for _, t in blocks]) == want_tables).all()
+        assert (_union_rounds(kern, base) == want_first).all()
         self.assert_fixpoints_match(system_m70, sweep_seeds(system_m70, random.Random(1))[60:90])
         for sys, ((want_single, (want_key, want_closed)), memo) in zip(systems, want):
             cache = fresh_copy(sys).closures
@@ -809,28 +824,29 @@ class TestBatchedSweep:
             picks |= set(random.Random(m).sample(sorted(set(range(m)) - picks), 12 - len(picks)))
             assert_sweep_matches_fixpoints(sys, [(x, y) for x in picks for y in picks])
 
-    def test_first_rounds_match_naive_enumeration(self, abstract_corpus, random_systems):
-        # the singletons' diagonal rounds, the half-step table of each
-        # singleton closure and of random subsets, and the unions' first
-        # rounds, inside the hypotheses and outside them
+    def test_first_rounds_match_naive_enumeration(self, abstract_corpus, random_systems,
+                                                   system_m70, pair_rules_m70):
+        # the singletons' first rounds are the pair rules' diagonal, a
+        # row's premise table holds the rules of its members, and the
+        # unions' first rounds are one step of the union, inside the
+        # hypotheses and outside them, and past bit 63
         rng = random.Random(17)
         systems = [a for a in abstract_corpus if a.size <= 24] + golden_failures()
-        for sys in systems + [non_extensive()] + random_systems[::4]:
+        for sys, rules in [(s, naive_pair_rule(s)) for s in
+                           systems + [non_extensive()] + random_systems[::4]] + [
+                (system_m70, pair_rules_m70)]:
             m = sys.size
-            rules = naive_pair_rule(sys)
-            rule = _PairRule(_kernel(sys))
-            assert rows_bits(rule.singleton_rounds()) == [
+            assert rows_bits(_singleton_rounds(_kernel(sys))) == [
                 bits_of([x] + [z for z in range(m) if (x, x, z) in rules]) for x in range(m)]
             closures = sorted({direct(sys, 1 << x) for x in range(m)})
             rows = closures + [rng.getrandbits(m) for _ in range(3)]
-            half = np.unpackbits(rule.half_steps(bits_matrix(rows, m)), axis=2, count=m)
-            for h, table in zip(rows, half):
-                want = {(a, z) for u, a, z in rules if (h >> u) & 1}
-                assert set(map(tuple, np.argwhere(table).tolist())) == want
-            first = rule.union_rounds(bits_matrix(closures, m))
+            for h, table in zip(rows, premise_table_sets(sys, bits_matrix(rows, m))):
+                assert table == {(a, z) for u, a, z in rules if (h >> u) & 1}
+            first = _union_rounds(_kernel(sys), bits_matrix(closures, m))
             for i, a in enumerate(closures):
                 for j, b in enumerate(closures):
                     assert bool_to_bits(first[i, j]) == a | b | step_bits(sys, a | b)
+        assert any(h >> 64 for h in closures)  # the m = 70 system's
 
     def test_fixpoints_share_steps_but_keep_round_counts(self, abstract_corpus, random_systems,
                                                          system_m70):
@@ -852,20 +868,25 @@ class TestBatchedSweep:
         self.assert_fixpoints_match(system_m70, seeds + seeds[::3] + [seeds[-1]] * 4)
 
     def test_sweep_steps_each_open_set_once(self, system_m70, monkeypatch):
-        # no step batch holds a row twice or a bare singleton, the
-        # singletons step first their grown diagonal rounds, and the unions
-        # step no union that its half-step round left unchanged
+        # no round of a many-row fixpoint steps a row twice or a bare
+        # singleton, the singletons step first their grown first rounds,
+        # and the unions step no union that its first round left unchanged;
+        # each round starts by finding its distinct rows, so the rows
+        # stepped after each such call make one round
         batches = []
-        step = _PairRule.step
-        monkeypatch.setattr(_PairRule, "step",
-                            lambda self, h: batches.append(rows_bits(h)) or step(self, h))
+        distinct, step = closure._distinct_rows, _StepKernel.step
+        monkeypatch.setattr(closure, "_distinct_rows", lambda h: batches.append([]) or distinct(h))
+        monkeypatch.setattr(_StepKernel, "step",
+                            lambda self, h: batches[-1].append(bool_to_bits(h)) or step(self, h))
         sys = fresh_copy(system_m70)
         m = sys.size
         stages = sys.closures.sweep()
         single = next(stages)
-        single_batches = batches[:]
+        single_batches = [rows for rows in batches if rows]
         batches.clear()
         next(stages)
+        monkeypatch.undo()
+        batches = [rows for rows in batches if rows]
         for batch in single_batches + batches:
             assert len(set(batch)) == len(batch)
             assert all(h & (h - 1) for h in batch)
@@ -878,6 +899,20 @@ class TestBatchedSweep:
         assert not unchanged & set().union(*batches)
         opened = {h | step_bits(sys, h) for h in unions} - unchanged
         assert set(batches[0] if batches else ()) == opened
+
+    def test_sweep_holds_no_cubic_array(self, m245_file):
+        # a fresh sweep at m = 245 peaks under m^3 / 2 bytes: it builds no
+        # table of m^3 cells and scatters its premise tables in chunks
+        sys = parse_instance(m245_file).build(cap=256).abstract()
+        m = sys.size
+        cache = sys.closures  # builds the step kernel before tracing
+        tracemalloc.start()
+        try:
+            list(cache.sweep())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == 245 and peak < m ** 3 / 2
 
     def test_non_extensive_sweep_matches_the_oracle(self, monkeypatch):
         # batched like any other system: no seed closed alone, none memoised
@@ -901,6 +936,11 @@ def system_m70(m70_file):
     sys = parse_instance(m70_file).build(cap=256).abstract()
     assert sys.size == 70
     return sys
+
+
+@pytest.fixture(scope="module")
+def pair_rules_m70(system_m70):
+    return naive_pair_rule(system_m70)
 
 
 @pytest.fixture(scope="module")

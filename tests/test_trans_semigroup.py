@@ -381,7 +381,7 @@ class TestDomainBounds:
         misses = []
         monkeypatch.setattr(closure, "closure_fixpoint",
                             lambda *a, **k: misses.append("fixpoint"))
-        monkeypatch.setattr(closure, "_PairRule", None)  # no second sweep
+        monkeypatch.setattr(closure, "_singleton_rounds", None)  # no second sweep
         assert [self.swept(sys) for sys in systems] == want
         assert misses == []
 
