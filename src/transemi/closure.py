@@ -75,11 +75,12 @@ class _StepKernel:
         self.xi = sys.xi
         self.zeta = sys.zeta
         self.delta_star = sys.delta_star       # (m, m+1), column e is all True
-        # reach[z, w] says: w <= z.t for some t in G*.
-        reach = np.zeros((m, m), dtype=bool)
-        for lo in range(0, m, 64):
-            hi = min(m, lo + 64)
-            reach[lo:hi] = sys.zeta[:, self.mg[lo:hi]].any(axis=2).T
+        # reach[z, w] says: w <= z.t for some t in G*, that is w <= a for
+        # some a in the right ideal z.G* (ideal[z, a]). float64 as for adm
+        # below: one BLAS kernel for both products.
+        ideal = np.zeros((m, m), dtype=np.float64)
+        ideal[np.arange(m)[:, None], self.mg] = 1.0
+        reach = (ideal @ sys.zeta.T.astype(np.float64)) > 0.5
         self.reach = reach
         # ext[w1, w2] says: w2 = w1.y for some y in G* with w1 |- y.
         ext = np.zeros((m, m), dtype=np.float64)

@@ -16,7 +16,7 @@ import numpy as np
 # Int64 cells of one row block's temporaries: a block of b rows against all
 # k rows on n points holds b * k * n cells, so b shrinks as k * n grows and
 # never drops below one row (k * n cells).
-_BLOCK_CELLS = 1 << 12
+_BLOCK_CELLS = 1 << 14
 # The pair matrices cut a row of more cells than this into tiles of columns,
 # so that their temporaries stay at most max(_ROW_CELLS, n) cells however
 # many maps there are (a wide sum would otherwise allocate and fault in

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
-from itertools import islice
+from itertools import count, islice
 from operator import index
 from typing import Iterable, Sequence
 
@@ -66,6 +66,15 @@ class TransSystem:
         return f"TransSystem(base_size={self.base_size}, size={self.size})"
 
 
+class _Ids(dict):
+    """Each distinct row's id, keyed by `row_keys`, in first-seen order: a
+    row looked up for the first time takes the next id."""
+
+    def __missing__(self, key: bytes) -> int:
+        self[key] = len(self)
+        return self[key]
+
+
 def generate(seeds: np.ndarray | Sequence[Sequence[int]], cap: int) -> TransSystem:
     """Least set containing the seeds closed under compose and intersect.
 
@@ -83,9 +92,13 @@ def generate(seeds: np.ndarray | Sequence[Sequence[int]], cap: int) -> TransSyst
     appending the maps it has not seen; a pair of two older maps had its
     products admitted in an earlier round, so its ids are copied from that
     round's tables. Each ordered pair is thus formed once, and the maps get
-    the same ids as when every round forms every pair. A round that finds
-    no new map ends saturation, and its ids are the system's tables.
-    Raises when the closure grows past `cap`, checked after each block.
+    the same ids as when every round forms every pair. A product block's
+    ids are read in one pass over its rows, in order, from a dict in which
+    a row not seen before takes the next id, so a map repeated in a block
+    or met again in a later one keeps the id of its first occurrence. A
+    round that finds no new map ends saturation, and its ids are the
+    system's tables. Raises when the closure grows past `cap`, checked
+    after each block.
     """
     seed_list = list(seeds)
     if not seed_list:
@@ -101,9 +114,7 @@ def generate(seeds: np.ndarray | Sequence[Sequence[int]], cap: int) -> TransSyst
         raise ValueError("seed maps must be rows of integers")
     if seed_rows.min() < -1 or seed_rows.max() >= n:
         raise ValueError(f"seed map entry out of range -1..{n - 1}")
-    index: dict[bytes, int] = {}  # each distinct row's id, in first-seen order
-    for key in row_keys(seed_rows):
-        index.setdefault(key, len(index))
+    index = _Ids(zip(dict.fromkeys(row_keys(seed_rows)), count()))
     if cap < len(index):  # the closure holds the seeds
         raise CapExceededError(f"cap exceeded: closure grew past {cap}")
     rows = np.frombuffer(b"".join(index), dtype=np.int64).reshape(-1, n)
@@ -113,10 +124,11 @@ def generate(seeds: np.ndarray | Sequence[Sequence[int]], cap: int) -> TransSyst
         ids = np.empty((2, k, k), dtype=np.int64)  # compose, intersect
         ids[:, :done, :done] = old
         for lo, hi, jlo, block in products(rows, done):
-            found = [index.setdefault(key, len(index)) for key in row_keys(block.reshape(-1, n))]
+            keys = row_keys(block.reshape(-1, n))
+            found = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
             if len(index) > cap:
                 raise CapExceededError(f"cap exceeded: closure grew past {cap}")
-            ids[:, lo:hi, jlo:] = np.reshape(found, (hi - lo, k - jlo, 2)).transpose(2, 0, 1)
+            ids[:, lo:hi, jlo:] = found.reshape(hi - lo, k - jlo, 2).transpose(2, 0, 1)
         if len(index) == k:
             return TransSystem(rows, ids[0], ids[1])
         # the keys past k are the round's new maps, in the order of their ids

@@ -217,6 +217,13 @@ class TestStep:
                 h = 1 << x
                 assert closure_step(sys, h) & h == h
 
+    def test_reach_matches_gather_definition(self, trans_corpus, system_m70, random_systems):
+        # reach[z, w]: w <= z.t for some t in G*, read off zeta at each z.t
+        for sys in [t.abstract() for t in trans_corpus] + [system_m70] + random_systems:
+            kern = _StepKernel(sys)
+            want = sys.zeta[:, kern.mg].any(axis=2).T
+            assert np.array_equal(kern.reach, want)
+
     def test_monotone_and_inflationary(self, abstract_corpus):
         rng = random.Random(5)
         for sys in abstract_corpus[:30]:

@@ -248,12 +248,22 @@ class TestPinnedDigests:
     def test_generate_output(self, fixture, digest, request):
         assert hashlib.sha256(request.getfixturevalue(fixture).read_bytes()).hexdigest() == digest
 
-    def test_corpus_rows_and_tables(self, trans_corpus):
+    @staticmethod
+    def tables_digest(systems):
         h = hashlib.sha256()
-        for sys in trans_corpus:
+        for sys in systems:
             for arr in (sys.rows, sys.mul_table, sys.meet_table):
                 h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-        assert h.hexdigest() == "88a8d740c2358a0f8eb4b68bcf2f440b5cabdf802e47f670eb5292be32d4a0ee"
+        return h.hexdigest()
+
+    def test_corpus_rows_and_tables(self, trans_corpus):
+        assert self.tables_digest(trans_corpus) == (
+            "88a8d740c2358a0f8eb4b68bcf2f440b5cabdf802e47f670eb5292be32d4a0ee")
+
+    def test_m245_rows_and_tables(self, m245_file):
+        # taken when saturation gave ids one product row at a time
+        assert self.tables_digest([parse_instance(m245_file).build()]) == (
+            "e50f97593c459ed940db92952d3dd431f6fa1ae1ba2250214926849729f230a6")
 
 
 @pytest.fixture(scope="module")

@@ -210,12 +210,17 @@ class TestArrayKernel:
             self.assert_products_from(np.array(maps), done)
 
     def test_products_split_inside_a_row_block(self):
-        # 30 maps on 20 points: row blocks of 6 rows, so done = 9 cuts
-        # the block 6..11 in two
-        rng = np.random.default_rng(2)
-        rows = rng.integers(-1, 20, size=(30, 20))
-        assert (6, 12) in list(_row_blocks(rows))
-        for done in (0, 9, 29):
+        # the fewest maps on 20 points whose row blocks, under the kernel's
+        # cell budget, include one past the first with two rows or more;
+        # done = lo + 1 cuts that block lo..hi-1 in two
+        k = 2
+        while not (cut := [(lo, hi) for lo, hi in _row_blocks(np.empty((k, 20)))
+                           if lo > 0 and hi - lo >= 2]):
+            k += 1
+        lo, hi = cut[0]
+        assert lo < lo + 1 < hi
+        rows = np.random.default_rng(2).integers(-1, 20, size=(k, 20))
+        for done in (0, lo + 1, k - 1):
             self.assert_products_from(rows, done)
 
     @given(map_lists, st.data())

@@ -14,7 +14,7 @@ from transemi import (
     generate,
     validate,
 )
-from transemi import partial_maps
+from transemi import partial_maps, trans_semigroup
 from transemi.generators import random_partial_map
 from transemi.instances import parse_instance
 
@@ -179,6 +179,77 @@ class TestGenerate:
             assert formed == {"compose": k * k, "intersect": k * k}
             sizes.append(k)
         assert max(sizes) == 70
+
+    @staticmethod
+    def wide_seeds(m70_file, copies=60):
+        """The m = 70 fixture's seeds with each of its 5 points made into
+        `copies` points that the maps move together: a system on 300 points
+        whose closure is the fixture's, with the same ids and tables."""
+        inst = parse_instance(m70_file)
+        seeds = np.array([pm(inst.base_size, pairs) for pairs in inst.maps])
+        wide = np.where(seeds >= 0, seeds * copies, -1).repeat(copies, axis=1)
+        return wide + np.where(wide >= 0, np.tile(np.arange(copies), inst.base_size), 0)
+
+    @staticmethod
+    def recorded_blocks(monkeypatch):
+        """Per saturation round, each product block's (lo, hi, row keys)."""
+        rounds = []
+
+        def recording(rows, done):
+            rounds.append([])
+            for lo, hi, jlo, block in partial_maps.products(rows, done):
+                rounds[-1].append((lo, hi, partial_maps.row_keys(
+                    block.reshape(-1, rows.shape[1]))))
+                yield lo, hi, jlo, block
+
+        monkeypatch.setattr(trans_semigroup, "products", recording)
+        return rounds
+
+    def test_wide_carrier_one_row_per_block(self, m70_file, monkeypatch):
+        # a new map first seen in one block of a round comes back in later
+        # blocks of that round and gets the id it was given there
+        wide = self.wide_seeds(m70_file)
+        rounds = self.recorded_blocks(monkeypatch)
+        sys = generate(wide, cap=256)
+        assert maps(sys) == naive_generate(wide.tolist(), 256)
+        small = parse_instance(m70_file).build(cap=256)
+        assert np.array_equal(sys.mul_table, small.mul_table)
+        assert np.array_equal(sys.meet_table, small.meet_table)
+        seen, carried = set(partial_maps.row_keys(wide)), 0
+        for blocks in rounds:
+            new = set()
+            for lo, hi, keys in blocks:
+                carried += len(new & set(keys))
+                new |= set(keys) - seen
+            seen |= new
+        assert carried
+        assert any(len(blocks) > 1 and all(hi - lo == 1 for lo, hi, _ in blocks)
+                   for blocks in rounds)
+
+    def test_new_map_repeated_in_a_block_takes_first_id(self):
+        # one block: a o a, a o b and a meet b are all the new empty map, and
+        # b o a is a second new map seen after it
+        a, b = pm(3, [(0, 1)]), pm(3, [(1, 2)])
+        sys = generate([a, b], cap=64)
+        assert maps(sys) == naive_generate([a, b], 64)
+        assert maps(sys)[2:4] == [empty(3), pm(3, [(0, 2)])]
+        assert sys.mul_table[0, 0] == sys.mul_table[0, 1] == sys.meet_table[0, 1] == 2
+        assert sys.mul_table[1, 0] == 3
+
+    def test_cap_exceeded_in_a_later_block(self, m70_file, monkeypatch):
+        # caps that the closure passes in a block after a round's first
+        # raise the reference's error
+        wide = self.wide_seeds(m70_file)
+        rounds = self.recorded_blocks(monkeypatch)
+        later = 0
+        for cap in (10, 30, 50, 69):
+            with pytest.raises(CapExceededError) as want:
+                naive_generate(wide.tolist(), cap)
+            rounds.clear()
+            with pytest.raises(CapExceededError, match=f"^{want.value}$"):
+                generate(wide, cap)
+            later += len(rounds[-1]) > 1
+        assert later
 
     @pytest.mark.parametrize("form", [list, np.array, lambda seeds: [list(f) for f in seeds]],
                              ids=["tuples", "array", "lists"])
