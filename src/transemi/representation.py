@@ -24,7 +24,7 @@ import numpy as np
 
 from .abstract_system import AbstractSystem, validate
 from .bitsets import bits_to_bool
-from .closure import check_representability
+from .closure import _SWEEP_CELLS, check_representability
 from .errors import HypothesesViolatedError, InternalConsistencyError
 from .partial_maps import (
     compose_mismatch,
@@ -72,7 +72,8 @@ class Representation:
         if np.shape(rows)[1] < 1:  # a map acts on at least one point
             raise ValueError("base_size must be positive")
         self.carrier = tuple(carrier)
-        self.rows = np.asarray(rows, dtype=np.int64).view()
+        # C order: the verifier's pair kernels run 1.5-2x slower on F-ordered rows
+        self.rows = np.ascontiguousarray(rows, dtype=np.int64).view()
         self.rows.flags.writeable = False
 
     @property
@@ -120,16 +121,21 @@ def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Repor
     t0 = time.perf_counter()
     cls = np.asarray(dp.class_of)
     image = cls[star]  # [x, z]: class of x.z
-    uniq, lead = np.unique(cls, return_index=True)
-    # classes holding an x whose row differs from its class's first member
-    split = set(cls[(image != image[lead[np.searchsorted(uniq, cls)]]).any(axis=1)].tolist())
+    uniq, first = np.unique(cls, return_index=True)
+    # x's leader is its class's first member: regular exactly when every
+    # row equals its leader's
+    lead = first[np.searchsorted(uniq, cls)]
+    split = (image != image[lead]).any(axis=1)
     bad_reg = []
-    for c in dict.fromkeys(dp.class_of):  # classes in order of first member
-        members = np.flatnonzero(cls == c) if c in split else []
-        for i, x in enumerate(members[:-1]):
-            diff = image[members[i + 1:]] != image[x]
-            bad_reg += [{"x": int(x), "y": int(members[i + 1 + j]), "z": int(diff[j].argmax())}
-                        for j in np.flatnonzero(diff.any(axis=1))]
+    if split.any():  # witnesses only on failure
+        split_classes = set(cls[split].tolist())
+        for c in dict.fromkeys(dp.class_of):  # classes in order of first member
+            members = np.flatnonzero(cls == c) if c in split_classes else []
+            for i, x in enumerate(members[:-1]):
+                diff = image[members[i + 1:]] != image[x]
+                bad_reg += [{"x": int(x), "y": int(members[i + 1 + j]),
+                             "z": int(diff[j].argmax())}
+                            for j in np.flatnonzero(diff.any(axis=1))]
     report.record("classes-right-regular", t0, len(bad_reg), bad_reg, "pairs")
 
     t0 = time.perf_counter()
@@ -148,6 +154,18 @@ def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Repor
     return report
 
 
+def _identify(meet: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The identifications of a (b, m) bool array of closed sets: eps[r, x,
+    y] says x meet y lies in set r or neither x nor y does. lead[r, x] is
+    x's leader, the least y with eps[r, x, y] (0 when there is none). An
+    equivalence is exactly the relation of having one leader, so row r's
+    identification is one exactly when wrong[r] holds no True."""
+    eps = np.take(inside, meet, axis=1)
+    eps |= ~inside[:, :, None] & ~inside[:, None, :]
+    lead = eps.argmax(axis=2)
+    return eps, lead, eps != (lead[:, :, None] == lead[:, None, :])
+
+
 def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPair:
     """The canonical determining pair attached to the closure of {g1, g2}.
 
@@ -161,11 +179,7 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
     """
     m = sys.size
     inside = bits_to_bool(sys.closures.of_pair(g1, g2), m)
-    eps = inside[sys.meet] | (~inside[:, None] & ~inside[None, :])
-
-    # an equivalence is exactly the relation of having one leader
-    lead = eps.argmax(axis=1)
-    wrong = eps != (lead[:, None] == lead[None, :])
+    eps, lead, wrong = (a[0] for a in _identify(sys.meet, inside[None]))
     if wrong.any():
         x, y = divmod(int(wrong.argmax()), m)
         raise HypothesesViolatedError(
@@ -173,7 +187,7 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
             witness={"x": x, "y": y, "z": int(lead[x]) if eps[x, lead[x]] else None,
                      "pair": [g1, g2]},
         )
-    cid = np.unique(lead, return_inverse=True)[1]
+    cid = (np.cumsum(lead == np.arange(m)) - 1)[lead]  # the rank of x's leader
     class_of = (*cid.tolist(), int(cid.max()) + 1)  # e stays alone, last
 
     w_class = None
@@ -300,6 +314,58 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     return report
 
 
+def _fragment_block(sys: AbstractSystem, inside: np.ndarray, firsts: np.ndarray,
+                    offset: int) -> tuple[np.ndarray, list]:
+    """The fragments of a block of pair-table rows, given as a (b, m) bool
+    array `inside` and the flat indices `firsts` of their first pairs: the
+    maps on points numbered from `offset`, as a C-ordered (m, points)
+    block, and the points' labels.
+
+    Each row's identification is read off its leaders (`_identify`), and
+    the tests of `determining_pair_for` run on the whole block: the
+    identification is an equivalence, the complement of the closure is one
+    class, the classes are right regular (x.z and lead(x).z share a leader
+    for every x and z in G*), and the excluded class is a right ideal. When
+    a row fails, its first pair's `determining_pair_for` raises. A kept
+    class, one inside the closure or e's, acts through its leader y: its
+    point goes under g to the point of the class of y.g.
+    """
+    m = sys.size
+    b = len(inside)
+    _, lead, wrong = _identify(sys.meet, inside)
+    leaders = np.empty((b, m + 1), dtype=np.int32)  # over G*, e its own leader
+    leaders[:, :m] = lead
+    leaders[:, m] = m
+    out = ~inside
+    w_lead = leaders[np.arange(b), out.argmax(axis=1)]  # the first outsider's leader
+    images = np.take(leaders, sys.mul_star, axis=1)  # [r, x, z]: leader of x.z
+    flat = images.reshape(b * (m + 1), m + 1)
+    of_leader = np.take(flat, (leaders + (m + 1) * np.arange(b)[:, None]).ravel(), axis=0)
+    failed = wrong.any(axis=(1, 2))
+    failed |= out.any(axis=1) & ((leaders[:, :m] == w_lead[:, None]) != out).any(axis=1)
+    failed |= (flat != of_leader).reshape(b, -1).any(axis=1)
+    failed |= (out[:, :, None] & (images[:, :m, :m] != w_lead[:, None, None])).any(axis=(1, 2))
+    if failed.any():
+        pair = divmod(int(firsts[failed.argmax()]), m)
+        determining_pair_for(sys, *pair)
+        raise InternalConsistencyError(
+            f"pair {pair} fails the batched fragment tests but not determining_pair_for")
+
+    is_leader = leaders == np.arange(m + 1)
+    kept = is_leader.copy()  # the leaders of the classes that get points
+    kept[:, :m] &= inside
+    rows_of, lead_of = np.nonzero(kept)
+    pos = np.full((b, m + 1), -1, dtype=np.int64)  # [r, y]: y's point, -1 if excluded
+    pos[kept] = np.arange(offset, offset + len(rows_of))
+    base = (m + 1) * rows_of[:, None]
+    # [point, g]: the leader of y.g in the point's row, y the point's leader
+    lands = np.take(leaders.ravel(), np.take(sys.mul_star, lead_of, axis=0)[:, :m] + base)
+    rank = np.cumsum(is_leader, axis=1) - 1  # [r, y]: class id of leader y
+    pairs = [divmod(int(f), m) for f in firsts]
+    labels = list(zip(map(pairs.__getitem__, rows_of.tolist()), rank[rows_of, lead_of].tolist()))
+    return np.ascontiguousarray(np.take(pos.ravel(), lands + base).T), labels
+
+
 def sum_representation(sys: AbstractSystem) -> Representation:
     """Sum of the canonical simplest representations, one per distinct
     pair closure.
@@ -308,16 +374,23 @@ def sum_representation(sys: AbstractSystem) -> Representation:
     repeated component changes no relation, injectivity or homomorphism
     law of a sum, so the sum takes one fragment per row of the closure
     cache's pair table (see `ClosureCache.sweep`), in row order. Each is
-    built from its row's first pair (g1, g2) in pair order, and its points
-    are labelled ((g1, g2), class id) to keep the carriers disjoint.
+    the simplest representation of its row's first pair (g1, g2) in pair
+    order, and its points are labelled ((g1, g2), class id) to keep the
+    carriers disjoint. The fragments are built in one batch over the
+    table's rows, in blocks whose (m + 1)^2 tables stay within the sweep's
+    cell budget, one row a block at least (`_fragment_block`).
     """
-    firsts = np.unique(sys.closures.pair_table()[0], return_index=True)[1]
+    m = sys.size
+    pair_key, closed = sys.closures.pair_table()
+    firsts = np.unique(pair_key, return_index=True)[1]
+    step = max(1, _SWEEP_CELLS // (m + 1) ** 2)
     carrier: list = []
     blocks = []
-    for pair in (divmod(int(f), sys.size) for f in firsts):
-        frag = simplest_representation(sys, determining_pair_for(sys, *pair))
-        blocks.append(np.where(frag.rows >= 0, frag.rows + len(carrier), -1))
-        carrier.extend((pair, cid) for cid in frag.carrier)
+    for lo in range(0, len(closed), step):
+        block, labels = _fragment_block(sys, closed[lo:lo + step], firsts[lo:lo + step],
+                                        len(carrier))
+        blocks.append(block)
+        carrier += labels
     return Representation(tuple(carrier), np.hstack(blocks))
 
 

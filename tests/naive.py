@@ -477,6 +477,24 @@ def naive_pair_sum(sys):
     return Representation(tuple(carrier), rows=np.hstack(blocks))
 
 
+def naive_fragment_sum(sys):
+    """`sum_representation` fragment by fragment: the simplest
+    representation of each pair-table row's first pair (g1, g2), in row
+    order, on points labelled ((g1, g2), class id) and laid side by side.
+    Raises what the first failing fragment's `determining_pair_for`
+    raises."""
+    from transemi import determining_pair_for, simplest_representation
+    from transemi.representation import Representation
+
+    firsts = np.unique(sys.closures.pair_table()[0], return_index=True)[1]
+    carrier, blocks = [], []
+    for pair in (divmod(int(f), sys.size) for f in firsts):
+        frag = simplest_representation(sys, determining_pair_for(sys, *pair))
+        blocks.append(np.where(frag.rows >= 0, frag.rows + len(carrier), -1))
+        carrier.extend((pair, cid) for cid in frag.carrier)
+    return Representation(tuple(carrier), np.hstack(blocks))
+
+
 def naive_law_masks(sys):
     """The full violation mask of each triple law that `validate` and
     `derived_props` check, axes in the order of the check's witness names:

@@ -1,3 +1,4 @@
+import itertools
 import time
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from naive import (
     naive_compose,
     naive_determining_pair,
     naive_determining_pair_failures,
+    naive_fragment_sum,
     naive_identification,
     naive_pair_sum,
     naive_simplest_maps,
@@ -631,14 +633,13 @@ class TestSumAndVerify:
                                   intersect_mismatch(ref.rows, sys.meet))
         assert shared
 
-    def test_sum_reads_the_pair_table(self, abstract_corpus, m70_file, monkeypatch):
-        # a fresh system runs the sweep itself; each closure's fragment is
-        # built from its first pair in pair order
+    def test_sum_reads_the_pair_table(self, abstract_corpus, m70_file):
+        # a fresh system runs the sweep itself; the fragments follow one
+        # another in pair order, each labelled by its closure's first pair
         systems = axiom_passing(abstract_corpus, max_size=8)[::4] + [
             s for s in abstract_corpus if 9 <= s.size <= 30][::6]
         systems += [parse_instance(path).build().abstract()
                     for path in (DATA / "represent_m16.yaml", m70_file)]
-        build = representation.determining_pair_for
         for sys in systems:
             m = sys.size
             first = {}
@@ -648,11 +649,10 @@ class TestSumAndVerify:
                     first.setdefault(closed.closed_bits, (g1, g2))
             swept = copy(sys)
             assert check_representability(swept).passed
-            calls = []
-            monkeypatch.setattr(representation, "determining_pair_for",
-                                lambda s, g1, g2: calls.append((g1, g2)) or build(s, g1, g2))
-            assert sum_representation(copy(sys)) == sum_representation(swept)
-            assert calls == list(first.values()) * 2
+            rep = sum_representation(copy(sys))
+            runs = [pair for pair, _ in itertools.groupby(pair for pair, _ in rep.carrier)]
+            assert runs == list(first.values())
+            assert rep == sum_representation(swept)
 
     def test_failed_axiom_stops_before_building(self):
         sys = parse_instance(DATA / "axiom_fail_semicompat.yaml").build()
@@ -670,6 +670,60 @@ class TestSumAndVerify:
         assert any(c["id"] == "injective" for c in data["checks"])
 
 
+def first_failing_fragment(sys):
+    """The row of the pair table whose first pair's `determining_pair_for`
+    raises first, or None."""
+    firsts = np.unique(sys.closures.pair_table()[0], return_index=True)[1]
+    for row, flat in enumerate(firsts):
+        try:
+            determining_pair_for(sys, *divmod(int(flat), sys.size))
+        except HypothesesViolatedError:
+            return row
+    return None
+
+
+class TestBatchedSum:
+    """`sum_representation` builds its fragments in blocks of pair-table
+    rows; `naive_fragment_sum` builds them one at a time. Both give the
+    same rows and carrier, or raise the same error with the same witness."""
+
+    def test_matches_fragment_by_fragment(self, sum_systems, random_systems):
+        raised = 0
+        for sys in sum_systems + random_systems:
+            sys = copy(sys)
+            got, want = built(sum_representation, sys), built(naive_fragment_sum, sys)
+            assert got == want
+            raised += isinstance(want, tuple)
+        assert raised > 100
+
+    def test_right_regularity_alone_fails(self):
+        # pair (0, 0) closes to {0, 2}: the complement {1} is one class and a
+        # right ideal (1.u = 1), but 0 and 2 share a class while 0.2 = 1 and
+        # 2.2 = 0 do not
+        sys = AbstractSystem([[2, 0, 1], [1, 1, 1], [2, 0, 0]], [[0, 1, 2], [1, 2, 1], [0, 1, 2]],
+                             [[0, 1, 1], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [1, 1, 1], [1, 0, 0]])
+        got = built(sum_representation, sys)
+        assert got[:2] == (HypothesesViolatedError, "hypotheses violated: classes-right-regular")
+        assert got == built(naive_fragment_sum, copy(sys))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2])
+    def test_blocks_of_few_rows(self, sum_systems, random_systems, monkeypatch, rows_per_block):
+        # the error comes from the first failing row even when earlier
+        # blocks passed, and a block's rows become several fragments
+        later, several = 0, 0
+        for sys in sum_systems + random_systems:
+            sys = copy(sys)
+            monkeypatch.setattr(representation, "_SWEEP_CELLS",
+                                rows_per_block * (sys.size + 1) ** 2)
+            got, want = built(sum_representation, sys), built(naive_fragment_sum, sys)
+            assert got == want
+            if isinstance(want, tuple):
+                later += first_failing_fragment(sys) >= rows_per_block
+            else:
+                several += len(sys.closures.pair_table()[1]) > rows_per_block
+        assert later and several
+
+
 class TestRowStorage:
     """Representations keep their maps as read-only rows."""
 
@@ -685,11 +739,22 @@ class TestRowStorage:
         systems.append(parse_instance(m70_file).build().abstract())
         for sys in systems:
             for rep in self.representations(sys):
-                assert not rep.rows.flags.writeable
+                assert not rep.rows.flags.writeable and rep.rows.flags.c_contiguous
                 assert rep.rows.dtype == np.int64 and rep.rows.shape[0] == sys.size
                 rebuilt = Representation(rep.carrier, rep.rows.tolist())
                 assert np.array_equal(rebuilt.rows, rep.rows)
                 assert rebuilt == rep
+
+    def test_rows_kept_c_contiguous(self, m70_file):
+        rep = sum_representation(parse_instance(m70_file).build().abstract())
+        fortran = np.asfortranarray(rep.rows)
+        rebuilt = Representation(rep.carrier, fortran)
+        assert rebuilt.rows.flags.c_contiguous and not rebuilt.rows.flags.writeable
+        assert rebuilt == rep
+        # C-ordered int64 rows are taken as they are, and stay writable
+        rows = rep.rows.copy()
+        assert np.shares_memory(Representation(rep.carrier, rows).rows, rows)
+        assert rows.flags.writeable
 
     def test_built_from_rows_of_one_point_or_more(self):
         rep = sum_representation(s1())
