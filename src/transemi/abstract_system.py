@@ -9,17 +9,18 @@ m x (m + 1) relation delta with x |- e for every x in G. These are the
 only places e occurs: the closure layer never orders, meets or relates e
 under xi, so no convention for it is stated there.
 
-Law checks over triples are evaluated in row blocks (`Report.scan`) so
-peak memory stays near block * m^2 even on carriers of a few hundred
-elements. Above one block each such check first tries a certificate that
-costs O(m^2 |S|), S a generating set of (G, .) (`generating_set`): Light's
-test for associativity; once it passes, the laws quantified over a
-multiplier (left or right) checked for s in S only, which induction on word
-length extends to every multiplier; `xi-meet-right-distributive` for u in S,
-when `xi` is right-regular over S; and, for `meet-associative`, meet being
-the greatest lower bound of a partial order. A certificate only ever
-settles a pass. When it does not hold, the full blocked scan runs, so
-counts, witnesses and details are those of the scan alone.
+Law checks over triples are evaluated in blocks of rows (`Report.scan`)
+of m^2 cells each, so their temporaries stay within the package's one cell
+budget (`bitsets.blocks`) on any carrier. Above one block each such check
+first tries a certificate that costs O(m^2 |S|), S a generating set of
+(G, .) (`generating_set`): Light's test for associativity; once it passes,
+the laws quantified over a multiplier (left or right) checked for s in S
+only, which induction on word length extends to every multiplier;
+`xi-meet-right-distributive` for u in S, when `xi` is right-regular over
+S; and, for `meet-associative`, meet being the greatest lower bound of a
+partial order. A certificate only ever settles a pass. When it does not
+hold, the full blocked scan runs, so counts, witnesses and details are
+those of the scan alone.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Small helpers for int-encoded bitsets over {0..m-1}."""
+"""Small helpers for int-encoded bitsets over {0..m-1}, and the one cell
+budget every blocked kernel of the package is cut by (`blocks`)."""
 
 from __future__ import annotations
 
@@ -6,6 +7,9 @@ import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+# Array elements a block of any blocked kernel holds per temporary.
+_CELLS = 1 << 16
 
 
 def bits_of(indices: Iterable[int]) -> int:
@@ -62,3 +66,13 @@ def rows_bits(mat: np.ndarray) -> list[int]:
     """The bitset of each row of a 2-d bool array; inverse of `bits_matrix`."""
     packed = np.packbits(mat, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def blocks(count: int, cells_each: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) cuts of range(count) in order, each of at most
+    `_CELLS // cells_each` items and at least one, so that a block of items
+    of `cells_each` (a positive int) cells each stays within the cell
+    budget."""
+    step = max(1, _CELLS // cells_each)
+    for lo in range(0, count, step):
+        yield lo, min(count, lo + step)

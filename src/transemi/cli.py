@@ -129,11 +129,9 @@ def cmd_represent(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     inst, ab, tsys = _load(args)
-    report = Report("roundtrip")
     if tsys is None:
-        report.add("input-kind", False, [{"kind": "abstract"}],
-                   "roundtrip needs a transformations instance")
-        return _emit(report, args)
+        raise TransemiError("roundtrip needs a transformations instance")
+    report = Report("roundtrip")
     report.add("closure-built", True, [],
                f"{tsys.size} maps on {tsys.base_size} points")
     report.extend(verify_representability(ab))

@@ -35,6 +35,7 @@ import numpy as np
 from .bitsets import (
     bits_of,
     bits_to_bool,
+    blocks,
     bool_to_bits,
     full_mask,
     iter_bits,
@@ -51,16 +52,6 @@ ORACLE_BUDGET = 12
 # bounds the iterated-step route is authoritative.
 DIRECT_TREE_MAX_ROUNDS = 2
 DIRECT_TREE_MAX_SIZE = 6
-
-# Cells of the (u, v, x) block the first-witness search holds at once; a
-# block is one u row when m (m + 1) exceeds it.
-_WITNESS_BLOCK = 1 << 16
-
-# Cells of each temporary of the axiom sweep: a block of premise tables (at
-# least one table of m^2 cells), its products with the closed rows, and a
-# chunk of the flat indices the tables are scattered from (at least one
-# run of m + 1 over G*).
-_SWEEP_CELLS = 1 << 17
 
 
 class _StepKernel:
@@ -108,7 +99,7 @@ class _StepKernel:
         memberships against h; every z must be in step(h).
 
         The triples (u, v, x) with u in H, u ~xi~ v and v.x in H are walked
-        in lex order, in blocks of u rows of at most _WITNESS_BLOCK cells.
+        in lex order, in blocks of u rows of m (m + 1) cells each (`blocks`).
         A triple admits z exactly when adm[w1, z] for w1 = (u meet v).x, so
         within a block only the first triple of each distinct w1 can come
         first for any z, and one (w1, z) table settles every pending z.
@@ -119,11 +110,10 @@ class _StepKernel:
         pending = np.asarray(zs, dtype=np.int64)
         hx = h[self.mg]                         # v.x in H
         us = np.flatnonzero(h)
-        block = max(1, _WITNESS_BLOCK // (m * (m + 1)))
-        for lo in range(0, len(us), block):
+        for lo, hi in blocks(len(us), m * (m + 1)):
             if not pending.size:
                 break
-            u = us[lo:lo + block]
+            u = us[lo:hi]
             feas = self.xi[u][:, :, None] & hx[None, :, :]
             idx = np.flatnonzero(feas)
             if not idx.size:
@@ -197,28 +187,25 @@ def _singleton_rounds(kern: _StepKernel) -> np.ndarray:
 
 def _premise_tables(kern: _StepKernel, rows: np.ndarray):
     """The premise tables of the rows of a (d, m) bool matrix, in blocks
-    of at most _SWEEP_CELLS cells (at least one table): yields (lo, P) with
+    of tables of m^2 cells each (`blocks`): yields (lo, P) with
     P[i - lo, a, w1] = 1.0 when some u in row i, v ~xi~ u and x in G* have
     v.x = a and (u meet v).x = w1. So z is in step(H) for every H holding u
     and a exactly when P[i - lo, a, w1] and adm[w1, z] for some w1.
 
     Per block, the distinct (i, v, u meet v) are scattered over x in G* to
-    [i, v.x, (u meet v).x], in chunks of at most _SWEEP_CELLS flat int32
-    indices (at least one run over G*).
+    [i, v.x, (u meet v).x], in chunks of runs of m + 1 flat int32 indices
+    over G* (`blocks`).
     """
     d, m = rows.shape
     mg = kern.mg.astype(np.int32)
-    block = min(d, max(1, _SWEEP_CELLS // (m * m)))
-    chunk = max(1, _SWEEP_CELLS // (m + 1))
-    for lo in range(0, d, block):
-        hi = min(d, lo + block)
+    for lo, hi in blocks(d, m * m):
         i, u, v = np.nonzero(rows[lo:hi, :, None] & kern.xi)  # u in row i, u ~xi~ v
         seen = np.zeros((hi - lo, m, m), dtype=bool)
         seen[i, v, kern.meet[u, v]] = True
         i, v, w0 = (k.astype(np.int32) for k in np.nonzero(seen))
         tables = np.zeros((hi - lo) * m * m, dtype=np.float32)
-        for c in range(0, len(i), chunk):
-            s = slice(c, c + chunk)
+        for cut in blocks(len(i), m + 1):
+            s = slice(*cut)
             tables[(i[s, None] * m + mg[v[s]]) * m + mg[w0[s]]] = 1.0
         yield lo, tables.reshape(hi - lo, m, m)
 

@@ -13,15 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-# Int64 cells of one row block's temporaries: a block of b rows against all
-# k rows on n points holds b * k * n cells, so b shrinks as k * n grows and
-# never drops below one row (k * n cells).
-_BLOCK_CELLS = 1 << 14
-# The pair matrices cut a row of more cells than this into tiles of columns,
-# so that their temporaries stay at most max(_ROW_CELLS, n) cells however
-# many maps there are (a wide sum would otherwise allocate and fault in
-# k * n cells per row, several times per matrix).
-_ROW_CELLS = 1 << 16
+from .bitsets import blocks
 
 
 def row_keys(rows: np.ndarray) -> list[bytes]:
@@ -36,21 +28,14 @@ def first_equal(rows: np.ndarray) -> np.ndarray:
     return np.array([first.setdefault(key, a) for a, key in enumerate(row_keys(rows))])
 
 
-def _row_blocks(rows: np.ndarray) -> Iterator[tuple[int, int]]:
-    k, n = rows.shape
-    step = max(1, _BLOCK_CELLS // (k * n))
-    for lo in range(0, k, step):
-        yield lo, min(k, lo + step)
-
-
 def _tiles(rows: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
-    """(lo, hi, jlo, jhi): the row blocks, each row wider than _ROW_CELLS
-    cut into tiles of columns jlo..jhi-1."""
+    """(lo, hi, jlo, jhi): tiles of rows lo..hi-1 against columns jlo..jhi-1
+    of the k x k pair matrices, each within the cell budget over its n
+    points (`blocks`): a row wider than the budget is cut into columns."""
     k, n = rows.shape
-    width = k if k * n <= _ROW_CELLS else max(1, _ROW_CELLS // n)
-    for lo, hi in _row_blocks(rows):
-        for jlo in range(0, k, width):
-            yield lo, hi, jlo, min(k, jlo + width)
+    for jlo, jhi in blocks(k, n):
+        for lo, hi in blocks(k, (jhi - jlo) * n):
+            yield lo, hi, jlo, jhi
 
 
 def _by_blocks(rows: np.ndarray, block) -> np.ndarray:
@@ -85,11 +70,11 @@ def products(rows: np.ndarray, done: int) -> Iterator[tuple[int, int, int, np.nd
     the rows from `done` on against all k rows (jlo = 0). Reshaping the
     blocks to rows in turn lists those pairs in (i, j, compose-then-intersect)
     order; done = 0 lists every ordered pair. Each block is the part of one
-    `_row_blocks` block on one side of `done`.
+    row block of k n cells each (`blocks`) on one side of `done`.
     """
     k = len(rows)
     for start, stop, jlo in ((0, done, done), (done, k, 0)):
-        for lo, hi in _row_blocks(rows):
+        for lo, hi in blocks(k, k * rows.shape[1]):
             lo, hi = max(lo, start), min(hi, stop)
             if lo < hi:
                 left, right = rows[lo:hi], rows[jlo:]

@@ -19,10 +19,10 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from .bitsets import blocks
+
 # Witnesses kept per counting check.
 WITNESS_CAP = 10
-# Rows of each block of a blocked scan (see `Report.scan`).
-_BLOCK = 32
 
 
 @dataclass
@@ -87,23 +87,25 @@ class Report:
     def scan(self, check_id: str, rows: int, violations_of: Callable[[int, int], np.ndarray],
              names: tuple[str, ...], noun: str,
              holds: Callable[[], bool] | None = None) -> CheckResult:
-        """`record_mask` for a mask of `rows` rows built in blocks, timed
-        from here: `violations_of(lo, hi)` is the mask's rows lo..hi-1, and
-        witnesses carry absolute row indices.
+        """`record_mask` for a `rows` x `rows` x `rows` mask, as every scan
+        in the package is, built in blocks of rows within the cell budget
+        (`blocks`) and timed from here: `violations_of(lo, hi)` is the
+        mask's rows lo..hi-1, and witnesses carry absolute row indices.
 
         `holds` is a sufficient certificate that the mask is empty. It is
-        tried only when the mask has more than one block; when it returns
+        tried exactly when the mask has more than one block; when it returns
         True the check passes without the scan, and otherwise the scan runs
         as if it had not been tried."""
         t0 = time.perf_counter()
-        if holds is not None and rows > _BLOCK and holds():
+        cuts = list(blocks(rows, rows * rows))
+        if holds is not None and len(cuts) > 1 and holds():
             return self.record(check_id, t0, 0, (), noun)
-        blocks = (violations_of(lo, min(rows, lo + _BLOCK)) for lo in range(0, rows, _BLOCK))
-        return self._record_blocks(check_id, t0, blocks, names, noun)
+        masks = (violations_of(lo, hi) for lo, hi in cuts)
+        return self._record_blocks(check_id, t0, masks, names, noun)
 
-    def _record_blocks(self, check_id, t0, blocks, names, noun, extra=None) -> CheckResult:
+    def _record_blocks(self, check_id, t0, masks, names, noun, extra=None) -> CheckResult:
         count, cells, lo = 0, [], 0
-        for block in blocks:
+        for block in masks:
             if block.any():  # most blocks of a passing law have no set entry
                 idx = np.argwhere(block)
                 count += len(idx)

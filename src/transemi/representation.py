@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .abstract_system import AbstractSystem, validate
-from .bitsets import bits_to_bool
-from .closure import _SWEEP_CELLS, check_representability
+from .bitsets import bits_to_bool, blocks
+from .closure import check_representability
 from .errors import HypothesesViolatedError, InternalConsistencyError
 from .partial_maps import (
     compose_mismatch,
@@ -377,21 +377,19 @@ def sum_representation(sys: AbstractSystem) -> Representation:
     the simplest representation of its row's first pair (g1, g2) in pair
     order, and its points are labelled ((g1, g2), class id) to keep the
     carriers disjoint. The fragments are built in one batch over the
-    table's rows, in blocks whose (m + 1)^2 tables stay within the sweep's
-    cell budget, one row a block at least (`_fragment_block`).
+    table's rows, in blocks of rows of (m + 1)^2 cells each (`blocks`,
+    `_fragment_block`).
     """
     m = sys.size
     pair_key, closed = sys.closures.pair_table()
     firsts = np.unique(pair_key, return_index=True)[1]
-    step = max(1, _SWEEP_CELLS // (m + 1) ** 2)
     carrier: list = []
-    blocks = []
-    for lo in range(0, len(closed), step):
-        block, labels = _fragment_block(sys, closed[lo:lo + step], firsts[lo:lo + step],
-                                        len(carrier))
-        blocks.append(block)
+    parts = []
+    for lo, hi in blocks(len(closed), (m + 1) ** 2):
+        part, labels = _fragment_block(sys, closed[lo:hi], firsts[lo:hi], len(carrier))
+        parts.append(part)
         carrier += labels
-    return Representation(tuple(carrier), np.hstack(blocks))
+    return Representation(tuple(carrier), np.hstack(parts))
 
 
 def verify_representability(sys: AbstractSystem) -> Report:

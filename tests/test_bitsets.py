@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
+from transemi import bitsets
 from transemi.bitsets import (
     bits_matrix,
     bits_of,
     bits_to_bool,
+    blocks,
     bool_to_bits,
     iter_bits,
     members,
@@ -50,3 +52,14 @@ def test_negative_bits_are_rejected(bits):
         members(bits)
     with pytest.raises(ValueError, match=message):
         ClosureResult(seed_bits=1, closed_bits=bits, rounds=1).members()
+
+
+@pytest.mark.parametrize("count, cells_each, budget, want", [
+    (7, 3, 9, [(0, 3), (3, 6), (6, 7)]),    # an uneven last block
+    (4, 10, 9, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # past the budget: one item each
+    (5, 2, 100, [(0, 5)]),
+    (0, 5, 100, []),
+])
+def test_blocks_cut_by_the_budget(count, cells_each, budget, want, monkeypatch):
+    monkeypatch.setattr(bitsets, "_CELLS", budget)
+    assert list(blocks(count, cells_each)) == want

@@ -27,7 +27,7 @@ from transemi import (
     validate,
     verify_witness_tree,
 )
-from transemi import cli, closure, generators
+from transemi import bitsets, cli, closure, generators
 from transemi.bitsets import (
     bits_matrix,
     bits_of,
@@ -772,7 +772,7 @@ class TestBatchedSweep:
         want_tables = np.concatenate([t for _, t in _premise_tables(kern, base)])
         want_first = _union_rounds(kern, base)
         assert len(list(_premise_tables(kern, base))) < len(base)
-        monkeypatch.setattr(closure, "_SWEEP_CELLS", 1)
+        monkeypatch.setattr(bitsets, "_CELLS", 1)
         blocks = list(_premise_tables(kern, base))
         assert [(lo, len(t)) for lo, t in blocks] == [(i, 1) for i in range(len(base))]
         assert (np.concatenate([t for _, t in blocks]) == want_tables).all()

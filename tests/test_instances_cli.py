@@ -7,7 +7,7 @@ import pytest
 import yaml
 from conftest import run_cli
 
-from transemi import cli, instances
+from transemi import bitsets, cli, instances
 from transemi.errors import InstanceFormatError
 from transemi.instances import (
     AbstractInstance,
@@ -304,6 +304,14 @@ class TestCli:
         assert res.returncode == 0
         assert "verdict: PASS" in res.stdout
 
+    def test_roundtrip_on_abstract_input_is_an_input_error(self, capsys):
+        # bad input, not a failed check: nothing on stdout, exit 2
+        path = DATA / "axiom_fail_adjacency.yaml"
+        assert cli.main(["roundtrip", "--input", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: roundtrip needs a transformations instance\n"
+
     def test_represent_command(self, trans_file):
         res = run_cli("represent", "--input", str(trans_file))
         assert res.returncode == 0
@@ -384,6 +392,20 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == want["stdout"]
         assert out.err == ""
+
+    @pytest.mark.parametrize("command", ["check", "represent"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.yaml")) + ["m70"])
+    def test_output_is_independent_of_the_cell_budget(self, name, command, m70_file,
+                                                      capsys, monkeypatch):
+        # block sizes never reach the output: the default budget, one item
+        # per block and one block for everything print the same report
+        path = m70_file if name == "m70" else DATA / name
+        argv = [command, "--input", str(path), "--format", "machine"]
+        runs = []
+        for budget in (bitsets._CELLS, 1, 1 << 30):
+            monkeypatch.setattr(bitsets, "_CELLS", budget)
+            runs.append((cli.main(argv), capsys.readouterr()))
+        assert runs[1:] == runs[:1] * 2
 
     def test_failing_reports_cover_cap_and_count(self):
         checks = [c for run, want in FAILING_REPORTS.items() if "machine" in run

@@ -1,8 +1,9 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
+from transemi import bitsets
+from transemi.bitsets import blocks
 from transemi.partial_maps import (
-    _row_blocks,
     _tiles,
     compose,
     compose_mismatch,
@@ -66,14 +67,16 @@ def assert_pair_matrices_match(rows, want, cells=None):
     return zeta, xi, delta, meet
 
 
-def tiled_rows():
-    """12 maps on 6000 points: a row holds more than _ROW_CELLS cells, so
-    the pair matrices take tiles of 10 and 2 columns."""
+def tiled_rows(monkeypatch):
+    """12 maps on 60 points under a budget of 600 cells: a row of 12 maps
+    holds more than the budget, so the pair matrices take tiles of 10 and
+    2 columns."""
+    monkeypatch.setattr(bitsets, "_CELLS", 600)
     rng = np.random.default_rng(1)
-    rows = rng.integers(-1, 6000, size=(12, 6000))
+    rows = rng.integers(-1, 60, size=(12, 60))
     rows[3] = rows[11]
-    rows[10] = np.where(np.arange(6000) % 3, rows[11], -1)
-    rows[1] = np.where(np.isin(np.arange(6000), rows[0]), rows[1], -1)
+    rows[10] = np.where(np.arange(60) % 3, rows[11], -1)
+    rows[1] = np.where(np.isin(np.arange(60), rows[0]), rows[1], -1)
     assert {(jlo, jhi) for _, _, jlo, jhi in _tiles(rows)} == {(0, 10), (10, 12)}
     want = rng.integers(0, 12, size=(12, 12))
     want[10, 11] = 10
@@ -91,8 +94,8 @@ class TestCompose:
     def test_identity(self):
         assert one(compose, (1, -1), (0, 1)) == (1, -1)
 
-    def test_rows_past_the_row_budget_cut_into_tiles(self):
-        rows, want = tiled_rows()
+    def test_rows_past_the_row_budget_cut_into_tiles(self, monkeypatch):
+        rows, want = tiled_rows(monkeypatch)
         zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
@@ -132,8 +135,8 @@ class TestIntersect:
         assert one(intersect, f, g) == one(intersect, g, f)
         assert one(intersect, f, one(intersect, g, h)) == one(intersect, one(intersect, f, g), h)
 
-    def test_rows_past_the_row_budget_cut_into_tiles(self):
-        rows, want = tiled_rows()
+    def test_rows_past_the_row_budget_cut_into_tiles(self, monkeypatch):
+        rows, want = tiled_rows(monkeypatch)
         zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
@@ -190,11 +193,11 @@ class TestArrayKernel:
         definitions: the blocks list the pairs with i >= done or j >= done
         in (i, j) order, and each lies in one row block on one side of done."""
         maps, k = as_maps(rows), len(rows)
-        blocks = list(_row_blocks(rows))
+        cuts = list(blocks(k, k * rows.shape[1]))
         listed = []
         for lo, hi, jlo, out in products(rows, done):
             assert jlo == (done if hi <= done else 0) and (lo >= done or hi <= done)
-            assert any(blo <= lo < hi <= bhi for blo, bhi in blocks)
+            assert any(blo <= lo < hi <= bhi for blo, bhi in cuts)
             assert out.shape == (hi - lo, k - jlo, 2, rows.shape[1])
             for b in range(hi - lo):
                 for j in range(k - jlo):
@@ -209,12 +212,13 @@ class TestArrayKernel:
         for done in {0, k - 1, data.draw(st.integers(0, k - 1))}:
             self.assert_products_from(np.array(maps), done)
 
-    def test_products_split_inside_a_row_block(self):
-        # the fewest maps on 20 points whose row blocks, under the kernel's
-        # cell budget, include one past the first with two rows or more;
+    def test_products_split_inside_a_row_block(self, monkeypatch):
+        # the fewest maps on 20 points whose row blocks, under a budget of
+        # 2^10 cells, include one past the first with two rows or more;
         # done = lo + 1 cuts that block lo..hi-1 in two
+        monkeypatch.setattr(bitsets, "_CELLS", 1 << 10)
         k = 2
-        while not (cut := [(lo, hi) for lo, hi in _row_blocks(np.empty((k, 20)))
+        while not (cut := [(lo, hi) for lo, hi in blocks(k, k * 20)
                            if lo > 0 and hi - lo >= 2]):
             k += 1
         lo, hi = cut[0]
@@ -234,19 +238,23 @@ class TestArrayKernel:
                 assert comp[i, j] == (naive_compose(f, g) != maps[want[i, j]])
                 assert meet[i, j] == (naive_intersect(f, g) != maps[want[i, j]])
 
-    def test_wide_rows_one_per_block(self):
-        # 40 maps on 2000 points: past the block budget, so one row per block
+    def test_wide_rows_one_per_block(self, monkeypatch):
+        # 40 maps on 20 points under a budget of one row of 40 maps: one
+        # tile of all columns per row, and one row per block of products
+        monkeypatch.setattr(bitsets, "_CELLS", 40 * 20)
         rng = np.random.default_rng(0)
-        rows = rng.integers(-1, 2000, size=(40, 2000))
+        rows = rng.integers(-1, 20, size=(40, 20))
         rows[7] = rows[5]
-        rows[9] = np.where(np.arange(2000) % 2, rows[5], -1)
-        assert len(list(_row_blocks(rows))) == 40
+        rows[9] = np.where(np.arange(20) % 2, rows[5], -1)
+        assert [(lo, jlo, jhi) for lo, hi, jlo, jhi in _tiles(rows)] == [
+            (lo, 0, 40) for lo in range(40)]
         want = rng.integers(0, 40, size=(40, 40))
         want[5, 7] = want[9, 5] = 9
         zeta, xi, _, meet = assert_pair_matrices_match(rows, want, (0, 5, 7, 9, 39))
         assert zeta[9, 5] and xi[5, 7] and not meet[9, 5]
+        self.assert_products_from(rows, 5)
 
-    def test_rows_past_the_row_budget_cut_into_tiles(self):
-        rows, want = tiled_rows()
+    def test_rows_past_the_row_budget_cut_into_tiles(self, monkeypatch):
+        rows, want = tiled_rows(monkeypatch)
         zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]

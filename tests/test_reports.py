@@ -3,8 +3,14 @@ import time
 import numpy as np
 import pytest
 
-from transemi import reports
+from transemi import bitsets, reports
 from transemi.reports import WITNESS_CAP, Report
+
+
+def rows_per_block(monkeypatch, rows, per_block):
+    """Set the cell budget so that a scan of `rows` rows, each of rows^2
+    cells, is cut into blocks of `per_block` rows."""
+    monkeypatch.setattr(bitsets, "_CELLS", per_block * rows * rows)
 
 
 class TestRecord:
@@ -108,7 +114,7 @@ class TestScan:
         assert got.seconds >= 0
 
     def test_blocks_of_one_row_keep_row_order(self, mask, monkeypatch):
-        monkeypatch.setattr(reports, "_BLOCK", 1)
+        rows_per_block(monkeypatch, len(mask), 1)
         violations_of, asked = self.law(mask)
         got = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples")
         assert asked == [(lo, lo + 1) for lo in range(7)]
@@ -119,7 +125,7 @@ class TestScan:
         assert got.detail == f"{len(want)} tuples"
 
     def test_uneven_last_block(self, mask, monkeypatch):
-        monkeypatch.setattr(reports, "_BLOCK", 3)
+        rows_per_block(monkeypatch, len(mask), 3)
         violations_of, asked = self.law(mask)
         got = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples")
         assert asked == [(0, 3), (3, 6), (6, 7)]
@@ -127,8 +133,8 @@ class TestScan:
         assert got.witnesses == want[:WITNESS_CAP]
 
     def test_argwhere_only_on_blocks_with_a_failure(self, monkeypatch):
-        monkeypatch.setattr(reports, "_BLOCK", 1)
         mask = np.zeros((5, 4), bool)
+        rows_per_block(monkeypatch, len(mask), 1)
         mask[3, 2] = True
         calls = []
         real = np.argwhere
@@ -145,7 +151,7 @@ class TestScan:
                             holds=lambda: tried.append(1) or True)
         assert tried == [] and asked == [(0, 7)]  # one block: the scan alone
         assert not got.passed
-        monkeypatch.setattr(reports, "_BLOCK", 3)
+        rows_per_block(monkeypatch, len(mask), 3)
         got = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples",
                             holds=lambda: tried.append(1) or True)
         assert tried == [1] and asked == [(0, 7)]  # trusted: no block built
@@ -153,7 +159,7 @@ class TestScan:
         assert got.seconds >= 0
 
     def test_failed_certificate_runs_the_scan(self, mask, monkeypatch):
-        monkeypatch.setattr(reports, "_BLOCK", 3)
+        rows_per_block(monkeypatch, len(mask), 3)
         violations_of, asked = self.law(mask)
         plain = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples")
         got = Report().scan("law", len(mask), violations_of, ("x", "y", "z"), "tuples",

@@ -21,7 +21,7 @@ from transemi import (
     validate_determining_pair,
     verify_representability,
 )
-from transemi import representation
+from transemi import bitsets, representation
 from transemi.instances import parse_instance
 from transemi.partial_maps import (
     compose_mismatch,
@@ -713,8 +713,7 @@ class TestBatchedSum:
         later, several = 0, 0
         for sys in sum_systems + random_systems:
             sys = copy(sys)
-            monkeypatch.setattr(representation, "_SWEEP_CELLS",
-                                rows_per_block * (sys.size + 1) ** 2)
+            monkeypatch.setattr(bitsets, "_CELLS", rows_per_block * (sys.size + 1) ** 2)
             got, want = built(sum_representation, sys), built(naive_fragment_sum, sys)
             assert got == want
             if isinstance(want, tuple):

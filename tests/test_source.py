@@ -22,6 +22,15 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def private_imports(source: str) -> list[str]:
+    """`_`-prefixed names that `source` imports from a module of the
+    package, by a relative import or one from `transemi`, at any depth."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == "transemi")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def test_unused_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from functools import reduce\nfrom operator import and_, index\n"
@@ -33,3 +42,14 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_private_imports_are_found():
+    source = ("from .closure import _kernel, check\nfrom transemi.bitsets import _CELLS\n"
+              "from os import _exit\ndef f():\n    from . import _private\n")
+    assert private_imports(source) == ["_kernel", "_CELLS", "_private"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    assert private_imports(path.read_text()) == []

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from transemi import (
     generate,
     validate,
 )
-from transemi import partial_maps, trans_semigroup
+from transemi import bitsets, partial_maps, trans_semigroup
 from transemi.generators import random_partial_map
 from transemi.instances import parse_instance
 
@@ -207,7 +208,10 @@ class TestGenerate:
 
     def test_wide_carrier_one_row_per_block(self, m70_file, monkeypatch):
         # a new map first seen in one block of a round comes back in later
-        # blocks of that round and gets the id it was given there
+        # blocks of that round and gets the id it was given there; under a
+        # budget of 2^14 cells the later rounds on 300 points take one row
+        # per block
+        monkeypatch.setattr(bitsets, "_CELLS", 1 << 14)
         wide = self.wide_seeds(m70_file)
         rounds = self.recorded_blocks(monkeypatch)
         sys = generate(wide, cap=256)
@@ -359,6 +363,20 @@ class TestAdjacencyLaws:
             got = check_adjacency_laws(broken)["adjacency-iff-domain-kept"]
             assert want and got.witnesses == want[:10]
             assert got.detail == f"{len(want)} pairs"
+
+    def test_scan_stays_within_the_cell_budget(self, m245_file):
+        # `adjacency-precompose-stable` has no certificate, so its m^3 scan
+        # always runs: its blocks hold a few temporaries of at most the
+        # budget's cells each, beside the m^2 int64 tables, whatever m is
+        sys = parse_instance(m245_file).build(cap=256)
+        m = sys.size
+        tracemalloc.start()
+        try:
+            assert check_adjacency_laws(sys).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == 245 and peak < 3 * bitsets._CELLS * 8 + 8 * m * m
 
 
 class TestDomainMeet:
