@@ -283,8 +283,11 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     The chain increases, so it stabilizes within |G| rounds; `rounds`
     counts the step applications performed, including the one that
     confirms stability. Under the validated hypotheses the step is
-    extensive, and each round is the plain step. Of `sys` it reads only the
-    size and the step kernel, which a system's `ClosureCache` also carries.
+    extensive, and each round is the plain step. Without witnesses it reads
+    of `sys` only the size and the step kernel, which a system's
+    `ClosureCache` also carries. With witnesses, `sys` is a system, and the
+    (closed set, rounds) found goes into its `ClosureCache` memo, so the
+    seed is not closed again.
     """
     cur = _seed(sys, h_bits)
     kern = _kernel(sys)
@@ -302,6 +305,8 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
             for z, tup in kern.first_witnesses(cur, new).items():
                 witness[z] = (rounds, tup)
         cur, cur_bits = nxt, nxt_bits
+    if witnesses:
+        sys.closures._remember(h_bits, cur_bits, rounds)
     return ClosureResult(h_bits, cur_bits, rounds, witness)
 
 
@@ -309,9 +314,9 @@ class ClosureCache:
     """Per-system memo of closures keyed by seed bitset.
 
     Each entry is the (closed set, round count) that `closure_fixpoint`
-    gives for its own seed, without witnesses; witness extraction is redone
-    on demand. Fills are lock-guarded so concurrent callers see consistent
-    entries.
+    gives for its own seed, filled by `result` or by a witnessed
+    `closure_fixpoint`; witness extraction is redone on demand. Fills are
+    lock-guarded so concurrent callers see consistent entries.
 
     The fixpoint from H is the least closed superset C(H) of H, so C is a
     closure operator and C({x, y}) = C(C({x}) | C({y})). `sweep` uses this
@@ -344,8 +349,12 @@ class ClosureCache:
         # the system while it lives, so that callers keying closures by
         # system (a tracer) see one key per system; else the cache in its place
         res = closure_fixpoint(self._system() or self, h_bits, witnesses=False)
+        return self._remember(h_bits, res.closed_bits, res.rounds)
+
+    def _remember(self, h_bits: int, closed_bits: int, rounds: int) -> tuple[int, int]:
+        """Memoise the fixpoint from `h_bits`; the first entry for a seed stays."""
         with self._lock:
-            return self._memo.setdefault(h_bits, (res.closed_bits, res.rounds))
+            return self._memo.setdefault(h_bits, (closed_bits, rounds))
 
     def sweep(self):
         """The closures of every singleton and pair seed, in two stages.

@@ -7,29 +7,32 @@ row-major index tables and sparse relation pair lists. Parsing failures
 raise InstanceFormatError with a key-path tag; write followed by parse is
 the identity on instances. Files are read as UTF-8.
 
-Documents are read with libyaml's parser (`yaml.CSafeLoader`) when PyYAML
-was built with it, and with PyYAML's own otherwise; the constructor and
-resolver are PyYAML's Python ones in both cases, so the values are the
-same. Text that libyaml rejects is parsed again by `yaml.safe_load`, so its
-error message, or its value, is PyYAML's. Text containing a tab goes to
-`yaml.safe_load` alone, because libyaml accepts tabs in places where PyYAML
-rejects them.
+`render_instance` writes a small subset of YAML, and `_read` reads exactly
+that subset straight into the dict `instance_from_dict` checks: a block
+mapping of the known top-level keys, each at most once; canonical ints and
+plain names that YAML resolves to strings; flow lists of ints, wrapped past
+80 columns as `yaml.safe_dump` wraps them; `- ` items, one level of them
+nested (`- - ` then `  - `); whole-line comments of printable ASCII from
+column 0, as the files under `tests/data` carry; `\n` line ends. Every
+other text goes to `yaml.safe_load`: other comments, quotes, tabs, CRLF,
+YAML 1.1 scalars such as `yes` or `0x10`, repeated keys. So a text's value
+or error message is that of PyYAML's pure-Python loader, whether or not
+PyYAML was built with libyaml. PyYAML is imported only for that fallback
+and for writing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import yaml
 
 from .abstract_system import AbstractSystem
 from .errors import InstanceFormatError
 from .trans_semigroup import TransSystem, generate
-
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -200,17 +203,85 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def parse_instance_text(text: str, where: str = "instance") -> Instance:
-    return instance_from_dict(_load_yaml(text, where), where)
+    data = _read(text)
+    if data is None:
+        data = _load_yaml(text, where)
+    return instance_from_dict(data, where)
+
+
+_INT = r"0|-?[1-9][0-9]*"
+_INTS = rf"(?:{_INT})(?:, (?:{_INT}))*"
+# plain words that YAML 1.1 resolves to a bool or to null, not to a string
+_NOT_STR = ("yes|Yes|YES|no|No|NO|true|True|TRUE|false|False|FALSE"
+            "|on|On|ON|off|Off|OFF|null|Null|NULL")
+# an int, a flow list of ints, the first line of one that `yaml.safe_dump`
+# wraps past 80 columns (it ends in a comma), or a name
+_VALUE = (rf"{_INT}|\[(?:(?:{_INTS})?\]|{_INTS},)"
+          rf"|(?!(?:{_NOT_STR})$)[A-Za-z_][A-Za-z0-9_.-]*")
+# a line of the subset: `key: value`, `key:` opening a block sequence,
+# `- value`, `- - value` opening a nested sequence, `  - value` going on
+# with it, a comment, or a wrapped flow list going on
+_LINE = re.compile(
+    rf"(kind|name|seed|base_size|maps|size|mul|meet|xi|delta):(?: ({_VALUE}))?"
+    rf"|(- - |  - |- )({_VALUE})|#[ -~]*|(  |    )({_INTS}[\],])")
+
+
+def _scalar(token: str):
+    if token[0] == "[":
+        return [int(v) for v in token[1:-1].split(", ")] if token != "[]" else []
+    return int(token) if token[0] in "-0123456789" else token
+
+
+def _read(text: str) -> dict | None:
+    """The value of `text`, equal to `yaml.safe_load`'s, when the text is in
+    the subset `render_instance` writes; None for any other text."""
+    if not text.endswith("\n"):
+        return None
+    out: dict = {}
+    seq = inner = None  # the open key's block sequence and its open nested one
+    flow = None  # a wrapped flow list, and the indent its next line must have
+    for line in text[:-1].split("\n"):
+        match = _LINE.fullmatch(line)
+        if match is None:
+            return None
+        key, value, lead, item, indent, ints = match.groups()
+        if flow is not None or indent is not None:
+            if flow is None or indent != flow[1]:
+                return None
+            flow[0].extend(_scalar("[" + ints))
+            if ints[-1] == "]":
+                flow = None
+            continue
+        if line[0] == "#":
+            continue
+        token = value or item
+        got = [] if token is None else _scalar(token)
+        if key is not None:
+            if key in out or seq == []:  # a repeated key, or a key without value
+                return None
+            out[key] = got
+            seq = got if token is None else None
+            inner = None
+        elif lead == "  - ":
+            if inner is None:
+                return None
+            inner.append(got)
+        elif seq is None:
+            return None
+        elif lead == "- ":
+            seq.append(got)
+            inner = None
+        else:
+            inner = [got]
+            seq.append(inner)
+        if token is not None and token[-1] == ",":
+            flow = (got, "  " if lead in (None, "- ") else "    ")
+    return None if seq == [] or flow is not None else out
 
 
 def _load_yaml(text: str, where: str):
-    # libyaml accepts tabs that PyYAML rejects (`kind:\tabstract`), so text
-    # with a tab goes to PyYAML alone and is valid or not with either build
-    if "\t" not in text:
-        try:
-            return yaml.load(text, Loader=_LOADER)
-        except (yaml.YAMLError, UnicodeEncodeError):  # libyaml takes str as UTF-8
-            pass
+    import yaml
+
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -227,6 +298,8 @@ def parse_instance(path: str | Path) -> Instance:
 
 
 def render_instance(inst: Instance) -> str:
+    import yaml
+
     return yaml.safe_dump(instance_to_dict(inst), sort_keys=False, default_flow_style=None)
 
 

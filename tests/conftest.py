@@ -16,12 +16,17 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, cwd=None):
-    """`python -m transemi <args>` in a child process that imports the
-    package from this checkout's `src`, ahead of any PYTHONPATH it has."""
+def run_python(*args, cwd=None):
+    """`python <args>` in a child process that imports the package from
+    this checkout's `src`, ahead of any PYTHONPATH it has."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "transemi", *args], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli(*args, cwd=None):
+    """`python -m transemi <args>` in such a child process."""
+    return run_python("-m", "transemi", *args, cwd=cwd)
 
 
 @pytest.fixture(scope="session")

@@ -671,13 +671,12 @@ class TestUnionSeededPairs:
 
     def test_one_pair_query_closes_the_pair_once(self, abstract_corpus, system_m70,
                                                  monkeypatch):
-        # the witnessed closure, then the determining pair's plain one
-        plain = []
+        # the witnessed closure is memoised, so the determining pair reads it
+        calls = []
         fixpoint = closure.closure_fixpoint
 
         def recording(sys, h_bits, witnesses=True):
-            if not witnesses:
-                plain.append(h_bits)
+            calls.append((h_bits, witnesses))
             return fixpoint(sys, h_bits, witnesses=witnesses)
 
         monkeypatch.setattr(closure, "closure_fixpoint", recording)
@@ -686,13 +685,33 @@ class TestUnionSeededPairs:
             for x, y in witness_pairs(sys, limit=4, sample=3):
                 fresh = fresh_copy(sys)
                 seed = (1 << x) | (1 << y)
-                plain.clear()
+                calls.clear()
                 closure.closure_fixpoint(fresh, seed, witnesses=True)
                 try:
                     determining_pair_for(fresh, x, y)
                 except HypothesesViolatedError:
                     pass
-                assert plain == [seed]
+                assert calls == [(seed, True)]
+
+    def test_witnessed_fixpoint_fills_the_memo(self, abstract_corpus, system_m70,
+                                               monkeypatch):
+        # the entry a plain `result` would have made, without a second fixpoint
+        systems = abstract_corpus[::9] + golden_failures() + [non_extensive(), system_m70]
+        rng = random.Random(22)
+        results = []
+        for sys in systems:
+            fresh = fresh_copy(sys)
+            for seed in sweep_seeds(sys, rng)[::5]:
+                res = closure_fixpoint(fresh, seed, witnesses=True)
+                assert (res.closed_bits, res.rounds) == fresh_copy(sys).closures.result(seed)
+                results.append((fresh, seed, res))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("closure_fixpoint called on a memoised seed")
+
+        monkeypatch.setattr(closure, "closure_fixpoint", refuse)
+        for fresh, seed, res in results:
+            assert fresh.closures.result(seed) == (res.closed_bits, res.rounds)
 
 
 def sweep_seeds(sys, rng):

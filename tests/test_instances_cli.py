@@ -1,11 +1,12 @@
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from conftest import run_cli
+from conftest import run_cli, run_python
 
 from transemi import bitsets, cli, instances
 from transemi.errors import InstanceFormatError
@@ -42,6 +43,41 @@ xi:
 delta:
 - [0, 0]
 """
+
+# texts the reader leaves to `yaml.safe_load`: each is S1_TEXT with one
+# construct outside the subset `render_instance` writes
+FALLBACK = {
+    "trailing-comment": S1_TEXT.replace("size: 1\n", "size: 1  # one element\n"),
+    "indented-comment": S1_TEXT.replace("meet:\n", "  # the meet\nmeet:\n"),
+    "document-start": "---\n" + S1_TEXT,
+    "document-end": S1_TEXT + "...\n",
+    "crlf": S1_TEXT.replace("\n", "\r\n"),
+    "tab-in-flow-list": S1_TEXT.replace("- [0, 0]", "- [0,\t0]"),
+    "tab-after-dash": S1_TEXT.replace("- [0]", "-\t[0]"),
+    "double-quoted-name": S1_TEXT + 'name: "s1"\n',
+    "single-quoted-kind": S1_TEXT.replace("kind: abstract", "kind: 'abstract'"),
+    **{f"name-{word}": S1_TEXT + f"name: {word}\n"
+       for word in ("yes", "on", "No", "OFF", "true", "null", "~")},
+    **{f"seed-{word}": S1_TEXT + f"seed: {word}\n"
+       for word in ("1.5", "0x10", "010", "+1", "1_0", "-0", "null")},
+    "key-on": S1_TEXT + "on: 1\n",
+    "unknown-key": S1_TEXT + "extra: 1\n",
+    "duplicate-key": S1_TEXT + "size: 2\n",
+    "indented-sequence": S1_TEXT.replace("mul:\n- [0]", "mul:\n  - [0]"),
+    "flow-list-without-spaces": S1_TEXT.replace("[0, 0]", "[0,0]"),
+    "nested-flow-list": S1_TEXT.replace("xi:\n- [0, 0]", "xi: [[0, 0]]"),
+    "key-without-value": S1_TEXT + "name:\n",
+    "blank-line": S1_TEXT.replace("meet:", "\nmeet:"),
+    "no-final-newline": S1_TEXT[:-1],
+    "byte-order-mark": "\ufeff" + S1_TEXT,
+}
+
+# pieces the random edits insert or put in place of one character
+EDIT_PIECES = list(" -[],:#\n\t\r'\"0123456789abnoyNY_.~!&*?{}|>%@`+xe\\") + [
+    "yes", "on", "null", "~", "0x10", "010", "+1", "1_0", "1.5", "-0", "---\n", "...\n",
+    "  ", "- ", "\n- ", "\n  - ", "\n- - ", "kind: a\n", "seed: 1\n", "# c\n", "\n#", "?",
+    ",\n  ", "\n  ", "\n    "]
+EDITS = 10_000
 
 
 class TestParsing:
@@ -102,9 +138,29 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_yaml_keeps_pure_python_message(self, text, tmp_path, capsys):
-        if yaml.__with_libyaml__:  # the case is libyaml rejecting first
-            with pytest.raises(yaml.YAMLError):
-                yaml.load(text, Loader=yaml.CSafeLoader)
+        assert instances._read(text) is None
+        self.assert_pure_python_rejects(text, tmp_path, capsys)
+
+    def test_lone_surrogate_keeps_pure_python_message(self):
+        # PyYAML's reader refuses the character, and so the text is refused
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.safe_load("kind: \ud800\n")
+        with pytest.raises(InstanceFormatError, match="^instance: not valid YAML: ") as got:
+            parse_instance_text("kind: \ud800\n")
+        assert str(got.value).endswith(str(pure.value))
+
+    def test_tab_after_colon_rejected_with_or_without_libyaml(self, tmp_path, capsys):
+        # libyaml loads this text; PyYAML alone does not, so neither may we
+        self.assert_pure_python_rejects(S1_TEXT.replace("kind: ", "kind:\t"), tmp_path, capsys)
+
+    def test_question_mark_in_flow_sequence_rejected(self, tmp_path, capsys):
+        # libyaml loads this text as a valid instance with an unread key; it
+        # exits 2 like any text PyYAML rejects
+        self.assert_pure_python_rejects(S1_TEXT + "note:\n- [0, 0?]\n", tmp_path, capsys)
+
+    @staticmethod
+    def assert_pure_python_rejects(text, tmp_path, capsys):
+        """Parsing and `check` fail with `yaml.safe_load`'s message."""
         with pytest.raises(yaml.YAMLError) as pure:
             yaml.safe_load(text)
         want = f"not valid YAML: {pure.value}"
@@ -116,31 +172,9 @@ class TestParsing:
         assert cli.main(["check", "--input", str(path)]) == 2
         assert capsys.readouterr().err == f"input error: {path}: {want}\n"
 
-    def test_lone_surrogate_keeps_pure_python_message(self):
-        # libyaml cannot take it at all: encoding the text to UTF-8 fails
-        with pytest.raises(yaml.YAMLError) as pure:
-            yaml.safe_load("kind: \ud800\n")
-        with pytest.raises(InstanceFormatError, match="^instance: not valid YAML: ") as got:
-            parse_instance_text("kind: \ud800\n")
-        assert str(got.value).endswith(str(pure.value))
-
-    def test_tab_after_colon_rejected_with_or_without_libyaml(self, tmp_path, capsys):
-        # libyaml loads this text; PyYAML alone does not, so neither may we
-        text = S1_TEXT.replace("kind: ", "kind:\t")
-        if yaml.__with_libyaml__:
-            assert yaml.load(text, Loader=yaml.CSafeLoader)["kind"] == "abstract"
-        with pytest.raises(yaml.YAMLError) as pure:
-            yaml.safe_load(text)
-        want = f"not valid YAML: {pure.value}"
-        path = tmp_path / "tab.yaml"
-        path.write_text(text)
-        assert cli.main(["check", "--input", str(path)]) == 2
-        assert capsys.readouterr().err == f"input error: {path}: {want}\n"
-
-    def test_tab_inside_quoted_value_still_loads(self, monkeypatch):
+    def test_tab_inside_quoted_value_still_loads(self):
         text = S1_TEXT + 'name: "a\tb"\n'
-        assert parse_instance_text(text).name == "a\tb"
-        monkeypatch.setattr(instances, "_LOADER", None)  # any libyaml call would fail
+        assert instances._read(text) is None
         assert parse_instance_text(text).name == "a\tb"
 
     def test_golden_files_parse(self):
@@ -159,11 +193,14 @@ def typed(value):
 
 @pytest.fixture(scope="module")
 def loader_texts(tmp_path_factory, m70_file):
-    """Instance texts: the test data, the m = 70 fixture, and `transemi
+    """Instance texts: the test data, the m = 70 fixture, `transemi
     generate` output for transformations on 3-6 points and abstract
-    systems of size 3."""
+    systems of size 3, and an abstract instance of size 26, whose table
+    rows `yaml.safe_dump` wraps onto two lines."""
     out = tmp_path_factory.mktemp("loader")
-    paths = sorted(DATA.glob("*.yaml")) + [m70_file]
+    paths = sorted(DATA.glob("*.yaml")) + [m70_file, out / "wrapped.yaml"]
+    rows = tuple(tuple((i + j) % 26 for j in range(26)) for i in range(26))
+    write_instance(AbstractInstance(26, rows, rows, ((0, 1),), ((1, 0),)), paths[-1])
     for seed in range(4):
         for points in (3, 4, 5, 6):
             paths.append(out / f"t-{seed}-{points}.yaml")
@@ -180,8 +217,7 @@ class TestLoader:
         kinds = set()
         for name, text in loader_texts.items():
             want = yaml.safe_load(text)
-            if yaml.__with_libyaml__:
-                assert typed(yaml.load(text, Loader=yaml.CSafeLoader)) == typed(want), name
+            assert typed(instances._read(text)) == typed(want), name
             inst = parse_instance_text(text)
             assert typed(instances.instance_to_dict(inst)) == typed(want), name
             kinds.add(inst.kind)
@@ -193,15 +229,80 @@ class TestLoader:
             write_instance(inst, tmp_path / name)
             assert parse_instance(tmp_path / name) == inst, name
 
-    def test_libyaml_used_when_present(self, monkeypatch):
-        # every pure-Python loader, `yaml.safe_load`'s included, builds a Reader
+    def test_reader_takes_every_instance_text(self, loader_texts, monkeypatch):
+        # `yaml.safe_load` builds a Reader; loader_texts holds the data files
         readers = []
         init = yaml.reader.Reader.__init__
         monkeypatch.setattr(yaml.reader.Reader, "__init__",
                             lambda self, stream: readers.append(stream) or init(self, stream))
-        inst = parse_instance_text(S1_TEXT)
-        assert inst.size == 1 and inst.xi == ((0, 0),)
-        assert bool(readers) != yaml.__with_libyaml__
+        for name, text in loader_texts.items():
+            assert instances._read(text) is not None, name
+            parse_instance_text(text)
+        assert readers == []
+        yaml.safe_load(S1_TEXT)
+        assert readers == [S1_TEXT]
+
+    def test_wrapped_flow_lists(self, loader_texts):
+        # `yaml.safe_dump` goes on with a list past 80 columns on lines
+        # indented two spaces past its item's dash or its key
+        assert "\n  23, 24, 25, 0]\n" in loader_texts["wrapped.yaml"]
+        text = yaml.safe_dump({"maps": [[[1, 2], list(range(40))], [list(range(30))]],
+                               "xi": list(range(-30, 0))}, sort_keys=False,
+                              default_flow_style=None)
+        for line in ("  - [0, 1, 2,", "    22, 23,", "- - [0, 1, 2,", "  -14, -13,"):
+            assert f"\n{line}" in text
+        assert typed(instances._read(text)) == typed(yaml.safe_load(text))
+        for cut in ("\n    22", "\n  -14"):  # other indents go to PyYAML
+            for indent in ("", " ", "   ", "      "):
+                assert instances._read(text.replace(cut, "\n" + indent + cut.lstrip())) is None
+
+    @pytest.mark.parametrize("text", FALLBACK.values(), ids=FALLBACK.keys())
+    def test_fallback_texts_go_to_pure_python(self, text):
+        assert instances._read(text) is None
+        try:
+            want = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            with pytest.raises(InstanceFormatError, match="not valid YAML") as got:
+                parse_instance_text(text)
+            assert str(got.value).endswith(str(exc))
+            return
+        try:
+            inst = parse_instance_text(text)
+        except InstanceFormatError as exc:
+            with pytest.raises(InstanceFormatError) as again:
+                instances.instance_from_dict(want)
+            assert str(exc) == str(again.value)
+        else:
+            assert inst == instances.instance_from_dict(want)
+
+    def test_reader_agrees_with_pure_python_on_random_edits(self, loader_texts):
+        # whenever the reader takes an edited text, its value is PyYAML's,
+        # element and key types included
+        rng = random.Random("reader-edits")
+        texts = list(loader_texts.values())
+        read = 0
+        for _ in range(EDITS):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(text) + 1)
+                piece = rng.choice(EDIT_PIECES)
+                text = text[:at] + piece + text[at + rng.randrange(2):]
+            got = instances._read(text)
+            if got is not None:
+                read += 1
+                assert typed(got) == typed(yaml.safe_load(text)), text
+        assert read > EDITS // 50
+
+
+class TestImports:
+    def test_check_runs_without_pyyaml(self, trans_file):
+        # the instance is `generate` output, so the reader takes it
+        code = ("import sys, transemi.cli; "
+                f"code = transemi.cli.main(['check', '--input', {str(trans_file)!r}]); "
+                "print(code, 'yaml' in sys.modules)")
+        res = run_python("-c", code)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "0 False"
 
 
 class TestRoundTrip:

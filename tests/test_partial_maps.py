@@ -94,11 +94,6 @@ class TestCompose:
     def test_identity(self):
         assert one(compose, (1, -1), (0, 1)) == (1, -1)
 
-    def test_rows_past_the_row_budget_cut_into_tiles(self, monkeypatch):
-        rows, want = tiled_rows(monkeypatch)
-        zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
-        assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
-
     @given(block_pairs)
     def test_blocks_match_definition(self, blocks):
         # entry [b, j] is left[b] o right[j], right[j] applied first
@@ -134,11 +129,6 @@ class TestIntersect:
         assert one(intersect, f, f) == f
         assert one(intersect, f, g) == one(intersect, g, f)
         assert one(intersect, f, one(intersect, g, h)) == one(intersect, one(intersect, f, g), h)
-
-    def test_rows_past_the_row_budget_cut_into_tiles(self, monkeypatch):
-        rows, want = tiled_rows(monkeypatch)
-        zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
-        assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
     @given(block_pairs)
     def test_blocks_match_definition(self, blocks):
