@@ -234,7 +234,8 @@ def _scalar(token: str):
 
 def _read(text: str) -> dict | None:
     """The value of `text`, equal to `yaml.safe_load`'s, when the text is in
-    the subset `render_instance` writes; None for any other text."""
+    the subset `render_instance` writes and holds a key; None for any other
+    text (a text of comments only is YAML's null, which PyYAML reports)."""
     if not text.endswith("\n"):
         return None
     out: dict = {}
@@ -276,7 +277,7 @@ def _read(text: str) -> dict | None:
             seq.append(inner)
         if token is not None and token[-1] == ",":
             flow = (got, "  " if lead in (None, "- ") else "    ")
-    return None if seq == [] or flow is not None else out
+    return None if not out or seq == [] or flow is not None else out
 
 
 def _load_yaml(text: str, where: str):

@@ -69,6 +69,7 @@ FALLBACK = {
     "key-without-value": S1_TEXT + "name:\n",
     "blank-line": S1_TEXT.replace("meet:", "\nmeet:"),
     "no-final-newline": S1_TEXT[:-1],
+    "comment-only": "# c\n",
     "byte-order-mark": "\ufeff" + S1_TEXT,
 }
 
