@@ -15,10 +15,10 @@ plain names that YAML resolves to strings; flow lists of ints, wrapped past
 nested (`- - ` then `  - `); whole-line comments of printable ASCII from
 column 0, as the files under `tests/data` carry; `\n` line ends. Every
 other text goes to `yaml.safe_load`: other comments, quotes, tabs, CRLF,
-YAML 1.1 scalars such as `yes` or `0x10`, repeated keys. So a text's value
-or error message is that of PyYAML's pure-Python loader, whether or not
-PyYAML was built with libyaml. PyYAML is imported only for that fallback
-and for writing.
+YAML 1.1 scalars such as `yes` or `0x10`, repeated keys, a text without
+a key. So a text's value or error message is that of PyYAML's pure-Python
+loader, whether or not PyYAML was built with libyaml. PyYAML is imported
+only for that fallback and for writing.
 """
 
 from __future__ import annotations
