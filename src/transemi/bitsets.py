@@ -68,11 +68,12 @@ def rows_bits(mat: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def blocks(count: int, cells_each: int) -> Iterator[tuple[int, int]]:
+def blocks(count: int, cells_each: int, least: int = 1) -> Iterator[tuple[int, int]]:
     """(lo, hi) cuts of range(count) in order, each of at most
-    `_CELLS // cells_each` items and at least one, so that a block of items
-    of `cells_each` (a positive int) cells each stays within the cell
-    budget."""
-    step = max(1, _CELLS // cells_each)
+    `_CELLS // cells_each` items and at least `least` (a positive int), so
+    that a block of items of `cells_each` (a positive int) cells each stays
+    within the cell budget. A kernel whose every block adds to an output
+    larger than the budget asks for blocks as large as that output."""
+    step = max(least, _CELLS // cells_each)
     for lo in range(0, count, step):
         yield lo, min(count, lo + step)

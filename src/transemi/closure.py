@@ -67,29 +67,28 @@ class _StepKernel:
         self.zeta = sys.zeta
         self.delta_star = sys.delta_star       # (m, m+1), column e is all True
         # reach[z, w] says: w <= z.t for some t in G*, that is w <= a for
-        # some a in the right ideal z.G* (ideal[z, a]). float64 as for adm
-        # below: one BLAS kernel for both products.
-        ideal = np.zeros((m, m), dtype=np.float64)
+        # some a in the right ideal z.G* (ideal[z, a]). Every product of
+        # the kernel counts at most m + 1 terms, exactly in float32.
+        ideal = np.zeros((m, m), dtype=np.float32)
         ideal[np.arange(m)[:, None], self.mg] = 1.0
-        reach = (ideal @ sys.zeta.T.astype(np.float64)) > 0.5
+        reach = (ideal @ sys.zeta.T.astype(np.float32)) > 0.5
         self.reach = reach
         # ext[w1, w2] says: w2 = w1.y for some y in G* with w1 |- y.
-        ext = np.zeros((m, m), dtype=np.float64)
+        ext = np.zeros((m, m), dtype=np.float32)
         rows, ys = np.nonzero(self.delta_star)
         ext[rows, self.mg[rows, ys]] = 1.0
         # adm[w1, z] says: w1 = (u meet v).x admits z, that is w1 |- y and
-        # w1.y <= z.t for some y, t in G*. float64 carries the counts
-        # exactly and keeps the matmul on BLAS.
-        self.adm = (ext @ reach.T.astype(np.float64)) > 0.5
+        # w1.y <= z.t for some y, t in G*.
+        self.adm = (ext @ reach.T.astype(np.float32)) > 0.5
 
     def step(self, h: np.ndarray) -> np.ndarray:
         m = self.m
         in_h = h[self.mg]                       # v.x in H
         vs = np.flatnonzero(in_h.any(axis=1))   # the v with some v.x in H
         uu, vi = np.nonzero(h[:, None] & self.xi[:, vs])  # u in H and u ~xi~ v
-        meets = np.zeros((m, len(vs)), dtype=np.float64)
+        meets = np.zeros((m, len(vs)), dtype=np.float32)
         meets[self.meet[uu, vs[vi]], vi] = 1.0  # per v: reachable meets u^v
-        feas = (meets @ in_h[vs].astype(np.float64)) > 0.5  # (w, x) pairs via shared v
+        feas = (meets @ in_h[vs].astype(np.float32)) > 0.5  # (w, x) pairs via shared v
         w1 = np.zeros(m, dtype=bool)
         w1[self.mg[feas]] = True                # products (u^v).x
         return self.adm[w1].any(axis=0)
@@ -185,6 +184,47 @@ def _singleton_rounds(kern: _StepKernel) -> np.ndarray:
     return out
 
 
+def _premises(kern: _StepKernel) -> tuple[np.ndarray, ...]:
+    """(at, pair, start, cells): the premise pairs of each u and the
+    cells each one marks in a premise table, as runs with offsets.
+
+    pair[at[u]:at[u + 1]] holds the ids, int32, of the distinct
+    (v, u meet v) with u ~xi~ v, and cells[start[p]:start[p + 1]] the
+    distinct flat cells a * m + w1, (a, w1) = (v.x, (u meet v).x) for x
+    in G*, of pair p. The cells are sorted in blocks of pairs of m + 1
+    cells each (`blocks`). The sweep reads them once per system, in the
+    one call of `_premise_tables` its union rounds make.
+    """
+    m = kern.m
+    mg = kern.mg.astype(np.int32)
+    u, v = np.nonzero(kern.xi)
+    code = v * m + kern.meet[u, v]
+    seen = np.zeros(m * m, dtype=bool)
+    seen[code] = True
+    pairs = np.flatnonzero(seen)
+    start = np.zeros(len(pairs) + 1, dtype=np.int64)
+    cells = [np.zeros(0, dtype=np.int32)]
+    for lo, hi in blocks(len(pairs), m + 1):
+        v, w0 = np.divmod(pairs[lo:hi], m)
+        block = np.sort(mg[v] * m + mg[w0], axis=1)
+        new = np.ones(block.shape, dtype=bool)
+        np.not_equal(block[:, 1:], block[:, :-1], out=new[:, 1:])
+        cells.append(block[new])
+        start[lo + 1:hi + 1] = new.sum(axis=1)
+    return (np.searchsorted(u, np.arange(m + 1)), np.searchsorted(pairs, code).astype(np.int32),
+            np.cumsum(start), np.concatenate(cells))
+
+
+def _runs(owner: np.ndarray, key: np.ndarray, at: np.ndarray,
+          values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, value) for each value of the run values[at[k]:at[k + 1]] of
+    each key k, the key's owner repeated along its run."""
+    start, size = at[key], at[key + 1] - at[key]
+    ends = np.cumsum(size)
+    idx = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + size, size)
+    return np.repeat(owner, size), values[idx]
+
+
 def _premise_tables(kern: _StepKernel, rows: np.ndarray):
     """The premise tables of the rows of a (d, m) bool matrix, in blocks
     of tables of m^2 cells each (`blocks`): yields (lo, P) with
@@ -192,21 +232,21 @@ def _premise_tables(kern: _StepKernel, rows: np.ndarray):
     v.x = a and (u meet v).x = w1. So z is in step(H) for every H holding u
     and a exactly when P[i - lo, a, w1] and adm[w1, z] for some w1.
 
-    Per block, the distinct (i, v, u meet v) are scattered over x in G* to
-    [i, v.x, (u meet v).x], in chunks of runs of m + 1 flat int32 indices
-    over G* (`blocks`).
+    Per block, each member u of a row gives its run of premise pairs, and
+    each distinct (row, pair), one cell of a (rows, pairs) grid, marks its
+    pair's cells in its row's table (`_premises`).
     """
     d, m = rows.shape
-    mg = kern.mg.astype(np.int32)
+    at, pair, start, cells = _premises(kern)
+    npairs = len(start) - 1
     for lo, hi in blocks(d, m * m):
-        i, u, v = np.nonzero(rows[lo:hi, :, None] & kern.xi)  # u in row i, u ~xi~ v
-        seen = np.zeros((hi - lo, m, m), dtype=bool)
-        seen[i, v, kern.meet[u, v]] = True
-        i, v, w0 = (k.astype(np.int32) for k in np.nonzero(seen))
+        i, p = _runs(*np.nonzero(rows[lo:hi]), at, pair)  # u in row i, p a pair of u
+        seen = np.zeros((hi - lo, npairs), dtype=bool)
+        seen[i, p] = True
+        i, p = np.nonzero(seen)
+        i, c = _runs(i * (m * m), p, start, cells)
         tables = np.zeros((hi - lo) * m * m, dtype=np.float32)
-        for cut in blocks(len(i), m + 1):
-            s = slice(*cut)
-            tables[(i[s, None] * m + mg[v[s]]) * m + mg[w0[s]]] = 1.0
+        tables[i + c] = 1.0
         yield lo, tables.reshape(hi - lo, m, m)
 
 

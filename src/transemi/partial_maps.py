@@ -3,8 +3,10 @@
 A list of k partial maps is a (k, n) int64 array of rows: row[a] is the
 image of a, or -1 where the map is undefined. Treated as a subset of A x A a
 row is automatically functional. This module is the one kernel over such
-rows: `compose` and `intersect` form the products of blocks of rows, and the
-pair matrices compare and relate all pairs of rows at once.
+rows: `compose` and `intersect` form the products of blocks of rows, the
+mismatch matrices compare all pairs of rows at once, and the relations
+zeta, xi and delta come from three pair counts, each a product of 0/1
+matrices (`agree_counts`, `common_counts`, `escape_counts`).
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from typing import Iterator
 import numpy as np
 
 from .bitsets import blocks
+
+# Counts of at most n points are exact in float32 while n is below this;
+# the pair counts of rows on more points are taken in int64.
+_FLOAT32_EXACT = 1 << 24
 
 
 def row_keys(rows: np.ndarray) -> list[bytes]:
@@ -94,27 +100,101 @@ def intersect_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
         intersect(rows[lo:hi], rows[jlo:jhi]) != rows[want[lo:hi, jlo:jhi]]).any(axis=2))
 
 
+def _count_dtype(n: int):
+    """The dtype of counts of at most n points: float32, which keeps the
+    products on BLAS, below `_FLOAT32_EXACT`, and int64 from there on."""
+    return np.float32 if n < _FLOAT32_EXACT else np.int64
+
+
+def _add_product(out: np.ndarray | None, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """out + left @ right.T, added in place; the product itself when out is
+    None."""
+    product = left @ right.T
+    if out is None:
+        return product
+    out += product
+    return out
+
+
+def agree_counts(rows: np.ndarray) -> np.ndarray:
+    """(k, k) counts: [a, b] is the number of points where rows a and b are
+    both defined and equal, the size of their meet as sets of pairs.
+
+    It is the product O Oᵀ of the one-hot O of the (point, value) pairs
+    present in the rows: O[a, c] is 1 when row a sends column c's point to
+    its value. The cells are read in blocks of at least k points, and each
+    block's columns are cut into blocks of at least k columns, one product
+    each (`blocks`).
+    """
+    k, n = rows.shape
+    dtype, out = _count_dtype(n), None
+    for lo, hi in blocks(n, k, least=k):
+        a, p = np.nonzero(rows[:, lo:hi] >= 0)
+        pair = p * n + rows[a, lo + p]
+        order = np.argsort(pair)
+        pair, a = pair[order], a[order]
+        first = np.empty(len(pair), dtype=bool)  # the first cell of each column
+        first[:1] = True
+        np.not_equal(pair[1:], pair[:-1], out=first[1:])
+        col = np.cumsum(first) - 1
+        for clo, chi in blocks(int(col[-1]) + 1 if len(col) else 0, k, least=k):
+            s, e = np.searchsorted(col, (clo, chi))
+            onehot = np.zeros((k, chi - clo), dtype)
+            onehot[a[s:e], col[s:e] - clo] = 1
+            out = _add_product(out, onehot, onehot)
+    return np.zeros((k, k), dtype) if out is None else out
+
+
+def common_counts(rows: np.ndarray) -> np.ndarray:
+    """(k, k) counts: [a, b] is the number of points in both dom a and dom
+    b, the product dom domᵀ, in blocks of at least k points."""
+    k, n = rows.shape
+    out = None
+    for lo, hi in blocks(n, k, least=k):
+        dom = (rows[:, lo:hi] >= 0).astype(_count_dtype(n))
+        out = _add_product(out, dom, dom)
+    return out
+
+
+def escape_counts(rows: np.ndarray) -> np.ndarray:
+    """(k, k) counts: [a, b] is the number of points outside dom b that row
+    a sends some point to. It is the product img undomᵀ, img[a, q] being 1
+    when row a sends some point to q and undom[b, q] when q is not in dom b,
+    in blocks of at least k points q; each block of img marks the cells
+    sending into it."""
+    k, n = rows.shape
+    dtype, out = _count_dtype(n), None
+    for lo, hi in blocks(n, k, least=k):
+        a, p = np.nonzero((rows >= lo) & (rows < hi))
+        img = np.zeros((k, hi - lo), dtype)
+        img[a, rows[a, p] - lo] = 1
+        out = _add_product(out, img, (rows[:, lo:hi] < 0).astype(dtype))
+    return out
+
+
 def submap_matrix(rows: np.ndarray) -> np.ndarray:
-    """zeta: [i, j] when rows[i], as a set of pairs, is contained in rows[j]."""
-    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
-        (rows[lo:hi, None] < 0) | (rows[lo:hi, None] == rows[jlo:jhi])).all(axis=2))
+    """zeta: [i, j] when rows[i], as a set of pairs, is contained in rows[j]:
+    when they agree on all of dom rows[i]."""
+    agree = agree_counts(rows)
+    return agree == agree.diagonal()[:, None]
 
 
 def semicompatible_matrix(rows: np.ndarray) -> np.ndarray:
     """xi: [i, j] when the rows agree wherever both are defined."""
-    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
-        (rows[lo:hi, None] < 0) | (rows[jlo:jhi] < 0)
-        | (rows[lo:hi, None] == rows[jlo:jhi])).all(axis=2))
+    return agree_counts(rows) == common_counts(rows)
 
 
 def semiadjacent_matrix(rows: np.ndarray) -> np.ndarray:
-    """delta: [i, j] when the image of rows[i] lies inside the domain of rows[j]."""
-    # defined[j, b] says rows[j] is defined at b; -1 picks the spare True column
-    defined = np.concatenate([rows >= 0, np.ones((len(rows), 1), dtype=bool)], axis=1)
-    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
-        np.take(defined[jlo:jhi], rows[lo:hi], axis=1).all(axis=2).T))
+    """delta: [i, j] when the image of rows[i] lies inside the domain of
+    rows[j]: when it sends no point outside it."""
+    return escape_counts(rows) == 0
 
 
 def relations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The zeta, xi and delta matrices of the rows."""
-    return submap_matrix(rows), semicompatible_matrix(rows), semiadjacent_matrix(rows)
+    """The zeta, xi and delta matrices of the rows, as `submap_matrix`,
+    `semicompatible_matrix` and `semiadjacent_matrix` give them, from one
+    count of each kind, holding at most two (k, k) counts at once."""
+    agree = agree_counts(rows)
+    zeta, xi = agree == agree.diagonal()[:, None], agree == common_counts(rows)
+    del agree
+    return zeta, xi, escape_counts(rows) == 0

@@ -41,6 +41,35 @@ def naive_semiadjacent(f, g):
     return all(b < 0 or g[b] >= 0 for b in f)
 
 
+def pairwise_submap_matrix(rows):
+    """zeta of (k, n) rows, one row against all at a time, from the
+    definition: rows[i] is undefined or equal to rows[j] at every point."""
+    return np.array([((f < 0) | (f == rows)).all(axis=1) for f in rows]).reshape(len(rows), -1)
+
+
+def pairwise_semicompatible_matrix(rows):
+    """xi of (k, n) rows: at every point one of the two is undefined or
+    they are equal."""
+    return np.array([((f < 0) | (rows < 0) | (f == rows)).all(axis=1)
+                     for f in rows]).reshape(len(rows), -1)
+
+
+def pairwise_semiadjacent_matrix(rows):
+    """delta of (k, n) rows: rows[j] is defined at every value of rows[i]."""
+    return np.array([(rows[:, f[f >= 0]] >= 0).all(axis=1)
+                     for f in rows]).reshape(len(rows), -1)
+
+
+def pairwise_counts(rows):
+    """(agree, common, escape) of (k, n) rows, one row against all at a
+    time: the points where rows i and j are both defined and equal, the
+    points where both are defined, and the values of rows[i] at which
+    rows[j] is undefined."""
+    return tuple(np.array(mats, dtype=np.int64).reshape(len(rows), -1) for mats in zip(*(
+        (((f >= 0) & (f == rows)).sum(axis=1), ((f >= 0) & (rows >= 0)).sum(axis=1),
+         (rows[:, np.unique(f[f >= 0])] < 0).sum(axis=1)) for f in rows)))
+
+
 def star_mul(sys, a, b):
     m = sys.size
     if a == m:

@@ -54,12 +54,14 @@ def test_negative_bits_are_rejected(bits):
         ClosureResult(seed_bits=1, closed_bits=bits, rounds=1).members()
 
 
-@pytest.mark.parametrize("count, cells_each, budget, want", [
-    (7, 3, 9, [(0, 3), (3, 6), (6, 7)]),    # an uneven last block
-    (4, 10, 9, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # past the budget: one item each
-    (5, 2, 100, [(0, 5)]),
-    (0, 5, 100, []),
+@pytest.mark.parametrize("count, cells_each, least, budget, want", [
+    (7, 3, 1, 9, [(0, 3), (3, 6), (6, 7)]),    # an uneven last block
+    (4, 10, 1, 9, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # past the budget: one item each
+    (5, 2, 1, 100, [(0, 5)]),
+    (0, 5, 1, 100, []),
+    (10, 5, 3, 1, [(0, 3), (3, 6), (6, 9), (9, 10)]),  # past the budget: `least` each
+    (5, 2, 3, 100, [(0, 5)]),  # within the budget `least` changes nothing
 ])
-def test_blocks_cut_by_the_budget(count, cells_each, budget, want, monkeypatch):
+def test_blocks_cut_by_the_budget(count, cells_each, least, budget, want, monkeypatch):
     monkeypatch.setattr(bitsets, "_CELLS", budget)
-    assert list(blocks(count, cells_each)) == want
+    assert list(blocks(count, cells_each, least)) == want

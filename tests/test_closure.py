@@ -780,7 +780,7 @@ class TestBatchedSweep:
 
     def test_one_row_blocks(self, abstract_corpus, system_m70, monkeypatch):
         # a cell budget of 1 makes every block of premise tables one table
-        # and every chunk of scatter indices one run over G*
+        # and every block of premise pairs one pair
         systems = abstract_corpus[::9] + golden_failures() + [system_m70]
         want = []
         for sys in systems:
@@ -928,7 +928,7 @@ class TestBatchedSweep:
 
     def test_sweep_holds_no_cubic_array(self, m245_file):
         # a fresh sweep at m = 245 peaks under m^3 / 2 bytes: it builds no
-        # table of m^3 cells and scatters its premise tables in chunks
+        # table of m^3 cells, and finds its premise pairs' cells in blocks
         sys = parse_instance(m245_file).build(cap=256).abstract()
         m = sys.size
         cache = sys.closures  # builds the step kernel before tracing

@@ -466,6 +466,14 @@ class TestCli:
         assert cli.main(["check", "--input", str(m70_file), "--format", "machine"]) == 0
         assert capsys.readouterr().out == (DATA / "m70_check.json").read_text()
 
+    def test_represent_output_past_bit_63_is_golden(self, m70_file, capsys):
+        # tests/data/m70_represent.json is `represent --format machine` on
+        # the fixture as printed when the verifier compared every pair of
+        # maps point by point, before it read the relations and the meet
+        # law off pair counts and the product law off the generators
+        assert cli.main(["represent", "--input", str(m70_file), "--format", "machine"]) == 0
+        assert capsys.readouterr().out == (DATA / "m70_represent.json").read_text()
+
     def test_check_output_at_m245_is_golden(self, m245_file, capsys):
         # tests/data/m245_check.json is `check --format machine` on the
         # fixture as printed before the law scans took certificates

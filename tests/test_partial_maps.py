@@ -1,18 +1,27 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from transemi import bitsets
+from transemi import bitsets, partial_maps
 from transemi.bitsets import blocks
+from transemi.instances import parse_instance
 from transemi.partial_maps import (
     _tiles,
+    agree_counts,
+    common_counts,
     compose,
     compose_mismatch,
+    escape_counts,
     intersect,
     intersect_mismatch,
     products,
     relations,
     row_keys,
+    semiadjacent_matrix,
+    semicompatible_matrix,
+    submap_matrix,
 )
+from transemi.representation import sum_representation
 
 from naive import (
     naive_compose,
@@ -20,6 +29,10 @@ from naive import (
     naive_issubmap,
     naive_semiadjacent,
     naive_semicompatible,
+    pairwise_counts,
+    pairwise_semiadjacent_matrix,
+    pairwise_semicompatible_matrix,
+    pairwise_submap_matrix,
 )
 
 
@@ -248,3 +261,84 @@ class TestArrayKernel:
         rows, want = tiled_rows(monkeypatch)
         zeta, xi, delta, meet = assert_pair_matrices_match(rows, want)
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
+
+
+def assert_counts_match(rows):
+    """The three pair counts, the three relation matrices and `relations`
+    against the pairwise references."""
+    for got, want in zip((agree_counts(rows), common_counts(rows), escape_counts(rows)),
+                         pairwise_counts(rows)):
+        assert got.shape == want.shape and (got == want).all()
+    want = (pairwise_submap_matrix(rows), pairwise_semicompatible_matrix(rows),
+            pairwise_semiadjacent_matrix(rows))
+    for got, ref in zip((submap_matrix(rows), semicompatible_matrix(rows),
+                         semiadjacent_matrix(rows)), want):
+        assert got.dtype == bool and (got == ref).all()
+    for got, ref in zip(relations(rows), want):
+        assert got.dtype == bool and (got == ref).all()
+
+
+def random_rows(rng, k, n, undefined=0.3):
+    """k random maps on n points, each entry undefined with the given
+    chance, and the last map empty."""
+    rows = np.where(rng.random((k, n)) < undefined, -1, rng.integers(0, n, size=(k, n)))
+    rows[-1] = -1
+    return rows
+
+
+@pytest.fixture(scope="module")
+def m70_rows(m70_file):
+    """The 70 maps of the m = 70 fixture on its 5 points, and the 70 maps
+    of its sum representation on 125 points."""
+    sys = parse_instance(m70_file).build(cap=256)
+    rows = (sys.rows, sum_representation(sys.abstract()).rows)
+    assert [r.shape for r in rows] == [(70, 5), (70, 125)]
+    return rows
+
+
+class TestPairCounts:
+    """The relations as pair counts against the pairwise definitions, on
+    both sides of 64 rows and past the float32 bound."""
+
+    @given(map_lists)
+    def test_counts_match_definitions(self, maps):
+        assert_counts_match(np.array(maps))
+
+    def test_corpus_and_random_systems(self, trans_corpus, random_systems):
+        # the generated systems' maps, and rows made from random tables:
+        # row x of a random system's mul, undefined where delta[x] is not
+        for sys in trans_corpus:
+            assert_counts_match(sys.rows)
+        for sys in random_systems:
+            assert_counts_match(np.where(sys.delta, sys.mul, -1))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(23)
+        for k, n, undefined in [(1, 1, 0.5), (2, 9, 1.0), (63, 4, 0.2), (64, 30, 0.5),
+                                (65, 3, 0.0), (90, 120, 0.6), (30, 200, 0.9)]:
+            assert_counts_match(random_rows(rng, k, n, undefined))
+
+    def test_past_bit_63(self, m70_rows):
+        for rows in m70_rows:
+            assert_counts_match(rows)
+
+    def test_one_block_per_k_points(self, m70_rows, monkeypatch):
+        # a budget of one cell cuts the points, and each block's columns,
+        # into blocks of exactly k
+        rng = np.random.default_rng(4)
+        cases = [random_rows(rng, 3, 40), random_rows(rng, 7, 50, 0.1), m70_rows[1]]
+        monkeypatch.setattr(bitsets, "_CELLS", 1)
+        for rows in cases:
+            assert_counts_match(rows)
+
+    def test_exact_past_the_float32_bound(self, m70_rows, monkeypatch):
+        # at the bound the counts are int64, below it float32; both are exact
+        rng = np.random.default_rng(5)
+        for rows in [*m70_rows, random_rows(rng, 66, 12)]:
+            n = rows.shape[1]
+            monkeypatch.setattr(partial_maps, "_FLOAT32_EXACT", n + 1)
+            assert agree_counts(rows).dtype == np.float32
+            monkeypatch.setattr(partial_maps, "_FLOAT32_EXACT", n)
+            assert {c.dtype for c in (agree_counts(rows), common_counts(rows),
+                                      escape_counts(rows))} == {np.dtype(np.int64)}
+            assert_counts_match(rows)

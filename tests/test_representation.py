@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,24 @@ def corrupted(rep):
     defined = np.flatnonzero(rows[0] >= 0)
     rows[0, defined[0]] = -1
     rows[0, defined[-1]] = 0
+    return Representation(rep.carrier, rows)
+
+
+def damaged(rep, how):
+    """The representation with one kind of damage to its maps: "entry"
+    sends the first defined point of the last nonempty map elsewhere,
+    "swap" exchanges the maps of elements 1 and m - 1, and "empty"
+    empties the map of element m // 2."""
+    rows = rep.rows.copy()
+    m, n = rows.shape
+    if how == "entry":
+        g = np.flatnonzero((rows >= 0).any(axis=1))[-1]
+        p = np.flatnonzero(rows[g] >= 0)[0]
+        rows[g, p] = (rows[g, p] + 1) % n
+    elif how == "swap":
+        rows[[1, m - 1]] = rows[[m - 1, 1]]
+    else:
+        rows[m // 2] = -1
     return Representation(rep.carrier, rows)
 
 
@@ -345,17 +364,29 @@ class TestKernelAgainstNaiveLoops:
     def systems(trans_corpus):
         return [s.abstract() for s in trans_corpus if 6 <= s.size <= 12][:6]
 
-    def test_verifier_witnesses(self, trans_corpus, monkeypatch):
+    def test_verifier_witnesses(self, trans_corpus, m70_file, monkeypatch):
+        # each damage fails some check, on both sides of 64 elements; every
+        # check keeps the count and the first witnesses of the pair by pair
+        # definition
         build = representation.sum_representation
-        for sys in self.systems(trans_corpus):
-            rep = corrupted(build(sys))
-            monkeypatch.setattr(representation, "sum_representation", lambda s: rep)
-            report = verify_representability(sys)
-            for check_id, bad in naive_verifier_failures(sys, rep.rows).items():
-                got = report[check_id]
-                assert got.passed == (not bad)
-                assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
-            assert not report["injective"].passed
+        systems = self.systems(trans_corpus) + [parse_instance(m70_file).build().abstract()]
+        failed = set()
+        for sys in systems:
+            whole = build(sys)
+            for rep in [corrupted(whole)] + [damaged(whole, how)
+                                             for how in ("entry", "swap", "empty")]:
+                monkeypatch.setattr(representation, "sum_representation", lambda s: rep)
+                report = verify_representability(sys)
+                assert not report.passed
+                for check_id, bad in naive_verifier_failures(sys, rep.rows).items():
+                    got = report[check_id]
+                    assert got.passed == (not bad)
+                    assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
+                    if bad and check_id != "injective":
+                        assert got.detail == f"{len(bad)} pairs"
+                        failed.add(check_id)
+        assert failed == {"product-homomorphism", "meet-homomorphism", "order-relation-matches",
+                          "semicompat-relation-matches", "adjacency-relation-matches"}
 
     def test_meet_hom_maps_side_witnesses(self, trans_corpus, monkeypatch):
         build = representation.simplest_representation
@@ -483,19 +514,17 @@ class TestFailureCounts:
         return next(s.abstract() for s in trans_corpus if s.size >= 6)
 
     def test_verifier_homomorphism_details(self, trans_corpus, monkeypatch):
+        # an emptied map breaks both laws on more pairs than the witness cap
         sys = self.system(trans_corpus)
-        for name, check_id in (("compose_mismatch", "product-homomorphism"),
-                               ("intersect_mismatch", "meet-homomorphism")):
-            real = getattr(representation, name)
-            # compose_mismatch's result is transposed into [g1, g2]
-            cells = [(b, a) for a, b in self.CELLS] if name == "compose_mismatch" else self.CELLS
-            monkeypatch.setattr(representation, name,
-                                lambda rows, table, real=real: flipped(real(rows, table), cells))
-            got = verify_representability(sys)[check_id]
-            monkeypatch.undo()
-            assert not got.passed
-            assert got.detail == f"{len(self.CELLS)} pairs"
-            assert [(w["g1"], w["g2"]) for w in got.witnesses] == self.CELLS[:WITNESS_CAP]
+        rep = damaged(representation.sum_representation(sys), "empty")
+        monkeypatch.setattr(representation, "sum_representation", lambda s: rep)
+        report = verify_representability(sys)
+        want = naive_verifier_failures(sys, rep.rows)
+        for check_id in ("product-homomorphism", "meet-homomorphism"):
+            got, bad = report[check_id], want[check_id]
+            assert len(bad) > WITNESS_CAP and not got.passed
+            assert got.detail == f"{len(bad)} pairs"
+            assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:WITNESS_CAP]
 
     def test_meet_hom_pointwise_detail(self, trans_corpus, monkeypatch):
         sys = self.system(trans_corpus)
@@ -668,6 +697,57 @@ class TestSumAndVerify:
         data = rep.to_dict()
         assert data["passed"] is True
         assert any(c["id"] == "injective" for c in data["checks"])
+
+
+class TestCountedVerifier:
+    """The verifier's product law from its certificate over the generators,
+    and its counts held in blocks."""
+
+    def test_product_certificate_matches_the_scan(self, sum_systems, monkeypatch):
+        # the certificate holds exactly when no pair's product differs, on
+        # the sums and on damaged ones; at m = 70, where the scan takes
+        # several blocks, a product not known to be associative gets no
+        # certificate and the verifier scans every pair
+        seen = [0, 0]
+        for sys in sum_systems:
+            whole = built(sum_representation, sys)
+            if not isinstance(whole, Representation) or not sys.light_associative:
+                continue
+            for rep in [whole] + [damaged(whole, how) for how in ("entry", "swap", "empty")
+                                  if sys.size > 1]:
+                holds = representation._product_law_holds(sys, rep.rows)
+                assert holds == (not compose_mismatch(rep.rows, sys.mul.T).any())
+                seen[holds] += 1
+        assert min(seen) > 5
+        sys = copy(sum_systems[-1])
+        rows = sum_representation(sys).rows
+        assert len(list(bitsets.blocks(sys.size, rows.size))) > 1
+        assert representation._product_law_holds(sys, rows)
+        monkeypatch.setitem(sys.__dict__, "light_associative", False)
+        assert not representation._product_law_holds(sys, rows)
+        calls = []
+        real = representation.compose_mismatch
+        monkeypatch.setattr(representation, "compose_mismatch",
+                            lambda rows, table: calls.append(1) or real(rows, table))
+        assert verify_representability(sys)["product-homomorphism"].passed and calls
+
+    def test_verifier_holds_no_one_hot_of_the_sum(self, m245_file, monkeypatch):
+        # given the sum at m = 245, the verifier peaks below the size of the
+        # float32 one-hot of the sum's (point, value) pairs, 4.1 MB
+        sys = parse_instance(m245_file).build().abstract()
+        rep = sum_representation(sys)
+        rows = rep.rows
+        m, n = rows.shape
+        one_hot = m * len(np.unique((np.arange(n) * n + rows)[rows >= 0])) * 4
+        monkeypatch.setattr(representation, "sum_representation", lambda s: rep)
+        assert verify_representability(sys).passed  # settles the cached tables first
+        tracemalloc.start()
+        try:
+            verify_representability(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == 245 and peak < one_hot
 
 
 def first_failing_fragment(sys):
