@@ -38,7 +38,6 @@ from .representation import (
     check_class_formulas,
     check_meet_hom_equivalence,
     determining_pair_for,
-    rep_relations,
     simplest_representation,
     sum_representation,
     validate_determining_pair,

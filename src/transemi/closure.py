@@ -27,7 +27,6 @@ from __future__ import annotations
 import operator
 import threading
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,11 +322,9 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     The chain increases, so it stabilizes within |G| rounds; `rounds`
     counts the step applications performed, including the one that
     confirms stability. Under the validated hypotheses the step is
-    extensive, and each round is the plain step. Without witnesses it reads
-    of `sys` only the size and the step kernel, which a system's
-    `ClosureCache` also carries. With witnesses, `sys` is a system, and the
-    (closed set, rounds) found goes into its `ClosureCache` memo, so the
-    seed is not closed again.
+    extensive, and each round is the plain step. With witnesses the
+    (closed set, rounds) found goes into the system's `ClosureCache` memo,
+    so the seed is not closed again.
     """
     cur = _seed(sys, h_bits)
     kern = _kernel(sys)
@@ -365,15 +362,13 @@ class ClosureCache:
     it reads the sweep's pair table.
 
     The system holds its cache, so the cache holds the system's size and
-    step kernel, all that `closure_fixpoint` reads of a system, and refers
-    to the system itself only weakly: a strong reference back would keep
-    every system alive until the cyclic garbage collector runs.
+    step kernel and not the system: a reference back would keep every
+    system alive until the cyclic garbage collector runs.
     """
 
     def __init__(self, sys):
         self.size = sys.size
         self._step_kernel = _kernel(sys)
-        self._system = weakref.ref(sys)
         self._memo: dict[int, tuple[int, int]] = {}
         self._lock = threading.Lock()
         self._stages = None
@@ -386,10 +381,8 @@ class ClosureCache:
             hit = self._memo.get(h_bits)
         if hit is not None:
             return hit
-        # the system while it lives, so that callers keying closures by
-        # system (a tracer) see one key per system; else the cache in its place
-        res = closure_fixpoint(self._system() or self, h_bits, witnesses=False)
-        return self._remember(h_bits, res.closed_bits, res.rounds)
+        closed, rounds = _fixpoints(self._step_kernel, _seed(self, h_bits)[None])
+        return self._remember(h_bits, bool_to_bits(closed[0]), int(rounds[0]))
 
     def _remember(self, h_bits: int, closed_bits: int, rounds: int) -> tuple[int, int]:
         """Memoise the fixpoint from `h_bits`; the first entry for a seed stays."""

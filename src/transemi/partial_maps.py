@@ -3,10 +3,12 @@
 A list of k partial maps is a (k, n) int64 array of rows: row[a] is the
 image of a, or -1 where the map is undefined. Treated as a subset of A x A a
 row is automatically functional. This module is the one kernel over such
-rows: `compose` and `intersect` form the products of blocks of rows, the
-mismatch matrices compare all pairs of rows at once, and the relations
-zeta, xi and delta come from three pair counts, each a product of 0/1
-matrices (`agree_counts`, `common_counts`, `escape_counts`).
+rows: `compose` and `intersect` form the products of blocks of rows, and
+`compose_mismatch` checks every pair's composite against a table. Every
+other comparison of all pairs of rows is read off three pair counts, each a
+product of 0/1 matrices (`agree_counts`, `common_counts`, `escape_counts`):
+the relations zeta, xi and delta (`relations`), equality as zeta both ways,
+and the meet law (`meet_mismatch`).
 """
 
 from __future__ import annotations
@@ -28,28 +30,14 @@ def row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
-def first_equal(rows: np.ndarray) -> np.ndarray:
-    """[a]: the least index of a row equal to rows[a]."""
-    first: dict[bytes, int] = {}
-    return np.array([first.setdefault(key, a) for a, key in enumerate(row_keys(rows))])
-
-
 def _tiles(rows: np.ndarray) -> Iterator[tuple[int, int, int, int]]:
     """(lo, hi, jlo, jhi): tiles of rows lo..hi-1 against columns jlo..jhi-1
-    of the k x k pair matrices, each within the cell budget over its n
+    of a k x k pair matrix, each within the cell budget over its n
     points (`blocks`): a row wider than the budget is cut into columns."""
     k, n = rows.shape
     for jlo, jhi in blocks(k, n):
         for lo, hi in blocks(k, (jhi - jlo) * n):
             yield lo, hi, jlo, jhi
-
-
-def _by_blocks(rows: np.ndarray, block) -> np.ndarray:
-    """The (k, k) bool matrix whose tile [lo:hi, jlo:jhi] is block(lo, hi, jlo, jhi)."""
-    out = np.empty((len(rows), len(rows)), dtype=bool)
-    for lo, hi, jlo, jhi in _tiles(rows):
-        out[lo:hi, jlo:jhi] = block(lo, hi, jlo, jhi)
-    return out
 
 
 def compose(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -89,15 +77,13 @@ def products(rows: np.ndarray, done: int) -> Iterator[tuple[int, int, int, np.nd
 
 
 def compose_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """(k, k) bool: rows[i] o rows[j] differs from rows[want[i, j]]."""
-    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
-        compose(rows[lo:hi], rows[jlo:jhi]) != rows[want[lo:hi, jlo:jhi]]).any(axis=2))
-
-
-def intersect_mismatch(rows: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """(k, k) bool: the meet of rows[i] and rows[j] differs from rows[want[i, j]]."""
-    return _by_blocks(rows, lambda lo, hi, jlo, jhi: (
-        intersect(rows[lo:hi], rows[jlo:jhi]) != rows[want[lo:hi, jlo:jhi]]).any(axis=2))
+    """(k, k) bool: rows[i] o rows[j] differs from rows[want[i, j]], in
+    tiles (`_tiles`)."""
+    out = np.empty((len(rows), len(rows)), dtype=bool)
+    for lo, hi, jlo, jhi in _tiles(rows):
+        out[lo:hi, jlo:jhi] = (compose(rows[lo:hi], rows[jlo:jhi])
+                               != rows[want[lo:hi, jlo:jhi]]).any(axis=2)
+    return out
 
 
 def _count_dtype(n: int):
@@ -172,27 +158,21 @@ def escape_counts(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def submap_matrix(rows: np.ndarray) -> np.ndarray:
-    """zeta: [i, j] when rows[i], as a set of pairs, is contained in rows[j]:
-    when they agree on all of dom rows[i]."""
-    agree = agree_counts(rows)
-    return agree == agree.diagonal()[:, None]
-
-
-def semicompatible_matrix(rows: np.ndarray) -> np.ndarray:
-    """xi: [i, j] when the rows agree wherever both are defined."""
-    return agree_counts(rows) == common_counts(rows)
-
-
-def semiadjacent_matrix(rows: np.ndarray) -> np.ndarray:
-    """delta: [i, j] when the image of rows[i] lies inside the domain of
-    rows[j]: when it sends no point outside it."""
-    return escape_counts(rows) == 0
+def meet_mismatch(agree: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """(k, k) bool: the meet of rows i and j differs from row want[i, j],
+    given the rows' `agree_counts`. Row w is their meet exactly when it
+    lies inside both, agree[w, i] = agree[w, w] = agree[w, j], and has as
+    many pairs as they share, agree[w, w] = agree[i, j]."""
+    size_w, ids = agree.diagonal()[want], np.arange(len(agree))
+    return ~((agree[want, ids[:, None]] == size_w) & (agree[want, ids] == size_w)
+             & (size_w == agree))
 
 
 def relations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The zeta, xi and delta matrices of the rows, as `submap_matrix`,
-    `semicompatible_matrix` and `semiadjacent_matrix` give them, from one
+    """The zeta, xi and delta matrices of the rows: [i, j] when rows[i], as
+    a set of pairs, lies inside rows[j] (agree == |dom i|), when the two
+    agree wherever both are defined (agree == common), and when the image
+    of rows[i] lies inside the domain of rows[j] (escape == 0). From one
     count of each kind, holding at most two (k, k) counts at once."""
     agree = agree_counts(rows)
     zeta, xi = agree == agree.diagonal()[:, None], agree == common_counts(rows)

@@ -11,7 +11,9 @@ closure (the paper's |G|^2 pairs only repeat fragments), is injective and
 carries all three relations across exactly, which `verify_representability`
 re-checks concretely. A representation's maps are int64 rows, one per
 element (-1 where undefined), and the checks run on them through the row
-kernel of `partial_maps`.
+kernel of `partial_maps`: every pairwise fact but the product law is read
+off its pair counts, the relations through `relations` and the meet law
+through `meet_mismatch`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from .partial_maps import (
     compose,
     compose_mismatch,
     escape_counts,
-    first_equal,
-    intersect_mismatch,
+    meet_mismatch,
     relations,
-    semiadjacent_matrix,
-    semicompatible_matrix,
-    submap_matrix,
 )
 from .reports import WITNESS_CAP, Report
 
@@ -236,12 +234,6 @@ def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Represe
     return Representation(tuple(kept), rows)
 
 
-def rep_relations(rep: Representation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Containment, common-domain agreement, and image-inside-domain
-    matrices of the represented maps."""
-    return relations(rep.rows)
-
-
 def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
     """Concrete relations of the simplest representation against their
     first-order descriptions over the classes."""
@@ -257,22 +249,21 @@ def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
         return cx[x][:, None] == cx[x][None, :]
 
     formulas = (
-        ("subset-rel-matches-classes", submap_matrix,
-         lambda x: ~kept[x][:, None] | same(x)),
-        ("semicompat-matches-classes", semicompatible_matrix,
+        ("subset-rel-matches-classes", lambda x: ~kept[x][:, None] | same(x)),
+        ("semicompat-matches-classes",
          lambda x: ~(kept[x][:, None] & kept[x][None, :]) | same(x)),
-        ("adjacency-matches-classes", semiadjacent_matrix,
+        ("adjacency-matches-classes",
          lambda x: ~kept[x][:, None] | kept[star[x, :m]]),  # [a, b]: x.a.b kept
     )
     report = Report("class formulas")
-    for check_id, matrix, holds_at in formulas:
-        t0 = time.perf_counter()
+    t0 = time.perf_counter()  # the three relations are timed with the first check
+    for (check_id, holds_at), got in zip(formulas, relations(rows)):
         want = np.ones((m, m), dtype=bool)
         for x in range(m + 1):
             want &= holds_at(x)
-        got = matrix(rows)
         report.record_mask(check_id, t0, got != want, ("g1", "g2"), "pairs",
                            lambda a, b: {"maps": bool(got[a, b]), "classes": bool(want[a, b])})
+        t0 = time.perf_counter()
     return report
 
 
@@ -292,8 +283,8 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     rep = simplest_representation(sys, dp)
     report = Report("meet homomorphism equivalence")
     maps_ok = report.record_mask("meet-homomorphism-pointwise", time.perf_counter(),
-                                 intersect_mismatch(rep.rows, sys.meet), ("g1", "g2"),
-                                 "pairs").passed
+                                 meet_mismatch(agree_counts(rep.rows), sys.meet),
+                                 ("g1", "g2"), "pairs").passed
 
     t0 = time.perf_counter()
     cls = np.asarray(dp.class_of[:m])
@@ -432,12 +423,14 @@ def verify_representability(sys: AbstractSystem) -> Report:
     The product law passes on its certificate over the generators
     (`_product_law_holds`); only when that fails, or when the pair scan
     fits in one block so that the certificate is not tried, does every
-    pair's product get compared (`compose_mismatch`). The meet law and the three relations
-    are read off the pair counts of the maps (`agree_counts`,
-    `common_counts`, `escape_counts`): the meet law holds at (a, b) exactly
-    when rep(a meet b) is contained in rep(a) and rep(b), by the
-    represented zeta, and has as many pairs as they share, agree[a, b].
-    The counts the meet law shares with zeta are timed with the meet law."""
+    pair's product get compared (`compose_mismatch`). Injectivity, the
+    meet law and the three relations are read off the pair counts of the
+    maps (`agree_counts`, `common_counts`, `escape_counts`): two maps are
+    equal exactly when each contains the other by the represented zeta,
+    and the meet law holds at (a, b) exactly when rep(a meet b) is
+    contained in rep(a) and rep(b) and has as many pairs as they share,
+    agree[a, b] (`meet_mismatch`). The agree counts, which injectivity,
+    the meet law, zeta and xi share, are timed with injectivity."""
     report = Report("representability")
 
     hyp = validate(sys)
@@ -453,9 +446,10 @@ def verify_representability(sys: AbstractSystem) -> Report:
     rep = sum_representation(sys)
     t0 = time.perf_counter()
     rows = rep.rows
-    same = first_equal(rows)  # [a]: the least element with a's map
-    dup = [{"g1": int(a), "g2": int(b)}
-           for a, b in np.argwhere(np.triu(same[:, None] == same[None, :], 1))]
+    agree = agree_counts(rows)
+    zeta_p = agree == agree.diagonal()[:, None]
+    dup = [{"g1": int(a), "g2": int(b)}  # a < b with equal maps, each inside the other
+           for a, b in np.argwhere(np.triu(zeta_p & zeta_p.T, 1))]
     report.add("injective", not dup, dup[:WITNESS_CAP],
                f"carrier of {rep.num_points} points", time.perf_counter() - t0)
 
@@ -469,12 +463,8 @@ def verify_representability(sys: AbstractSystem) -> Report:
         report.record_mask("product-homomorphism", t0, compose_mismatch(rows, sys.mul.T).T,
                            ("g1", "g2"), "pairs")
 
-    t0 = time.perf_counter()
-    agree = agree_counts(rows)
-    size, meet, ids = agree.diagonal(), sys.meet, np.arange(sys.size)
-    zeta_p = agree == size[:, None]
-    kept = zeta_p[meet, ids[:, None]] & zeta_p[meet, ids] & (size[meet] == agree)
-    report.record_mask("meet-homomorphism", t0, ~kept, ("g1", "g2"), "pairs")
+    report.record_mask("meet-homomorphism", time.perf_counter(),
+                       meet_mismatch(agree, sys.meet), ("g1", "g2"), "pairs")
 
     def relation(check_id, t0, got, want):
         report.record_mask(check_id, t0, got != want, ("g1", "g2"), "pairs",

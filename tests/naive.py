@@ -60,6 +60,18 @@ def pairwise_semiadjacent_matrix(rows):
                      for f in rows]).reshape(len(rows), -1)
 
 
+def pairwise_equal_matrix(rows):
+    """[i, j] when rows i and j of (k, n) rows are equal at every point."""
+    return np.array([(f == rows).all(axis=1) for f in rows]).reshape(len(rows), -1)
+
+
+def pairwise_meet_mismatch(rows, want):
+    """[i, j] when the meet of rows i and j, defined where the two are
+    equal, differs from row want[i, j], one row against all at a time."""
+    return np.array([(np.where(f == rows, f, -1) != rows[want[i]]).any(axis=1)
+                     for i, f in enumerate(rows)]).reshape(len(rows), -1)
+
+
 def pairwise_counts(rows):
     """(agree, common, escape) of (k, n) rows, one row against all at a
     time: the points where rows i and j are both defined and equal, the

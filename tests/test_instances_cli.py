@@ -18,8 +18,9 @@ from transemi.instances import (
     render_instance,
     write_instance,
 )
+from transemi.partial_maps import relations
 from transemi.reports import WITNESS_CAP
-from transemi.representation import rep_relations, sum_representation
+from transemi.representation import sum_representation
 
 DATA = Path(__file__).parent / "data"
 FAILING_REPORTS = json.loads((DATA / "failing_reports.json").read_text())
@@ -607,7 +608,7 @@ class TestCli:
                      if c["id"] == "representation-built")
         ab = parse_instance(trans_file).build().abstract()
         rep = sum_representation(ab)
-        _, xi_p, delta_p = rep_relations(rep)
+        _, xi_p, delta_p = relations(rep.rows)
         assert built["detail"] == (
             f"carrier of {rep.num_points} points, {len(rep.rows)} maps, "
             f"xi pairs={int(xi_p.sum())}, delta pairs={int(delta_p.sum())}")

@@ -13,13 +13,10 @@ from transemi.partial_maps import (
     compose_mismatch,
     escape_counts,
     intersect,
-    intersect_mismatch,
+    meet_mismatch,
     products,
     relations,
     row_keys,
-    semiadjacent_matrix,
-    semicompatible_matrix,
-    submap_matrix,
 )
 from transemi.representation import sum_representation
 
@@ -67,7 +64,7 @@ def assert_pair_matrices_match(rows, want, cells=None):
     definitions, on the pairs of `cells` (all rows by default)."""
     maps = as_maps(rows)
     zeta, xi, delta = relations(rows)
-    comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+    comp, meet = compose_mismatch(rows, want), meet_mismatch(agree_counts(rows), want)
     cells = range(len(maps)) if cells is None else cells
     for i in cells:
         for j in cells:
@@ -235,7 +232,7 @@ class TestArrayKernel:
         rows, k = np.array(maps), len(maps)
         want = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=k * k,
                                            max_size=k * k))).reshape(k, k)
-        comp, meet = compose_mismatch(rows, want), intersect_mismatch(rows, want)
+        comp, meet = compose_mismatch(rows, want), meet_mismatch(agree_counts(rows), want)
         for i, f in enumerate(maps):
             for j, g in enumerate(maps):
                 assert comp[i, j] == (naive_compose(f, g) != maps[want[i, j]])
@@ -263,19 +260,36 @@ class TestArrayKernel:
         assert zeta[10, 11] and xi[3, 11] and delta[0, 1] and not meet[10, 11]
 
 
+def meet_table(maps, rng):
+    """A (k, k) table of map ids that names the meet of maps i and j
+    (`naive_intersect`) where some map is that meet, but for one cell in
+    ten, and a random map elsewhere."""
+    k, first = len(maps), {}
+    for i, f in enumerate(maps):
+        first.setdefault(f, i)
+    want = rng.integers(0, k, size=(k, k))
+    for i, j in zip(*np.nonzero(rng.random((k, k)) < 0.9)):
+        want[i, j] = first.get(naive_intersect(maps[i], maps[j]), want[i, j])
+    return want
+
+
 def assert_counts_match(rows):
-    """The three pair counts, the three relation matrices and `relations`
-    against the pairwise references."""
+    """The three pair counts and `relations` against the pairwise
+    references, and `meet_mismatch` against `naive_intersect` on a
+    `meet_table`."""
     for got, want in zip((agree_counts(rows), common_counts(rows), escape_counts(rows)),
                          pairwise_counts(rows)):
         assert got.shape == want.shape and (got == want).all()
     want = (pairwise_submap_matrix(rows), pairwise_semicompatible_matrix(rows),
             pairwise_semiadjacent_matrix(rows))
-    for got, ref in zip((submap_matrix(rows), semicompatible_matrix(rows),
-                         semiadjacent_matrix(rows)), want):
-        assert got.dtype == bool and (got == ref).all()
     for got, ref in zip(relations(rows), want):
         assert got.dtype == bool and (got == ref).all()
+    maps = as_maps(rows)
+    table = meet_table(maps, np.random.default_rng(len(maps)))
+    meet = meet_mismatch(agree_counts(rows), table)
+    assert meet.dtype == bool and meet.tolist() == [
+        [naive_intersect(f, g) != maps[table[i, j]] for j, g in enumerate(maps)]
+        for i, f in enumerate(maps)]
 
 
 def random_rows(rng, k, n, undefined=0.3):
@@ -297,8 +311,8 @@ def m70_rows(m70_file):
 
 
 class TestPairCounts:
-    """The relations as pair counts against the pairwise definitions, on
-    both sides of 64 rows and past the float32 bound."""
+    """The relations and the meet law as pair counts against the pairwise
+    definitions, on both sides of 64 rows and past the float32 bound."""
 
     @given(map_lists)
     def test_counts_match_definitions(self, maps):

@@ -16,7 +16,6 @@ from transemi import (
     check_representability,
     closure_fixpoint,
     determining_pair_for,
-    rep_relations,
     simplest_representation,
     sum_representation,
     validate_determining_pair,
@@ -24,12 +23,7 @@ from transemi import (
 )
 from transemi import bitsets, representation
 from transemi.instances import parse_instance
-from transemi.partial_maps import (
-    compose_mismatch,
-    first_equal,
-    intersect_mismatch,
-    relations,
-)
+from transemi.partial_maps import compose_mismatch, relations
 from transemi.reports import WITNESS_CAP
 from transemi.representation import Representation, partition_to_pair
 
@@ -44,6 +38,8 @@ from naive import (
     naive_pair_sum,
     naive_simplest_maps,
     naive_verifier_failures,
+    pairwise_equal_matrix,
+    pairwise_meet_mismatch,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -68,8 +64,9 @@ def corrupted(rep):
 def damaged(rep, how):
     """The representation with one kind of damage to its maps: "entry"
     sends the first defined point of the last nonempty map elsewhere,
-    "swap" exchanges the maps of elements 1 and m - 1, and "empty"
-    empties the map of element m // 2."""
+    "swap" exchanges the maps of elements 1 and m - 1, "copy" gives
+    element m - 1 the map of element 1, and "empty" empties the map of
+    element m // 2."""
     rows = rep.rows.copy()
     m, n = rows.shape
     if how == "entry":
@@ -78,6 +75,8 @@ def damaged(rep, how):
         rows[g, p] = (rows[g, p] + 1) % n
     elif how == "swap":
         rows[[1, m - 1]] = rows[[m - 1, 1]]
+    elif how == "copy":
+        rows[m - 1] = rows[1]
     else:
         rows[m // 2] = -1
     return Representation(rep.carrier, rows)
@@ -302,26 +301,26 @@ class TestRepRelations:
     def test_one_element_diagonals(self):
         sys = s1()
         rep = simplest_representation(sys, determining_pair_for(sys, 0, 0))
-        zeta_p, xi_p, delta_p = rep_relations(rep)
+        zeta_p, xi_p, delta_p = relations(rep.rows)
         for mat in (zeta_p, xi_p, delta_p):
             assert mat.tolist() == [[True]]
 
     def test_reflexive_parts(self, abstract_corpus):
         for sys in axiom_passing(abstract_corpus, limit=10):
             rep = simplest_representation(sys, determining_pair_for(sys, 0, 0))
-            zeta_p, xi_p, _ = rep_relations(rep)
+            zeta_p, xi_p, _ = relations(rep.rows)
             assert zeta_p.diagonal().all()
             assert xi_p.diagonal().all()
 
     def test_sum_relations_factor_as_intersections(self, abstract_corpus):
         for sys in axiom_passing(abstract_corpus, max_size=5, limit=8):
             m = sys.size
-            total = rep_relations(sum_representation(sys))
+            total = relations(sum_representation(sys).rows)
             acc = [np.ones((m, m), dtype=bool) for _ in range(3)]
             for g1 in range(m):
                 for g2 in range(m):
-                    frag = rep_relations(
-                        simplest_representation(sys, determining_pair_for(sys, g1, g2))
+                    frag = relations(
+                        simplest_representation(sys, determining_pair_for(sys, g1, g2)).rows
                     )
                     for k in range(3):
                         acc[k] &= frag[k]
@@ -352,7 +351,7 @@ class TestClassFormulas:
         sys = s1()
         dp = determining_pair_for(sys, 0, 0)
         assert dp.w_class is None
-        _, _, delta_p = rep_relations(simplest_representation(sys, dp))
+        _, _, delta_p = relations(simplest_representation(sys, dp).rows)
         assert delta_p.all()
 
 
@@ -365,16 +364,16 @@ class TestKernelAgainstNaiveLoops:
         return [s.abstract() for s in trans_corpus if 6 <= s.size <= 12][:6]
 
     def test_verifier_witnesses(self, trans_corpus, m70_file, monkeypatch):
-        # each damage fails some check, on both sides of 64 elements; every
-        # check keeps the count and the first witnesses of the pair by pair
-        # definition
+        # each damage fails some check, and every check fails on both sides
+        # of 64 elements; every check keeps the first witnesses of the pair
+        # by pair definition, and a counting one its count
         build = representation.sum_representation
         systems = self.systems(trans_corpus) + [parse_instance(m70_file).build().abstract()]
-        failed = set()
+        failed = set()  # (check, past 64 elements)
         for sys in systems:
             whole = build(sys)
             for rep in [corrupted(whole)] + [damaged(whole, how)
-                                             for how in ("entry", "swap", "empty")]:
+                                             for how in ("entry", "swap", "copy", "empty")]:
                 monkeypatch.setattr(representation, "sum_representation", lambda s: rep)
                 report = verify_representability(sys)
                 assert not report.passed
@@ -382,11 +381,14 @@ class TestKernelAgainstNaiveLoops:
                     got = report[check_id]
                     assert got.passed == (not bad)
                     assert [(w["g1"], w["g2"]) for w in got.witnesses] == bad[:10]
+                    if bad:
+                        failed.add((check_id, sys.size > 64))
                     if bad and check_id != "injective":
                         assert got.detail == f"{len(bad)} pairs"
-                        failed.add(check_id)
-        assert failed == {"product-homomorphism", "meet-homomorphism", "order-relation-matches",
-                          "semicompat-relation-matches", "adjacency-relation-matches"}
+        checks = {"injective", "product-homomorphism", "meet-homomorphism",
+                  "order-relation-matches", "semicompat-relation-matches",
+                  "adjacency-relation-matches"}
+        assert failed == {(check_id, big) for check_id in checks for big in (False, True)}
 
     def test_meet_hom_maps_side_witnesses(self, trans_corpus, monkeypatch):
         build = representation.simplest_representation
@@ -405,13 +407,9 @@ class TestKernelAgainstNaiveLoops:
         for sys in self.systems(trans_corpus):
             for g1, g2 in [(0, 0), (1, sys.size - 1), (sys.size - 1, 2)]:
                 dp = determining_pair_for(sys, g1, g2)
-                mats = rep_relations(simplest_representation(sys, dp))
-                for name, real in (("submap_matrix", representation.submap_matrix),
-                                   ("semicompatible_matrix",
-                                    representation.semicompatible_matrix),
-                                   ("semiadjacent_matrix", representation.semiadjacent_matrix)):
-                    monkeypatch.setattr(representation, name,
-                                        lambda rows, real=real: flipped(real(rows), cells))
+                mats = relations(simplest_representation(sys, dp).rows)
+                monkeypatch.setattr(representation, "relations", lambda rows: tuple(
+                    flipped(mat, cells) for mat in relations(rows)))
                 report = check_class_formulas(sys, dp)
                 monkeypatch.undo()
                 want = naive_class_formula_failures(
@@ -529,9 +527,9 @@ class TestFailureCounts:
     def test_meet_hom_pointwise_detail(self, trans_corpus, monkeypatch):
         sys = self.system(trans_corpus)
         dp = determining_pair_for(sys, 0, sys.size - 1)
-        real = representation.intersect_mismatch
-        monkeypatch.setattr(representation, "intersect_mismatch",
-                            lambda rows, table: flipped(real(rows, table), self.CELLS))
+        real = representation.meet_mismatch
+        monkeypatch.setattr(representation, "meet_mismatch",
+                            lambda agree, table: flipped(real(agree, table), self.CELLS))
         report = check_meet_hom_equivalence(sys, dp)
         got = report["meet-homomorphism-pointwise"]
         assert got.detail == f"{len(self.CELLS)} pairs"
@@ -655,11 +653,12 @@ class TestSumAndVerify:
             shared |= rep.num_points < ref.num_points
             for got, want in zip(relations(rep.rows), relations(ref.rows)):
                 assert np.array_equal(got, want)
-            assert np.array_equal(first_equal(rep.rows), first_equal(ref.rows))
+            assert np.array_equal(pairwise_equal_matrix(rep.rows),
+                                  pairwise_equal_matrix(ref.rows))
             assert np.array_equal(compose_mismatch(rep.rows, sys.mul.T),
                                   compose_mismatch(ref.rows, sys.mul.T))
-            assert np.array_equal(intersect_mismatch(rep.rows, sys.meet),
-                                  intersect_mismatch(ref.rows, sys.meet))
+            assert np.array_equal(pairwise_meet_mismatch(rep.rows, sys.meet),
+                                  pairwise_meet_mismatch(ref.rows, sys.meet))
         assert shared
 
     def test_sum_reads_the_pair_table(self, abstract_corpus, m70_file):
