@@ -234,8 +234,8 @@ def validate(sys: AbstractSystem) -> Report:
 
     # x <= y, u <= v and (y,v) in xi force (u,x) in xi.
     t0 = time.perf_counter()
-    zf = zeta.astype(np.float64)
-    premise = (zf @ xi.astype(np.float64) @ zf.T) > 0.5
+    zf = zeta.astype(np.float32)  # thresholded after each product: counts of at most m
+    premise = (((zf @ xi.astype(np.float32)) > 0.5).astype(np.float32) @ zf.T) > 0.5
     viol_xu = premise & ~xi.T
 
     def downward_witnesses():

@@ -191,8 +191,8 @@ def _premises(kern: _StepKernel) -> tuple[np.ndarray, ...]:
     (v, u meet v) with u ~xi~ v, and cells[start[p]:start[p + 1]] the
     distinct flat cells a * m + w1, (a, w1) = (v.x, (u meet v).x) for x
     in G*, of pair p. The cells are sorted in blocks of pairs of m + 1
-    cells each (`blocks`). The sweep reads them once per system, in the
-    one call of `_premise_tables` its union rounds make.
+    cells each (`blocks`). `ClosureCache.pair_table` reads them once per
+    system, in the one call of `_premise_tables` its union rounds make.
     """
     m = kern.m
     mg = kern.mg.astype(np.int32)
@@ -272,14 +272,6 @@ def _union_rounds(kern: _StepKernel, closed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernel(sys) -> _StepKernel:
-    kern = getattr(sys, "_step_kernel", None)
-    if kern is None:
-        kern = _StepKernel(sys)
-        sys._step_kernel = kern
-    return kern
-
-
 def _seed(sys, h_bits: int) -> np.ndarray:
     """A seed H as a length-m bool array. H must be a nonempty subset of
     the carrier; anything else raises `ValueError`."""
@@ -290,7 +282,7 @@ def _seed(sys, h_bits: int) -> np.ndarray:
 
 def closure_step(sys, h_bits: int) -> int:
     """One application of the step operator to a nonempty subset."""
-    return bool_to_bits(_kernel(sys).step(_seed(sys, h_bits)))
+    return bool_to_bits(sys.closures._step_kernel.step(_seed(sys, h_bits)))
 
 
 @dataclass
@@ -327,7 +319,7 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     so the seed is not closed again.
     """
     cur = _seed(sys, h_bits)
-    kern = _kernel(sys)
+    kern = sys.closures._step_kernel
     cur_bits = h_bits
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
@@ -356,22 +348,22 @@ class ClosureCache:
     lock-guarded so concurrent callers see consistent entries.
 
     The fixpoint from H is the least closed superset C(H) of H, so C is a
-    closure operator and C({x, y}) = C(C({x}) | C({y})). `sweep` uses this
-    to close every pair at once and memoises nothing; before it has run,
-    `of_pair` closes the pair from itself through `result`, and afterwards
-    it reads the sweep's pair table.
+    closure operator and C({x, y}) = C(C({x}) | C({y})). `pair_table` uses
+    this to close every pair at once and memoises nothing; before it has
+    run, `of_pair` closes the pair from itself through `result`, and
+    afterwards it reads the pair table.
 
     The system holds its cache, so the cache holds the system's size and
-    step kernel and not the system: a reference back would keep every
-    system alive until the cyclic garbage collector runs.
+    step kernel, which it builds, and not the system: a reference back
+    would keep every system alive until the cyclic garbage collector runs.
     """
 
     def __init__(self, sys):
         self.size = sys.size
-        self._step_kernel = _kernel(sys)
+        self._step_kernel = _StepKernel(sys)
         self._memo: dict[int, tuple[int, int]] = {}
         self._lock = threading.Lock()
-        self._stages = None
+        self._table = None
 
     def closed_bits(self, h_bits: int) -> int:
         return self.result(h_bits)[0]
@@ -389,18 +381,17 @@ class ClosureCache:
         with self._lock:
             return self._memo.setdefault(h_bits, (closed_bits, rounds))
 
-    def sweep(self):
-        """The closures of every singleton and pair seed, in two stages.
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closures of every pair seed, computed on first call and kept.
 
-        Yields the m singleton closures as an (m, m) bool matrix, then the
-        pair table (pair_key, closed): the closure of {x, y} (of {x} when
-        x = y) is row pair_key[x, y] of the bool matrix closed, whose rows
-        are pairwise distinct and ordered by their first pair (x, y) in
-        pair order. The two stages are kept for later sweeps and for
-        `of_pair`.
+        (pair_key, closed): the closure of {x, y} (of {x} when x = y) is
+        row pair_key[x, y] of the bool matrix closed, whose rows are
+        pairwise distinct and ordered by their first pair (x, y) in pair
+        order. The singleton closures are its diagonal,
+        closed[pair_key.diagonal()], since {x, x} = {x}.
 
-        Both stages step no set they know to be closed. The singletons
-        take their first round from one scatter of the (v, x) grid
+        No set known to be closed is stepped. The singletons take their
+        first round from one scatter of the (v, x) grid
         (`_singleton_rounds`). {x, y} is closed from the union of its
         singleton closures, over the distinct ones, and each union takes
         its first round from the premise tables of its two parts
@@ -409,14 +400,12 @@ class ClosureCache:
         grew, and did not close, go on to `_fixpoints`, which steps each
         distinct row once per round on the step kernel.
         """
-        if self._stages is not None:
-            yield from self._stages
-            return
+        if self._table is not None:
+            return self._table
         kern = self._step_kernel
         single = _singleton_rounds(kern)
         grew = single.sum(axis=1) > 1
         single[grew] = _fixpoints(kern, single[grew])[0]
-        yield single
         # {x, y} closes from C({x}) | C({y}), a union of two closed sets
         base, of_base = _distinct_rows(single)
         # the unions are symmetric in (i, j): close those with i <= j
@@ -434,26 +423,20 @@ class ClosureCache:
         row_of = np.empty((len(base), len(base)), dtype=np.int64)
         row_of[iu, ju] = row_of[ju, iu] = row
         pair_key = row_of[of_base[:, None], of_base[None, :]]
-        self._stages = (single, (pair_key, closed))
-        yield self._stages[1]
-
-    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pair table of `sweep`, running the sweep if it has not run."""
-        *_, table = self.sweep()
-        return table
+        self._table = (pair_key, closed)
+        return self._table
 
     def of_pair(self, x: int, y: int) -> int:
-        """The closure of {x, y}: from the pair table once `sweep` has run,
-        from the memo otherwise. Elements are any integers, numpy ones
-        included."""
+        """The closure of {x, y}: from the pair table once it has been
+        computed, from the memo otherwise. Elements are any integers, numpy
+        ones included."""
         m = self.size
         x, y = operator.index(x), operator.index(y)
         if not (0 <= x < m and 0 <= y < m):
             raise ValueError(f"pair ({x}, {y}) outside the carrier 0..{m - 1}")
-        stages = self._stages
-        if stages is None:
+        if self._table is None:
             return self.closed_bits((1 << x) | (1 << y))
-        pair_key, closed = stages[1]
+        pair_key, closed = self._table
         return bool_to_bits(closed[pair_key[x, y]])
 
 
@@ -644,7 +627,7 @@ def _direct_tree_search(sys, z: int, h_bits: int, n: int):
 def _witnessed_chain(sys, h_bits: int, n: int):
     """Fn chain up to n with first-round and first-tuple bookkeeping."""
     cur = bits_to_bool(h_bits, sys.size)
-    kern = _kernel(sys)
+    kern = sys.closures._step_kernel
     chain = [h_bits]
     first_round = {z: 0 for z in iter_bits(h_bits)}
     tuples: dict[int, tuple[int, int, int, int, int]] = {}
@@ -765,18 +748,17 @@ def _axiom_failures(sys):
     """Failing (x, y, closure member) triples of each closure axiom, x-major.
 
     Yields (check id, triples, start time) per axiom, each timed alone. The
-    closures come from the two stages of `ClosureCache.sweep`: the m
-    singleton closures, read at meet[x, y] and x.y, count towards the
-    order check and the pair table towards the semicompat check.
+    closures come from `ClosureCache.pair_table`, whose time counts towards
+    the order check: the singleton closures, its diagonal, are read at
+    meet[x, y] and x.y, and the whole table at meet[x, y].
     """
     rows = np.arange(sys.size)[:, None]
     t0 = time.perf_counter()
-    stages = sys.closures.sweep()
-    single = next(stages)
+    pair_key, closed = sys.closures.pair_table()
+    single = closed[pair_key.diagonal()]
     yield "closure-forces-order", _failing(single[rows, sys.meet] & ~sys.zeta, sys.meet), t0
 
     t0 = time.perf_counter()
-    pair_key, closed = next(stages)
     yield ("closure-forces-semicompat",
            _failing(closed[pair_key, sys.meet] & ~sys.xi, sys.meet), t0)
 

@@ -168,6 +168,60 @@ def _identify(meet: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, ...]:
     return eps, lead, eps != (lead[:, :, None] == lead[:, None, :])
 
 
+def _fragment_tests(sys: AbstractSystem, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tests of `determining_pair_for` on the rows of a (b, m) bool
+    array of closed sets: the leaders over G*, e its own, and a (b, 4) mask
+    of failures in the order they are reported. The identification is not
+    an equivalence (`_identify`); the complement is not one class; the
+    classes are not right regular (x.z and lead(x).z share a leader for
+    every x, z in G*); the complement is not a right ideal. Each test
+    assumes the earlier ones passed, so only a row's first failure counts.
+    """
+    m = sys.size
+    b = len(inside)
+    lead, wrong = _identify(sys.meet, inside)[1:]
+    leaders = np.empty((b, m + 1), dtype=np.int32)
+    leaders[:, :m] = lead
+    leaders[:, m] = m
+    out = ~inside
+    w_lead = leaders[np.arange(b), out.argmax(axis=1)]  # the first outsider's leader
+    images = np.take(leaders, sys.mul_star, axis=1)  # [r, x, z]: leader of x.z
+    flat = images.reshape(b * (m + 1), m + 1)
+    of_leader = np.take(flat, (leaders + (m + 1) * np.arange(b)[:, None]).ravel(), axis=0)
+    failed = np.empty((b, 4), dtype=bool)
+    failed[:, 0] = wrong.any(axis=(1, 2))
+    failed[:, 1] = out.any(axis=1) & ((leaders[:, :m] == w_lead[:, None]) != out).any(axis=1)
+    failed[:, 2] = (flat != of_leader).reshape(b, -1).any(axis=1)
+    failed[:, 3] = (out[:, :, None]
+                    & (images[:, :m, :m] != w_lead[:, None, None])).any(axis=(1, 2))
+    return leaders, failed
+
+
+def _fragment_error(sys: AbstractSystem, pair, inside: np.ndarray, leaders: np.ndarray,
+                    failed: np.ndarray) -> HypothesesViolatedError:
+    """The error of the first failed test of the pair (g1, g2), given its
+    closure `inside` and its row of `_fragment_tests`. The regularity and
+    ideal witnesses are `validate_determining_pair`'s, run only here."""
+    m = sys.size
+    test = int(failed.argmax())
+    if test == 0:
+        eps, lead, wrong = (a[0] for a in _identify(sys.meet, inside[None]))
+        x, y = divmod(int(wrong.argmax()), m)
+        return HypothesesViolatedError(
+            "hypotheses violated: identification is not an equivalence",
+            witness={"x": x, "y": y, "z": int(lead[x]) if eps[x, lead[x]] else None,
+                     "pair": list(pair)})
+    outside = np.flatnonzero(~inside).tolist()
+    if test == 1:
+        return HypothesesViolatedError("hypotheses violated: closure complement is not one class",
+                                       witness={"pair": list(pair), "outside": outside})
+    classes = [np.flatnonzero(leaders == y).tolist() for y in np.unique(leaders)]
+    first = validate_determining_pair(
+        sys, partition_to_pair(sys, classes, frozenset(outside))).failures()[0]
+    return HypothesesViolatedError(f"hypotheses violated: {first.check_id}",
+                                   witness=first.witnesses[0])
+
+
 def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPair:
     """The canonical determining pair attached to the closure of {g1, g2}.
 
@@ -177,38 +231,17 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
     read off its leader, the least element it is identified with, and
     classes are numbered by leader. Raises `HypothesesViolatedError` when
     the identification is not an equivalence, when the complement is not
-    one class, or when the pair fails `validate_determining_pair`.
+    one class, or when the pair fails `validate_determining_pair`; the
+    sum runs the same tests (`_fragment_tests`).
     """
     m = sys.size
     inside = bits_to_bool(sys.closures.of_pair(g1, g2), m)
-    eps, lead, wrong = (a[0] for a in _identify(sys.meet, inside[None]))
-    if wrong.any():
-        x, y = divmod(int(wrong.argmax()), m)
-        raise HypothesesViolatedError(
-            "hypotheses violated: identification is not an equivalence",
-            witness={"x": x, "y": y, "z": int(lead[x]) if eps[x, lead[x]] else None,
-                     "pair": [g1, g2]},
-        )
-    cid = (np.cumsum(lead == np.arange(m)) - 1)[lead]  # the rank of x's leader
-    class_of = (*cid.tolist(), int(cid.max()) + 1)  # e stays alone, last
-
-    w_class = None
-    if not inside.all():
-        w_class = class_of[int(inside.argmin())]
-        if ((cid == w_class) != ~inside).any():
-            raise HypothesesViolatedError(
-                "hypotheses violated: closure complement is not one class",
-                witness={"pair": [g1, g2], "outside": np.flatnonzero(~inside).tolist()},
-            )
-    dp = DeterminingPair(class_of, w_class)
-
-    check = validate_determining_pair(sys, dp)
-    if not check.passed:
-        first = check.failures()[0]
-        raise HypothesesViolatedError(
-            f"hypotheses violated: {first.check_id}", witness=first.witnesses[0]
-        )
-    return dp
+    leaders, failed = (a[0] for a in _fragment_tests(sys, inside[None]))
+    if failed.any():
+        raise _fragment_error(sys, (g1, g2), inside, leaders, failed)
+    cid = (np.cumsum(leaders == np.arange(m + 1)) - 1)[leaders]  # the rank of x's leader
+    return DeterminingPair(tuple(cid.tolist()),
+                           None if inside.all() else int(cid[inside.argmin()]))
 
 
 def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Representation:
@@ -271,19 +304,20 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     """Pointwise meet preservation versus the three class-side conditions.
 
     The two sides are equivalent for every determining pair of a system
-    whose product distributes over its meet; the report carries both
+    whose product distributes over its meet, which is tested first, in
+    blocks of rows x of m^2 cells each (`blocks`); the report carries both
     verdicts and flags any disagreement.
     """
     m = sys.size
-    lhs_distr = sys.mul[:, sys.meet]
-    rhs_distr = sys.meet[sys.mul[:, :, None], sys.mul[:, None, :]]
-    if (lhs_distr != rhs_distr).any():
-        raise ValueError("system product does not distribute over meet")
+    mul, meet = sys.mul, sys.meet
+    for lo, hi in blocks(m, m * m):  # [x, y, z]: x(y meet z) = xy meet xz
+        if (mul[lo:hi][:, meet] != meet[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]]).any():
+            raise ValueError("system product does not distribute over meet")
 
     rep = simplest_representation(sys, dp)
     report = Report("meet homomorphism equivalence")
     maps_ok = report.record_mask("meet-homomorphism-pointwise", time.perf_counter(),
-                                 meet_mismatch(agree_counts(rep.rows), sys.meet),
+                                 meet_mismatch(agree_counts(rep.rows), meet),
                                  ("g1", "g2"), "pairs").passed
 
     t0 = time.perf_counter()
@@ -291,9 +325,9 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     in_w = np.zeros(m, dtype=bool) if dp.w_class is None else cls == dp.w_class
     same = cls[:, None] == cls[None, :]
     failed = {  # [a, b] for each condition, with mt = a meet b
-        "drop": in_w[:, None] & ~in_w[sys.meet],
-        "collapse": ~in_w[sys.meet] & ~same,
-        "align": ~in_w[:, None] & same & (cls[sys.meet] != cls[:, None]),
+        "drop": in_w[:, None] & ~in_w[meet],
+        "collapse": ~in_w[meet] & ~same,
+        "align": ~in_w[:, None] & same & (cls[meet] != cls[:, None]),
     }
     cond_ok = report.record_mask(
         "class-side-conditions", t0, failed["drop"] | failed["collapse"] | failed["align"],
@@ -309,42 +343,19 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     return report
 
 
-def _fragment_block(sys: AbstractSystem, inside: np.ndarray, lead: np.ndarray,
-                    wrong: np.ndarray, firsts: np.ndarray, offset: int) -> tuple[np.ndarray, list]:
-    """The fragments of a block of pair-table rows, given as a (b, m) bool
-    array `inside`, their leaders `lead` and whether those fail to make an
-    equivalence `wrong` (see `_identify`), and the flat indices `firsts` of
-    their first pairs: the maps on points numbered from `offset`, as an
-    (m, points) block, and the points' labels.
+def _fragment_block(sys: AbstractSystem, inside: np.ndarray, leaders: np.ndarray,
+                    firsts: np.ndarray, offset: int) -> tuple[np.ndarray, list]:
+    """The fragments of a block of pair-table rows that pass
+    `_fragment_tests`, given as a (b, m) bool array `inside`, their
+    `leaders` and the flat indices `firsts` of their first pairs: the maps
+    on points numbered from `offset`, as an (m, points) block, and the
+    points' labels.
 
-    The other tests of `determining_pair_for` run on the whole block: the
-    complement of the closure is one class, the classes are right regular
-    (x.z and lead(x).z share a leader for every x and z in G*), and the
-    excluded class is a right ideal. When a row fails, its first pair's
-    `determining_pair_for` raises. A kept class, one inside the closure or
-    e's, acts through its leader y: its point goes under g to the point of
-    the class of y.g.
+    A kept class, one inside the closure or e's, acts through its leader y:
+    its point goes under g to the point of the class of y.g.
     """
     m = sys.size
     b = len(inside)
-    leaders = np.empty((b, m + 1), dtype=np.int32)  # over G*, e its own leader
-    leaders[:, :m] = lead
-    leaders[:, m] = m
-    out = ~inside
-    w_lead = leaders[np.arange(b), out.argmax(axis=1)]  # the first outsider's leader
-    images = np.take(leaders, sys.mul_star, axis=1)  # [r, x, z]: leader of x.z
-    flat = images.reshape(b * (m + 1), m + 1)
-    of_leader = np.take(flat, (leaders + (m + 1) * np.arange(b)[:, None]).ravel(), axis=0)
-    failed = wrong.copy()
-    failed |= out.any(axis=1) & ((leaders[:, :m] == w_lead[:, None]) != out).any(axis=1)
-    failed |= (flat != of_leader).reshape(b, -1).any(axis=1)
-    failed |= (out[:, :, None] & (images[:, :m, :m] != w_lead[:, None, None])).any(axis=(1, 2))
-    if failed.any():
-        pair = divmod(int(firsts[failed.argmax()]), m)
-        determining_pair_for(sys, *pair)
-        raise InternalConsistencyError(
-            f"pair {pair} fails the batched fragment tests but not determining_pair_for")
-
     is_leader = leaders == np.arange(m + 1)
     kept = is_leader.copy()  # the leaders of the classes that get points
     kept[:, :m] &= inside
@@ -367,31 +378,35 @@ def sum_representation(sys: AbstractSystem) -> Representation:
     A pair's fragment depends only on the closure of the pair, and a
     repeated component changes no relation, injectivity or homomorphism
     law of a sum, so the sum takes one fragment per row of the closure
-    cache's pair table (see `ClosureCache.sweep`), in row order. Each is
+    cache's pair table (`ClosureCache.pair_table`), in row order. Each is
     the simplest representation of its row's first pair (g1, g2) in pair
     order, and its points are labelled ((g1, g2), class id) to keep the
     carriers disjoint. The fragments are built in one batch over the
     table's rows, in blocks of rows of (m + 1)^2 cells each (`blocks`),
-    in two passes: the first finds each row's leaders (`_identify`), and
-    so its number of points, one per kept leader; the second writes each
-    block's maps (`_fragment_block`) into the sum's rows, allocated once.
+    in two passes: the first runs the tests of `determining_pair_for` on
+    each row (`_fragment_tests`), raising the first failing row's error,
+    and so finds its leaders and its number of points, one per kept
+    leader; the second writes each block's maps (`_fragment_block`) into
+    the sum's rows, allocated once.
     """
     m = sys.size
     pair_key, closed = sys.closures.pair_table()
     firsts = np.unique(pair_key, return_index=True)[1]
     cuts = list(blocks(len(closed), (m + 1) ** 2))
-    lead = np.empty(closed.shape, dtype=np.int32)
-    wrong = np.empty(len(closed), dtype=bool)
+    leaders = np.empty((len(closed), m + 1), dtype=np.int32)
     for lo, hi in cuts:
-        _, lead[lo:hi], bad = _identify(sys.meet, closed[lo:hi])
-        wrong[lo:hi] = bad.any(axis=(1, 2))
+        leaders[lo:hi], failed = _fragment_tests(sys, closed[lo:hi])
+        if failed.any():
+            r = lo + int(failed.any(axis=1).argmax())
+            raise _fragment_error(sys, divmod(int(firsts[r]), m), closed[r], leaders[r],
+                                  failed[r - lo])
     # a row's points: its leaders inside the closure, and e
-    offsets = np.cumsum([0, *(((lead == np.arange(m)) & closed).sum(axis=1) + 1)])
+    offsets = np.cumsum([0, *(((leaders[:, :m] == np.arange(m)) & closed).sum(axis=1) + 1)])
     rows = np.empty((m, offsets[-1]), dtype=np.int64)
     carrier: list = []
     for lo, hi in cuts:
-        part, labels = _fragment_block(sys, closed[lo:hi], lead[lo:hi], wrong[lo:hi],
-                                       firsts[lo:hi], offsets[lo])
+        part, labels = _fragment_block(sys, closed[lo:hi], leaders[lo:hi], firsts[lo:hi],
+                                       offsets[lo])
         rows[:, offsets[lo]:offsets[hi]] = part
         carrier += labels
     return Representation(tuple(carrier), rows)

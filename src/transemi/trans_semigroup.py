@@ -184,7 +184,7 @@ def check_domain_bounds(sys: TransSystem) -> Report:
     Subsets run in order {0}, {0, 1}, ..., {1}, {1, 2}, ...; the witnesses
     are the first `WITNESS_CAP` failing (subset, member) pairs in that
     order. Each subset's closure is read from the closure cache's pair
-    table (see `ClosureCache.sweep`, run here if it has not run), and its
+    table (`ClosureCache.pair_table`, computed here if need be), and its
     common domain is tested, for all subsets at once, against the points in
     the domain of every member of its closure; members are walked only for
     subsets that fail.

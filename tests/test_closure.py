@@ -41,7 +41,6 @@ from transemi.closure import (
     ClosureCache,
     _axiom_failures,
     _fixpoints,
-    _kernel,
     _premise_tables,
     _singleton_rounds,
     _StepKernel,
@@ -119,7 +118,7 @@ def direct(sys, h_bits):
 
 def step_bits(sys, h_bits):
     """The step kernel on any subset, the empty one included."""
-    return bool_to_bits(_kernel(sys).step(bits_to_bool(h_bits, sys.size)))
+    return bool_to_bits(sys.closures._step_kernel.step(bits_to_bool(h_bits, sys.size)))
 
 
 def naive_witnesses(sys, h_bits):
@@ -420,7 +419,6 @@ class TestMemberAtRound:
         for sys in abstract_corpus:
             if sys.size > 3:
                 continue
-            kern = _kernel(sys)
             for h in all_nonempty(sys.size):
                 f2 = closure_step(sys, closure_step(sys, h))
                 for z in range(sys.size):
@@ -598,7 +596,7 @@ class TestUnionSeededPairs:
             queries()
             list(_axiom_failures(sys))
             queries()
-            list(cache.sweep())
+            cache.pair_table()
             for seed, entry in cache._memo.items():
                 res = closure_fixpoint(sys, seed, witnesses=False)
                 assert entry == (res.closed_bits, res.rounds)
@@ -728,11 +726,11 @@ def fresh_copy(sys):
 
 
 def assert_sweep_matches_fixpoints(sys, pairs):
-    """Both stages of a fresh sweep against each seed's own
-    `closure_fixpoint`: every singleton, and the given pairs. Returns the
-    pair table."""
-    single, (pair_key, closed) = fresh_copy(sys).closures.sweep()
-    assert rows_bits(single) == [direct(sys, 1 << x) for x in range(sys.size)]
+    """A fresh pair table against each seed's own `closure_fixpoint`:
+    every singleton, read off its diagonal, and the given pairs. Returns
+    the pair table."""
+    pair_key, closed = fresh_copy(sys).closures.pair_table()
+    assert rows_bits(closed[pair_key.diagonal()]) == [direct(sys, 1 << x) for x in range(sys.size)]
     for x, y in pairs:
         assert bool_to_bits(closed[pair_key[x, y]]) == direct(sys, (1 << x) | (1 << y))
     return pair_key, closed
@@ -741,9 +739,10 @@ def assert_sweep_matches_fixpoints(sys, pairs):
 def premise_table_sets(sys, rows):
     """Each row's premise table as the set of (a, z) that its products
     (u meet v).x admit."""
-    adm = _kernel(sys).adm.astype(np.float32)
+    kern = sys.closures._step_kernel
+    adm = kern.adm.astype(np.float32)
     out = []
-    for _, tables in _premise_tables(_kernel(sys), rows):
+    for _, tables in _premise_tables(kern, rows):
         out += [set(map(tuple, np.argwhere(t @ adm > 0.5).tolist())) for t in tables]
     return out
 
@@ -763,7 +762,7 @@ class TestBatchedSweep:
 
     @staticmethod
     def assert_fixpoints_match(sys, seeds):
-        closed, rounds = _fixpoints(_kernel(sys), bits_matrix(seeds, sys.size))
+        closed, rounds = _fixpoints(sys.closures._step_kernel, bits_matrix(seeds, sys.size))
         want = [closure_fixpoint(sys, h, witnesses=False) for h in seeds]
         assert [bool_to_bits(row) for row in closed] == [res.closed_bits for res in want]
         assert rounds.tolist() == [res.rounds for res in want]
@@ -785,8 +784,8 @@ class TestBatchedSweep:
         want = []
         for sys in systems:
             cache = fresh_copy(sys).closures
-            want.append((list(cache.sweep()), cache._memo))
-        kern = _kernel(system_m70)
+            want.append((cache.pair_table(), cache._memo))
+        kern = system_m70.closures._step_kernel
         base = bits_matrix(sorted({direct(system_m70, 1 << x) for x in range(70)}), 70)
         want_tables = np.concatenate([t for _, t in _premise_tables(kern, base)])
         want_first = _union_rounds(kern, base)
@@ -797,10 +796,9 @@ class TestBatchedSweep:
         assert (np.concatenate([t for _, t in blocks]) == want_tables).all()
         assert (_union_rounds(kern, base) == want_first).all()
         self.assert_fixpoints_match(system_m70, sweep_seeds(system_m70, random.Random(1))[60:90])
-        for sys, ((want_single, (want_key, want_closed)), memo) in zip(systems, want):
+        for sys, ((want_key, want_closed), memo) in zip(systems, want):
             cache = fresh_copy(sys).closures
-            single, (pair_key, closed) = cache.sweep()
-            assert (single == want_single).all()
+            pair_key, closed = cache.pair_table()
             assert (closed[pair_key] == want_closed[want_key]).all()
             assert cache._memo == memo
 
@@ -817,7 +815,8 @@ class TestBatchedSweep:
             for h in seeds[::2]:
                 cache.result(h)
             memo = dict(cache._memo)
-            single, _ = cache.sweep()
+            pair_key, closed = cache.pair_table()
+            single = closed[pair_key.diagonal()]
             assert cache._memo == memo
             for h in seeds:
                 cache.result(h)
@@ -862,13 +861,13 @@ class TestBatchedSweep:
                            systems + [non_extensive()] + random_systems[::4]] + [
                 (system_m70, pair_rules_m70)]:
             m = sys.size
-            assert rows_bits(_singleton_rounds(_kernel(sys))) == [
+            assert rows_bits(_singleton_rounds(sys.closures._step_kernel)) == [
                 bits_of([x] + [z for z in range(m) if (x, x, z) in rules]) for x in range(m)]
             closures = sorted({direct(sys, 1 << x) for x in range(m)})
             rows = closures + [rng.getrandbits(m) for _ in range(3)]
             for h, table in zip(rows, premise_table_sets(sys, bits_matrix(rows, m))):
                 assert table == {(a, z) for u, a, z in rules if (h >> u) & 1}
-            first = _union_rounds(_kernel(sys), bits_matrix(closures, m))
+            first = _union_rounds(sys.closures._step_kernel, bits_matrix(closures, m))
             for i, a in enumerate(closures):
                 for j, b in enumerate(closures):
                     assert bool_to_bits(first[i, j]) == a | b | step_bits(sys, a | b)
@@ -898,20 +897,26 @@ class TestBatchedSweep:
         # singleton, the singletons step first their grown first rounds,
         # and the unions step no union that its first round left unchanged;
         # each round starts by finding its distinct rows, so the rows
-        # stepped after each such call make one round
-        batches = []
-        distinct, step = closure._distinct_rows, _StepKernel.step
+        # stepped after each such call make one round; the singleton
+        # stage ends where the union rounds begin
+        batches, single_batches = [], []
+        distinct, step, union = closure._distinct_rows, _StepKernel.step, closure._union_rounds
+
+        def union_rounds(kern, base):
+            single_batches.extend(batches)
+            batches.clear()
+            return union(kern, base)
+
         monkeypatch.setattr(closure, "_distinct_rows", lambda h: batches.append([]) or distinct(h))
         monkeypatch.setattr(_StepKernel, "step",
                             lambda self, h: batches[-1].append(bool_to_bits(h)) or step(self, h))
+        monkeypatch.setattr(closure, "_union_rounds", union_rounds)
         sys = fresh_copy(system_m70)
         m = sys.size
-        stages = sys.closures.sweep()
-        single = next(stages)
-        single_batches = [rows for rows in batches if rows]
-        batches.clear()
-        next(stages)
+        pair_key, closed = sys.closures.pair_table()
         monkeypatch.undo()
+        single = closed[pair_key.diagonal()]
+        single_batches = [rows for rows in single_batches if rows]
         batches = [rows for rows in batches if rows]
         for batch in single_batches + batches:
             assert len(set(batch)) == len(batch)
@@ -934,7 +939,7 @@ class TestBatchedSweep:
         cache = sys.closures  # builds the step kernel before tracing
         tracemalloc.start()
         try:
-            list(cache.sweep())
+            cache.pair_table()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -947,14 +952,15 @@ class TestBatchedSweep:
         fixpoint = closure.closure_fixpoint
         monkeypatch.setattr(closure, "closure_fixpoint",
                             lambda s, h, **kw: calls.append(h) or fixpoint(s, h, **kw))
-        single, (pair_key, closed) = sys.closures.sweep()
+        pair_key, closed = sys.closures.pair_table()
         assert calls == [] and sys.closures._memo == {}
         m = sys.size
         for x in range(m):
             for y in range(m):
                 want = least_closed_oracle(sys, (1 << x) | (1 << y))
                 assert bool_to_bits(closed[pair_key[x, y]]) == want
-        assert rows_bits(single) == [least_closed_oracle(sys, 1 << x) for x in range(m)]
+        assert rows_bits(closed[pair_key.diagonal()]) == [
+            least_closed_oracle(sys, 1 << x) for x in range(m)]
 
 
 @pytest.fixture(scope="module")

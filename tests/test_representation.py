@@ -582,6 +582,20 @@ class TestMeetHomEquivalence:
                     saw_false += 1
         assert saw_false > 0  # the equivalence is exercised on both branches
 
+    def test_distributivity_holds_no_cubic_array(self, m245_file):
+        # at m = 245 the check peaks under m^3 / 2 bytes: distributivity is
+        # tested in blocks of rows, where the two sides of the law as
+        # (m, m, m) int64 arrays would take 16 m^3
+        sys = parse_instance(m245_file).build(cap=256).abstract()
+        dp = determining_pair_for(sys, 0, 0)
+        tracemalloc.start()
+        try:
+            passed = check_meet_hom_equivalence(sys, dp).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys.size == 245 and passed and peak < sys.size ** 3 / 2
+
     def test_distributivity_precondition(self):
         # the two-element group product does not distribute over the chain meet
         mul = [[0, 1], [1, 0]]
@@ -784,6 +798,27 @@ class TestBatchedSum:
         got = built(sum_representation, sys)
         assert got[:2] == (HypothesesViolatedError, "hypotheses violated: classes-right-regular")
         assert got == built(naive_fragment_sum, copy(sys))
+
+    @pytest.mark.parametrize("tables, message, witness", [
+        # pair (0, 0) closes to {0}, and 0 meet 1 = 0 lies in it, so 1
+        # shares 0's class: the complement {1} is not one class
+        (([[0, 0], [1, 1]], [[0, 0], [0, 1]], [[0, 0], [0, 0]], [[0, 0], [1, 0]]),
+         "hypotheses violated: closure complement is not one class",
+         {"pair": [0, 0], "outside": [1]}),
+        # pair (0, 0) closes to {0}: the complement {1} is one class and the
+        # classes {0}, {1} and {e} are right regular, but 1.1 = 0 leaves {1}
+        (([[0, 0], [1, 0]], [[0, 1], [1, 1]], [[0, 0], [0, 1]], [[1, 1], [1, 1]]),
+         "hypotheses violated: excluded-class-right-ideal", {"w": 1, "u": 1, "lands": 0}),
+    ])
+    def test_one_other_test_alone_fails(self, tables, message, witness):
+        # the class-list reference finds the same error, and the sum
+        # raises it for the table's first row
+        want = (HypothesesViolatedError, message, witness)
+        sys = AbstractSystem(*tables)
+        assert built(lambda s: determining_pair_for(s, 0, 0), sys) == want
+        assert built(lambda s: naive_determining_pair(s, 0, 0), copy(sys)) == want
+        assert built(sum_representation, copy(sys)) == want
+        assert built(naive_fragment_sum, copy(sys)) == want
 
     @pytest.mark.parametrize("rows_per_block", [1, 2])
     def test_blocks_of_few_rows(self, sum_systems, random_systems, monkeypatch, rows_per_block):

@@ -31,6 +31,27 @@ def private_imports(source: str) -> list[str]:
             for alias in node.names if alias.name.startswith("_")]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """`_`-prefixed functions, classes and constants defined at the top
+    level of `source` that no other top-level statement of it reads. A
+    private name cannot be imported across the package's modules, so one
+    that its own module never reads is dead; a read inside the name's own
+    definition, as in recursion, does not count."""
+    tree = ast.parse(source)
+    defined = []
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((i, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(i, t.id) for t in targets if isinstance(t, ast.Name)]
+    reads = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Load)} for node in tree.body]
+    return [name for i, name in defined
+            if name.startswith("_") and not name.endswith("__")
+            and not any(name in r for j, r in enumerate(reads) if j != i)]
+
+
 def test_unused_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from functools import reduce\nfrom operator import and_, index\n"
@@ -53,3 +74,15 @@ def test_private_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
     assert private_imports(path.read_text()) == []
+
+
+def test_unread_private_names_are_found():
+    source = ("__all__ = ['f']\n_LIMIT: int = 3\n_USED = 2\nclass _Unused:\n    pass\n"
+              "def _self_only(n):\n    return _self_only(n - 1) if n else _USED\n"
+              "def _helper():\n    return _LIMIT\ndef f():\n    return _helper()\n")
+    assert unread_private_names(source) == ["_Unused", "_self_only"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
