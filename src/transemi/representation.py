@@ -45,16 +45,14 @@ class DeterminingPair:
     """Partition of the extended carrier with an optional excluded class.
 
     `class_of[i]` is the class id of element i, with index m standing for
-    the adjoined identity; ids are canonical by least member. `w_class` is
-    the id of the excluded class or None.
+    the adjoined identity: any non-negative ints, equal exactly within a
+    class (`determining_pair_for` and `partition_to_pair` number classes
+    by least member). `w_class` is the id of the excluded class or None.
+    The functions that read a pair raise `ValueError` on any other input.
     """
 
     class_of: tuple[int, ...]
     w_class: Optional[int]
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.class_of) + 1
 
     def class_members(self, cid: int) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.class_of) if c == cid)
@@ -113,45 +111,76 @@ def partition_to_pair(sys: AbstractSystem, classes: list[list[int]],
     return DeterminingPair(tuple(class_of), w_class)
 
 
+def _leaders(m: int, dp: DeterminingPair) -> tuple[np.ndarray, int, list]:
+    """A determining pair's partition of G* as leaders, a leader being the
+    least member of a class: the leader of each x in G*, the excluded
+    class's leader (-1 when there is none), and the leaders in class-id
+    order. Raises ValueError unless `class_of` holds m + 1 non-negative
+    ints and `w_class` is None or one of them."""
+    cls = np.asarray(dp.class_of)
+    if cls.shape != (m + 1,) or cls.dtype.kind not in "iu" or min(dp.class_of) < 0:
+        raise ValueError(f"class_of must hold m + 1 = {m + 1} non-negative int ids")
+    leader = {c: x for x, c in reversed(list(enumerate(dp.class_of)))}  # id -> least member
+    if dp.w_class is not None and dp.w_class not in leader:
+        raise ValueError(f"excluded class {dp.w_class!r} is the class of no element")
+    return (np.array([leader[c] for c in dp.class_of]), leader.get(dp.w_class, -1),
+            [leader[c] for c in sorted(leader)])
+
+
+def _right_regular(sys: AbstractSystem, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right regularity of the partitions of G* given as a (b, m + 1) array
+    of leaders: `images[r, x, z]` is the leader of x.z in row r, and
+    `split[r, x, z]` is set when x.z and lead(x).z have different leaders.
+    Row r's partition is right regular exactly when split[r] holds no
+    True; its column z = e never does."""
+    b, n = leaders.shape
+    images = np.take(leaders, sys.mul_star, axis=1)
+    of_leader = np.take(images.reshape(-1, n), (leaders + n * np.arange(b)[:, None]).ravel(), 0)
+    return images, images != of_leader.reshape(b, n, n)
+
+
+def _action(sys: AbstractSystem, leaders: np.ndarray, rows_of: np.ndarray | int,
+            lead_of: np.ndarray, offset: int) -> np.ndarray:
+    """The maps of G on points of the partitions of a (b, m + 1) array of
+    leaders, as an (m, points) block: point offset + p, the class led by
+    y = lead_of[p] in row rows_of[p] (or row rows_of, one int), goes under
+    g to the point of the class of y.g, or to -1 when that class has none."""
+    base = leaders.shape[1] * np.reshape(rows_of, (-1, 1))  # where a point's row starts, flat
+    pos = np.full(leaders.shape, -1, dtype=np.int64)  # [r, y]: the point of the class led by y
+    pos[rows_of, lead_of] = np.arange(offset, offset + len(lead_of))
+    lands = np.take(leaders, np.take(sys.mul_star, lead_of, axis=0)[:, :sys.size] + base)
+    return np.take(pos, lands + base).T  # lands[p, g]: the leader of y.g in the point's row
+
+
 def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Report:
     """Right regularity over the extended carrier, and the excluded class
     being a right ideal inside G."""
     m = sys.size
-    star = sys.mul_star
     report = Report("determining pair")
 
     t0 = time.perf_counter()
-    cls = np.asarray(dp.class_of)
-    image = cls[star]  # [x, z]: class of x.z
-    uniq, first = np.unique(cls, return_index=True)
-    # x's leader is its class's first member: regular exactly when every
-    # row equals its leader's
-    lead = first[np.searchsorted(uniq, cls)]
-    split = (image != image[lead]).any(axis=1)
+    lead, w_lead = _leaders(m, dp)[:2]
+    images, split = (a[0] for a in _right_regular(sys, lead[None]))
     bad_reg = []
-    if split.any():  # witnesses only on failure
-        split_classes = set(cls[split].tolist())
-        for c in dict.fromkeys(dp.class_of):  # classes in order of first member
-            members = np.flatnonzero(cls == c) if c in split_classes else []
-            for i, x in enumerate(members[:-1]):
-                diff = image[members[i + 1:]] != image[x]
-                bad_reg += [{"x": int(x), "y": int(members[i + 1 + j]),
-                             "z": int(diff[j].argmax())}
-                            for j in np.flatnonzero(diff.any(axis=1))]
+    # witnesses only on failure, class by class in order of leader
+    for y in np.unique(lead[split.any(axis=1)]).tolist():
+        members = np.flatnonzero(lead == y)
+        for i, x in enumerate(members[:-1]):
+            diff = images[members[i + 1:]] != images[x]
+            bad_reg += [{"x": int(x), "y": int(members[i + 1 + j]), "z": int(diff[j].argmax())}
+                        for j in np.flatnonzero(diff.any(axis=1))]
     report.record("classes-right-regular", t0, len(bad_reg), bad_reg, "pairs")
 
     t0 = time.perf_counter()
     bad_ideal = []
-    if dp.w_class is not None:
-        w = cls == dp.w_class  # the excluded class, e at index m
-        if w[m]:
-            bad_ideal.append({"member": m, "reason": "identity inside excluded class"})
-        else:
-            ws = np.flatnonzero(w)
-            escape = image[ws, :m] != dp.w_class  # [i, u]: ws[i].u is outside the class
-            if escape.any():  # witnesses only on failure: argwhere is most of the cost
-                bad_ideal = [{"w": int(ws[i]), "u": int(u), "lands": int(sys.mul[ws[i], u])}
-                             for i, u in np.argwhere(escape)]
+    if lead[m] == w_lead:
+        bad_ideal.append({"member": m, "reason": "identity inside excluded class"})
+    elif w_lead >= 0:
+        ws = np.flatnonzero(lead == w_lead)
+        escape = images[ws, :m] != w_lead  # [i, u]: ws[i].u is outside the class
+        if escape.any():  # witnesses only on failure: argwhere is most of the cost
+            bad_ideal = [{"w": int(ws[i]), "u": int(u), "lands": int(sys.mul[ws[i], u])}
+                         for i, u in np.argwhere(escape)]
     report.record("excluded-class-right-ideal", t0, len(bad_ideal), bad_ideal, "products escape")
     return report
 
@@ -173,10 +202,9 @@ def _fragment_tests(sys: AbstractSystem, inside: np.ndarray) -> tuple[np.ndarray
     array of closed sets: the leaders over G*, e its own, and a (b, 4) mask
     of failures in the order they are reported. The identification is not
     an equivalence (`_identify`); the complement is not one class; the
-    classes are not right regular (x.z and lead(x).z share a leader for
-    every x, z in G*); the complement is not a right ideal. Each test
-    assumes the earlier ones passed, so only a row's first failure counts.
-    """
+    classes are not right regular (`_right_regular`); the complement is not
+    a right ideal. Each test assumes the earlier ones passed, so only a
+    row's first failure counts."""
     m = sys.size
     b = len(inside)
     lead, wrong = _identify(sys.meet, inside)[1:]
@@ -185,13 +213,11 @@ def _fragment_tests(sys: AbstractSystem, inside: np.ndarray) -> tuple[np.ndarray
     leaders[:, m] = m
     out = ~inside
     w_lead = leaders[np.arange(b), out.argmax(axis=1)]  # the first outsider's leader
-    images = np.take(leaders, sys.mul_star, axis=1)  # [r, x, z]: leader of x.z
-    flat = images.reshape(b * (m + 1), m + 1)
-    of_leader = np.take(flat, (leaders + (m + 1) * np.arange(b)[:, None]).ravel(), axis=0)
+    images, split = _right_regular(sys, leaders)
     failed = np.empty((b, 4), dtype=bool)
     failed[:, 0] = wrong.any(axis=(1, 2))
     failed[:, 1] = out.any(axis=1) & ((leaders[:, :m] == w_lead[:, None]) != out).any(axis=1)
-    failed[:, 2] = (flat != of_leader).reshape(b, -1).any(axis=1)
+    failed[:, 2] = split.reshape(b, -1).any(axis=1)
     failed[:, 3] = (out[:, :, None]
                     & (images[:, :m, :m] != w_lead[:, None, None])).any(axis=(1, 2))
     return leaders, failed
@@ -201,7 +227,8 @@ def _fragment_error(sys: AbstractSystem, pair, inside: np.ndarray, leaders: np.n
                     failed: np.ndarray) -> HypothesesViolatedError:
     """The error of the first failed test of the pair (g1, g2), given its
     closure `inside` and its row of `_fragment_tests`. The regularity and
-    ideal witnesses are `validate_determining_pair`'s, run only here."""
+    ideal witnesses are `validate_determining_pair`'s on the row's leaders
+    as class ids, run only here."""
     m = sys.size
     test = int(failed.argmax())
     if test == 0:
@@ -215,9 +242,8 @@ def _fragment_error(sys: AbstractSystem, pair, inside: np.ndarray, leaders: np.n
     if test == 1:
         return HypothesesViolatedError("hypotheses violated: closure complement is not one class",
                                        witness={"pair": list(pair), "outside": outside})
-    classes = [np.flatnonzero(leaders == y).tolist() for y in np.unique(leaders)]
-    first = validate_determining_pair(
-        sys, partition_to_pair(sys, classes, frozenset(outside))).failures()[0]
+    first = validate_determining_pair(sys, DeterminingPair(
+        tuple(leaders.tolist()), outside[0] if outside else None)).failures()[0]
     return HypothesesViolatedError(f"hypotheses violated: {first.check_id}",
                                    witness=first.witnesses[0])
 
@@ -245,26 +271,26 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
 
 
 def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Representation:
-    """Action of G on the non-excluded classes of a determining pair."""
+    """Action of G on the non-excluded classes of a determining pair, one
+    point per class in class-id order, labelled by its id (`_action`).
+    Raises `InternalConsistencyError` for the first element g, and then
+    the first class, such that the class splits under g: its members'
+    products with g lie in different classes. A kept id below the largest
+    that no element has is an empty class, which splits under every g."""
     m = sys.size
-    cls = np.asarray(dp.class_of)
-    kept = [c for c in range(dp.num_classes) if c != dp.w_class]
-    pos = np.full(dp.num_classes, -1)
-    pos[kept] = np.arange(len(kept))
-    lands = cls[sys.mul_star[:, :m]]  # [h, g]: class of h.g, for h in G*
-    rows = np.empty((m, len(kept)), dtype=np.int64)  # [g, kept class]: image
-    split = np.ones((len(kept), m), dtype=bool)  # an empty class splits everywhere
-    for i, c in enumerate(kept):
-        members = lands[cls == c]
-        if len(members):
-            split[i] = (members != members[0]).any(axis=0)
-            rows[:, i] = pos[members[0]]
-    if split.any():
-        g, i = np.argwhere(split.T)[0]
+    lead, w_lead, first = _leaders(m, dp)
+    split = _right_regular(sys, lead[None])[1][0, :, :m]
+    gap = max(dp.class_of) >= len(first)  # an id below the largest has no members
+    if gap or split.any() and split[lead != w_lead].any():  # the excluded class may split
+        split[lead == w_lead] = False
+        g = 0 if gap else int(split.any(axis=0).argmax())
+        empty = set(range(len(first))) - set(dp.class_of)  # holds the least empty id, if any
+        c = min(empty | {dp.class_of[x] for x in np.flatnonzero(split[:, g])})
         raise InternalConsistencyError(
-            f"class {kept[i]} splits under element {g}; determining pair invalid"
-        )
-    return Representation(tuple(kept), rows)
+            f"class {c} splits under element {g}; determining pair invalid")
+    kept = [c for c in range(len(first)) if c != dp.w_class]
+    lead_of = np.array([first[c] for c in kept], dtype=np.intp)
+    return Representation(tuple(kept), _action(sys, lead[None], 0, lead_of, 0))
 
 
 def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
@@ -273,10 +299,9 @@ def check_class_formulas(sys: AbstractSystem, dp: DeterminingPair) -> Report:
     m = sys.size
     star = sys.mul_star
     rows = simplest_representation(sys, dp).rows
-    cls = np.asarray(dp.class_of)
-    cx = cls[star[:, :m]]  # [x, a]: class of x.a, for x in G* and a in G
-    # [x, a]: x.a lies outside the excluded class
-    kept = np.ones_like(cx, dtype=bool) if dp.w_class is None else cx != dp.w_class
+    lead, w_lead = _leaders(m, dp)[:2]
+    cx = lead[star[:, :m]]  # [x, a]: leader of x.a, for x in G* and a in G
+    kept = cx != w_lead  # [x, a]: x.a lies outside the excluded class
 
     def same(x):
         return cx[x][:, None] == cx[x][None, :]
@@ -304,15 +329,13 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     """Pointwise meet preservation versus the three class-side conditions.
 
     The two sides are equivalent for every determining pair of a system
-    whose product distributes over its meet, which is tested first, in
-    blocks of rows x of m^2 cells each (`blocks`); the report carries both
+    whose product distributes over its meet, which is tested first, as
+    `validate`'s `mul-distributes-over-meet`; the report carries both
     verdicts and flags any disagreement.
     """
-    m = sys.size
-    mul, meet = sys.mul, sys.meet
-    for lo, hi in blocks(m, m * m):  # [x, y, z]: x(y meet z) = xy meet xz
-        if (mul[lo:hi][:, meet] != meet[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]]).any():
-            raise ValueError("system product does not distribute over meet")
+    m, meet = sys.size, sys.meet
+    if not validate(sys)["mul-distributes-over-meet"].passed:
+        raise ValueError("system product does not distribute over meet")
 
     rep = simplest_representation(sys, dp)
     report = Report("meet homomorphism equivalence")
@@ -321,8 +344,8 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
                                  ("g1", "g2"), "pairs").passed
 
     t0 = time.perf_counter()
-    cls = np.asarray(dp.class_of[:m])
-    in_w = np.zeros(m, dtype=bool) if dp.w_class is None else cls == dp.w_class
+    lead, w_lead = _leaders(m, dp)[:2]
+    cls, in_w = lead[:m], lead[:m] == w_lead
     same = cls[:, None] == cls[None, :]
     failed = {  # [a, b] for each condition, with mt = a meet b
         "drop": in_w[:, None] & ~in_w[meet],
@@ -343,34 +366,6 @@ def check_meet_hom_equivalence(sys: AbstractSystem, dp: DeterminingPair) -> Repo
     return report
 
 
-def _fragment_block(sys: AbstractSystem, inside: np.ndarray, leaders: np.ndarray,
-                    firsts: np.ndarray, offset: int) -> tuple[np.ndarray, list]:
-    """The fragments of a block of pair-table rows that pass
-    `_fragment_tests`, given as a (b, m) bool array `inside`, their
-    `leaders` and the flat indices `firsts` of their first pairs: the maps
-    on points numbered from `offset`, as an (m, points) block, and the
-    points' labels.
-
-    A kept class, one inside the closure or e's, acts through its leader y:
-    its point goes under g to the point of the class of y.g.
-    """
-    m = sys.size
-    b = len(inside)
-    is_leader = leaders == np.arange(m + 1)
-    kept = is_leader.copy()  # the leaders of the classes that get points
-    kept[:, :m] &= inside
-    rows_of, lead_of = np.nonzero(kept)
-    pos = np.full((b, m + 1), -1, dtype=np.int64)  # [r, y]: y's point, -1 if excluded
-    pos[kept] = np.arange(offset, offset + len(rows_of))
-    base = (m + 1) * rows_of[:, None]
-    # [point, g]: the leader of y.g in the point's row, y the point's leader
-    lands = np.take(leaders.ravel(), np.take(sys.mul_star, lead_of, axis=0)[:, :m] + base)
-    rank = np.cumsum(is_leader, axis=1) - 1  # [r, y]: class id of leader y
-    pairs = [divmod(int(f), m) for f in firsts]
-    labels = list(zip(map(pairs.__getitem__, rows_of.tolist()), rank[rows_of, lead_of].tolist()))
-    return np.take(pos.ravel(), lands + base).T, labels
-
-
 def sum_representation(sys: AbstractSystem) -> Representation:
     """Sum of the canonical simplest representations, one per distinct
     pair closure.
@@ -386,8 +381,8 @@ def sum_representation(sys: AbstractSystem) -> Representation:
     in two passes: the first runs the tests of `determining_pair_for` on
     each row (`_fragment_tests`), raising the first failing row's error,
     and so finds its leaders and its number of points, one per kept
-    leader; the second writes each block's maps (`_fragment_block`) into
-    the sum's rows, allocated once.
+    leader (those inside the closure, and e); the second writes each
+    block's maps (`_action`) into the sum's rows, allocated once.
     """
     m = sys.size
     pair_key, closed = sys.closures.pair_table()
@@ -400,15 +395,20 @@ def sum_representation(sys: AbstractSystem) -> Representation:
             r = lo + int(failed.any(axis=1).argmax())
             raise _fragment_error(sys, divmod(int(firsts[r]), m), closed[r], leaders[r],
                                   failed[r - lo])
-    # a row's points: its leaders inside the closure, and e
     offsets = np.cumsum([0, *(((leaders[:, :m] == np.arange(m)) & closed).sum(axis=1) + 1)])
     rows = np.empty((m, offsets[-1]), dtype=np.int64)
     carrier: list = []
+    pairs = [divmod(int(f), m) for f in firsts]
     for lo, hi in cuts:
-        part, labels = _fragment_block(sys, closed[lo:hi], leaders[lo:hi], firsts[lo:hi],
-                                       offsets[lo])
-        rows[:, offsets[lo]:offsets[hi]] = part
-        carrier += labels
+        is_leader = leaders[lo:hi] == np.arange(m + 1)
+        kept = is_leader.copy()
+        kept[:, :m] &= closed[lo:hi]
+        rows_of, lead_of = np.nonzero(kept)
+        rows[:, offsets[lo]:offsets[hi]] = _action(sys, leaders[lo:hi], rows_of, lead_of,
+                                                   offsets[lo])
+        rank = np.cumsum(is_leader, axis=1) - 1  # [r, y]: class id of leader y
+        carrier += zip(map(pairs[lo:hi].__getitem__, rows_of.tolist()),
+                       rank[rows_of, lead_of].tolist())
     return Representation(tuple(carrier), rows)
 
 

@@ -389,8 +389,9 @@ def naive_determining_pair(sys, g1, g2):
     `determining_pair_for` does, except that a relation that is not
     transitive is reported so, with the first (x, z) it misses and the
     least y between them. A transitive relation that is not an equivalence
-    is misread: it ends in IndexError or ValueError, or in a pair whose
-    classes are not the relation."""
+    is misread: it ends in IndexError or ValueError (among them
+    `validate_determining_pair`'s on an excluded class with no members), or
+    in a pair whose classes are not the relation."""
     from transemi import DeterminingPair, HypothesesViolatedError, validate_determining_pair
 
     m = sys.size

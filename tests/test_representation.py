@@ -158,7 +158,8 @@ class TestDeterminingPair:
         # the reference builds classes one by one; where the identification
         # is an equivalence both give one pair, or one error and witness,
         # and where it is not, the reference reports a failed transitivity
-        # or misreads the classes
+        # or misreads the classes, and a misread excluded class that lost
+        # its members to another class is refused by validate's input gate
         systems = abstract_corpus + random_systems
         for path in sorted(DATA.glob("*.yaml")) + [m70_file]:
             sys = parse_instance(path).build()
@@ -173,7 +174,8 @@ class TestDeterminingPair:
                 else:
                     assert got[:2] == (HypothesesViolatedError, NOT_EQUIVALENCE)
                     misread.add(want[:2] if isinstance(want, tuple) else (type(want), None))
-        assert {DeterminingPair, IndexError, ValueError} <= {m[0] for m in misread}
+        assert {IndexError, ValueError} <= {m[0] for m in misread}
+        assert (ValueError, "excluded class 0 is the class of no element") in misread
         assert (HypothesesViolatedError,
                 "hypotheses violated: identification is not transitive") in misread
 
@@ -249,6 +251,24 @@ class TestDeterminingPair:
         with pytest.raises(HypothesesViolatedError, match="hypotheses violated") as exc:
             determining_pair_for(sys, 0, 0)
         assert exc.value.witness is not None
+
+    @pytest.mark.parametrize("dp, message", [
+        # one entry short (none for e) and one entry long
+        (DeterminingPair((0, 1, 2), None), r"class_of must hold m \+ 1 = 4 "),
+        (DeterminingPair((0, 1, 2, 3, 0), None), r"class_of must hold m \+ 1 = 4 "),
+        # a negative id would index the last class's point from the end
+        (DeterminingPair((-1, 1, 2, 0), None), "non-negative int ids"),
+        (DeterminingPair((0, 1.5, 2, 0), None), "non-negative int ids"),
+        # an excluded id that no element has would exclude nothing
+        (DeterminingPair((0, 1, 2, 3), 7), "excluded class 7 is the class of no element"),
+    ], ids=["short", "long", "negative", "float", "absent-excluded"])
+    def test_malformed_pairs_rejected(self, dp, message):
+        chain = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]  # product = meet, so distributive
+        sys = AbstractSystem(chain, chain, np.ones((3, 3), bool), np.zeros((3, 3), bool))
+        for check in (validate_determining_pair, simplest_representation, check_class_formulas,
+                      check_meet_hom_equivalence):
+            with pytest.raises(ValueError, match=message):
+                check(sys, dp)
 
     def test_excluded_class_must_be_ideal(self):
         mul = [[1, 1], [1, 1]]  # constant product onto 1
@@ -449,13 +469,21 @@ class TestKernelAgainstNaiveLoops:
                 seen[1] += not report["excluded-class-right-ideal"].passed
         assert min(seen) > 10
 
-    def test_simplest_maps(self, abstract_m2, abstract_m3, trans_corpus):
+    def test_simplest_maps(self, abstract_m2, abstract_m3, trans_corpus, sum_systems):
         import random
 
         rng = random.Random(6)
         canonical = [(sys, determining_pair_for(sys, g1, g2))
                      for sys in self.systems(trans_corpus)
                      for g1, g2 in [(0, 0), (1, sys.size - 1)]]
+        # the pair-table rows' first pairs, as the sum builds its fragments
+        # with the same action kernel, on both sides of 64 elements
+        for sys in sum_systems:
+            for flat in np.unique(sys.closures.pair_table()[0], return_index=True)[1]:
+                got = built(lambda s: determining_pair_for(s, *divmod(int(flat), s.size)), sys)
+                if isinstance(got, DeterminingPair):
+                    canonical.append((sys, got))
+        assert max(sys.size for sys, _ in canonical) > 64
         split = 0
         for sys, dp in canonical + [
                 (sys, DeterminingPair(tuple(c - 10 for c in dp.class_of),
