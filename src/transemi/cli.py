@@ -50,12 +50,12 @@ def _input_flags(p: argparse.ArgumentParser, oracle: bool = False) -> None:
     p.add_argument("--timings", action="store_true", help="include timings in output")
 
 
-def _load(args) -> tuple[instances.Instance, AbstractSystem, TransSystem | None]:
+def _load(args) -> tuple[instances.Instance, AbstractSystem]:
+    """The instance and its system, a `TransSystem` for maps."""
     inst = instances.parse_instance(args.input)
     if isinstance(inst, instances.TransInstance):
-        tsys = inst.build(cap=args.cap)
-        return inst, tsys.abstract(), tsys
-    return inst, inst.build(), None
+        return inst, inst.build(cap=args.cap)
+    return inst, inst.build()
 
 
 def _emit(report: Report, args) -> int:
@@ -83,14 +83,14 @@ def _oracle_entries(ab: AbstractSystem, report: Report) -> None:
 
 
 def cmd_analyze(args) -> int:
-    inst, ab, tsys = _load(args)
+    inst, ab = _load(args)
     report = Report("analysis")
-    if tsys is not None:
+    if isinstance(ab, TransSystem):
         report.add("closure-built", True, [],
-                   f"{tsys.size} maps on {tsys.base_size} points from {len(inst.maps)} seeds")
+                   f"{ab.size} maps on {ab.base_size} points from {len(inst.maps)} seeds")
         report.add("relation-sizes", True, [],
-                   f"zeta={int(tsys.zeta.sum())} xi={int(tsys.xi.sum())} "
-                   f"delta={int(tsys.delta.sum())}")
+                   f"zeta={int(ab.zeta.sum())} xi={int(ab.xi.sum())} "
+                   f"delta={int(ab.delta.sum())}")
     report.add("system-size", True, [], f"carrier of {ab.size} elements")
     report.add("abstract-relation-sizes", True, [],
                f"zeta={int(ab.zeta.sum())} xi={int(ab.xi.sum())} delta={int(ab.delta.sum())}")
@@ -99,23 +99,23 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst, ab, tsys = _load(args)
+    inst, ab = _load(args)
     report = Report("checks")
     hyp = validate(ab)
     report.extend(hyp, prefix="hypotheses/")
     if hyp.passed:
         report.extend(derived_props(ab), prefix="derived/")
         report.extend(check_representability(ab), prefix="axioms/")
-    if tsys is not None:
-        report.extend(check_adjacency_laws(tsys), prefix="concrete/")
-        report.extend(check_domain_bounds(tsys), prefix="concrete/")
+    if isinstance(ab, TransSystem):
+        report.extend(check_adjacency_laws(ab), prefix="concrete/")
+        report.extend(check_domain_bounds(ab), prefix="concrete/")
     if args.oracle == "on" and hyp.passed:
         _oracle_entries(ab, report)
     return _emit(report, args)
 
 
 def cmd_represent(args) -> int:
-    inst, ab, tsys = _load(args)
+    inst, ab = _load(args)
     report = verify_representability(ab)
     if report.passed:
         # A passing report has already built the sum: its relation checks
@@ -128,12 +128,12 @@ def cmd_represent(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    inst, ab, tsys = _load(args)
-    if tsys is None:
+    inst, ab = _load(args)
+    if not isinstance(ab, TransSystem):
         raise TransemiError("roundtrip needs a transformations instance")
     report = Report("roundtrip")
     report.add("closure-built", True, [],
-               f"{tsys.size} maps on {tsys.base_size} points")
+               f"{ab.size} maps on {ab.base_size} points")
     report.extend(verify_representability(ab))
     return _emit(report, args)
 

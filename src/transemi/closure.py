@@ -53,13 +53,32 @@ DIRECT_TREE_MAX_ROUNDS = 2
 DIRECT_TREE_MAX_SIZE = 6
 
 
-class _StepKernel:
-    """Vectorized one-step operator and first-witness search, built once
-    per system."""
+class ClosureCache:
+    """Per-system step kernel and memo of closures keyed by seed bitset.
+
+    The kernel is the vectorized one-step operator (`step`) and the
+    first-witness search (`first_witnesses`), over tables built here once
+    per system.
+
+    Each memo entry is the (closed set, round count) that `closure_fixpoint`
+    gives for its own seed, filled by `result` or, through `remember`, by a
+    witnessed `closure_fixpoint`; witness extraction is redone on demand.
+    Fills are lock-guarded so concurrent callers see consistent entries.
+
+    The fixpoint from H is the least closed superset C(H) of H, so C is a
+    closure operator and C({x, y}) = C(C({x}) | C({y})). `pair_table` uses
+    this to close every pair at once and memoises nothing; before it has
+    run, `of_pair` closes the pair from itself through `result`, and
+    afterwards it reads the pair table.
+
+    The system holds its cache, so the cache holds the system's size and
+    the tables its kernel reads, and not the system: a reference back
+    would keep every system alive until the cyclic garbage collector runs.
+    """
 
     def __init__(self, sys):
         m = sys.size
-        self.m = m
+        self.size = m
         self.mg = sys.mul_star[:m, :]          # (m, m+1), products g.x for x in G*
         self.meet = sys.meet
         self.xi = sys.xi
@@ -79,9 +98,13 @@ class _StepKernel:
         # adm[w1, z] says: w1 = (u meet v).x admits z, that is w1 |- y and
         # w1.y <= z.t for some y, t in G*.
         self.adm = (ext @ reach.T.astype(np.float32)) > 0.5
+        self._memo: dict[int, tuple[int, int]] = {}
+        self._lock = threading.Lock()
+        self._table = None
 
     def step(self, h: np.ndarray) -> np.ndarray:
-        m = self.m
+        """The elements step(H) admits, for H the bool row `h`."""
+        m = self.size
         in_h = h[self.mg]                       # v.x in H
         vs = np.flatnonzero(in_h.any(axis=1))   # the v with some v.x in H
         uu, vi = np.nonzero(h[:, None] & self.xi[:, vs])  # u in H and u ~xi~ v
@@ -103,7 +126,7 @@ class _StepKernel:
         first for any z, and one (w1, z) table settles every pending z.
         y and t are then the first ones for that triple.
         """
-        m = self.m
+        m = self.size
         found: dict[int, tuple[int, int, int, int, int]] = {}
         pending = np.asarray(zs, dtype=np.int64)
         hx = h[self.mg]                         # v.x in H
@@ -131,6 +154,79 @@ class _StepKernel:
             pending = pending[~hit]
         return {z: found[z] for z in zs}
 
+    def closed_bits(self, h_bits: int) -> int:
+        return self.result(h_bits)[0]
+
+    def result(self, h_bits: int) -> tuple[int, int]:
+        with self._lock:
+            hit = self._memo.get(h_bits)
+        if hit is not None:
+            return hit
+        closed, rounds = _fixpoints(self, _seed(self, h_bits)[None])
+        return self.remember(h_bits, bool_to_bits(closed[0]), int(rounds[0]))
+
+    def remember(self, h_bits: int, closed_bits: int, rounds: int) -> tuple[int, int]:
+        """Memoise the fixpoint from `h_bits`; the first entry for a seed stays."""
+        with self._lock:
+            return self._memo.setdefault(h_bits, (closed_bits, rounds))
+
+    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closures of every pair seed, computed on first call and kept.
+
+        (pair_key, closed): the closure of {x, y} (of {x} when x = y) is
+        row pair_key[x, y] of the bool matrix closed, whose rows are
+        pairwise distinct and ordered by their first pair (x, y) in pair
+        order. The singleton closures are its diagonal,
+        closed[pair_key.diagonal()], since {x, x} = {x}.
+
+        No set known to be closed is stepped. The singletons take their
+        first round from one scatter of the (v, x) grid
+        (`_singleton_rounds`). {x, y} is closed from the union of its
+        singleton closures, over the distinct ones, and each union takes
+        its first round from the premise tables of its two parts
+        (`_union_rounds`); a union that round leaves unchanged is closed,
+        and so is a first round equal to one. Only the rows a first round
+        grew, and did not close, go on to `_fixpoints`, which steps each
+        distinct row once per round.
+        """
+        if self._table is not None:
+            return self._table
+        single = _singleton_rounds(self)
+        grew = single.sum(axis=1) > 1
+        single[grew] = _fixpoints(self, single[grew])[0]
+        # {x, y} closes from C({x}) | C({y}), a union of two closed sets
+        base, of_base = _distinct_rows(single)
+        # the unions are symmetric in (i, j): close those with i <= j
+        iu, ju = np.nonzero(np.arange(len(base))[:, None] <= np.arange(len(base)))
+        unions = _union_rounds(self, base)[iu, ju]
+        parts, bits = rows_bits(base), rows_bits(unions)
+        # closed: the unions that their first round left unchanged
+        known = {h for h, i, j in zip(bits, iu.tolist(), ju.tolist()) if h == parts[i] | parts[j]}
+        open_rows = np.array([h not in known for h in bits])
+        if open_rows.any():
+            unions[open_rows] = _fixpoints(self, unions[open_rows])[0]
+        # one row per distinct closed set, numbered by first union: a row's
+        # first pair has both elements first of their singleton closures
+        closed, row = _distinct_rows(unions)
+        row_of = np.empty((len(base), len(base)), dtype=np.int64)
+        row_of[iu, ju] = row_of[ju, iu] = row
+        pair_key = row_of[of_base[:, None], of_base[None, :]]
+        self._table = (pair_key, closed)
+        return self._table
+
+    def of_pair(self, x: int, y: int) -> int:
+        """The closure of {x, y}: from the pair table once it has been
+        computed, from the memo otherwise. Elements are any integers, numpy
+        ones included."""
+        m = self.size
+        x, y = operator.index(x), operator.index(y)
+        if not (0 <= x < m and 0 <= y < m):
+            raise ValueError(f"pair ({x}, {y}) outside the carrier 0..{m - 1}")
+        if self._table is None:
+            return self.closed_bits((1 << x) | (1 << y))
+        pair_key, closed = self._table
+        return bool_to_bits(closed[pair_key[x, y]])
+
 
 def _distinct_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-d bool matrix in first-seen order and, per
@@ -142,7 +238,7 @@ def _distinct_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h[firsts], np.searchsorted(firsts, at)
 
 
-def _fixpoints(kern: _StepKernel, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fixpoints(kern: ClosureCache, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed set and round count of the fixpoint from each row of an
     (n, m) bool matrix, as `closure_fixpoint` gives them.
 
@@ -167,13 +263,13 @@ def _fixpoints(kern: _StepKernel, seeds: np.ndarray) -> tuple[np.ndarray, np.nda
     return closed, rounds
 
 
-def _singleton_rounds(kern: _StepKernel) -> np.ndarray:
+def _singleton_rounds(kern: ClosureCache) -> np.ndarray:
     """{x} | step({x}) for every x, row x of an (m, m) bool matrix, with no
     step taken: the premises of step({x}) are u = x = v.x', so scattering
     the (v, x') with a = v.x' and a ~xi~ v to [a, (a meet v).x'] gives the
     products (u meet v).x' of every x at once, and one product with adm
     the elements they admit."""
-    m = kern.m
+    m = kern.size
     v, x = np.nonzero(kern.xi[kern.mg, np.arange(m)[:, None]])  # v.x ~xi~ v
     a = kern.mg[v, x]
     w1 = np.zeros((m, m), dtype=np.float32)
@@ -183,7 +279,7 @@ def _singleton_rounds(kern: _StepKernel) -> np.ndarray:
     return out
 
 
-def _premises(kern: _StepKernel) -> tuple[np.ndarray, ...]:
+def _premises(kern: ClosureCache) -> tuple[np.ndarray, ...]:
     """(at, pair, start, cells): the premise pairs of each u and the
     cells each one marks in a premise table, as runs with offsets.
 
@@ -194,7 +290,7 @@ def _premises(kern: _StepKernel) -> tuple[np.ndarray, ...]:
     cells each (`blocks`). `ClosureCache.pair_table` reads them once per
     system, in the one call of `_premise_tables` its union rounds make.
     """
-    m = kern.m
+    m = kern.size
     mg = kern.mg.astype(np.int32)
     u, v = np.nonzero(kern.xi)
     code = v * m + kern.meet[u, v]
@@ -224,7 +320,7 @@ def _runs(owner: np.ndarray, key: np.ndarray, at: np.ndarray,
     return np.repeat(owner, size), values[idx]
 
 
-def _premise_tables(kern: _StepKernel, rows: np.ndarray):
+def _premise_tables(kern: ClosureCache, rows: np.ndarray):
     """The premise tables of the rows of a (d, m) bool matrix, in blocks
     of tables of m^2 cells each (`blocks`): yields (lo, P) with
     P[i - lo, a, w1] = 1.0 when some u in row i, v ~xi~ u and x in G* have
@@ -249,7 +345,7 @@ def _premise_tables(kern: _StepKernel, rows: np.ndarray):
         yield lo, tables.reshape(hi - lo, m, m)
 
 
-def _union_rounds(kern: _StepKernel, closed: np.ndarray) -> np.ndarray:
+def _union_rounds(kern: ClosureCache, closed: np.ndarray) -> np.ndarray:
     """H | step(H) for H the union of rows i and j of a (d, m) bool matrix
     of closed sets, at [i, j] of a (d, d, m) bool array.
 
@@ -282,7 +378,7 @@ def _seed(sys, h_bits: int) -> np.ndarray:
 
 def closure_step(sys, h_bits: int) -> int:
     """One application of the step operator to a nonempty subset."""
-    return bool_to_bits(sys.closures._step_kernel.step(_seed(sys, h_bits)))
+    return bool_to_bits(sys.closures.step(_seed(sys, h_bits)))
 
 
 @dataclass
@@ -319,125 +415,24 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     so the seed is not closed again.
     """
     cur = _seed(sys, h_bits)
-    kern = sys.closures._step_kernel
+    cache = sys.closures
     cur_bits = h_bits
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
     while True:
-        nxt = cur | kern.step(cur)
+        nxt = cur | cache.step(cur)
         nxt_bits = bool_to_bits(nxt)
         rounds += 1
         if nxt_bits == cur_bits:
             break
         if witnesses:
             new = list(iter_bits(nxt_bits & ~cur_bits))
-            for z, tup in kern.first_witnesses(cur, new).items():
+            for z, tup in cache.first_witnesses(cur, new).items():
                 witness[z] = (rounds, tup)
         cur, cur_bits = nxt, nxt_bits
     if witnesses:
-        sys.closures._remember(h_bits, cur_bits, rounds)
+        cache.remember(h_bits, cur_bits, rounds)
     return ClosureResult(h_bits, cur_bits, rounds, witness)
-
-
-class ClosureCache:
-    """Per-system memo of closures keyed by seed bitset.
-
-    Each entry is the (closed set, round count) that `closure_fixpoint`
-    gives for its own seed, filled by `result` or by a witnessed
-    `closure_fixpoint`; witness extraction is redone on demand. Fills are
-    lock-guarded so concurrent callers see consistent entries.
-
-    The fixpoint from H is the least closed superset C(H) of H, so C is a
-    closure operator and C({x, y}) = C(C({x}) | C({y})). `pair_table` uses
-    this to close every pair at once and memoises nothing; before it has
-    run, `of_pair` closes the pair from itself through `result`, and
-    afterwards it reads the pair table.
-
-    The system holds its cache, so the cache holds the system's size and
-    step kernel, which it builds, and not the system: a reference back
-    would keep every system alive until the cyclic garbage collector runs.
-    """
-
-    def __init__(self, sys):
-        self.size = sys.size
-        self._step_kernel = _StepKernel(sys)
-        self._memo: dict[int, tuple[int, int]] = {}
-        self._lock = threading.Lock()
-        self._table = None
-
-    def closed_bits(self, h_bits: int) -> int:
-        return self.result(h_bits)[0]
-
-    def result(self, h_bits: int) -> tuple[int, int]:
-        with self._lock:
-            hit = self._memo.get(h_bits)
-        if hit is not None:
-            return hit
-        closed, rounds = _fixpoints(self._step_kernel, _seed(self, h_bits)[None])
-        return self._remember(h_bits, bool_to_bits(closed[0]), int(rounds[0]))
-
-    def _remember(self, h_bits: int, closed_bits: int, rounds: int) -> tuple[int, int]:
-        """Memoise the fixpoint from `h_bits`; the first entry for a seed stays."""
-        with self._lock:
-            return self._memo.setdefault(h_bits, (closed_bits, rounds))
-
-    def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The closures of every pair seed, computed on first call and kept.
-
-        (pair_key, closed): the closure of {x, y} (of {x} when x = y) is
-        row pair_key[x, y] of the bool matrix closed, whose rows are
-        pairwise distinct and ordered by their first pair (x, y) in pair
-        order. The singleton closures are its diagonal,
-        closed[pair_key.diagonal()], since {x, x} = {x}.
-
-        No set known to be closed is stepped. The singletons take their
-        first round from one scatter of the (v, x) grid
-        (`_singleton_rounds`). {x, y} is closed from the union of its
-        singleton closures, over the distinct ones, and each union takes
-        its first round from the premise tables of its two parts
-        (`_union_rounds`); a union that round leaves unchanged is closed,
-        and so is a first round equal to one. Only the rows a first round
-        grew, and did not close, go on to `_fixpoints`, which steps each
-        distinct row once per round on the step kernel.
-        """
-        if self._table is not None:
-            return self._table
-        kern = self._step_kernel
-        single = _singleton_rounds(kern)
-        grew = single.sum(axis=1) > 1
-        single[grew] = _fixpoints(kern, single[grew])[0]
-        # {x, y} closes from C({x}) | C({y}), a union of two closed sets
-        base, of_base = _distinct_rows(single)
-        # the unions are symmetric in (i, j): close those with i <= j
-        iu, ju = np.nonzero(np.arange(len(base))[:, None] <= np.arange(len(base)))
-        unions = _union_rounds(kern, base)[iu, ju]
-        parts, bits = rows_bits(base), rows_bits(unions)
-        # closed: the unions that their first round left unchanged
-        known = {h for h, i, j in zip(bits, iu.tolist(), ju.tolist()) if h == parts[i] | parts[j]}
-        open_rows = np.array([h not in known for h in bits])
-        if open_rows.any():
-            unions[open_rows] = _fixpoints(kern, unions[open_rows])[0]
-        # one row per distinct closed set, numbered by first union: a row's
-        # first pair has both elements first of their singleton closures
-        closed, row = _distinct_rows(unions)
-        row_of = np.empty((len(base), len(base)), dtype=np.int64)
-        row_of[iu, ju] = row_of[ju, iu] = row
-        pair_key = row_of[of_base[:, None], of_base[None, :]]
-        self._table = (pair_key, closed)
-        return self._table
-
-    def of_pair(self, x: int, y: int) -> int:
-        """The closure of {x, y}: from the pair table once it has been
-        computed, from the memo otherwise. Elements are any integers, numpy
-        ones included."""
-        m = self.size
-        x, y = operator.index(x), operator.index(y)
-        if not (0 <= x < m and 0 <= y < m):
-            raise ValueError(f"pair ({x}, {y}) outside the carrier 0..{m - 1}")
-        if self._table is None:
-            return self.closed_bits((1 << x) | (1 << y))
-        pair_key, closed = self._table
-        return bool_to_bits(closed[pair_key[x, y]])
 
 
 def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
@@ -627,16 +622,16 @@ def _direct_tree_search(sys, z: int, h_bits: int, n: int):
 def _witnessed_chain(sys, h_bits: int, n: int):
     """Fn chain up to n with first-round and first-tuple bookkeeping."""
     cur = bits_to_bool(h_bits, sys.size)
-    kern = sys.closures._step_kernel
+    cache = sys.closures
     chain = [h_bits]
     first_round = {z: 0 for z in iter_bits(h_bits)}
     tuples: dict[int, tuple[int, int, int, int, int]] = {}
     cur_bits = h_bits
     for r in range(1, n + 1):
-        nxt = kern.step(cur)
+        nxt = cache.step(cur)
         nxt_bits = bool_to_bits(nxt)
         new = [z for z in iter_bits(nxt_bits) if z not in first_round]
-        for z, tup in kern.first_witnesses(cur, new).items():
+        for z, tup in cache.first_witnesses(cur, new).items():
             first_round[z] = r
             tuples[z] = tup
         chain.append(nxt_bits)

@@ -101,7 +101,7 @@ def partition_to_pair(sys: AbstractSystem, classes: list[list[int]],
         for i in cls:
             class_of[i] = cid
     w_class = None
-    if w_members:
+    if w_members is not None:
         for cid, cls in enumerate(ordered):
             if frozenset(cls) == w_members:
                 w_class = cid

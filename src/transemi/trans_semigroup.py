@@ -3,18 +3,17 @@
 `generate` saturates a set of seed maps, given as int64 rows (-1 where a
 map is undefined), under composition and intersection semi-naively,
 forming each ordered pair's products once, and computes, eagerly, the
-index tables for both operations plus three boolean relations:
-containment (zeta), agreement on common domains (xi), and
-image-inside-domain (delta), all through the row kernel of
-`partial_maps`. `TransSystem.abstract` re-encodes the result as an
-AbstractSystem; the abstract product x.y is the transformation y o x
-(apply x first), so the abstract table is the transpose of the concrete
-composition table.
+index tables for both operations plus two boolean relations, agreement
+on common domains (xi) and image-inside-domain (delta), through the row
+kernel of `partial_maps`. The result is a `TransSystem`, which is the
+AbstractSystem it forms: the abstract product x.y is the transformation
+y o x (apply x first), so the abstract table is the transpose of the
+concrete composition table, and the meet is intersection, so the meet
+order zeta is containment.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from itertools import count, islice
 from operator import index
@@ -29,38 +28,29 @@ from .partial_maps import products, relations, row_keys
 from .reports import WITNESS_CAP, Report
 
 
-class TransSystem:
-    """A closed set of partial maps with its tables and relation matrices.
+class TransSystem(AbstractSystem):
+    """A closed set of partial maps: the abstract system it forms, with
+    the maps themselves.
 
     Built by `generate`, which hands over the saturated maps as (k, n) int64
     rows, -1 where a map is undefined, together with their product tables:
-    mul_table[i, j] and meet_table[i, j] index rows[i] o rows[j] (apply
-    rows[j] first) and the meet of rows[i] and rows[j]. `dom` marks each
-    map's domain, `rows >= 0`.
+    mul_table[i, j] and meet[i, j] index rows[i] o rows[j] (apply rows[j]
+    first) and the meet of rows[i] and rows[j]. `mul` is the transpose of
+    `mul_table`, a view of it. `dom` marks each map's domain, `rows >= 0`.
     """
 
-    def __init__(self, rows: np.ndarray, mul_table: np.ndarray, meet_table: np.ndarray):
-        self.rows, self.mul_table, self.meet_table = rows, mul_table, meet_table
-        self.zeta, self.xi, self.delta = relations(rows)
+    def __init__(self, rows: np.ndarray, mul_table: np.ndarray, meet: np.ndarray):
+        _, xi, delta = relations(rows)
+        super().__init__(mul_table.T, meet, xi, delta)
+        self.rows, self.mul_table = rows, mul_table
         self.dom = rows >= 0  # [f, a]: point a is in the domain of map f
-        for arr in (rows, mul_table, meet_table, self.zeta, self.xi, self.delta, self.dom):
+        for arr in (rows, mul_table, self.dom):
             arr.flags.writeable = False
         self.base_size = rows.shape[1]
 
-        self._lock = threading.Lock()
-        self._abstract: AbstractSystem | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def abstract(self) -> AbstractSystem:
-        with self._lock:
-            if self._abstract is None:
-                self._abstract = AbstractSystem(
-                    self.mul_table.T, self.meet_table, self.xi, self.delta
-                )
-            return self._abstract
+    def abstract(self) -> TransSystem:
+        """The system itself, which is already its abstract encoding."""
+        return self
 
     def __repr__(self) -> str:
         return f"TransSystem(base_size={self.base_size}, size={self.size})"
@@ -146,7 +136,7 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
     report = Report("adjacency laws")
     t0 = time.perf_counter()
     dom = sys.dom
-    kept = ~(dom[:, None, :] & ~dom[sys.mul_table.T]).any(axis=2)  # [f, g]: g o f keeps dom f
+    kept = ~(dom[:, None, :] & ~dom[sys.mul]).any(axis=2)  # [f, g]: g o f keeps dom f
     report.record_mask("adjacency-iff-domain-kept", t0, sys.delta != kept, ("f", "g"), "pairs")
     # delta[f,g] must imply delta[f o h, g] for every h
     report.scan("adjacency-precompose-stable", sys.size,
@@ -158,9 +148,8 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
 def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
     """Common domain of a subset versus domains across its closure.
 
-    Every member of the closure generated by H (computed in the abstract
-    encoding) must keep the intersection of the domains of H inside its own
-    domain.
+    Every member of the closure generated by H must keep the intersection
+    of the domains of H inside its own domain.
     """
     t0 = time.perf_counter()
     idx = sorted({index(i) for i in h_indices})
@@ -169,7 +158,7 @@ def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
     for i in idx:
         if not 0 <= i < sys.size:
             raise ValueError(f"element index {i} out of range")
-    closed = bits_to_bool(sys.abstract().closures.closed_bits(bits_of(idx)), sys.size)
+    closed = bits_to_bool(sys.closures.closed_bits(bits_of(idx)), sys.size)
     common = sys.dom[idx].all(axis=0)
     bad = [{"subset": idx, "member": phi}
            for phi in np.flatnonzero(closed & (common & ~sys.dom).any(axis=1)).tolist()]
@@ -191,7 +180,7 @@ def check_domain_bounds(sys: TransSystem) -> Report:
     """
     t0 = time.perf_counter()
     k = sys.size
-    pair_key, closed = sys.abstract().closures.pair_table()
+    pair_key, closed = sys.closures.pair_table()
     dom = sys.dom
     # bound[c]: the points in the domain of every member of closure c
     bound = (closed.astype(np.float32) @ (~dom).astype(np.float32)) < 0.5

@@ -52,8 +52,8 @@ def abstract_m3():
 @pytest.fixture(scope="session")
 def abstract_corpus(abstract_m1, abstract_m2, abstract_m3, trans_corpus):
     """Validated abstract systems: enumerated small ones, a sampled batch on
-    three points, and the abstract images of every generated system."""
-    return abstract_m1 + abstract_m2 + abstract_m3 + [s.abstract() for s in trans_corpus]
+    three points, and every generated system."""
+    return abstract_m1 + abstract_m2 + abstract_m3 + trans_corpus
 
 
 @pytest.fixture(scope="session")

@@ -347,29 +347,31 @@ def naive_class_formula_failures(sys, dp, zeta_p, xi_p, delta_p):
 def naive_determining_pair_failures(sys, dp):
     """All witnesses of `validate_determining_pair`'s two checks: pairs of
     one class, class by class in order of first member, with the first z
-    splitting them; then products w.u escaping the excluded class."""
+    splitting them; then products w.u escaping the excluded class. Every
+    pair of a class is compared at every z, each class in one array."""
     m = sys.size
+    star = np.empty((m + 1, m + 1), dtype=np.int64)
+    star[:m, :m] = sys.mul
+    star[m], star[:, m] = np.arange(m + 1), np.arange(m + 1)
+    cls = np.asarray(dp.class_of)
+    images = cls[star]  # [a, z]: the class of a.z
     by_class = {}
     for i, c in enumerate(dp.class_of):
         by_class.setdefault(c, []).append(i)
     regular = []
     for members in by_class.values():
-        for ai, a in enumerate(members):
-            for b in members[ai + 1:]:
-                for z in range(m + 1):
-                    if dp.class_of[star_mul(sys, a, z)] != dp.class_of[star_mul(sys, b, z)]:
-                        regular.append({"x": a, "y": b, "z": z})
-                        break
+        diff = images[members][:, None, :] != images[members][None, :, :]
+        for i, j in zip(*np.nonzero(np.triu(diff.any(axis=2), 1))):
+            regular.append({"x": members[i], "y": members[j], "z": int(diff[i, j].argmax())})
     ideal = []
     if dp.w_class is not None:
         w_members = by_class[dp.w_class]
         if m in w_members:
             ideal.append({"member": m, "reason": "identity inside excluded class"})
         else:
-            for w in w_members:
-                for u in range(m):
-                    if dp.class_of[sys.mul[w, u]] != dp.w_class:
-                        ideal.append({"w": w, "u": u, "lands": int(sys.mul[w, u])})
+            lands = sys.mul[w_members]
+            ideal = [{"w": w_members[i], "u": int(u), "lands": int(lands[i, u])}
+                     for i, u in np.argwhere(cls[lands] != dp.w_class)]
     return regular, ideal
 
 
@@ -389,10 +391,11 @@ def naive_determining_pair(sys, g1, g2):
     `determining_pair_for` does, except that a relation that is not
     transitive is reported so, with the first (x, z) it misses and the
     least y between them. A transitive relation that is not an equivalence
-    is misread: it ends in IndexError or ValueError (among them
-    `validate_determining_pair`'s on an excluded class with no members), or
-    in a pair whose classes are not the relation."""
-    from transemi import DeterminingPair, HypothesesViolatedError, validate_determining_pair
+    is misread: it ends in IndexError, ValueError or KeyError (the last
+    when the excluded class has no members), or in a pair whose classes
+    are not the relation. The pair is checked by
+    `naive_determining_pair_failures`, and its first failure raised."""
+    from transemi import DeterminingPair, HypothesesViolatedError
 
     m = sys.size
     rel, inside = naive_identification(sys, g1, g2)
@@ -423,11 +426,12 @@ def naive_determining_pair(sys, g1, g2):
     if -1 in class_of:
         raise ValueError("classes do not cover the extended carrier")
     dp = DeterminingPair(tuple(class_of), ordered.index(outside) if outside else None)
-    check = validate_determining_pair(sys, dp)
-    if not check.passed:
-        first = check.failures()[0]
-        raise HypothesesViolatedError(
-            f"hypotheses violated: {first.check_id}", witness=first.witnesses[0])
+    regular, ideal = naive_determining_pair_failures(sys, dp)
+    for check_id, failures in (("classes-right-regular", regular),
+                               ("excluded-class-right-ideal", ideal)):
+        if failures:
+            raise HypothesesViolatedError(
+                f"hypotheses violated: {check_id}", witness=failures[0])
     return dp
 
 

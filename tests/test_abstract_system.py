@@ -34,11 +34,11 @@ CONCRETE = [(15, 4, 2), (14, 4, 2), (59, 4, 3), (52, 4, 3), (0, 5, 2), (25, 4, 3
 
 
 def concrete(seed, points, maps):
-    """The abstract image of the system that seed maps drawn from a
+    """The system that seed maps drawn from a
     `random.Random("<seed>-<points>-<maps>")` saturate to (cap 130)."""
     rng = random.Random(f"{seed}-{points}-{maps}")
     seeds = [generators.random_partial_map(rng, points) for _ in range(maps)]
-    return generate(seeds, 130).abstract()
+    return generate(seeds, 130)
 
 
 def edited(sys, table, i, j, value=None):

@@ -43,7 +43,6 @@ from transemi.closure import (
     _fixpoints,
     _premise_tables,
     _singleton_rounds,
-    _StepKernel,
     _union_rounds,
     _tree_from_chain,
     _witnessed_chain,
@@ -118,7 +117,7 @@ def direct(sys, h_bits):
 
 def step_bits(sys, h_bits):
     """The step kernel on any subset, the empty one included."""
-    return bool_to_bits(sys.closures._step_kernel.step(bits_to_bool(h_bits, sys.size)))
+    return bool_to_bits(sys.closures.step(bits_to_bool(h_bits, sys.size)))
 
 
 def naive_witnesses(sys, h_bits):
@@ -218,8 +217,8 @@ class TestStep:
 
     def test_reach_matches_gather_definition(self, trans_corpus, system_m70, random_systems):
         # reach[z, w]: w <= z.t for some t in G*, read off zeta at each z.t
-        for sys in [t.abstract() for t in trans_corpus] + [system_m70] + random_systems:
-            kern = _StepKernel(sys)
+        for sys in trans_corpus + [system_m70] + random_systems:
+            kern = ClosureCache(sys)
             want = sys.zeta[:, kern.mg].any(axis=2).T
             assert np.array_equal(kern.reach, want)
 
@@ -533,18 +532,17 @@ class TestCache:
         assert a == b
 
     def test_checked_system_freed_without_the_cycle_collector(self, m70_file):
-        # the cache refers back to its system weakly, so reference counting
-        # alone frees a checked system, its cache and its step kernel
-        tsys = parse_instance(m70_file).build(cap=256)
+        # the cache holds no reference back to its system, so reference
+        # counting alone frees a checked system and its cache
+        sys = parse_instance(m70_file).build(cap=256)
         gc.disable()
         try:
-            sys = tsys.abstract()
             assert check_representability(sys).passed
             assert sys.closures.of_pair(69, 3) == sys.closures.closed_bits((1 << 69) | (1 << 3))
             seed = (1 << 5) | (1 << 66) | (1 << 67)
             want = closure_fixpoint(sys, seed, witnesses=False)
             cache, ref = sys.closures, weakref.ref(sys)
-            del sys, tsys
+            del sys
             assert ref() is None
             # a cache kept past its system still closes seeds
             assert cache.result(seed) == (want.closed_bits, want.rounds)
@@ -739,7 +737,7 @@ def assert_sweep_matches_fixpoints(sys, pairs):
 def premise_table_sets(sys, rows):
     """Each row's premise table as the set of (a, z) that its products
     (u meet v).x admit."""
-    kern = sys.closures._step_kernel
+    kern = sys.closures
     adm = kern.adm.astype(np.float32)
     out = []
     for _, tables in _premise_tables(kern, rows):
@@ -762,7 +760,7 @@ class TestBatchedSweep:
 
     @staticmethod
     def assert_fixpoints_match(sys, seeds):
-        closed, rounds = _fixpoints(sys.closures._step_kernel, bits_matrix(seeds, sys.size))
+        closed, rounds = _fixpoints(sys.closures, bits_matrix(seeds, sys.size))
         want = [closure_fixpoint(sys, h, witnesses=False) for h in seeds]
         assert [bool_to_bits(row) for row in closed] == [res.closed_bits for res in want]
         assert rounds.tolist() == [res.rounds for res in want]
@@ -785,7 +783,7 @@ class TestBatchedSweep:
         for sys in systems:
             cache = fresh_copy(sys).closures
             want.append((cache.pair_table(), cache._memo))
-        kern = system_m70.closures._step_kernel
+        kern = system_m70.closures
         base = bits_matrix(sorted({direct(system_m70, 1 << x) for x in range(70)}), 70)
         want_tables = np.concatenate([t for _, t in _premise_tables(kern, base)])
         want_first = _union_rounds(kern, base)
@@ -861,13 +859,13 @@ class TestBatchedSweep:
                            systems + [non_extensive()] + random_systems[::4]] + [
                 (system_m70, pair_rules_m70)]:
             m = sys.size
-            assert rows_bits(_singleton_rounds(sys.closures._step_kernel)) == [
+            assert rows_bits(_singleton_rounds(sys.closures)) == [
                 bits_of([x] + [z for z in range(m) if (x, x, z) in rules]) for x in range(m)]
             closures = sorted({direct(sys, 1 << x) for x in range(m)})
             rows = closures + [rng.getrandbits(m) for _ in range(3)]
             for h, table in zip(rows, premise_table_sets(sys, bits_matrix(rows, m))):
                 assert table == {(a, z) for u, a, z in rules if (h >> u) & 1}
-            first = _union_rounds(sys.closures._step_kernel, bits_matrix(closures, m))
+            first = _union_rounds(sys.closures, bits_matrix(closures, m))
             for i, a in enumerate(closures):
                 for j, b in enumerate(closures):
                     assert bool_to_bits(first[i, j]) == a | b | step_bits(sys, a | b)
@@ -900,7 +898,7 @@ class TestBatchedSweep:
         # stepped after each such call make one round; the singleton
         # stage ends where the union rounds begin
         batches, single_batches = [], []
-        distinct, step, union = closure._distinct_rows, _StepKernel.step, closure._union_rounds
+        distinct, step, union = closure._distinct_rows, ClosureCache.step, closure._union_rounds
 
         def union_rounds(kern, base):
             single_batches.extend(batches)
@@ -908,7 +906,7 @@ class TestBatchedSweep:
             return union(kern, base)
 
         monkeypatch.setattr(closure, "_distinct_rows", lambda h: batches.append([]) or distinct(h))
-        monkeypatch.setattr(_StepKernel, "step",
+        monkeypatch.setattr(ClosureCache, "step",
                             lambda self, h: batches[-1].append(bool_to_bits(h)) or step(self, h))
         monkeypatch.setattr(closure, "_union_rounds", union_rounds)
         sys = fresh_copy(system_m70)

@@ -334,7 +334,7 @@ class TestRoundTrip:
             back = parse_instance_text(render_instance(inst))
             assert back == inst
             rebuilt = back.build(cap=sys.size)
-            for name in ("rows", "mul_table", "meet_table"):
+            for name in ("rows", "mul_table", "meet"):
                 assert np.array_equal(getattr(rebuilt, name), getattr(sys, name)), name
 
 
@@ -355,7 +355,7 @@ class TestPinnedDigests:
     def tables_digest(systems):
         h = hashlib.sha256()
         for sys in systems:
-            for arr in (sys.rows, sys.mul_table, sys.meet_table):
+            for arr in (sys.rows, sys.mul_table, sys.meet):
                 h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
         return h.hexdigest()
 

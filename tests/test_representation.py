@@ -108,8 +108,7 @@ def sum_systems(abstract_corpus, m70_file):
     under tests/data and the m = 70 fixture."""
     systems = [s for s in abstract_corpus if s.size <= 8]
     for path in sorted(DATA.glob("*.yaml")) + [m70_file]:
-        sys = parse_instance(path).build()
-        systems.append(sys if isinstance(sys, AbstractSystem) else sys.abstract())
+        systems.append(parse_instance(path).build())
     return systems
 
 
@@ -159,11 +158,11 @@ class TestDeterminingPair:
         # is an equivalence both give one pair, or one error and witness,
         # and where it is not, the reference reports a failed transitivity
         # or misreads the classes, and a misread excluded class that lost
-        # its members to another class is refused by validate's input gate
+        # its members to another class has no entry in the reference's
+        # own class lists
         systems = abstract_corpus + random_systems
         for path in sorted(DATA.glob("*.yaml")) + [m70_file]:
-            sys = parse_instance(path).build()
-            systems.append(sys if isinstance(sys, AbstractSystem) else sys.abstract())
+            systems.append(parse_instance(path).build())
         misread = set()
         for sys in systems:
             for g1, g2 in np.ndindex(sys.size, sys.size):
@@ -175,7 +174,7 @@ class TestDeterminingPair:
                     assert got[:2] == (HypothesesViolatedError, NOT_EQUIVALENCE)
                     misread.add(want[:2] if isinstance(want, tuple) else (type(want), None))
         assert {IndexError, ValueError} <= {m[0] for m in misread}
-        assert (ValueError, "excluded class 0 is the class of no element") in misread
+        assert (KeyError, "0") in misread
         assert (HypothesesViolatedError,
                 "hypotheses violated: identification is not transitive") in misread
 
@@ -224,6 +223,15 @@ class TestDeterminingPair:
                              [[False, False], [False, False]])
         with pytest.raises(ValueError, match="do not partition the extended carrier"):
             partition_to_pair(sys, classes)
+
+    @pytest.mark.parametrize("w_members", [frozenset(), frozenset([0, 1])])
+    def test_partition_rejects_excluded_set_not_a_class(self, w_members):
+        # the empty set is no class, not a request for no excluded class
+        mul = [[0, 0], [0, 1]]
+        sys = AbstractSystem(mul, mul, [[True, True], [True, True]],
+                             [[False, False], [False, False]])
+        with pytest.raises(ValueError, match="excluded set is not a class"):
+            partition_to_pair(sys, [[0], [1], [2]], w_members)
 
     def test_corrupted_classes_reported(self):
         # two-element chain with product = meet; gluing 1 with e breaks

@@ -52,6 +52,17 @@ def unread_private_names(source: str) -> list[str]:
             and not any(name in r for j, r in enumerate(reads) if j != i)]
 
 
+def private_attribute_reads(source: str) -> list[str]:
+    """Reads of `_`-prefixed, non-dunder attributes in `source` of
+    anything but `self` or `cls`, as written: what a module reaches for
+    inside another object instead of going through its public names."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+
+
 def test_unused_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from functools import reduce\nfrom operator import and_, index\n"
@@ -86,3 +97,15 @@ def test_unread_private_names_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def test_private_attribute_reads_are_found():
+    source = ("class C:\n    def f(self, other):\n        self._a = other._b\n"
+              "        return cls._c, self.__dict__, other.__class__, other.cache._memo\n"
+              "def g(obj):\n    obj._d = 1\n    return obj._e(), obj.__len__()\n")
+    assert private_attribute_reads(source) == ["other._b", "other.cache._memo", "obj._e"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_attributes_read_across_objects(path):
+    assert private_attribute_reads(path.read_text()) == []

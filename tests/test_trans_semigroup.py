@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from transemi import (
+    AbstractSystem,
     CapExceededError,
     CarrierMismatchError,
     check_adjacency_laws,
@@ -19,7 +20,7 @@ from transemi import bitsets, partial_maps, trans_semigroup
 from transemi.generators import random_partial_map
 from transemi.instances import parse_instance
 
-from naive import naive_compose, naive_generate, naive_intersect
+from naive import naive_compose, naive_generate, naive_intersect, pairwise_submap_matrix
 
 
 def pm(n, pairs):
@@ -111,11 +112,11 @@ class TestGenerate:
             for i, f in enumerate(elements):
                 for j, g in enumerate(elements):
                     assert elements[sys.mul_table[i, j]] == naive_compose(f, g)
-                    assert elements[sys.meet_table[i, j]] == naive_intersect(f, g)
+                    assert elements[sys.meet[i, j]] == naive_intersect(f, g)
 
     def test_mul_table_associative_meet_semilattice(self, trans_corpus):
         for sys in trans_corpus[:10]:
-            mul, meet = sys.mul_table, sys.meet_table
+            mul, meet = sys.mul_table, sys.meet
             assert np.array_equal(mul[mul, :], mul[:, mul])
             assert np.array_equal(meet, meet.T)
             assert np.array_equal(meet.diagonal(), np.arange(sys.size))
@@ -154,7 +155,7 @@ class TestGenerate:
             for i, f in enumerate(elements):
                 for j, g in enumerate(elements):
                     assert elements[sys.mul_table[i, j]] == naive_compose(f, g)
-                    assert elements[sys.meet_table[i, j]] == naive_intersect(f, g)
+                    assert elements[sys.meet[i, j]] == naive_intersect(f, g)
         assert 0 < errors < len(draws)
 
     def test_forms_each_ordered_pair_once(self, m70_file, monkeypatch):
@@ -218,7 +219,7 @@ class TestGenerate:
         assert maps(sys) == naive_generate(wide.tolist(), 256)
         small = parse_instance(m70_file).build(cap=256)
         assert np.array_equal(sys.mul_table, small.mul_table)
-        assert np.array_equal(sys.meet_table, small.meet_table)
+        assert np.array_equal(sys.meet, small.meet)
         seen, carried = set(partial_maps.row_keys(wide)), 0
         for blocks in rounds:
             new = set()
@@ -237,7 +238,7 @@ class TestGenerate:
         sys = generate([a, b], cap=64)
         assert maps(sys) == naive_generate([a, b], 64)
         assert maps(sys)[2:4] == [empty(3), pm(3, [(0, 2)])]
-        assert sys.mul_table[0, 0] == sys.mul_table[0, 1] == sys.meet_table[0, 1] == 2
+        assert sys.mul_table[0, 0] == sys.mul_table[0, 1] == sys.meet[0, 1] == 2
         assert sys.mul_table[1, 0] == 3
 
     def test_cap_exceeded_in_a_later_block(self, m70_file, monkeypatch):
@@ -287,6 +288,11 @@ class TestRelations:
             xi = sys.xi
             assert xi.diagonal().all()
             assert np.array_equal(xi, xi.T)
+
+    def test_zeta_is_containment(self, trans_corpus, m70_file):
+        # the meet order, read off the meet table, is containment of maps
+        for sys in trans_corpus + [parse_instance(m70_file).build(cap=256)]:
+            assert np.array_equal(sys.zeta, pairwise_submap_matrix(sys.rows))
 
     def test_zeta_contained_in_xi(self, trans_corpus):
         for sys in trans_corpus[:20]:
@@ -497,5 +503,6 @@ class TestToAbstract:
         for sys in trans_corpus[:25]:
             assert validate(sys.abstract()).passed
 
-    def test_abstract_is_memoized(self, delta_id_system):
-        assert delta_id_system.abstract() is delta_id_system.abstract()
+    def test_abstract_is_the_system(self, delta_id_system):
+        assert isinstance(delta_id_system, AbstractSystem)
+        assert delta_id_system.abstract() is delta_id_system
