@@ -88,9 +88,6 @@ def cmd_analyze(args) -> int:
     if isinstance(ab, TransSystem):
         report.add("closure-built", True, [],
                    f"{ab.size} maps on {ab.base_size} points from {len(inst.maps)} seeds")
-        report.add("relation-sizes", True, [],
-                   f"zeta={int(ab.zeta.sum())} xi={int(ab.xi.sum())} "
-                   f"delta={int(ab.delta.sum())}")
     report.add("system-size", True, [], f"carrier of {ab.size} elements")
     report.add("abstract-relation-sizes", True, [],
                f"zeta={int(ab.zeta.sum())} xi={int(ab.xi.sum())} delta={int(ab.delta.sum())}")

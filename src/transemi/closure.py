@@ -56,9 +56,10 @@ DIRECT_TREE_MAX_SIZE = 6
 class ClosureCache:
     """Per-system step kernel and memo of closures keyed by seed bitset.
 
-    The kernel is the vectorized one-step operator (`step`) and the
-    first-witness search (`first_witnesses`), over tables built here once
-    per system.
+    The kernel is the vectorized one-step operator on one set (`step`) and
+    the first-witness search (`first_witnesses`), over tables built here
+    once per system. Single seeds close through `step`: `result`,
+    `closure_fixpoint`, `closure_step` and the witnessed chain.
 
     Each memo entry is the (closed set, round count) that `closure_fixpoint`
     gives for its own seed, filled by `result` or, through `remember`, by a
@@ -67,7 +68,8 @@ class ClosureCache:
 
     The fixpoint from H is the least closed superset C(H) of H, so C is a
     closure operator and C({x, y}) = C(C({x}) | C({y})). `pair_table` uses
-    this to close every pair at once and memoises nothing; before it has
+    this to close every pair at once and memoises nothing; it steps many
+    sets at a time off premise tables, not through `step`. Before it has
     run, `of_pair` closes the pair from itself through `result`, and
     afterwards it reads the pair table.
 
@@ -158,12 +160,19 @@ class ClosureCache:
         return self.result(h_bits)[0]
 
     def result(self, h_bits: int) -> tuple[int, int]:
+        """(closed set, round count) of the fixpoint from `h_bits`, from the
+        memo or iterated through `step` and memoised."""
         with self._lock:
             hit = self._memo.get(h_bits)
         if hit is not None:
             return hit
-        closed, rounds = _fixpoints(self, _seed(self, h_bits)[None])
-        return self.remember(h_bits, bool_to_bits(closed[0]), int(rounds[0]))
+        cur, rounds = _seed(self, h_bits), 0
+        while True:
+            nxt = cur | self.step(cur)
+            rounds += 1
+            if (nxt == cur).all():
+                return self.remember(h_bits, bool_to_bits(cur), rounds)
+            cur = nxt
 
     def remember(self, h_bits: int, closed_bits: int, rounds: int) -> tuple[int, int]:
         """Memoise the fixpoint from `h_bits`; the first entry for a seed stays."""
@@ -186,25 +195,28 @@ class ClosureCache:
         its first round from the premise tables of its two parts
         (`_union_rounds`); a union that round leaves unchanged is closed,
         and so is a first round equal to one. Only the rows a first round
-        grew, and did not close, go on to `_fixpoints`, which steps each
-        distinct row once per round.
+        grew, and did not close, go on to `_fixpoints`, which steps the
+        distinct rows of each round in one batch off their own premise
+        tables. The premise pairs those tables are made of (`_premises`)
+        are built once here, for both stages, and dropped with the sweep.
         """
         if self._table is not None:
             return self._table
         single = _singleton_rounds(self)
+        premises = _premises(self)
         grew = single.sum(axis=1) > 1
-        single[grew] = _fixpoints(self, single[grew])[0]
+        single[grew] = _fixpoints(self, single[grew], premises)[0]
         # {x, y} closes from C({x}) | C({y}), a union of two closed sets
         base, of_base = _distinct_rows(single)
         # the unions are symmetric in (i, j): close those with i <= j
         iu, ju = np.nonzero(np.arange(len(base))[:, None] <= np.arange(len(base)))
-        unions = _union_rounds(self, base)[iu, ju]
+        unions = _union_rounds(self, base, premises)[iu, ju]
         parts, bits = rows_bits(base), rows_bits(unions)
         # closed: the unions that their first round left unchanged
         known = {h for h, i, j in zip(bits, iu.tolist(), ju.tolist()) if h == parts[i] | parts[j]}
         open_rows = np.array([h not in known for h in bits])
         if open_rows.any():
-            unions[open_rows] = _fixpoints(self, unions[open_rows])[0]
+            unions[open_rows] = _fixpoints(self, unions[open_rows], premises)[0]
         # one row per distinct closed set, numbered by first union: a row's
         # first pair has both elements first of their singleton closures
         closed, row = _distinct_rows(unions)
@@ -238,20 +250,23 @@ def _distinct_rows(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h[firsts], np.searchsorted(firsts, at)
 
 
-def _fixpoints(kern: ClosureCache, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fixpoints(kern: ClosureCache, seeds: np.ndarray,
+               premises: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Closed set and round count of the fixpoint from each row of an
-    (n, m) bool matrix, as `closure_fixpoint` gives them.
+    (n, m) bool matrix, as `closure_fixpoint` gives them; `premises` is
+    `_premises(kern)`.
 
     Rows equal at one round have the same remaining chain, so each round
-    steps the distinct rows still growing once and hands the result to
-    every row equal to one; a row leaves at the round that does not grow it.
+    steps the distinct rows still growing once, all in one batch
+    (`_steps`), and hands the result to every row equal to one; a row
+    leaves at the round that does not grow it.
     """
     closed = np.empty_like(seeds)
     rounds = np.zeros(len(seeds), dtype=np.int64)
     rows = np.arange(len(seeds))
     h, of = _distinct_rows(seeds)  # row r is h[of[r]]
     while rows.size:
-        nxt = h | np.array([kern.step(row) for row in h])
+        nxt = h | _steps(kern, h, premises)
         rounds[rows] += 1
         grew = (nxt != h).any(axis=1)
         done = ~grew[of]
@@ -287,8 +302,9 @@ def _premises(kern: ClosureCache) -> tuple[np.ndarray, ...]:
     (v, u meet v) with u ~xi~ v, and cells[start[p]:start[p + 1]] the
     distinct flat cells a * m + w1, (a, w1) = (v.x, (u meet v).x) for x
     in G*, of pair p. The cells are sorted in blocks of pairs of m + 1
-    cells each (`blocks`). `ClosureCache.pair_table` reads them once per
-    system, in the one call of `_premise_tables` its union rounds make.
+    cells each (`blocks`). `ClosureCache.pair_table` builds them once per
+    sweep and hands them to every `_premise_tables` call its batched steps
+    and union rounds make.
     """
     m = kern.size
     mg = kern.mg.astype(np.int32)
@@ -320,9 +336,10 @@ def _runs(owner: np.ndarray, key: np.ndarray, at: np.ndarray,
     return np.repeat(owner, size), values[idx]
 
 
-def _premise_tables(kern: ClosureCache, rows: np.ndarray):
+def _premise_tables(kern: ClosureCache, rows: np.ndarray, premises: tuple[np.ndarray, ...]):
     """The premise tables of the rows of a (d, m) bool matrix, in blocks
-    of tables of m^2 cells each (`blocks`): yields (lo, P) with
+    of tables of m^2 cells each (`blocks`), from `premises`, which is
+    `_premises(kern)`: yields (lo, P) with
     P[i - lo, a, w1] = 1.0 when some u in row i, v ~xi~ u and x in G* have
     v.x = a and (u meet v).x = w1. So z is in step(H) for every H holding u
     and a exactly when P[i - lo, a, w1] and adm[w1, z] for some w1.
@@ -332,7 +349,7 @@ def _premise_tables(kern: ClosureCache, rows: np.ndarray):
     pair's cells in its row's table (`_premises`).
     """
     d, m = rows.shape
-    at, pair, start, cells = _premises(kern)
+    at, pair, start, cells = premises
     npairs = len(start) - 1
     for lo, hi in blocks(d, m * m):
         i, p = _runs(*np.nonzero(rows[lo:hi]), at, pair)  # u in row i, p a pair of u
@@ -345,9 +362,30 @@ def _premise_tables(kern: ClosureCache, rows: np.ndarray):
         yield lo, tables.reshape(hi - lo, m, m)
 
 
-def _union_rounds(kern: ClosureCache, closed: np.ndarray) -> np.ndarray:
+def _steps(kern: ClosureCache, rows: np.ndarray, premises: tuple[np.ndarray, ...]) -> np.ndarray:
+    """step(H) for each row H of a (d, m) bool matrix, at the same row of
+    a (d, m) bool matrix; `premises` is `_premises(kern)`.
+
+    z is in step(H) exactly when H's premise table, read at some a in H,
+    admits z (`_premise_tables`). This is the diagonal of what
+    `_union_rounds` reads off the same tables, since the premise table of
+    A | B is that of A joined with that of B.
+    """
+    out = np.empty_like(rows)
+    adm = kern.adm.astype(np.float32)
+    for lo, tables in _premise_tables(kern, rows, premises):
+        hi = lo + len(tables)
+        # [i - lo, w1]: counts of a in row i with P[i - lo, a, w1]
+        w1 = np.matmul(rows[lo:hi, None, :].astype(np.float32), tables)[:, 0]
+        out[lo:hi] = (w1 @ adm) > 0.5
+    return out
+
+
+def _union_rounds(kern: ClosureCache, closed: np.ndarray,
+                  premises: tuple[np.ndarray, ...]) -> np.ndarray:
     """H | step(H) for H the union of rows i and j of a (d, m) bool matrix
-    of closed sets, at [i, j] of a (d, d, m) bool array.
+    of closed sets, at [i, j] of a (d, d, m) bool array; `premises` is
+    `_premises(kern)`.
 
     A closed C has step(C) within C, so of the premise pairs (u, a) in
     H = A | B only those with u in A and a in B, or u in B and a in A, can
@@ -359,7 +397,7 @@ def _union_rounds(kern: ClosureCache, closed: np.ndarray) -> np.ndarray:
     cf = closed.astype(np.float32)
     adm = kern.adm.astype(np.float32)
     cross = np.empty((d, d, m), dtype=bool)  # [i, j, z]: a in row j, premise table of row i
-    for lo, tables in _premise_tables(kern, closed):
+    for lo, tables in _premise_tables(kern, closed, premises):
         # [i - lo, j, z]: counts of (a, w1) with a in row j and adm[w1, z]
         cross[lo:lo + len(tables)] = (cf @ tables @ adm) > 0.5
     out = cross | cross.transpose(1, 0, 2)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .abstract_system import AbstractSystem
-from .bitsets import bits_of, bits_to_bool
+from .bitsets import bits_of, bits_to_bool, blocks
 from .errors import CapExceededError, CarrierMismatchError
 from .partial_maps import products, relations, row_keys
 from .reports import WITNESS_CAP, Report
@@ -130,19 +130,41 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
     """Both structural laws of the image-inside-domain relation.
 
     First: (f,g) adjacent iff composing g after f keeps the whole domain of
-    f. Second: adjacency survives precomposition. Expected to hold on every
-    generated system; violations are reported with the offending tuples.
+    f. Second: adjacency survives precomposition, scanned over every h when
+    the certificate over the generators (`_precompose_stable`) does not
+    settle it. Both are evaluated in blocks of f rows within the cell
+    budget (`blocks`). Expected to hold on every generated system;
+    violations are reported with the offending tuples.
     """
     report = Report("adjacency laws")
     t0 = time.perf_counter()
-    dom = sys.dom
-    kept = ~(dom[:, None, :] & ~dom[sys.mul]).any(axis=2)  # [f, g]: g o f keeps dom f
+    m, dom = sys.size, sys.dom
+    kept = np.empty((m, m), dtype=bool)  # [f, g]: g o f keeps dom f
+    for lo, hi in blocks(m, m * sys.base_size):
+        kept[lo:hi] = ~(dom[lo:hi, None, :] & ~dom[sys.mul[lo:hi]]).any(axis=2)
     report.record_mask("adjacency-iff-domain-kept", t0, sys.delta != kept, ("f", "g"), "pairs")
     # delta[f,g] must imply delta[f o h, g] for every h
-    report.scan("adjacency-precompose-stable", sys.size,
+    report.scan("adjacency-precompose-stable", m,
                 lambda lo, hi: sys.delta[lo:hi, None, :] & ~sys.delta[sys.mul_table[lo:hi]],
-                ("f", "h", "g"), "triples")
+                ("f", "h", "g"), "triples", holds=lambda: _precompose_stable(sys))
     return report
+
+
+def _precompose_stable(sys: AbstractSystem) -> bool:
+    """Certificate of `adjacency-precompose-stable`: . associative, and
+    delta[f, g] implies delta[s.f, g] (the map f o s) for every s in
+    `sys.generators`. The law for s and t then gives it for s.t, as
+    delta[f, g] implies delta[t.f, g] and so delta[s.(t.f), g], which is
+    delta[(s.t).f, g]; so it holds for every element. Checked in blocks of
+    f rows of |S| m cells each (`blocks`)."""
+    if not sys.light_associative:
+        return False
+    m, gens = sys.size, sys.generators
+    for lo, hi in blocks(m, len(gens) * m):
+        # [f - lo, k, g]: delta[f, g] and not delta[gens[k].f, g]
+        if (sys.delta[lo:hi, None, :] & ~sys.delta[sys.mul[gens, lo:hi].T]).any():
+            return False
+    return True
 
 
 def check_domain_meet(sys: TransSystem, h_indices: Iterable[int]) -> Report:
@@ -184,10 +206,15 @@ def check_domain_bounds(sys: TransSystem) -> Report:
     dom = sys.dom
     # bound[c]: the points in the domain of every member of closure c
     bound = (closed.astype(np.float32) @ (~dom).astype(np.float32)) < 0.5
-    common = dom[:, None, :] & dom[None, :, :]
+    # escapes[i, j]: some point of dom i and dom j is outside the bound of
+    # the closure of {i, j}; in blocks of i rows of k n cells each
+    escapes = np.empty((k, k), dtype=bool)
+    for lo, hi in blocks(k, k * sys.base_size):
+        escapes[lo:hi] = (dom[lo:hi, None, :] & dom[None, :, :]
+                          & ~bound[pair_key[lo:hi]]).any(axis=2)
     bad = []
-    for i, j in np.argwhere(np.triu((common & ~bound[pair_key]).any(axis=2))).tolist():
-        members = np.flatnonzero(closed[pair_key[i, j]] & (common[i, j] & ~dom).any(axis=1))
+    for i, j in np.argwhere(np.triu(escapes)).tolist():
+        members = np.flatnonzero(closed[pair_key[i, j]] & (dom[i] & dom[j] & ~dom).any(axis=1))
         subset = [i] if i == j else [i, j]
         bad.extend({"subset": subset, "member": phi}
                    for phi in members[:WITNESS_CAP - len(bad)].tolist())

@@ -42,6 +42,7 @@ from transemi.closure import (
     _axiom_failures,
     _fixpoints,
     _premise_tables,
+    _premises,
     _singleton_rounds,
     _union_rounds,
     _tree_from_chain,
@@ -740,7 +741,7 @@ def premise_table_sets(sys, rows):
     kern = sys.closures
     adm = kern.adm.astype(np.float32)
     out = []
-    for _, tables in _premise_tables(kern, rows):
+    for _, tables in _premise_tables(kern, rows, _premises(kern)):
         out += [set(map(tuple, np.argwhere(t @ adm > 0.5).tolist())) for t in tables]
     return out
 
@@ -760,7 +761,8 @@ class TestBatchedSweep:
 
     @staticmethod
     def assert_fixpoints_match(sys, seeds):
-        closed, rounds = _fixpoints(sys.closures, bits_matrix(seeds, sys.size))
+        kern = sys.closures
+        closed, rounds = _fixpoints(kern, bits_matrix(seeds, sys.size), _premises(kern))
         want = [closure_fixpoint(sys, h, witnesses=False) for h in seeds]
         assert [bool_to_bits(row) for row in closed] == [res.closed_bits for res in want]
         assert rounds.tolist() == [res.rounds for res in want]
@@ -775,6 +777,24 @@ class TestBatchedSweep:
         assert any(h >> 64 for h in seeds) and any(0 < h < 1 << 63 for h in seeds)
         self.assert_fixpoints_match(system_m70, seeds)
 
+    def test_fixpoints_match_on_random_systems(self, random_systems):
+        # outside the hypotheses, where steps need not be extensive
+        rng = random.Random(400)
+        for sys in random_systems:
+            self.assert_fixpoints_match(sys, sweep_seeds(sys, rng))
+
+    def test_fixpoints_match_at_m245(self, m245_file):
+        # one premise table per block at m = 245 (m^2 cells each), so a
+        # round of many rows steps over many blocks
+        sys = parse_instance(m245_file).build(cap=256).abstract()
+        m, rng = sys.size, random.Random(245)
+        assert len(list(bitsets.blocks(40, m * m))) > 1
+        single = rng.sample(range(m), 12)
+        closures = [direct(sys, 1 << x) for x in single[:6]]
+        seeds = ([1 << x for x in single] + [a | b for a in closures for b in closures]
+                 + [rng.getrandbits(m) | 1 for _ in range(4)])
+        self.assert_fixpoints_match(sys, seeds + seeds[:5])
+
     def test_one_row_blocks(self, abstract_corpus, system_m70, monkeypatch):
         # a cell budget of 1 makes every block of premise tables one table
         # and every block of premise pairs one pair
@@ -784,15 +804,17 @@ class TestBatchedSweep:
             cache = fresh_copy(sys).closures
             want.append((cache.pair_table(), cache._memo))
         kern = system_m70.closures
+        premises = _premises(kern)
         base = bits_matrix(sorted({direct(system_m70, 1 << x) for x in range(70)}), 70)
-        want_tables = np.concatenate([t for _, t in _premise_tables(kern, base)])
-        want_first = _union_rounds(kern, base)
-        assert len(list(_premise_tables(kern, base))) < len(base)
+        want_tables = np.concatenate([t for _, t in _premise_tables(kern, base, premises)])
+        want_first = _union_rounds(kern, base, premises)
+        assert len(list(_premise_tables(kern, base, premises))) < len(base)
         monkeypatch.setattr(bitsets, "_CELLS", 1)
-        blocks = list(_premise_tables(kern, base))
+        premises = _premises(kern)
+        blocks = list(_premise_tables(kern, base, premises))
         assert [(lo, len(t)) for lo, t in blocks] == [(i, 1) for i in range(len(base))]
         assert (np.concatenate([t for _, t in blocks]) == want_tables).all()
-        assert (_union_rounds(kern, base) == want_first).all()
+        assert (_union_rounds(kern, base, premises) == want_first).all()
         self.assert_fixpoints_match(system_m70, sweep_seeds(system_m70, random.Random(1))[60:90])
         for sys, ((want_key, want_closed), memo) in zip(systems, want):
             cache = fresh_copy(sys).closures
@@ -865,7 +887,7 @@ class TestBatchedSweep:
             rows = closures + [rng.getrandbits(m) for _ in range(3)]
             for h, table in zip(rows, premise_table_sets(sys, bits_matrix(rows, m))):
                 assert table == {(a, z) for u, a, z in rules if (h >> u) & 1}
-            first = _union_rounds(sys.closures, bits_matrix(closures, m))
+            first = _union_rounds(sys.closures, bits_matrix(closures, m), _premises(sys.closures))
             for i, a in enumerate(closures):
                 for j, b in enumerate(closures):
                     assert bool_to_bits(first[i, j]) == a | b | step_bits(sys, a | b)
@@ -894,28 +916,30 @@ class TestBatchedSweep:
         # no round of a many-row fixpoint steps a row twice or a bare
         # singleton, the singletons step first their grown first rounds,
         # and the unions step no union that its first round left unchanged;
-        # each round starts by finding its distinct rows, so the rows
-        # stepped after each such call make one round; the singleton
-        # stage ends where the union rounds begin
+        # each round steps its rows in one batch, and the singleton stage
+        # ends where the union rounds begin; no set goes through the
+        # one-set step kernel
         batches, single_batches = [], []
-        distinct, step, union = closure._distinct_rows, ClosureCache.step, closure._union_rounds
+        steps, union = closure._steps, closure._union_rounds
 
-        def union_rounds(kern, base):
+        def union_rounds(kern, base, premises):
             single_batches.extend(batches)
             batches.clear()
-            return union(kern, base)
+            return union(kern, base, premises)
 
-        monkeypatch.setattr(closure, "_distinct_rows", lambda h: batches.append([]) or distinct(h))
-        monkeypatch.setattr(ClosureCache, "step",
-                            lambda self, h: batches[-1].append(bool_to_bits(h)) or step(self, h))
+        def refuse(self, h):
+            raise AssertionError("the sweep stepped a set through ClosureCache.step")
+
+        monkeypatch.setattr(closure, "_steps",
+                            lambda kern, h, premises: batches.append(rows_bits(h))
+                            or steps(kern, h, premises))
+        monkeypatch.setattr(ClosureCache, "step", refuse)
         monkeypatch.setattr(closure, "_union_rounds", union_rounds)
         sys = fresh_copy(system_m70)
         m = sys.size
         pair_key, closed = sys.closures.pair_table()
         monkeypatch.undo()
         single = closed[pair_key.diagonal()]
-        single_batches = [rows for rows in single_batches if rows]
-        batches = [rows for rows in batches if rows]
         for batch in single_batches + batches:
             assert len(set(batch)) == len(batch)
             assert all(h & (h - 1) for h in batch)
@@ -928,6 +952,26 @@ class TestBatchedSweep:
         assert not unchanged & set().union(*batches)
         opened = {h | step_bits(sys, h) for h in unions} - unchanged
         assert set(batches[0] if batches else ()) == opened
+
+    def test_single_seeds_build_no_premise_tables(self, abstract_corpus, system_m70,
+                                                  monkeypatch):
+        # `result`, `closure_fixpoint`, `closure_step` and the witnessed
+        # chain close one seed through the one-set step kernel
+        def refuse(kern):
+            raise AssertionError("a single seed built premise tables")
+
+        monkeypatch.setattr(closure, "_premises", refuse)
+        rng = random.Random(11)
+        for sys in abstract_corpus[::13] + [non_extensive(), system_m70]:
+            sys, m = fresh_copy(sys), sys.size
+            seed = rng.getrandbits(m) | 1
+            res = closure_fixpoint(sys, seed)
+            assert sys.closures.result(seed) == (res.closed_bits, res.rounds)
+            fresh = fresh_copy(sys).closures
+            assert fresh.result(seed) == (res.closed_bits, res.rounds)
+            assert fresh.of_pair(0, m - 1) == direct(sys, 1 | (1 << (m - 1)))
+            closure_step(sys, seed)
+            member_at_round(sys, 0, seed, 2, method="iterate")
 
     def test_sweep_holds_no_cubic_array(self, m245_file):
         # a fresh sweep at m = 245 peaks under m^3 / 2 bytes: it builds no

@@ -368,6 +368,21 @@ class TestPinnedDigests:
         assert self.tables_digest([parse_instance(m245_file).build()]) == (
             "e50f97593c459ed940db92952d3dd431f6fa1ae1ba2250214926849729f230a6")
 
+    @pytest.mark.parametrize("generate_args, cap, digest", [
+        (["--seed", "33", "--points", "6", "--maps", "3"], "256",
+         "503d84925886546fa620853e6869a7cbfd0f0488d1d9e18c013d7f6f79d531ec"),
+        (["--seed", "6", "--points", "7", "--maps", "3", "--cap", "700"], "1400",
+         "9cb512a2167fcd59a5b1aa4c64c9b03619dfd3c3e642784815956daa68de601f"),
+    ])
+    def test_check_output(self, generate_args, cap, digest, tmp_path, capsys):
+        # `check --format machine` at m = 245 and m = 406, taken when the
+        # pair table stepped its open rows one at a time
+        path = tmp_path / "inst.yaml"
+        assert cli.main(["generate", *generate_args, "--out", str(path)]) == 0
+        assert cli.main(["check", "--input", str(path), "--cap", cap, "--format", "machine"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 @pytest.fixture(scope="module")
 def trans_file(tmp_path_factory):
@@ -424,6 +439,12 @@ class TestCli:
         res = run_cli("analyze", "--input", str(trans_file))
         assert res.returncode == 0
         assert "closure-built" in res.stdout
+
+    def test_analyze_reports_relation_sizes_once(self, trans_file, capsys):
+        assert cli.main(["analyze", "--input", str(trans_file), "--format", "machine"]) == 0
+        ids = [c["id"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert ids[:3] == ["closure-built", "system-size", "abstract-relation-sizes"]
+        assert "relation-sizes" not in ids
 
     def test_failing_instance_exits_one(self, tmp_path):
         res = run_cli("check", "--input", str(DATA / "axiom_fail_adjacency.yaml"))

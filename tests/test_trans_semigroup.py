@@ -370,19 +370,69 @@ class TestAdjacencyLaws:
             assert want and got.witnesses == want[:10]
             assert got.detail == f"{len(want)} pairs"
 
-    def test_scan_stays_within_the_cell_budget(self, m245_file):
-        # `adjacency-precompose-stable` has no certificate, so its m^3 scan
-        # always runs: its blocks hold a few temporaries of at most the
-        # budget's cells each, beside the m^2 int64 tables, whatever m is
+    def test_scan_stays_within_the_cell_budget(self, m245_file, monkeypatch):
+        # the m^3 scan of `adjacency-precompose-stable`, run with its
+        # certificate refused, and the certificate itself hold their blocks
+        # to a few temporaries of at most the budget's cells each, beside
+        # the m^2 int64 tables, whatever m is
         sys = parse_instance(m245_file).build(cap=256)
         m = sys.size
-        tracemalloc.start()
-        try:
-            assert check_adjacency_laws(sys).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert m == 245 and peak < 3 * bitsets._CELLS * 8 + 8 * m * m
+        assert sys.light_associative and len(sys.generators)  # read before tracing
+        certificate = trans_semigroup._precompose_stable
+        for refused in (False, True):
+            if refused:
+                monkeypatch.setattr(trans_semigroup, "_precompose_stable", lambda sys: False)
+            tracemalloc.start()
+            try:
+                assert check_adjacency_laws(sys).passed
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert m == 245 and peak < 3 * bitsets._CELLS * 8 + 8 * m * m
+        assert certificate(sys)
+
+    @staticmethod
+    def precompose_violations(sys):
+        """[f, h, g]: delta[f, g] and not delta[f o h, g], the abstract h.f,
+        as one m^3 mask."""
+        return sys.delta[:, None, :] & ~sys.delta[sys.mul.T]
+
+    def test_precompose_certificate_matches_the_scan(self, trans_corpus, random_systems,
+                                                     m70_file):
+        # the certificate holds exactly when . is associative and the law
+        # holds for every h: on every generated system, on random tables,
+        # and past bit 63
+        m70 = parse_instance(m70_file).build(cap=256)
+        for sys in trans_corpus + [m70]:
+            assert trans_semigroup._precompose_stable(sys)
+            assert not self.precompose_violations(sys).any()
+        seen = Counter()
+        for sys in random_systems:
+            law = not self.precompose_violations(sys).any()
+            assert trans_semigroup._precompose_stable(sys) == (sys.light_associative and law)
+            seen[sys.light_associative, law] += 1
+        assert len(seen) == 4
+
+    def test_precompose_scan_runs_on_damaged_delta(self, m70_file, monkeypatch):
+        # where the law fails the certificate does not hold, and the scan
+        # reports the full mask's count and its first witnesses, f-major
+        sys = parse_instance(m70_file).build(cap=256)
+        m = sys.size
+        assert len(list(bitsets.blocks(m, m * m))) > 1  # the certificate is tried
+        delta = sys.delta.copy()
+        rng = random.Random(70)
+        for _ in range(40):
+            delta[rng.randrange(m), rng.randrange(m)] ^= True
+        sys.delta = delta
+        tried = []
+        certificate = trans_semigroup._precompose_stable
+        monkeypatch.setattr(trans_semigroup, "_precompose_stable",
+                            lambda s: tried.append(certificate(s)) or tried[-1])
+        got = check_adjacency_laws(sys)["adjacency-precompose-stable"]
+        want = np.argwhere(self.precompose_violations(sys))
+        assert tried == [False] and len(want)
+        assert got.detail == f"{len(want)} triples"
+        assert got.witnesses == [dict(zip("fhg", c)) for c in want[:10].tolist()]
 
 
 class TestDomainMeet:
