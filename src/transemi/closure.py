@@ -454,23 +454,21 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     """
     cur = _seed(sys, h_bits)
     cache = sys.closures
-    cur_bits = h_bits
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
     while True:
-        nxt = cur | cache.step(cur)
-        nxt_bits = bool_to_bits(nxt)
+        new = cache.step(cur) & ~cur
         rounds += 1
-        if nxt_bits == cur_bits:
+        if not new.any():
             break
         if witnesses:
-            new = list(iter_bits(nxt_bits & ~cur_bits))
-            for z, tup in cache.first_witnesses(cur, new).items():
+            for z, tup in cache.first_witnesses(cur, np.flatnonzero(new).tolist()).items():
                 witness[z] = (rounds, tup)
-        cur, cur_bits = nxt, nxt_bits
+        cur = cur | new
+    closed_bits = bool_to_bits(cur)
     if witnesses:
-        cache.remember(h_bits, cur_bits, rounds)
-    return ClosureResult(h_bits, cur_bits, rounds, witness)
+        cache.remember(h_bits, closed_bits, rounds)
+    return ClosureResult(h_bits, closed_bits, rounds, witness)
 
 
 def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
@@ -514,21 +512,23 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
     if method == "four-conditions":
         h = _seed(sys, h_bits)
         inside = h[:, None]
+        prod = h[sys.mul]  # [x, y]: x.y in H
         # products: x.y in H forces x in H
-        if (~inside & h[sys.mul]).any():
+        if (~inside & prod).any():
             return False
         # adjacency: g1 in H and g1 |- g2 force g1.g2 in H
-        if (inside & sys.delta & ~h[sys.mul]).any():
+        if (inside & sys.delta & ~prod).any():
             return False
         # order: g1 in H and g1 <= g2 force g2 in H
-        if (inside & sys.zeta & ~h[None, :]).any():
+        if (inside & sys.zeta & ~h).any():
             return False
         # meets: g1 in H, g1 ~xi~ g2 and g2.x in H force (g1 meet g2).x in
         # H, x ranging over G*; x = e covers the bare meet. escapes[a, b]
-        # says a.x is in H and b.x is not for some x, read at (g2, meet).
-        hx = h[sys.mul_star[:m]].astype(np.float64)
+        # counts the x with a.x in H and b.x not, at most m + 1, so exactly
+        # in float32; it is read at (g2, meet).
+        hx = h[sys.mul_star[:m]].astype(np.float32)
         escapes = (hx @ (1.0 - hx).T) > 0.5
-        return not (inside & sys.xi & escapes[np.arange(m)[None, :], sys.meet]).any()
+        return not (inside & sys.xi & escapes[np.arange(m), sys.meet]).any()
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -746,30 +746,32 @@ def member_at_round(sys, z: int, h_bits: int, n: int, method: str = "auto"):
     return True, _tree_from_chain(sys, z, n, first_round, tuples)
 
 
+_ROUND_ELEMENT = operator.itemgetter("round", "element")
+
+
 def derivation_chain(sys, result: ClosureResult, element: int) -> list[dict]:
-    """Flatten the witness ancestry of one closure member, seed upward."""
-    star = sys.mul_star
+    """Flatten the witness ancestry of one closure member, seed upward:
+    one step per witnessed ancestor, ordered by (round, element). The
+    ancestry is walked with an explicit stack, so chains of any depth take
+    no recursion. `element` must be in the carrier; anything else raises
+    `ValueError`."""
+    m = sys.size
+    z = operator.index(element)
+    if not 0 <= z < m:
+        raise ValueError(f"element {z} outside the carrier 0..{m - 1}")
+    product = sys.mul_star.item
+    seed, witness = result.seed_bits, result.witness
     steps: dict[int, dict] = {}
-
-    def need(w: int) -> None:
-        if w in steps or (result.seed_bits >> w) & 1:
-            return
-        entry = result.witness.get(w)
-        if entry is None:
-            return
-        rnd, (u, v, x, y, t) = entry
-        vx = int(star[v, x])
-        steps[w] = {
-            "element": w,
-            "round": rnd,
-            "tuple": [u, v, x, y, t],
-            "from": [u, vx],
-        }
-        need(u)
-        need(vx)
-
-    need(element)
-    return sorted(steps.values(), key=lambda s: (s["round"], s["element"]))
+    stack = [z]
+    while stack:
+        w = stack.pop()
+        if w in steps or (seed >> w) & 1 or w not in witness:
+            continue
+        rnd, (u, v, x, y, t) = witness[w]
+        vx = product(v, x)
+        steps[w] = {"element": w, "round": rnd, "tuple": [u, v, x, y, t], "from": [u, vx]}
+        stack += (vx, u)
+    return sorted(steps.values(), key=_ROUND_ELEMENT)
 
 
 def _failing(mask: np.ndarray, target: np.ndarray) -> list[tuple[int, int, int]]:

@@ -120,11 +120,13 @@ def _leaders(m: int, dp: DeterminingPair) -> tuple[np.ndarray, int, list]:
     cls = np.asarray(dp.class_of)
     if cls.shape != (m + 1,) or cls.dtype.kind not in "iu" or min(dp.class_of) < 0:
         raise ValueError(f"class_of must hold m + 1 = {m + 1} non-negative int ids")
-    leader = {c: x for x, c in reversed(list(enumerate(dp.class_of)))}  # id -> least member
+    leader: dict = {}  # id -> least member
+    for x, c in enumerate(dp.class_of):
+        leader.setdefault(c, x)
     if dp.w_class is not None and dp.w_class not in leader:
         raise ValueError(f"excluded class {dp.w_class!r} is the class of no element")
-    return (np.array([leader[c] for c in dp.class_of]), leader.get(dp.w_class, -1),
-            [leader[c] for c in sorted(leader)])
+    return (np.fromiter(map(leader.__getitem__, dp.class_of), np.int64, m + 1),
+            leader.get(dp.w_class, -1), [leader[c] for c in sorted(leader)])
 
 
 def _right_regular(sys: AbstractSystem, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,10 +135,8 @@ def _right_regular(sys: AbstractSystem, leaders: np.ndarray) -> tuple[np.ndarray
     `split[r, x, z]` is set when x.z and lead(x).z have different leaders.
     Row r's partition is right regular exactly when split[r] holds no
     True; its column z = e never does."""
-    b, n = leaders.shape
     images = np.take(leaders, sys.mul_star, axis=1)
-    of_leader = np.take(images.reshape(-1, n), (leaders + n * np.arange(b)[:, None]).ravel(), 0)
-    return images, images != of_leader.reshape(b, n, n)
+    return images, images != images[np.arange(len(leaders))[:, None], leaders]
 
 
 def _action(sys: AbstractSystem, leaders: np.ndarray, rows_of: np.ndarray | int,
@@ -145,11 +145,11 @@ def _action(sys: AbstractSystem, leaders: np.ndarray, rows_of: np.ndarray | int,
     leaders, as an (m, points) block: point offset + p, the class led by
     y = lead_of[p] in row rows_of[p] (or row rows_of, one int), goes under
     g to the point of the class of y.g, or to -1 when that class has none."""
-    base = leaders.shape[1] * np.reshape(rows_of, (-1, 1))  # where a point's row starts, flat
     pos = np.full(leaders.shape, -1, dtype=np.int64)  # [r, y]: the point of the class led by y
     pos[rows_of, lead_of] = np.arange(offset, offset + len(lead_of))
-    lands = np.take(leaders, np.take(sys.mul_star, lead_of, axis=0)[:, :sys.size] + base)
-    return np.take(pos, lands + base).T  # lands[p, g]: the leader of y.g in the point's row
+    # [g, p]: the leader of y.g in the point's row
+    lands = leaders[rows_of, sys.mul_star[lead_of, :sys.size].T]
+    return pos[rows_of, lands]
 
 
 def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Report:

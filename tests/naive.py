@@ -201,6 +201,28 @@ def naive_first_witness(sys, prev_bits, z):
     return None
 
 
+def naive_derivation_chain(sys, result, element):
+    """`derivation_chain` as a recursion over the witness ancestry: each
+    witnessed ancestor once, sorted by (round, element)."""
+    star = sys.mul_star
+    steps = {}
+
+    def need(w):
+        if w in steps or (result.seed_bits >> w) & 1:
+            return
+        entry = result.witness.get(w)
+        if entry is None:
+            return
+        rnd, (u, v, x, y, t) = entry
+        vx = int(star[v, x])
+        steps[w] = {"element": w, "round": rnd, "tuple": [u, v, x, y, t], "from": [u, vx]}
+        need(u)
+        need(vx)
+
+    need(element)
+    return sorted(steps.values(), key=lambda s: (s["round"], s["element"]))
+
+
 def naive_four_conditions(sys, h_bits):
     """Closedness of a nonempty H by the four-conditions rule set, pair by
     pair: left factors, adjacency products, upward order closure and

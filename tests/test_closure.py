@@ -54,6 +54,7 @@ from transemi.instances import parse_instance
 from naive import (
     naive_axiom_failures,
     naive_closure,
+    naive_derivation_chain,
     naive_first_witness,
     naive_four_conditions,
     naive_pair_rule,
@@ -280,12 +281,16 @@ class TestFixpoint:
 
     @staticmethod
     def _assert_witnesses_match(sys, pairs):
+        """Witnesses against the naive loop, and the derivation chain of
+        every witnessed element against the naive recursion."""
         for x, y in pairs:
             seed = (1 << x) | (1 << y)
-            got = closure_fixpoint(sys, seed, witnesses=True).witness
+            res = closure_fixpoint(sys, seed, witnesses=True)
             want = naive_witnesses(sys, seed)
-            assert list(got.items()) == list(want.items())
-            assert all(type(v) is int for _, tup in got.values() for v in tup)
+            assert list(res.witness.items()) == list(want.items())
+            assert all(type(v) is int for _, tup in res.witness.values() for v in tup)
+            for z in res.witness:
+                assert derivation_chain(sys, res, z) == naive_derivation_chain(sys, res, z)
 
     def test_witnesses_match_naive_loop(self, abstract_corpus):
         for sys in abstract_corpus + golden_failures() + [non_extensive()]:
@@ -329,12 +334,14 @@ class TestIsClosed:
             if implication:
                 assert is_closed(sys, h, "implication") == want
 
-    def test_four_conditions_match_naive_loop(self, abstract_corpus):
-        for sys in abstract_corpus + golden_failures() + [non_extensive()]:
+    def test_four_conditions_match_naive_loop(self, abstract_corpus, random_systems):
+        # the random systems lie outside the hypotheses
+        checked = [(sys, validate(sys).passed)
+                   for sys in abstract_corpus + golden_failures() + [non_extensive()]]
+        for sys, validated in checked + [(sys, False) for sys in random_systems]:
             m = sys.size
             self._assert_four_conditions_match(
-                sys, [(x, y) for x in range(m) for y in range(x, m)],
-                validated=validate(sys).passed)
+                sys, [(x, y) for x in range(m) for y in range(x, m)], validated=validated)
 
     def test_four_conditions_past_bit_63(self, system_m70):
         sys = system_m70
@@ -1032,6 +1039,13 @@ def seed_ladder(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def system_m16():
+    sys = parse_instance(DATA / "represent_m16.yaml").build()
+    assert sys.size == 16
+    return sys
+
+
+@pytest.fixture(scope="module")
 def system_m3():
     sys = generators.trans_corpus(3, cap=64)[2].abstract()
     assert sys.size == 3
@@ -1064,13 +1078,19 @@ class TestSubsetGate:
                     call(h)
         assert all(0 < h < 1 << m for h in sys.closures._memo)
 
-    @pytest.mark.parametrize("fixture", ["system_m3", "system_m70"])
+    @pytest.mark.parametrize("fixture", ["system_m3", "system_m16", "system_m70"])
     def test_elements_outside_the_carrier(self, fixture, request):
         sys = request.getfixturevalue(fixture)
-        for z in (-1, sys.size):
+        res = closure_fixpoint(sys, 0b11, witnesses=True)
+        for z in (-1, sys.size, 99, np.int64(-1), np.int64(sys.size)):
             for method in ("iterate", "direct"):
                 with pytest.raises(ValueError, match=f"^element {z} outside the carrier"):
                     member_at_round(sys, z, 1, 1, method=method)
+            with pytest.raises(ValueError, match=f"^element {z} outside the carrier"):
+                derivation_chain(sys, res, z)
+        # numpy integers inside the carrier walk as ints do
+        for z in res.witness:
+            assert derivation_chain(sys, res, np.int64(z)) == derivation_chain(sys, res, z)
 
     def test_one_message_for_the_empty_seed(self, system_m3):
         calls = [closure_step, closure_fixpoint, least_closed_oracle,

@@ -8,7 +8,16 @@ import pytest
 import yaml
 from conftest import run_cli, run_python
 
-from transemi import bitsets, cli, instances
+from transemi import (
+    bitsets,
+    cli,
+    closure_fixpoint,
+    derivation_chain,
+    determining_pair_for,
+    instances,
+    is_closed,
+    simplest_representation,
+)
 from transemi.errors import InstanceFormatError
 from transemi.instances import (
     AbstractInstance,
@@ -367,6 +376,37 @@ class TestPinnedDigests:
         # taken when saturation gave ids one product row at a time
         assert self.tables_digest([parse_instance(m245_file).build()]) == (
             "e50f97593c459ed940db92952d3dd431f6fa1ae1ba2250214926849729f230a6")
+
+    @staticmethod
+    def pair_queries_digest(queries):
+        """sha256 over (system, g1, g2) queries of what a pair query
+        returns: the witnessed closure with its rounds, witnesses and the
+        chain of every witnessed element, the four-conditions verdict, the
+        determining pair and the simplest representation."""
+        h = hashlib.sha256()
+        for sys, g1, g2 in queries:
+            res = closure_fixpoint(sys, (1 << g1) | (1 << g2), witnesses=True)
+            dp = determining_pair_for(sys, g1, g2)
+            rep = simplest_representation(sys, dp)
+            h.update(json.dumps([
+                str(res.closed_bits), res.rounds, list(res.witness.items()),
+                [derivation_chain(sys, res, z) for z in res.witness],
+                is_closed(sys, res.closed_bits, "four-conditions"),
+                dp.class_of, dp.w_class, rep.carrier, rep.rows.tolist(),
+            ]).encode())
+        return h.hexdigest()
+
+    def test_pair_queries(self, abstract_corpus, m70_file):
+        # taken when derivation chains were walked by recursion and the
+        # witnessed fixpoint compared int bitsets round by round
+        rng = random.Random("pair-queries")
+        m70 = parse_instance(m70_file).build()
+        queries = [(sys, rng.randrange(sys.size), rng.randrange(sys.size))
+                   for sys in abstract_corpus for _ in range(3)]
+        queries += [(m70, 69, 3), (m70, 5, 40)] + [
+            (m70, rng.randrange(70), rng.randrange(70)) for _ in range(30)]
+        assert self.pair_queries_digest(queries) == (
+            "a42701961e6dc9a34d6783afa22ca0a97e982d24c2dffe8812d1988ff61b2324")
 
     @pytest.mark.parametrize("generate_args, cap, digest", [
         (["--seed", "33", "--points", "6", "--maps", "3"], "256",
