@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .bitsets import blocks, take_pairs
 from .errors import MalformedSystemError
 from .reports import Report
 
@@ -78,8 +79,8 @@ def generating_set(mul: np.ndarray) -> np.ndarray:
             inside |= new
             fresh, members = np.flatnonzero(new), np.flatnonzero(inside)
             new = np.zeros(m, dtype=bool)
-            new[mul[np.ix_(fresh, members)]] = True
-            new[mul[np.ix_(members, fresh)]] = True
+            new[mul[fresh][:, members]] = True
+            new[mul[members][:, fresh]] = True
             new &= ~inside
         if inside.all():
             return np.array(gens, dtype=np.int64)
@@ -147,25 +148,36 @@ class AbstractSystem:
         return f"AbstractSystem(size={self.size})"
 
 
-def _over_generators(sys: AbstractSystem,
-                     violations_of: Callable[[int, int], np.ndarray]) -> Callable[[], bool]:
-    """Certificate of a law whose scan rows are a multiplier: once . is
+def _over_generators(sys: AbstractSystem, violations_of: Callable[[np.ndarray], np.ndarray],
+                     table: np.ndarray) -> Callable[[], bool]:
+    """Certificate of a law whose scan rows are a multiplier s, given as
+    `violations_of(table[s])` for a block of such rows: once . is
     associative, the law for s and t gives it for s.t, so it holds for
-    every row when it holds for the rows of `sys.generators`."""
-    return lambda: sys.light_associative and not any(
-        violations_of(s, s + 1).any() for s in sys.generators)
+    every row when it holds for the rows of `sys.generators`. These are
+    read in blocks within the cell budget (`blocks`) of 2 m^2 cells a
+    generator, since a law holds two (m, m) temporaries a generator at
+    once: the tables it compares, or a table and a flat index."""
+    def holds() -> bool:
+        gens, m = sys.generators, sys.size
+        return sys.light_associative and not any(
+            violations_of(table[gens[lo:hi]]).any() for lo, hi in blocks(len(gens), 2 * m * m))
+    return holds
 
 
 def _right_distributive_holds(sys: AbstractSystem) -> bool:
     """Certificate of `xi-meet-right-distributive`: . associative, and for
     every generator s both x ~xi~ y => xs ~xi~ ys and (x meet y)s = xs
-    meet ys on xi. Right-regularity carries the law for a and b to a.b."""
+    meet ys on xi. Right-regularity carries the law for a and b to a.b.
+    The generators are read in blocks as in `_over_generators`."""
     mul, meet, xi = sys.mul, sys.meet, sys.xi
     if not sys.light_associative:
         return False
-    for s in sys.generators:
-        xs, ys = mul[:, s, None], mul[None, :, s]
-        if (xi & (~xi[xs, ys] | (mul[meet, s] != meet[xs, ys]))).any():
+    gens = sys.generators
+    for lo, hi in blocks(len(gens), 2 * sys.size ** 2):
+        col = mul[:, gens[lo:hi]].T  # [k, x]: x.s for s = gens[lo + k]
+        xs, ys = col[:, :, None], col[:, None, :]
+        moved = np.take(col, meet, axis=1) != take_pairs(meet, xs, ys)
+        if (xi & (~take_pairs(xi, xs, ys) | moved)).any():
             return False
     return True
 
@@ -180,7 +192,7 @@ def _meet_is_glb(sys: AbstractSystem) -> bool:
     ids = np.arange(sys.size)
     if (meet.diagonal() != ids).any() or (meet != meet.T).any():
         return False
-    if not zeta[meet, ids[:, None]].all():
+    if not take_pairs(zeta, meet, ids[:, None]).all():
         return False
     zf = zeta.astype(np.float32)
     if ((zf @ zf > 0.5) & ~zeta).any():
@@ -211,26 +223,26 @@ def validate(sys: AbstractSystem) -> Report:
     report.record_mask("order-contained-in-xi", time.perf_counter(),
                        zeta & ~xi, ("x", "y"), "pairs")
 
-    # (u,v) in xi implies (xu, xv) in xi.
-    def xi_left(lo, hi):
-        return xi[None, :, :] & ~xi[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]]
+    # (u,v) in xi implies (xu, xv) in xi; rows are blocks of mul's rows.
+    def xi_left(rows):
+        return xi & ~take_pairs(xi, rows[:, :, None], rows[:, None, :])
 
-    report.scan("xi-left-regular", m, xi_left, ("x", "u", "v"), "violating tuples",
-                holds=_over_generators(sys, xi_left))
+    report.scan("xi-left-regular", m, lambda lo, hi: xi_left(mul[lo:hi]), ("x", "u", "v"),
+                "violating tuples", holds=_over_generators(sys, xi_left, mul))
 
     # (x,y) in delta implies (ux, y) in delta.
-    def delta_left(lo, hi):
-        return delta[None, :, :] & ~delta[mul[lo:hi]]
+    def delta_left(rows):
+        return delta & ~delta[rows]
 
-    report.scan("delta-left-ideal", m, delta_left, ("u", "x", "y"), "violating tuples",
-                holds=_over_generators(sys, delta_left))
+    report.scan("delta-left-ideal", m, lambda lo, hi: delta_left(mul[lo:hi]), ("u", "x", "y"),
+                "violating tuples", holds=_over_generators(sys, delta_left, mul))
 
     # x(y meet z) = xy meet xz.
-    def distributes(lo, hi):
-        return mul[lo:hi][:, meet] != meet[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]]
+    def distributes(rows):
+        return np.take(rows, meet, axis=1) != take_pairs(meet, rows[:, :, None], rows[:, None, :])
 
-    report.scan("mul-distributes-over-meet", m, distributes, ("x", "y", "z"),
-                "violating tuples", holds=_over_generators(sys, distributes))
+    report.scan("mul-distributes-over-meet", m, lambda lo, hi: distributes(mul[lo:hi]),
+                ("x", "y", "z"), "violating tuples", holds=_over_generators(sys, distributes, mul))
 
     # x <= y, u <= v and (y,v) in xi force (u,x) in xi.
     t0 = time.perf_counter()
@@ -249,7 +261,7 @@ def validate(sys: AbstractSystem) -> Report:
     # (x,y) in xi implies (x meet y)u = xu meet yu.
     report.scan("xi-meet-right-distributive", m,
                 lambda lo, hi: xi[lo:hi][:, :, None]
-                & (mul[meet[lo:hi]] != meet[mul[lo:hi][:, None, :], mul[None, :, :]]),
+                & (mul[meet[lo:hi]] != take_pairs(meet, mul[lo:hi][:, None, :], mul)),
                 ("x", "y", "u"), "violating tuples",
                 holds=lambda: _right_distributive_holds(sys))
 
@@ -266,17 +278,15 @@ def derived_props(sys: AbstractSystem) -> Report:
     report.record_mask("xi-reflexive", time.perf_counter(), ~xi.diagonal(), ("x",), "elements")
     report.record_mask("xi-symmetric", time.perf_counter(), xi != xi.T, ("x", "y"), "pairs")
 
-    def order_left(lo, hi):
-        return zeta[None, :, :] & ~zeta[mul[lo:hi][:, :, None], mul[lo:hi][:, None, :]]
+    # x <= y implies zx <= zy, and xz <= yz: rows are blocks of the rows
+    # of mul, and of its transpose
+    def order_kept(rows):
+        return zeta & ~take_pairs(zeta, rows[:, :, None], rows[:, None, :])
 
-    report.scan("order-left-regular", m, order_left, ("z", "x", "y"), "violating tuples",
-                holds=_over_generators(sys, order_left))
+    report.scan("order-left-regular", m, lambda lo, hi: order_kept(mul[lo:hi]), ("z", "x", "y"),
+                "violating tuples", holds=_over_generators(sys, order_kept, mul))
     mt = np.ascontiguousarray(mul.T)
-
-    def order_right(lo, hi):
-        return zeta[None, :, :] & ~zeta[mt[lo:hi][:, :, None], mt[lo:hi][:, None, :]]
-
-    report.scan("order-right-regular", m, order_right, ("z", "x", "y"), "violating tuples",
-                holds=_over_generators(sys, order_right))
+    report.scan("order-right-regular", m, lambda lo, hi: order_kept(mt[lo:hi]), ("z", "x", "y"),
+                "violating tuples", holds=_over_generators(sys, order_kept, mt))
 
     return report

@@ -4,7 +4,9 @@ Commands: analyze, check, represent, roundtrip, generate. Exit code 0 when
 every check passes, 1 on any failure, 2 on input errors, 3 on an internal
 error: any other exception, reported as one `internal error: <Type>:
 <message>` line on stderr instead of a traceback, so that it is never
-mistaken for a failed check. Reports are deterministic for fixed inputs and
+mistaken for a failed check. A reader that closes the pipe before the
+output is written does not change the exit code: the work is done, so the
+code is the verdict's. Reports are deterministic for fixed inputs and
 flags; timings are attached only with --timings so default output is
 byte-stable.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import random
 import sys as _sys
 import time
@@ -58,11 +61,24 @@ def _load(args) -> tuple[instances.Instance, AbstractSystem]:
     return inst, inst.build()
 
 
+def _write(text: str) -> None:
+    """Print `text` to stdout and flush it. When the reader has closed the
+    pipe, stdout is pointed at the null device instead, so that the flush
+    at exit writes nothing and raises nothing."""
+    try:
+        print(text, end="")
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report: Report, args) -> int:
     if args.format == "machine":
-        print(report.to_json(include_timings=args.timings))
+        _write(report.to_json(include_timings=args.timings) + "\n")
     else:
-        print(report.to_text(include_timings=args.timings))
+        _write(report.to_text(include_timings=args.timings) + "\n")
     return 0 if report.passed else 1
 
 
@@ -173,7 +189,7 @@ def cmd_generate(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        print(text, end="")
+        _write(text)
     return 0
 
 

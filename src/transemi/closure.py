@@ -40,6 +40,7 @@ from .bitsets import (
     iter_bits,
     members,
     rows_bits,
+    take_pairs,
 )
 from .errors import OracleBudgetError
 from .reports import Report
@@ -90,7 +91,9 @@ class ClosureCache:
         # some a in the right ideal z.G* (ideal[z, a]). Every product of
         # the kernel counts at most m + 1 terms, exactly in float32.
         ideal = np.zeros((m, m), dtype=np.float32)
-        ideal[np.arange(m)[:, None], self.mg] = 1.0
+        flat = ideal.reshape(-1)
+        for lo, hi in blocks(m, m + 1):  # ideal[z, z.x] for z in lo..hi-1, x in G*
+            flat[np.arange(lo * m, hi * m, m)[:, None] + self.mg[lo:hi]] = 1.0
         reach = (ideal @ sys.zeta.T.astype(np.float32)) > 0.5
         self.reach = reach
         # ext[w1, w2] says: w2 = w1.y for some y in G* with w1 |- y.
@@ -148,8 +151,9 @@ class ClosureCache:
             hit = pos < len(idx)
             z, p = pending[hit], pos[hit]
             wz = w1[p]
-            y = np.argmax(self.delta_star[wz] & self.reach[z[:, None], self.mg[wz]], axis=1)
-            t = np.argmax(self.zeta[self.mg[wz, y][:, None], self.mg[z]], axis=1)
+            y = np.argmax(self.delta_star[wz] & take_pairs(self.reach, z[:, None], self.mg[wz]),
+                          axis=1)
+            t = np.argmax(take_pairs(self.zeta, self.mg[wz, y][:, None], self.mg[z]), axis=1)
             for row in zip(z.tolist(), u[bi[p]].tolist(), v[p].tolist(), x[p].tolist(),
                            y.tolist(), t.tolist()):
                 found[row[0]] = row[1:]
@@ -222,7 +226,7 @@ class ClosureCache:
         closed, row = _distinct_rows(unions)
         row_of = np.empty((len(base), len(base)), dtype=np.int64)
         row_of[iu, ju] = row_of[ju, iu] = row
-        pair_key = row_of[of_base[:, None], of_base[None, :]]
+        pair_key = row_of[of_base][:, of_base]
         self._table = (pair_key, closed)
         return self._table
 
@@ -285,7 +289,7 @@ def _singleton_rounds(kern: ClosureCache) -> np.ndarray:
     products (u meet v).x' of every x at once, and one product with adm
     the elements they admit."""
     m = kern.size
-    v, x = np.nonzero(kern.xi[kern.mg, np.arange(m)[:, None]])  # v.x ~xi~ v
+    v, x = np.nonzero(take_pairs(kern.xi, kern.mg, np.arange(m)[:, None]))  # v.x ~xi~ v
     a = kern.mg[v, x]
     w1 = np.zeros((m, m), dtype=np.float32)
     w1[a, kern.mg[kern.meet[a, v], x]] = 1.0
@@ -528,7 +532,7 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
         # in float32; it is read at (g2, meet).
         hx = h[sys.mul_star[:m]].astype(np.float32)
         escapes = (hx @ (1.0 - hx).T) > 0.5
-        return not (inside & sys.xi & escapes[np.arange(m), sys.meet]).any()
+        return not (inside & sys.xi & take_pairs(escapes, np.arange(m), sys.meet)).any()
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -791,14 +795,16 @@ def _axiom_failures(sys):
     t0 = time.perf_counter()
     pair_key, closed = sys.closures.pair_table()
     single = closed[pair_key.diagonal()]
-    yield "closure-forces-order", _failing(single[rows, sys.meet] & ~sys.zeta, sys.meet), t0
+    yield ("closure-forces-order",
+           _failing(take_pairs(single, rows, sys.meet) & ~sys.zeta, sys.meet), t0)
 
     t0 = time.perf_counter()
     yield ("closure-forces-semicompat",
-           _failing(closed[pair_key, sys.meet] & ~sys.xi, sys.meet), t0)
+           _failing(take_pairs(closed, pair_key, sys.meet) & ~sys.xi, sys.meet), t0)
 
     t0 = time.perf_counter()
-    yield "closure-forces-adjacency", _failing(single[rows, sys.mul] & ~sys.delta, sys.mul), t0
+    yield ("closure-forces-adjacency",
+           _failing(take_pairs(single, rows, sys.mul) & ~sys.delta, sys.mul), t0)
 
 
 def check_representability(sys) -> Report:

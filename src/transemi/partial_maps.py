@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .bitsets import blocks
+from .bitsets import blocks, take_pairs
 
 # Counts of at most n points are exact in float32 while n is below this;
 # the pair counts of rows on more points are taken in int64.
@@ -131,14 +131,15 @@ def agree_counts(rows: np.ndarray) -> np.ndarray:
     return np.zeros((k, k), dtype) if out is None else out
 
 
-def common_counts(rows: np.ndarray) -> np.ndarray:
+def common_counts(dom: np.ndarray) -> np.ndarray:
     """(k, k) counts: [a, b] is the number of points in both dom a and dom
-    b, the product dom domᵀ, in blocks of at least k points."""
-    k, n = rows.shape
+    b, for the (k, n) bool matrix `dom` of k rows' domains (rows >= 0):
+    the product dom domᵀ, in blocks of at least k points."""
+    k, n = dom.shape
     out = None
     for lo, hi in blocks(n, k, least=k):
-        dom = (rows[:, lo:hi] >= 0).astype(_count_dtype(n))
-        out = _add_product(out, dom, dom)
+        part = dom[:, lo:hi].astype(_count_dtype(n))
+        out = _add_product(out, part, part)
     return out
 
 
@@ -164,7 +165,8 @@ def meet_mismatch(agree: np.ndarray, want: np.ndarray) -> np.ndarray:
     lies inside both, agree[w, i] = agree[w, w] = agree[w, j], and has as
     many pairs as they share, agree[w, w] = agree[i, j]."""
     size_w, ids = agree.diagonal()[want], np.arange(len(agree))
-    return ~((agree[want, ids[:, None]] == size_w) & (agree[want, ids] == size_w)
+    return ~((take_pairs(agree, want, ids[:, None]) == size_w)
+             & (take_pairs(agree, want, ids) == size_w)
              & (size_w == agree))
 
 
@@ -175,6 +177,6 @@ def relations(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of rows[i] lies inside the domain of rows[j] (escape == 0). From one
     count of each kind, holding at most two (k, k) counts at once."""
     agree = agree_counts(rows)
-    zeta, xi = agree == agree.diagonal()[:, None], agree == common_counts(rows)
+    zeta, xi = agree == agree.diagonal()[:, None], agree == common_counts(rows >= 0)
     del agree
     return zeta, xi, escape_counts(rows) == 0

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .abstract_system import AbstractSystem, validate
-from .bitsets import bits_to_bool, blocks
+from .bitsets import bits_to_bool, blocks, take_pairs
 from .closure import check_representability
 from .errors import HypothesesViolatedError, InternalConsistencyError
 from .partial_maps import (
@@ -136,7 +136,7 @@ def _right_regular(sys: AbstractSystem, leaders: np.ndarray) -> tuple[np.ndarray
     Row r's partition is right regular exactly when split[r] holds no
     True; its column z = e never does."""
     images = np.take(leaders, sys.mul_star, axis=1)
-    return images, images != images[np.arange(len(leaders))[:, None], leaders]
+    return images, images != take_pairs(images, np.arange(len(leaders))[:, None], leaders)
 
 
 def _action(sys: AbstractSystem, leaders: np.ndarray, rows_of: np.ndarray | int,
@@ -148,8 +148,8 @@ def _action(sys: AbstractSystem, leaders: np.ndarray, rows_of: np.ndarray | int,
     pos = np.full(leaders.shape, -1, dtype=np.int64)  # [r, y]: the point of the class led by y
     pos[rows_of, lead_of] = np.arange(offset, offset + len(lead_of))
     # [g, p]: the leader of y.g in the point's row
-    lands = leaders[rows_of, sys.mul_star[lead_of, :sys.size].T]
-    return pos[rows_of, lands]
+    lands = take_pairs(leaders, rows_of, sys.mul_star[lead_of, :sys.size].T)
+    return take_pairs(pos, rows_of, lands)
 
 
 def validate_determining_pair(sys: AbstractSystem, dp: DeterminingPair) -> Report:
@@ -487,7 +487,7 @@ def verify_representability(sys: AbstractSystem) -> Report:
 
     relation("order-relation-matches", time.perf_counter(), zeta_p, sys.zeta)
     relation("semicompat-relation-matches", time.perf_counter(),
-             agree == common_counts(rows), sys.xi)
+             agree == common_counts(rows >= 0), sys.xi)
     del agree  # so that at most two (k, k) counts are held at once
     relation("adjacency-relation-matches", time.perf_counter(), escape_counts(rows) == 0,
              sys.delta)

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .abstract_system import AbstractSystem
-from .bitsets import bits_of, bits_to_bool, blocks
+from .bitsets import bits_of, bits_to_bool, blocks, take_pairs
 from .errors import CapExceededError, CarrierMismatchError
-from .partial_maps import products, relations, row_keys
+from .partial_maps import common_counts, products, relations, row_keys
 from .reports import WITNESS_CAP, Report
 
 
@@ -130,18 +130,18 @@ def check_adjacency_laws(sys: TransSystem) -> Report:
     """Both structural laws of the image-inside-domain relation.
 
     First: (f,g) adjacent iff composing g after f keeps the whole domain of
-    f. Second: adjacency survives precomposition, scanned over every h when
-    the certificate over the generators (`_precompose_stable`) does not
-    settle it. Both are evaluated in blocks of f rows within the cell
-    budget (`blocks`). Expected to hold on every generated system;
-    violations are reported with the offending tuples.
+    f, read off the common counts of the domains `sys.dom`
+    (`common_counts`). Second: adjacency survives precomposition, scanned
+    over every h, in blocks of f rows within the cell budget (`blocks`),
+    when the certificate over the generators (`_precompose_stable`) does
+    not settle it. Expected to hold on every generated system; violations
+    are reported with the offending tuples.
     """
     report = Report("adjacency laws")
     t0 = time.perf_counter()
-    m, dom = sys.size, sys.dom
-    kept = np.empty((m, m), dtype=bool)  # [f, g]: g o f keeps dom f
-    for lo, hi in blocks(m, m * sys.base_size):
-        kept[lo:hi] = ~(dom[lo:hi, None, :] & ~dom[sys.mul[lo:hi]]).any(axis=2)
+    m, common = sys.size, common_counts(sys.dom)
+    # [f, g]: g o f keeps dom f, that is dom f and dom f.g share all of dom f
+    kept = take_pairs(common, np.arange(m)[:, None], sys.mul) == common.diagonal()[:, None]
     report.record_mask("adjacency-iff-domain-kept", t0, sys.delta != kept, ("f", "g"), "pairs")
     # delta[f,g] must imply delta[f o h, g] for every h
     report.scan("adjacency-precompose-stable", m,
@@ -197,21 +197,20 @@ def check_domain_bounds(sys: TransSystem) -> Report:
     order. Each subset's closure is read from the closure cache's pair
     table (`ClosureCache.pair_table`, computed here if need be), and its
     common domain is tested, for all subsets at once, against the points in
-    the domain of every member of its closure; members are walked only for
-    subsets that fail.
+    the domain of every member of its closure, by counts of the domains
+    `sys.dom`; members are walked only for subsets that fail.
     """
     t0 = time.perf_counter()
     k = sys.size
     pair_key, closed = sys.closures.pair_table()
     dom = sys.dom
-    # bound[c]: the points in the domain of every member of closure c
-    bound = (closed.astype(np.float32) @ (~dom).astype(np.float32)) < 0.5
+    common = common_counts(dom)
+    # bound[c]: the number of points in the domain of every member of closure c
+    bound = ((closed.astype(np.float32) @ (~dom).astype(np.float32)) < 0.5).sum(axis=1)
     # escapes[i, j]: some point of dom i and dom j is outside the bound of
-    # the closure of {i, j}; in blocks of i rows of k n cells each
-    escapes = np.empty((k, k), dtype=bool)
-    for lo, hi in blocks(k, k * sys.base_size):
-        escapes[lo:hi] = (dom[lo:hi, None, :] & dom[None, :, :]
-                          & ~bound[pair_key[lo:hi]]).any(axis=2)
+    # the closure c of {i, j}; i and j lie in c, so that bound lies inside
+    # dom i and dom j, and holds fewer points exactly when one escapes
+    escapes = common > bound.astype(common.dtype)[pair_key]
     bad = []
     for i, j in np.argwhere(np.triu(escapes)).tolist():
         members = np.flatnonzero(closed[pair_key[i, j]] & (dom[i] & dom[j] & ~dom).any(axis=1))

@@ -16,12 +16,17 @@ DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args, cwd=None):
-    """`python <args>` in a child process that imports the package from
+def child_env():
+    """The environment of a child process that imports the package from
     this checkout's `src`, ahead of any PYTHONPATH it has."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*args, cwd=None):
+    """`python <args>` in a child process with `child_env()`."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, cwd=cwd, env={**os.environ, "PYTHONPATH": path})
+                          text=True, cwd=cwd, env=child_env())
 
 
 def run_cli(*args, cwd=None):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from naive import naive_law_masks
 from transemi import (
     AbstractSystem,
     MalformedSystemError,
+    bitsets,
     derived_props,
     generators,
     validate,
 )
+from transemi.instances import parse_instance
 from transemi.reports import WITNESS_CAP
 from transemi.trans_semigroup import generate
 
@@ -248,6 +251,24 @@ class TestLawCertificates:
         mask = naive_law_masks(broken)["xi-meet-right-distributive"]
         assert mask.any() and not mask[:, :, gens].any()
         assert_laws_match(broken)
+
+    def test_certificates_stay_within_the_cell_budget(self, m245_file, monkeypatch):
+        # at m = 245 under a budget of 2^12 cells, the certificates read
+        # the tables at index pairs through flat indices formed in blocks:
+        # beside the two (m, m) int64 gathers and the bool masks that a
+        # certificate compares, and the tables xi-downward-compatible keeps
+        # (about 25 m^2 bytes in all), validate holds no (m, m) int64 index
+        sys = parse_instance(m245_file).build(cap=256)
+        m = sys.size
+        assert sys.light_associative and len(sys.generators)  # read before tracing
+        monkeypatch.setattr(bitsets, "_CELLS", 1 << 12)
+        tracemalloc.start()
+        try:
+            assert validate(sys).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == 245 and peak < 3 * bitsets._CELLS * 8 + 27 * m * m
 
     def test_nonassociative_product(self):
         m = 40

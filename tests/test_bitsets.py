@@ -12,6 +12,7 @@ from transemi.bitsets import (
     bool_to_bits,
     iter_bits,
     members,
+    take_pairs,
 )
 from transemi.closure import ClosureResult
 
@@ -65,3 +66,22 @@ def test_negative_bits_are_rejected(bits):
 def test_blocks_cut_by_the_budget(count, cells_each, least, budget, want, monkeypatch):
     monkeypatch.setattr(bitsets, "_CELLS", budget)
     assert list(blocks(count, cells_each, least)) == want
+
+
+@pytest.mark.parametrize("budget", [1, 7, 300, 1 << 16])
+def test_take_pairs_is_the_subscript(budget, monkeypatch):
+    # outer, row, same-shape and batched reads of 2-d and 3-d tables, on
+    # both sides of `_FLAT_MIN` and of the budget, with strided index
+    # arrays and a plain int among them, equal the subscript itself
+    monkeypatch.setattr(bitsets, "_CELLS", budget)
+    rng = np.random.default_rng(budget)
+    for m in (3, 9, 40):
+        tables = [rng.integers(0, 99, (m, m)), rng.random((m, m)) < 0.5,
+                  rng.integers(0, 9, (m, m, 4), dtype=np.int32)]
+        a = rng.integers(0, m, (m, m))
+        cases = [(a[0][:, None], a[1][None, :]), (np.arange(m)[:, None], a.T), (a, a.T),
+                 (a[:, :, None], a[:, None, :]), (a[:2, None, :], a), (2, a[0])]
+        for table in tables:
+            for rows, cols in cases:
+                got = take_pairs(table, rows, cols)
+                assert got.dtype == table.dtype and np.array_equal(got, table[rows, cols])

@@ -994,6 +994,23 @@ class TestBatchedSweep:
             tracemalloc.stop()
         assert m == 245 and peak < m ** 3 / 2
 
+    def test_axioms_stay_within_the_cell_budget(self, m245_file, monkeypatch):
+        # with the pair table built, the axioms read the closures at the
+        # (m, m) index pairs meet and product through flat indices formed
+        # in blocks under a budget of 2^12 cells: at m = 245 they hold a
+        # few (m, m) bool masks and no (m, m) int64 index
+        sys = parse_instance(m245_file).build(cap=256)
+        m = sys.size
+        sys.closures.pair_table()  # built before tracing
+        monkeypatch.setattr(bitsets, "_CELLS", 1 << 12)
+        tracemalloc.start()
+        try:
+            assert check_representability(sys).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m == 245 and peak < 3 * bitsets._CELLS * 8 + 6 * m * m
+
     def test_non_extensive_sweep_matches_the_oracle(self, monkeypatch):
         # batched like any other system: no seed closed alone, none memoised
         sys = non_extensive()

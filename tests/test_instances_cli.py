@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from conftest import run_cli, run_python
+from conftest import child_env, run_cli, run_python
 
 from transemi import (
     bitsets,
@@ -456,6 +458,21 @@ class TestCli:
         payload = json.loads(a.stdout)
         assert payload["passed"] is True
         assert all("seconds" not in c for c in payload["checks"])
+
+    @pytest.mark.parametrize("args", [["analyze", "--format", "machine"],
+                                      ["check", "--format", "machine"], ["check"],
+                                      ["generate", "--seed", "7"]], ids=" ".join)
+    def test_reader_closing_the_pipe_keeps_the_verdict(self, args, trans_file):
+        # the reader closes the pipe before the child writes: every check
+        # has run, so the child exits with the verdict's code, silently
+        if args[0] != "generate":
+            args = [*args, "--input", str(trans_file)]
+        proc = subprocess.Popen([sys.executable, "-m", "transemi", *args], env=child_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.communicate(timeout=300)[1]
+        assert proc.returncode in (0, 1)
+        assert err == b""
 
     def test_roundtrip_command(self, trans_file):
         res = run_cli("roundtrip", "--input", str(trans_file))

@@ -277,7 +277,7 @@ def assert_counts_match(rows):
     """The three pair counts and `relations` against the pairwise
     references, and `meet_mismatch` against `naive_intersect` on a
     `meet_table`."""
-    for got, want in zip((agree_counts(rows), common_counts(rows), escape_counts(rows)),
+    for got, want in zip((agree_counts(rows), common_counts(rows >= 0), escape_counts(rows)),
                          pairwise_counts(rows)):
         assert got.shape == want.shape and (got == want).all()
     want = (pairwise_submap_matrix(rows), pairwise_semicompatible_matrix(rows),
@@ -353,6 +353,6 @@ class TestPairCounts:
             monkeypatch.setattr(partial_maps, "_FLOAT32_EXACT", n + 1)
             assert agree_counts(rows).dtype == np.float32
             monkeypatch.setattr(partial_maps, "_FLOAT32_EXACT", n)
-            assert {c.dtype for c in (agree_counts(rows), common_counts(rows),
+            assert {c.dtype for c in (agree_counts(rows), common_counts(rows >= 0),
                                       escape_counts(rows))} == {np.dtype(np.int64)}
             assert_counts_match(rows)

@@ -63,6 +63,50 @@ def private_attribute_reads(source: str) -> list[str]:
             and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
 
 
+def _is_none(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Constant) and node.value is None
+            or isinstance(node, ast.Attribute) and node.attr == "newaxis")
+
+
+def broadcast_pair_reads(source: str) -> list[str]:
+    """Reads and writes of a table at broadcast pairs of index arrays in
+    `source`, as written: each use of `ix_`, and each subscript, load or
+    store, that indexes two axes with arrays one of which is broadcast
+    through `None` (or `newaxis`), as in T[a[:, None], b]. The package
+    reads a table at index pairs as T[a][:, b] or through
+    `bitsets.take_pairs` instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "ix_":
+            found.append(node)
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            arrays = [e for e in node.slice.elts
+                      if not isinstance(e, (ast.Slice, ast.Constant)) and not _is_none(e)]
+            if len(arrays) >= 2 and any(
+                    isinstance(sub, ast.Subscript) and any(map(_is_none, ast.walk(sub.slice)))
+                    for e in arrays for sub in ast.walk(e)):
+                found.append(node)
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [ast.unparse(node) for node in found]
+
+
+def test_broadcast_pair_reads_are_found():
+    source = ("import numpy as np\n"
+              "def f(t, a, b, m):\n"
+              "    t[np.arange(m)[:, None], b] = 1\n"
+              "    x = t[np.ix_(a, b)] | t[a[:, None] * m, b[None]] & t[a, b[..., np.newaxis]]\n"
+              "    y = t[a][:, b] | t[a, b] | t[a[:, None]] | t[a, None, :]\n"
+              "    return t[a, 0, b[:, None]], t[t[a, b][:, None], :], x, y\n")
+    assert broadcast_pair_reads(source) == [
+        "t[np.arange(m)[:, None], b]", "np.ix_", "t[a[:, None] * m, b[None]]",
+        "t[a, b[..., np.newaxis]]", "t[a, 0, b[:, None]]"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_broadcast_pair_reads(path):
+    assert broadcast_pair_reads(path.read_text()) == []
+
+
 def test_unused_imports_are_found():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from functools import reduce\nfrom operator import and_, index\n"

@@ -356,19 +356,33 @@ class TestAdjacencyLaws:
 
     def test_iff_witnesses_on_damaged_delta(self, trans_corpus):
         # generated systems always pass: flip some delta entries and compare
-        # with the law evaluated pair by pair on domain rows
-        for sys in [s for s in trans_corpus if s.size >= 4][:10]:
+        # with the law evaluated pair by pair on domain rows; then also drop
+        # one point from some recorded domains, which the law reads (`dom`,
+        # not the rows), as in `test_failures_match_per_subset_checks`
+        moved = 0
+        for n, sys in enumerate([s for s in trans_corpus if s.size >= 4][:10]):
+            rng = random.Random(n)
             broken = generate(sys.rows, cap=64)
             delta = sys.delta.copy()
             delta[0, :3] = ~delta[0, :3]
             delta[3, 1] = ~delta[3, 1]
             broken.delta = delta
-            want = [{"f": i, "g": j} for i in range(sys.size) for j in range(sys.size)
-                    if bool(delta[i, j]) != (not (sys.dom[i]
-                                                  & ~sys.dom[sys.mul_table[j, i]]).any())]
-            got = check_adjacency_laws(broken)["adjacency-iff-domain-kept"]
-            assert want and got.witnesses == want[:10]
-            assert got.detail == f"{len(want)} pairs"
+            shrunk = sys.dom.copy()
+            for dom in shrunk:
+                if rng.random() < 0.3:
+                    dom[rng.randrange(sys.base_size)] = False
+            wants = []
+            for dom in (sys.dom, shrunk):
+                broken.dom = dom
+                want = [{"f": i, "g": j} for i in range(sys.size) for j in range(sys.size)
+                        if bool(delta[i, j]) != (not (dom[i]
+                                                      & ~dom[sys.mul_table[j, i]]).any())]
+                got = check_adjacency_laws(broken)["adjacency-iff-domain-kept"]
+                assert want and got.witnesses == want[:10]
+                assert got.detail == f"{len(want)} pairs"
+                wants.append(want)
+            moved += wants[0] != wants[1]
+        assert moved > 5
 
     def test_scan_stays_within_the_cell_budget(self, m245_file, monkeypatch):
         # the m^3 scan of `adjacency-precompose-stable`, run with its
