@@ -247,8 +247,9 @@ def validate(sys: AbstractSystem) -> Report:
     # x <= y, u <= v and (y,v) in xi force (u,x) in xi.
     t0 = time.perf_counter()
     zf = zeta.astype(np.float32)  # thresholded after each product: counts of at most m
-    premise = (((zf @ xi.astype(np.float32)) > 0.5).astype(np.float32) @ zf.T) > 0.5
-    viol_xu = premise & ~xi.T
+    viol_xu = (((zf @ xi.astype(np.float32)) > 0.5).astype(np.float32) @ zf.T) > 0.5
+    del zf  # so that the later checks do not hold it
+    viol_xu &= ~xi.T
 
     def downward_witnesses():
         for x, u in np.argwhere(viol_xu):
@@ -257,6 +258,7 @@ def validate(sys: AbstractSystem) -> Report:
 
     report.record("xi-downward-compatible", t0, viol_xu.sum(), downward_witnesses(),
                   "violating pairs")
+    del viol_xu
 
     # (x,y) in xi implies (x meet y)u = xu meet yu.
     report.scan("xi-meet-right-distributive", m,

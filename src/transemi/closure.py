@@ -65,7 +65,12 @@ class ClosureCache:
     Each memo entry is the (closed set, round count) that `closure_fixpoint`
     gives for its own seed, filled by `result` or, through `remember`, by a
     witnessed `closure_fixpoint`; witness extraction is redone on demand.
-    Fills are lock-guarded so concurrent callers see consistent entries.
+    A second memo holds one entry per distinct closed set whose canonical
+    determining pair a pair query has built (`determining_pair`), with that
+    pair's simplest representation once built (`simplest`); `representation`
+    passes in the functions that build them. Fills are lock-guarded so
+    concurrent callers see consistent entries, and the first entry for a
+    key stays.
 
     The fixpoint from H is the least closed superset C(H) of H, so C is a
     closure operator and C({x, y}) = C(C({x}) | C({y})). `pair_table` uses
@@ -104,6 +109,11 @@ class ClosureCache:
         # w1.y <= z.t for some y, t in G*.
         self.adm = (ext @ reach.T.astype(np.float32)) > 0.5
         self._memo: dict[int, tuple[int, int]] = {}
+        # closed set -> its canonical determining pair; id of that pair ->
+        # its simplest representation, None until built. A memoised pair
+        # stays alive, so no other object has its id.
+        self._pairs: dict[int, object] = {}
+        self._simplest: dict[int, object] = {}
         self._lock = threading.Lock()
         self._table = None
 
@@ -182,6 +192,44 @@ class ClosureCache:
         """Memoise the fixpoint from `h_bits`; the first entry for a seed stays."""
         with self._lock:
             return self._memo.setdefault(h_bits, (closed_bits, rounds))
+
+    def known_size(self, h_bits: int) -> int | None:
+        """The size of the closure of `h_bits` when it is already known: from
+        its memo entry or, once the pair table is built, from the table for
+        a seed of one or two elements; None otherwise."""
+        hit = self._memo.get(h_bits)
+        if hit is not None:
+            return hit[0].bit_count()
+        if self._table is None or h_bits.bit_count() > 2:
+            return None
+        pair_key, closed = self._table
+        x, y = h_bits.bit_length() - 1, (h_bits & -h_bits).bit_length() - 1
+        return int(np.count_nonzero(closed[pair_key[x, y]]))
+
+    def determining_pair(self, closed_bits: int, build):
+        """The canonical determining pair of a closed set: the memoised one,
+        or `build()`, memoised. A `build` that raises memoises nothing."""
+        pair = self._pairs.get(closed_bits)
+        if pair is None:
+            pair = build()
+            with self._lock:
+                pair = self._pairs.setdefault(closed_bits, pair)
+                self._simplest.setdefault(id(pair), None)
+        return pair
+
+    def simplest(self, pair, build):
+        """The simplest representation of `pair`, `build()`: built once and
+        memoised for a pair that `determining_pair` returned, that very
+        object, and built anew and not memoised for any other."""
+        key = id(pair)
+        if key not in self._simplest:
+            return build()
+        if self._simplest[key] is None:
+            rep = build()
+            with self._lock:
+                if self._simplest[key] is None:
+                    self._simplest[key] = rep
+        return self._simplest[key]
 
     def pair_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The closures of every pair seed, computed on first call and kept.
@@ -450,17 +498,24 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     """Iterate H -> H | step(H) to its fixpoint, the least closed superset.
 
     The chain increases, so it stabilizes within |G| rounds; `rounds`
-    counts the step applications performed, including the one that
-    confirms stability. Under the validated hypotheses the step is
+    counts the step applications, including the one that confirms
+    stability. Every set of the chain lies within the closure, so when the
+    closure of the seed is already known (`ClosureCache.known_size`) the
+    chain has reached it once it is as large, and the confirming step is
+    counted but not taken. Under the validated hypotheses the step is
     extensive, and each round is the plain step. With witnesses the
     (closed set, rounds) found goes into the system's `ClosureCache` memo,
     so the seed is not closed again.
     """
     cur = _seed(sys, h_bits)
     cache = sys.closures
+    known = cache.known_size(h_bits)
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
     while True:
+        if np.count_nonzero(cur) == known:
+            rounds += 1
+            break
         new = cache.step(cur) & ~cur
         rounds += 1
         if not new.any():

@@ -259,15 +259,26 @@ def determining_pair_for(sys: AbstractSystem, g1: int, g2: int) -> DeterminingPa
     the identification is not an equivalence, when the complement is not
     one class, or when the pair fails `validate_determining_pair`; the
     sum runs the same tests (`_fragment_tests`).
+
+    The pair depends on the closure alone, so the system's `ClosureCache`
+    memoises it per closed set: a pair whose closure an earlier call has
+    passed gets that call's pair, the same object, with no test run. A
+    failing closure is never memoised, and raises again on every call,
+    with the calling pair in its witness.
     """
     m = sys.size
-    inside = bits_to_bool(sys.closures.of_pair(g1, g2), m)
-    leaders, failed = (a[0] for a in _fragment_tests(sys, inside[None]))
-    if failed.any():
-        raise _fragment_error(sys, (g1, g2), inside, leaders, failed)
-    cid = (np.cumsum(leaders == np.arange(m + 1)) - 1)[leaders]  # the rank of x's leader
-    return DeterminingPair(tuple(cid.tolist()),
-                           None if inside.all() else int(cid[inside.argmin()]))
+    closed_bits = sys.closures.of_pair(g1, g2)
+
+    def build():
+        inside = bits_to_bool(closed_bits, m)
+        leaders, failed = (a[0] for a in _fragment_tests(sys, inside[None]))
+        if failed.any():
+            raise _fragment_error(sys, (g1, g2), inside, leaders, failed)
+        cid = (np.cumsum(leaders == np.arange(m + 1)) - 1)[leaders]  # the rank of x's leader
+        return DeterminingPair(tuple(cid.tolist()),
+                               None if inside.all() else int(cid[inside.argmin()]))
+
+    return sys.closures.determining_pair(closed_bits, build)
 
 
 def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Representation:
@@ -276,7 +287,19 @@ def simplest_representation(sys: AbstractSystem, dp: DeterminingPair) -> Represe
     Raises `InternalConsistencyError` for the first element g, and then
     the first class, such that the class splits under g: its members'
     products with g lie in different classes. A kept id below the largest
-    that no element has is an empty class, which splits under every g."""
+    that no element has is an empty class, which splits under every g.
+
+    The representation of a pair that `determining_pair_for` returned is
+    built once per system and kept in the system's `ClosureCache` beside
+    the pair; a later call with that pair returns the same object, whose
+    rows are read-only. Any other pair, even an equal one, is built anew
+    and not kept."""
+    return sys.closures.simplest(dp, lambda: _simplest(sys, dp))
+
+
+def _simplest(sys: AbstractSystem, dp: DeterminingPair) -> Representation:
+    """The simplest representation of `dp`, built as `simplest_representation`
+    describes."""
     m = sys.size
     lead, w_lead, first = _leaders(m, dp)
     split = _right_regular(sys, lead[None])[1][0, :, :m]

@@ -256,8 +256,9 @@ class TestLawCertificates:
         # at m = 245 under a budget of 2^12 cells, the certificates read
         # the tables at index pairs through flat indices formed in blocks:
         # beside the two (m, m) int64 gathers and the bool masks that a
-        # certificate compares, and the tables xi-downward-compatible keeps
-        # (about 25 m^2 bytes in all), validate holds no (m, m) int64 index
+        # certificate compares (about 19 m^2 bytes in all), validate holds
+        # no (m, m) int64 index, and xi-downward-compatible's float32 table
+        # and masks (6 m^2 bytes) are freed before the certificates run
         sys = parse_instance(m245_file).build(cap=256)
         m = sys.size
         assert sys.light_associative and len(sys.generators)  # read before tracing
@@ -268,7 +269,7 @@ class TestLawCertificates:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert m == 245 and peak < 3 * bitsets._CELLS * 8 + 27 * m * m
+        assert m == 245 and peak < 3 * bitsets._CELLS * 8 + 21 * m * m
 
     def test_nonassociative_product(self):
         m = 40

@@ -717,6 +717,32 @@ class TestUnionSeededPairs:
         for fresh, seed, res in results:
             assert fresh.closures.result(seed) == (res.closed_bits, res.rounds)
 
+    def test_known_closures_skip_the_confirming_step(self, abstract_corpus, system_m70,
+                                                     monkeypatch):
+        # a seed with a memo entry, or a pair-table row, stops on reaching
+        # its closure: the same result, rounds included, one step fewer
+        calls = []
+        step = ClosureCache.step
+        monkeypatch.setattr(ClosureCache, "step",
+                            lambda self, h: calls.append(None) or step(self, h))
+        systems = abstract_corpus[::9] + golden_failures() + [non_extensive(), system_m70]
+        rng = random.Random(24)
+        skipped = 0
+        for sys in systems:
+            memo, swept = fresh_copy(sys), fresh_copy(sys)
+            swept.closures.pair_table()
+            for seed in list(dict.fromkeys(sweep_seeds(sys, rng)))[::3]:
+                calls.clear()
+                want = closure_fixpoint(fresh_copy(sys), seed)
+                assert len(calls) == want.rounds
+                memo.closures.result(seed)
+                for fresh, known in ((memo, True), (swept, seed.bit_count() <= 2)):
+                    calls.clear()
+                    assert closure_fixpoint(fresh, seed) == want
+                    assert len(calls) == want.rounds - known
+                    skipped += known
+        assert skipped > 150
+
 
 def sweep_seeds(sys, rng):
     """Singletons, the unions of their closures, and random subsets."""

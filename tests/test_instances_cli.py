@@ -425,6 +425,26 @@ class TestPinnedDigests:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_axiom_replay_output(self, tmp_path, capsys):
+        # `check --format machine` on the 50 abstract systems of
+        # `generate --kind abstract --size 3 --seed 0..49`, all failing the
+        # closure axioms, so that the digest covers the witness replay's
+        # rounds, witnesses and chains; taken when the replay took the
+        # confirming step of every fixpoint
+        path = tmp_path / "abs.yaml"
+        h = hashlib.sha256()
+        for seed in range(50):
+            assert cli.main(["generate", "--kind", "abstract", "--size", "3",
+                             "--seed", str(seed), "--out", str(path)]) == 0
+            capsys.readouterr()
+            assert cli.main(["check", "--input", str(path), "--format", "machine"]) == 1
+            out = capsys.readouterr().out
+            failed = [c["id"] for c in json.loads(out)["checks"] if not c["passed"]]
+            assert failed and all(check_id.startswith("axioms/") for check_id in failed)
+            h.update(out.encode())
+        assert h.hexdigest() == (
+            "aac3acc9e5b2a12434b7a642f02c54d87c0905886a27911e998fead8c801dd16")
+
 
 @pytest.fixture(scope="module")
 def trans_file(tmp_path_factory):

@@ -1,6 +1,8 @@
 import itertools
+import random
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -911,3 +913,122 @@ class TestRowStorage:
             Representation(rep.carrier)
         with pytest.raises(ValueError, match="base_size must be positive"):
             Representation((), np.empty((1, 0), dtype=np.int64))
+
+
+def query(sys, g1, g2):
+    """A pair's determining pair and simplest representation, or the type,
+    message and witness of what `determining_pair_for` raised."""
+    dp = built(lambda s: determining_pair_for(s, g1, g2), sys)
+    return (dp, simplest_representation(sys, dp)) if isinstance(dp, DeterminingPair) else dp
+
+
+class TestFragmentMemo:
+    """`determining_pair_for` and `simplest_representation` keep one pair
+    and one representation per distinct pair closure in the system's
+    `ClosureCache`; every answer equals a fresh system's."""
+
+    @staticmethod
+    def queries(sys, rng, count=24):
+        """Every pair, both ways, of a carrier up to 6 elements; above it
+        `count` random pairs, each then again reversed, so that many
+        queries repeat a closure."""
+        m = sys.size
+        if m <= 6:
+            return list(np.ndindex(m, m))
+        pairs = [(rng.randrange(m), rng.randrange(m)) for _ in range(count)]
+        return pairs + [(y, x) for x, y in pairs]
+
+    def assert_memo_matches_fresh(self, systems, rng):
+        hits = raised = 0
+        for sys in systems:
+            memo = copy(sys)
+            for g1, g2 in self.queries(sys, rng):
+                hits += memo.closures.of_pair(g1, g2) in memo.closures._pairs
+                got, want = query(memo, g1, g2), query(copy(sys), g1, g2)
+                assert got == want
+                raised += isinstance(want, tuple)
+            pairs, simplest = memo.closures._pairs, memo.closures._simplest
+            assert len(pairs) == len(simplest) <= len(memo.closures.pair_table()[1])
+            assert all(simplest[id(dp)] is not None for dp in pairs.values())
+        return hits, raised
+
+    def test_matches_fresh_systems_on_the_corpus(self, abstract_corpus):
+        hits, _ = self.assert_memo_matches_fresh(abstract_corpus, random.Random(31))
+        assert hits > 1000
+
+    def test_matches_fresh_systems_on_random_tables(self, random_systems):
+        # nearly all outside the hypotheses: the failure paths
+        hits, raised = self.assert_memo_matches_fresh(random_systems, random.Random(32))
+        assert hits > 100 and raised > 1000
+
+    def test_matches_fresh_systems_at_m70(self, m70_file):
+        sys = parse_instance(m70_file).build().abstract()
+        hits, _ = self.assert_memo_matches_fresh([sys], random.Random(33))
+        assert sys.size == 70 and hits > 10
+
+    @staticmethod
+    def same_closure_pairs(sys):
+        """The first two pairs, in pair order, of each closure that two or
+        more pairs share (read off the pair table)."""
+        pairs: dict = {}
+        for flat, row in enumerate(sys.closures.pair_table()[0].ravel().tolist()):
+            pairs.setdefault(row, []).append(divmod(flat, sys.size))
+        return [tuple(p[:2]) for p in pairs.values() if len(p) > 1]
+
+    def test_same_closure_returns_the_same_objects(self, trans_corpus, monkeypatch):
+        # the second query runs none of the fragment's kernels
+        calls = []
+        for name in ("_fragment_tests", "_right_regular", "_action"):
+            real = getattr(representation, name)
+            monkeypatch.setattr(representation, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        shared = 0
+        for sys in trans_corpus[:30]:
+            sys = copy(sys)
+            for first, second in self.same_closure_pairs(sys):
+                dp = determining_pair_for(sys, *first)
+                rep = simplest_representation(sys, dp)
+                calls.clear()
+                again = determining_pair_for(sys, *second)
+                assert again is dp and simplest_representation(sys, again) is rep
+                assert calls == []
+                shared += 1
+        assert shared > 30
+
+    def test_equal_pairs_of_other_origin_are_built_anew(self, trans_corpus):
+        # not kept, and checked as any pair is: float class ids raise
+        for sys in trans_corpus[:10]:
+            sys = copy(sys)
+            m = sys.size
+            dp = determining_pair_for(sys, 0, m - 1)
+            rep = simplest_representation(sys, dp)
+            twin = DeterminingPair(tuple(dp.class_of), dp.w_class)
+            assert twin == dp and twin is not dp
+            other = simplest_representation(sys, twin)
+            assert other == rep and other is not rep
+            assert simplest_representation(sys, twin) is not other
+            # pairs are looked up by identity, so an unhashable one is read too
+            assert simplest_representation(sys, replace(dp, class_of=list(dp.class_of))) == rep
+            with pytest.raises(ValueError, match="class_of must hold"):
+                simplest_representation(sys, DeterminingPair(
+                    tuple(map(float, dp.class_of)), dp.w_class))
+            assert len(sys.closures._simplest) == 1
+
+    def test_failing_closures_raise_again_with_their_own_pair(self, random_systems):
+        # never memoised, so each query's witness names its own pair
+        again = 0
+        for sys in random_systems:
+            sys = copy(sys)
+            for first, second in self.same_closure_pairs(sys):
+                errors = [built(lambda s: determining_pair_for(s, *pair), sys)
+                          for pair in (first, second, first)]
+                if not isinstance(errors[0], tuple):
+                    continue
+                assert sys.closures.of_pair(*first) not in sys.closures._pairs
+                assert errors[0] == errors[2]
+                for pair, got in zip((first, second), errors):
+                    assert got == built(lambda s: determining_pair_for(s, *pair), copy(sys))
+                    if "pair" in got[2]:
+                        assert got[2]["pair"] == list(pair)
+                        again += 1
+        assert again > 100
