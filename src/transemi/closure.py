@@ -9,9 +9,11 @@ holds for all z,u,v in G and x,y,t in G* (e allowed). `closure_step` maps H
 to the set of all admitted z; `closure_fixpoint` iterates H -> H | step(H)
 and returns the least closed superset together with the round count and,
 per added element, the first admitting 5-tuple in lexicographic order
-(u,v,x,y,t) with e ordered last. `least_closed_oracle` recomputes the same
-set by brute-force subset enumeration and is kept independent of the step
-kernel on purpose.
+(u,v,x,y,t) with e ordered last. From a seed of one or two elements the
+first round of a witnessed fixpoint is the first-witness search alone,
+which over the non-members of H finds step(H) minus H with its tuples.
+`least_closed_oracle` recomputes the same set by brute-force subset
+enumeration and is kept independent of the step kernel on purpose.
 
 Subsets are int bitsets over {0..m-1}. Each one that enters this module
 converts through `bits_to_bool`, which raises `ValueError` on a member
@@ -60,7 +62,10 @@ class ClosureCache:
     The kernel is the vectorized one-step operator on one set (`step`) and
     the first-witness search (`first_witnesses`), over tables built here
     once per system. Single seeds close through `step`: `result`,
-    `closure_fixpoint`, `closure_step` and the witnessed chain.
+    `closure_fixpoint`, `closure_step` and the witnessed chain. A witnessed
+    `closure_fixpoint` from one or two elements takes its first round from
+    the search alone, since over the non-members of a set the search finds
+    the set's step outside it, each element with its first tuple.
 
     Each memo entry is the (closed set, round count) that `closure_fixpoint`
     gives for its own seed, filled by `result` or, through `remember`, by a
@@ -131,44 +136,47 @@ class ClosureCache:
         return self.adm[w1].any(axis=0)
 
     def first_witnesses(self, h: np.ndarray, zs: list[int]) -> dict:
-        """First admitting (u, v, x, y, t) in lex order for each z of `zs`,
-        memberships against h; every z must be in step(h).
+        """First admitting (u, v, x, y, t) in lex order, memberships against
+        h, for each z of `zs` that step(h) admits, in the order of `zs`; a z
+        that step(h) does not admit has no entry. So over the non-members of
+        h the search finds step(h) minus h itself, each element with its
+        first tuple.
 
         The triples (u, v, x) with u in H, u ~xi~ v and v.x in H are walked
         in lex order, in blocks of u rows of m (m + 1) cells each (`blocks`).
         A triple admits z exactly when adm[w1, z] for w1 = (u meet v).x, so
-        within a block only the first triple of each distinct w1 can come
-        first for any z, and one (w1, z) table settles every pending z.
-        y and t are then the first ones for that triple.
+        the first triple of a block to admit a pending z is the first true
+        cell of z's column in the (triple, pending) table adm[w1][:, pending],
+        read in blocks of triples of m cells each; the search stops once no
+        z is pending. y and t are then the first ones for that triple.
         """
         m = self.size
         found: dict[int, tuple[int, int, int, int, int]] = {}
         pending = np.asarray(zs, dtype=np.int64)
         hx = h[self.mg]                         # v.x in H
-        us = np.flatnonzero(h)
+        us = h.nonzero()[0]
         for lo, hi in blocks(len(us), m * (m + 1)):
             if not pending.size:
                 break
             u = us[lo:hi]
             feas = self.xi[u][:, :, None] & hx[None, :, :]
-            idx = np.flatnonzero(feas)
-            if not idx.size:
-                continue
-            bi, v, x = np.unravel_index(idx, feas.shape)
+            bi, v, x = np.unravel_index(feas.reshape(-1).nonzero()[0], feas.shape)
             w1 = self.mg[self.meet[u[bi], v], x]
-            w, first = np.unique(w1, return_index=True)
-            pos = np.where(self.adm[w][:, pending], first[:, None], len(idx)).min(axis=0)
-            hit = pos < len(idx)
-            z, p = pending[hit], pos[hit]
-            wz = w1[p]
-            y = np.argmax(self.delta_star[wz] & take_pairs(self.reach, z[:, None], self.mg[wz]),
-                          axis=1)
-            t = np.argmax(take_pairs(self.zeta, self.mg[wz, y][:, None], self.mg[z]), axis=1)
-            for row in zip(z.tolist(), u[bi[p]].tolist(), v[p].tolist(), x[p].tolist(),
-                           y.tolist(), t.tolist()):
-                found[row[0]] = row[1:]
-            pending = pending[~hit]
-        return {z: found[z] for z in zs}
+            for a, b in blocks(len(w1), m):
+                adm = self.adm[w1[a:b]][:, pending]
+                first = adm.argmax(axis=0)      # the first triple admitting each z
+                hit = adm[first, np.arange(len(pending))]
+                z, p = pending[hit], a + first[hit]
+                wz = w1[p]
+                y = (self.delta_star[wz]
+                     & take_pairs(self.reach, z[:, None], self.mg[wz])).argmax(axis=1)
+                t = take_pairs(self.zeta, self.mg[wz, y][:, None], self.mg[z]).argmax(axis=1)
+                found.update(zip(z.tolist(), zip(u[bi[p]].tolist(), v[p].tolist(),
+                                                 x[p].tolist(), y.tolist(), t.tolist())))
+                pending = pending[~hit]
+                if not pending.size:
+                    break
+        return {z: found[z] for z in zs if z in found}
 
     def closed_bits(self, h_bits: int) -> int:
         return self.result(h_bits)[0]
@@ -498,14 +506,24 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     """Iterate H -> H | step(H) to its fixpoint, the least closed superset.
 
     The chain increases, so it stabilizes within |G| rounds; `rounds`
-    counts the step applications, including the one that confirms
-    stability. Every set of the chain lies within the closure, so when the
-    closure of the seed is already known (`ClosureCache.known_size`) the
-    chain has reached it once it is as large, and the confirming step is
-    counted but not taken. Under the validated hypotheses the step is
-    extensive, and each round is the plain step. With witnesses the
-    (closed set, rounds) found goes into the system's `ClosureCache` memo,
-    so the seed is not closed again.
+    counts the rounds, including the one that confirms stability. Every
+    set of the chain lies within the closure, so when the closure of the
+    seed is already known (`ClosureCache.known_size`) the chain has reached
+    it once it is as large, and the confirming round is counted but not
+    taken.
+
+    Without witnesses each round is one step. With witnesses each element
+    a round adds gets its first admitting tuple from
+    `ClosureCache.first_witnesses`. From a seed of one or two elements the
+    first round is that search alone: over the non-members of H it finds
+    step(H) minus H itself, walking at most two u rows. Every other round
+    is one step, then the search over the elements it adds. A larger seed
+    keeps its step: a search over the non-members cannot stop before it
+    has walked every u row of H, and on a large closed seed that walk
+    costs several steps. So a witnessed fixpoint of r rounds takes r - 1
+    steps from one or two elements and r from more, one fewer, down to
+    none, when its closure is known. The (closed set, rounds) found goes
+    into the system's `ClosureCache` memo, so the seed is not closed again.
     """
     cur = _seed(sys, h_bits)
     cache = sys.closures
@@ -513,17 +531,21 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
     while True:
-        if np.count_nonzero(cur) == known:
-            rounds += 1
-            break
-        new = cache.step(cur) & ~cur
         rounds += 1
-        if not new.any():
+        if np.count_nonzero(cur) == known:
             break
-        if witnesses:
-            for z, tup in cache.first_witnesses(cur, np.flatnonzero(new).tolist()).items():
-                witness[z] = (rounds, tup)
-        cur = cur | new
+        if witnesses and rounds == 1 and h_bits.bit_count() <= 2:
+            # over the non-members of H the search finds step(H) \ H itself
+            found = cache.first_witnesses(cur, (~cur).nonzero()[0].tolist())
+            new = list(found)
+        else:
+            new = (cache.step(cur) & ~cur).nonzero()[0].tolist()
+            found = cache.first_witnesses(cur, new) if witnesses and new else {}
+        if not new:
+            break
+        for z, tup in found.items():
+            witness[z] = (rounds, tup)
+        cur[new] = True
     closed_bits = bool_to_bits(cur)
     if witnesses:
         cache.remember(h_bits, closed_bits, rounds)

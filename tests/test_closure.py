@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import time
 import tracemalloc
@@ -35,6 +36,7 @@ from transemi.bitsets import (
     bool_to_bits,
     full_mask,
     iter_bits,
+    members,
     rows_bits,
 )
 from transemi.closure import (
@@ -170,6 +172,26 @@ def witness_pairs(sys, limit=30, sample=12):
     ]
 
 
+def witness_seeds(sys, pairs, rng):
+    """Seeds of one, two and three or more elements, and closed ones, from
+    `pairs`: each pair, the singletons of its elements, every twelfth pair
+    with up to three elements added, drawn in turn from the carrier and
+    from the pair's closure, and the distinct closures of the pairs."""
+    seeds = [(1 << x) | (1 << y) for x, y in pairs]
+    singles = sorted({1 << z for pair in pairs for z in pair})
+    closed = list(dict.fromkeys(direct(sys, seed) for seed in seeds))
+    grown = []
+    for i, seed in enumerate(seeds[::12]):
+        pool = members(direct(sys, seed)) if i % 2 else range(sys.size)
+        grown.append(seed | bits_of(rng.sample(pool, rng.randint(1, min(3, len(pool))))))
+    return singles + seeds + grown + closed
+
+
+def seed_kind(sys, seed):
+    """"closed" for a closed seed, else its size up to 3."""
+    return "closed" if direct(sys, seed) == seed else min(seed.bit_count(), 3)
+
+
 def closedness_inputs(sys, pairs):
     """Distinct closures of the given pairs and singletons, each also with
     every single element flipped, and the bare seeds themselves."""
@@ -280,11 +302,11 @@ class TestFixpoint:
             closure_fixpoint(s1(), 0)
 
     @staticmethod
-    def _assert_witnesses_match(sys, pairs):
-        """Witnesses against the naive loop, and the derivation chain of
-        every witnessed element against the naive recursion."""
-        for x, y in pairs:
-            seed = (1 << x) | (1 << y)
+    def _assert_witnesses_match(sys, seeds):
+        """Witnesses against the naive loop from each seed bitset, and the
+        derivation chain of every witnessed element against the naive
+        recursion."""
+        for seed in seeds:
             res = closure_fixpoint(sys, seed, witnesses=True)
             want = naive_witnesses(sys, seed)
             assert list(res.witness.items()) == list(want.items())
@@ -293,8 +315,12 @@ class TestFixpoint:
                 assert derivation_chain(sys, res, z) == naive_derivation_chain(sys, res, z)
 
     def test_witnesses_match_naive_loop(self, abstract_corpus):
+        kinds = set()
         for sys in abstract_corpus + golden_failures() + [non_extensive()]:
-            self._assert_witnesses_match(sys, witness_pairs(sys))
+            seeds = witness_seeds(sys, witness_pairs(sys), random.Random(sys.size))
+            self._assert_witnesses_match(sys, seeds)
+            kinds |= {seed_kind(sys, seed) for seed in seeds}
+        assert kinds == {1, 2, 3, "closed"}
 
     def test_witnesses_match_naive_loop_past_bit_63(self, system_m70):
         sys = system_m70
@@ -305,7 +331,55 @@ class TestFixpoint:
         assert all(sys.closures.of_pair(x, y) >> 63 == 0 for x, y in below)
         above = [(69, 3), (5, 40)] + witness_pairs(sys, sample=20)
         assert all(sys.closures.of_pair(x, y) >> 63 for x, y in above)
-        self._assert_witnesses_match(sys, below + above)
+        # and so do those of its parts of three or more elements
+        seeds = witness_seeds(sys, below + above, random.Random(70)) + [
+            bits_of(part) for k in (3, 4, 5) for part in itertools.combinations(low, k)]
+        self._assert_witnesses_match(sys, seeds)
+        # seeds of every kind close on both sides of bit 63
+        sides = {(seed_kind(sys, seed), direct(sys, seed) >> 63 > 0) for seed in seeds}
+        assert sides == {(kind, past) for kind in (1, 2, 3, "closed") for past in (False, True)}
+
+    def test_first_witnesses_answer_only_what_the_step_admits(self, abstract_corpus,
+                                                             system_m70):
+        # asked for any elements, in any order, the search returns the
+        # first tuple of each one step(h) admits, in the order asked, and
+        # nothing for the others
+        rng = random.Random(32)
+        for sys in abstract_corpus[::6] + golden_failures() + [non_extensive(), system_m70]:
+            m = sys.size
+            for h_bits in sweep_seeds(sys, rng)[::max(1, m // 6)]:
+                admitted = step_bits(sys, h_bits)
+                zs = rng.sample(range(m), rng.randint(0, m))
+                got = sys.closures.first_witnesses(bits_to_bool(h_bits, m), zs)
+                assert list(got) == [z for z in zs if (admitted >> z) & 1]
+                for z in list(got)[:8]:
+                    assert got[z] == naive_first_witness(sys, h_bits, z)
+            assert sys.closures.first_witnesses(bits_to_bool(1, m), []) == {}
+
+    def test_search_stays_within_the_cell_budget(self, system_m70, monkeypatch):
+        # the first round of the pair seed {14, 38} searches all 68
+        # non-members over 4353 triples. Under a budget of 2^12 cells the
+        # search holds the triples of one u row (at most m (m + 1), in a
+        # few int64 index arrays) and reads the (triple, pending) table in
+        # blocks: the whole table and the adm rows it is read from would
+        # be past the bound
+        sys = system_m70
+        m = sys.size
+        kern = sys.closures  # builds the kernel before tracing
+        h = bits_to_bool((1 << 14) | (1 << 38), m)
+        zs = np.flatnonzero(~h).tolist()
+        triples = int((sys.xi[h][:, :, None] & h[kern.mg][None]).sum())
+        monkeypatch.setattr(bitsets, "_CELLS", 1 << 12)
+        bound = 56 * m * (m + 1) + 3 * bitsets._CELLS * 8
+        assert triples * (m + len(zs)) > bound
+        tracemalloc.start()
+        try:
+            found = kern.first_witnesses(h, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(found) == list(iter_bits(step_bits(sys, bool_to_bits(h)) & ~bool_to_bits(h)))
+        assert m == 70 and len(zs) == 68 and peak < bound
 
 
 class TestIsClosed:
@@ -719,29 +793,44 @@ class TestUnionSeededPairs:
 
     def test_known_closures_skip_the_confirming_step(self, abstract_corpus, system_m70,
                                                      monkeypatch):
-        # a seed with a memo entry, or a pair-table row, stops on reaching
-        # its closure: the same result, rounds included, one step fewer
+        # a plain fixpoint steps every round; a witnessed one from one or
+        # two elements takes its first round from the first-witness search,
+        # so r rounds take r - 1 steps, and from more elements r. A seed
+        # with a memo entry, or a pair-table row, stops on reaching its
+        # closure: the same result, rounds included, one step fewer. A
+        # closed seed, a pair-table row or the whole carrier, closes in one
+        # round with no witness, and with no step when its closure is known
+        # or its first round is the search, which adds nothing
         calls = []
         step = ClosureCache.step
         monkeypatch.setattr(ClosureCache, "step",
                             lambda self, h: calls.append(None) or step(self, h))
         systems = abstract_corpus[::9] + golden_failures() + [non_extensive(), system_m70]
         rng = random.Random(24)
-        skipped = 0
+        skipped = closed_seeds = 0
         for sys in systems:
             memo, swept = fresh_copy(sys), fresh_copy(sys)
-            swept.closures.pair_table()
-            for seed in list(dict.fromkeys(sweep_seeds(sys, rng)))[::3]:
+            closed = set(rows_bits(swept.closures.pair_table()[1])) | {full_mask(sys.size)}
+            seeds = list(dict.fromkeys(sweep_seeds(sys, rng)))[::3]
+            for seed in seeds + sorted(closed.difference(seeds)):
+                calls.clear()
+                plain = closure_fixpoint(fresh_copy(sys), seed, witnesses=False)
+                assert len(calls) == plain.rounds
                 calls.clear()
                 want = closure_fixpoint(fresh_copy(sys), seed)
-                assert len(calls) == want.rounds
+                searched = seed.bit_count() <= 2
+                assert (want.closed_bits, want.rounds) == (plain.closed_bits, plain.rounds)
+                assert len(calls) == want.rounds - searched
+                if seed in closed:
+                    assert (want.closed_bits, want.rounds, want.witness) == (seed, 1, {})
+                    closed_seeds += searched
                 memo.closures.result(seed)
                 for fresh, known in ((memo, True), (swept, seed.bit_count() <= 2)):
                     calls.clear()
                     assert closure_fixpoint(fresh, seed) == want
-                    assert len(calls) == want.rounds - known
+                    assert len(calls) == max(want.rounds - searched - known, 0)
                     skipped += known
-        assert skipped > 150
+        assert skipped > 150 and closed_seeds > 30
 
 
 def sweep_seeds(sys, rng):
