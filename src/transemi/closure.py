@@ -12,8 +12,10 @@ per added element, the first admitting 5-tuple in lexicographic order
 (u,v,x,y,t) with e ordered last. From a seed of one or two elements the
 first round of a witnessed fixpoint is the first-witness search alone,
 which over the non-members of H finds step(H) minus H with its tuples.
-`least_closed_oracle` recomputes the same set by brute-force subset
-enumeration and is kept independent of the step kernel on purpose.
+A chain that reaches the whole carrier stops there, since every closure
+lies within it. `least_closed_oracle` recomputes the same set by
+brute-force subset enumeration and is kept independent of the step kernel
+on purpose.
 
 Subsets are int bitsets over {0..m-1}. Each one that enters this module
 converts through `bits_to_bool`, which raises `ValueError` on a member
@@ -143,58 +145,81 @@ class ClosureCache:
         first tuple.
 
         The triples (u, v, x) with u in H, u ~xi~ v and v.x in H are walked
-        in lex order, in blocks of u rows of m (m + 1) cells each (`blocks`).
-        A triple admits z exactly when adm[w1, z] for w1 = (u meet v).x, so
+        in lex order, in blocks within the cell budget (`_triples`). A
+        triple admits z exactly when adm[w1, z] for w1 = (u meet v).x, so
         the first triple of a block to admit a pending z is the first true
         cell of z's column in the (triple, pending) table adm[w1][:, pending],
         read in blocks of triples of m cells each; the search stops once no
-        z is pending. y and t are then the first ones for that triple.
+        z is pending. y and t are then the first ones for that triple, read
+        in blocks of m + 1 cells a z. Each block's finds follow the order of
+        `zs`, so the finds of one block need no reordering.
         """
         m = self.size
         found: dict[int, tuple[int, int, int, int, int]] = {}
         pending = np.asarray(zs, dtype=np.int64)
-        hx = h[self.mg]                         # v.x in H
-        us = h.nonzero()[0]
-        for lo, hi in blocks(len(us), m * (m + 1)):
-            if not pending.size:
-                break
-            u = us[lo:hi]
-            feas = self.xi[u][:, :, None] & hx[None, :, :]
-            bi, v, x = np.unravel_index(feas.reshape(-1).nonzero()[0], feas.shape)
-            w1 = self.mg[self.meet[u[bi], v], x]
+        if not pending.size:
+            return found
+        ordered = True                          # found follows zs while one block has added
+        for u, v, x in self._triples(h):
+            w1 = self.mg[self.meet[u, v], x]
             for a, b in blocks(len(w1), m):
                 adm = self.adm[w1[a:b]][:, pending]
                 first = adm.argmax(axis=0)      # the first triple admitting each z
                 hit = adm[first, np.arange(len(pending))]
-                z, p = pending[hit], a + first[hit]
-                wz = w1[p]
-                y = (self.delta_star[wz]
-                     & take_pairs(self.reach, z[:, None], self.mg[wz])).argmax(axis=1)
-                t = take_pairs(self.zeta, self.mg[wz, y][:, None], self.mg[z]).argmax(axis=1)
-                found.update(zip(z.tolist(), zip(u[bi[p]].tolist(), v[p].tolist(),
-                                                 x[p].tolist(), y.tolist(), t.tolist())))
+                zh, ph = pending[hit], a + first[hit]
                 pending = pending[~hit]
+                ordered = ordered and not found
+                for c, d in blocks(len(zh), m + 1):
+                    z, p = zh[c:d], ph[c:d]
+                    wz = w1[p]
+                    y = (self.delta_star[wz]
+                         & take_pairs(self.reach, z[:, None], self.mg[wz])).argmax(axis=1)
+                    t = take_pairs(self.zeta, self.mg[wz, y][:, None], self.mg[z]).argmax(axis=1)
+                    found.update(zip(z.tolist(), zip(u[p].tolist(), v[p].tolist(),
+                                                     x[p].tolist(), y.tolist(), t.tolist())))
                 if not pending.size:
                     break
-        return {z: found[z] for z in zs if z in found}
+            if not pending.size:
+                break
+        return found if ordered else {z: found[z] for z in zs if z in found}
+
+    def _triples(self, h: np.ndarray):
+        """(u, v, x) index arrays of the triples with u in H, u ~xi~ v and
+        v.x in H, in lex order, in blocks of u rows of m (m + 1) cells each
+        (`blocks`); a u row past the cell budget is cut along v."""
+        m = self.size
+        us = h.nonzero()[0]
+        for lo, hi in blocks(len(us), m * (m + 1)):
+            u = us[lo:hi]
+            for vlo, vhi in blocks(m, len(u) * (m + 1)):
+                feas = self.xi[u, vlo:vhi][:, :, None] & h[self.mg[vlo:vhi]][None]
+                bi, v, x = np.unravel_index(feas.reshape(-1).nonzero()[0], feas.shape)
+                if vlo:
+                    v += vlo
+                yield u[bi], v, x
 
     def closed_bits(self, h_bits: int) -> int:
         return self.result(h_bits)[0]
 
     def result(self, h_bits: int) -> tuple[int, int]:
         """(closed set, round count) of the fixpoint from `h_bits`, from the
-        memo or iterated through `step` and memoised."""
+        memo or iterated through `step` and memoised. A set that reaches the
+        whole carrier is closed, so, as in `closure_fixpoint`, the round that
+        would confirm it is counted but not taken."""
         with self._lock:
             hit = self._memo.get(h_bits)
         if hit is not None:
             return hit
         cur, rounds = _seed(self, h_bits), 0
         while True:
-            nxt = cur | self.step(cur)
             rounds += 1
+            if cur.all():
+                break
+            nxt = cur | self.step(cur)
             if (nxt == cur).all():
-                return self.remember(h_bits, bool_to_bits(cur), rounds)
+                break
             cur = nxt
+        return self.remember(h_bits, bool_to_bits(cur), rounds)
 
     def remember(self, h_bits: int, closed_bits: int, rounds: int) -> tuple[int, int]:
         """Memoise the fixpoint from `h_bits`; the first entry for a seed stays."""
@@ -204,7 +229,9 @@ class ClosureCache:
     def known_size(self, h_bits: int) -> int | None:
         """The size of the closure of `h_bits` when it is already known: from
         its memo entry or, once the pair table is built, from the table for
-        a seed of one or two elements; None otherwise."""
+        a seed of one or two elements; None otherwise. The closure lies
+        within the carrier, so when nothing is known its size m bounds the
+        chain instead (`closure_fixpoint`)."""
         hit = self._memo.get(h_bits)
         if hit is not None:
             return hit[0].bit_count()
@@ -507,10 +534,10 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
 
     The chain increases, so it stabilizes within |G| rounds; `rounds`
     counts the rounds, including the one that confirms stability. Every
-    set of the chain lies within the closure, so when the closure of the
-    seed is already known (`ClosureCache.known_size`) the chain has reached
-    it once it is as large, and the confirming round is counted but not
-    taken.
+    set of the chain lies within the closure, and the closure within G, so
+    the chain has reached the closure once it is as large as the closure
+    of the seed, when that is already known (`ClosureCache.known_size`),
+    or else as large as G: the confirming round is counted but not taken.
 
     Without witnesses each round is one step. With witnesses each element
     a round adds gets its first admitting tuple from
@@ -522,17 +549,19 @@ def closure_fixpoint(sys, h_bits: int, witnesses: bool = True) -> ClosureResult:
     has walked every u row of H, and on a large closed seed that walk
     costs several steps. So a witnessed fixpoint of r rounds takes r - 1
     steps from one or two elements and r from more, one fewer, down to
-    none, when its closure is known. The (closed set, rounds) found goes
-    into the system's `ClosureCache` memo, so the seed is not closed again.
+    none, when its closure is known or is G; a seed that is G takes none.
+    The (closed set, rounds) found goes into the system's `ClosureCache`
+    memo, so the seed is not closed again.
     """
     cur = _seed(sys, h_bits)
     cache = sys.closures
     known = cache.known_size(h_bits)
+    bound = sys.size if known is None else known
     rounds = 0
     witness: dict[int, tuple[int, tuple[int, int, int, int, int]]] = {}
     while True:
         rounds += 1
-        if np.count_nonzero(cur) == known:
+        if np.count_nonzero(cur) == bound:
             break
         if witnesses and rounds == 1 and h_bits.bit_count() <= 2:
             # over the non-members of H the search finds step(H) \ H itself
@@ -560,7 +589,9 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
     set (left factors, adjacency products, upward order closure, and
     restricted meets), each as one array test over the system's tables,
     and requires a nonempty H. Beyond the subset gate the two share no
-    code with each other or with the step kernel.
+    code with each other or with the step kernel. The whole carrier meets
+    every condition whatever the system, so "four-conditions" passes it
+    without forming a table.
     """
     m = sys.size
     if method == "implication":
@@ -592,6 +623,8 @@ def is_closed(sys, h_bits: int, method: str = "implication") -> bool:
         return True
     if method == "four-conditions":
         h = _seed(sys, h_bits)
+        if h.all():
+            return True
         inside = h[:, None]
         prod = h[sys.mul]  # [x, y]: x.y in H
         # products: x.y in H forces x in H

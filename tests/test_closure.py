@@ -125,15 +125,16 @@ def step_bits(sys, h_bits):
 
 
 def naive_witnesses(sys, h_bits):
-    """`closure_fixpoint`'s witness dict over the iterates of
-    H -> H | step(H), each tuple from `naive_first_witness` against the
-    previous iterate."""
+    """`closure_fixpoint`'s witness dict and round count over the iterates
+    of H -> H | step(H), each tuple from `naive_first_witness` against the
+    previous iterate. Every round is a step, the confirming one included,
+    whether or not the set has reached the whole carrier."""
     cur, rounds, out = h_bits, 0, {}
     while True:
         nxt = cur | step_bits(sys, cur)
         rounds += 1
         if nxt == cur:
-            return out
+            return out, rounds
         for z in iter_bits(nxt & ~cur):
             out[z] = (rounds, naive_first_witness(sys, cur, z))
         cur = nxt
@@ -190,6 +191,13 @@ def witness_seeds(sys, pairs, rng):
 def seed_kind(sys, seed):
     """"closed" for a closed seed, else its size up to 3."""
     return "closed" if direct(sys, seed) == seed else min(seed.bit_count(), 3)
+
+
+def carrier_kind(sys, seed):
+    """"carrier" for the whole carrier, "to carrier" for a seed whose
+    closure is the whole carrier, None for any other."""
+    full = full_mask(sys.size)
+    return "carrier" if seed == full else "to carrier" if direct(sys, seed) == full else None
 
 
 def closedness_inputs(sys, pairs):
@@ -303,24 +311,32 @@ class TestFixpoint:
 
     @staticmethod
     def _assert_witnesses_match(sys, seeds):
-        """Witnesses against the naive loop from each seed bitset, and the
+        """Witnesses and round count against the naive loop, which always
+        takes the confirming step, from each seed bitset, and the
         derivation chain of every witnessed element against the naive
         recursion."""
         for seed in seeds:
             res = closure_fixpoint(sys, seed, witnesses=True)
-            want = naive_witnesses(sys, seed)
+            want, rounds = naive_witnesses(sys, seed)
+            assert res.rounds == rounds
             assert list(res.witness.items()) == list(want.items())
             assert all(type(v) is int for _, tup in res.witness.values() for v in tup)
             for z in res.witness:
                 assert derivation_chain(sys, res, z) == naive_derivation_chain(sys, res, z)
 
     def test_witnesses_match_naive_loop(self, abstract_corpus):
-        kinds = set()
+        kinds, carrier = set(), {}
         for sys in abstract_corpus + golden_failures() + [non_extensive()]:
             seeds = witness_seeds(sys, witness_pairs(sys), random.Random(sys.size))
+            seeds.append(full_mask(sys.size))
             self._assert_witnesses_match(sys, seeds)
             kinds |= {seed_kind(sys, seed) for seed in seeds}
+            for seed in seeds:
+                kind = carrier_kind(sys, seed)
+                carrier[kind] = carrier.get(kind, 0) + 1
         assert kinds == {1, 2, 3, "closed"}
+        # seeds that close to the whole carrier, and the carrier itself
+        assert carrier["to carrier"] > 2500 and carrier["carrier"] > 600
 
     def test_witnesses_match_naive_loop_past_bit_63(self, system_m70):
         sys = system_m70
@@ -334,10 +350,13 @@ class TestFixpoint:
         # and so do those of its parts of three or more elements
         seeds = witness_seeds(sys, below + above, random.Random(70)) + [
             bits_of(part) for k in (3, 4, 5) for part in itertools.combinations(low, k)]
+        seeds.append(full_mask(sys.size))
         self._assert_witnesses_match(sys, seeds)
         # seeds of every kind close on both sides of bit 63
         sides = {(seed_kind(sys, seed), direct(sys, seed) >> 63 > 0) for seed in seeds}
         assert sides == {(kind, past) for kind in (1, 2, 3, "closed") for past in (False, True)}
+        # among them seeds that close to the whole carrier, and the carrier
+        assert {carrier_kind(sys, seed) for seed in seeds} == {None, "to carrier", "carrier"}
 
     def test_first_witnesses_answer_only_what_the_step_admits(self, abstract_corpus,
                                                              system_m70):
@@ -358,36 +377,61 @@ class TestFixpoint:
 
     def test_search_stays_within_the_cell_budget(self, system_m70, monkeypatch):
         # the first round of the pair seed {14, 38} searches all 68
-        # non-members over 4353 triples. Under a budget of 2^12 cells the
-        # search holds the triples of one u row (at most m (m + 1), in a
-        # few int64 index arrays) and reads the (triple, pending) table in
-        # blocks: the whole table and the adm rows it is read from would
-        # be past the bound
+        # non-members over 4353 triples, 2442 of them in the u row of 14.
+        # Under a budget of 2^10 cells each u row is cut along v, and the
+        # search holds a few int64 index arrays of one block's triples, its
+        # reads of the (triple, pending) table and of y and t at most 2^10
+        # cells each, and O(m) bytes of pending elements and found tuples.
+        # The whole table would be past the bound, and so would six int64
+        # index arrays of one u row's triples
         sys = system_m70
         m = sys.size
         kern = sys.closures  # builds the kernel before tracing
         h = bits_to_bool((1 << 14) | (1 << 38), m)
         zs = np.flatnonzero(~h).tolist()
-        triples = int((sys.xi[h][:, :, None] & h[kern.mg][None]).sum())
-        monkeypatch.setattr(bitsets, "_CELLS", 1 << 12)
-        bound = 56 * m * (m + 1) + 3 * bitsets._CELLS * 8
-        assert triples * (m + len(zs)) > bound
+        rows = [int((sys.xi[u][:, None] & h[kern.mg]).sum()) for u in (14, 38)]
+        want = kern.first_witnesses(h, zs)
+        monkeypatch.setattr(bitsets, "_CELLS", 1 << 10)
+        bound = 7 * bitsets._CELLS * 8 + 320 * m
+        assert sum(rows) * (m + len(zs)) > bound and 6 * 8 * max(rows) > bound
         tracemalloc.start()
         try:
             found = kern.first_witnesses(h, zs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert list(found.items()) == list(want.items())
         assert list(found) == list(iter_bits(step_bits(sys, bool_to_bits(h)) & ~bool_to_bits(h)))
         assert m == 70 and len(zs) == 68 and peak < bound
 
+    def test_search_blocks_keep_lex_order(self, abstract_corpus, system_m70, monkeypatch):
+        # cut down to one cell a block, into single (u, v) rows and single
+        # found elements, the search finds the same first tuples
+        rng = random.Random(12)
+        cases = []
+        for sys in abstract_corpus[::12] + golden_failures() + [non_extensive(), system_m70]:
+            m = sys.size
+            for h_bits in sweep_seeds(sys, rng)[::max(1, m // 4)]:
+                h = bits_to_bool(h_bits, m)
+                zs = rng.sample(range(m), m)
+                cases.append((sys, h, zs, sys.closures.first_witnesses(h, zs)))
+        for budget in (1, 3 * 71):
+            monkeypatch.setattr(bitsets, "_CELLS", budget)
+            for sys, h, zs, want in cases:
+                assert list(sys.closures.first_witnesses(h, zs).items()) == list(want.items())
+
 
 class TestIsClosed:
-    def test_full_carrier_always_closed(self, abstract_corpus):
-        for sys in abstract_corpus[:30]:
+    def test_full_carrier_always_closed(self, abstract_corpus, random_systems, system_m70):
+        # on every system, outside the hypotheses too (the random systems,
+        # the golden failures and the non-extensive one) and past bit 63
+        systems = (abstract_corpus[:30] + random_systems + golden_failures()
+                   + [non_extensive(), system_m70])
+        for sys in systems:
             full = full_mask(sys.size)
             assert is_closed(sys, full, "implication")
             assert is_closed(sys, full, "four-conditions")
+            assert naive_four_conditions(sys, full)
 
     def test_methods_agree_exhaustively(self, abstract_corpus):
         for sys in abstract_corpus:
@@ -795,12 +839,13 @@ class TestUnionSeededPairs:
                                                      monkeypatch):
         # a plain fixpoint steps every round; a witnessed one from one or
         # two elements takes its first round from the first-witness search,
-        # so r rounds take r - 1 steps, and from more elements r. A seed
-        # with a memo entry, or a pair-table row, stops on reaching its
-        # closure: the same result, rounds included, one step fewer. A
-        # closed seed, a pair-table row or the whole carrier, closes in one
-        # round with no witness, and with no step when its closure is known
-        # or its first round is the search, which adds nothing
+        # so r rounds take r - 1 steps, and from more elements r. A chain
+        # stops on reaching the whole carrier, and a seed with a memo entry,
+        # or a pair-table row, on reaching its closure: the same result,
+        # rounds included, one step fewer. A closed seed, a pair-table row
+        # or the whole carrier, closes in one round with no witness, and
+        # with no step when its closure is known, when it is the whole
+        # carrier, or when its first round is the search, which adds nothing
         calls = []
         step = ClosureCache.step
         monkeypatch.setattr(ClosureCache, "step",
@@ -808,29 +853,35 @@ class TestUnionSeededPairs:
         systems = abstract_corpus[::9] + golden_failures() + [non_extensive(), system_m70]
         rng = random.Random(24)
         skipped = closed_seeds = 0
+        carrier = {"carrier": 0, "to carrier": 0}
         for sys in systems:
+            full_bits = full_mask(sys.size)
             memo, swept = fresh_copy(sys), fresh_copy(sys)
-            closed = set(rows_bits(swept.closures.pair_table()[1])) | {full_mask(sys.size)}
+            closed = set(rows_bits(swept.closures.pair_table()[1])) | {full_bits}
             seeds = list(dict.fromkeys(sweep_seeds(sys, rng)))[::3]
             for seed in seeds + sorted(closed.difference(seeds)):
                 calls.clear()
                 plain = closure_fixpoint(fresh_copy(sys), seed, witnesses=False)
-                assert len(calls) == plain.rounds
+                full = plain.closed_bits == full_bits
+                assert len(calls) == plain.rounds - full
                 calls.clear()
                 want = closure_fixpoint(fresh_copy(sys), seed)
                 searched = seed.bit_count() <= 2
                 assert (want.closed_bits, want.rounds) == (plain.closed_bits, plain.rounds)
-                assert len(calls) == want.rounds - searched
+                assert len(calls) == max(want.rounds - searched - full, 0)
                 if seed in closed:
                     assert (want.closed_bits, want.rounds, want.witness) == (seed, 1, {})
                     closed_seeds += searched
+                if full:
+                    carrier["carrier" if seed == full_bits else "to carrier"] += 1
                 memo.closures.result(seed)
                 for fresh, known in ((memo, True), (swept, seed.bit_count() <= 2)):
                     calls.clear()
                     assert closure_fixpoint(fresh, seed) == want
-                    assert len(calls) == max(want.rounds - searched - known, 0)
+                    assert len(calls) == max(want.rounds - searched - (known or full), 0)
                     skipped += known
         assert skipped > 150 and closed_seeds > 30
+        assert carrier["carrier"] == len(systems) and carrier["to carrier"] > 30
 
 
 def sweep_seeds(sys, rng):
